@@ -11,8 +11,14 @@ LE(f_m(t, z_N)) + m*e_{N+1} exactly.  When the m = 0 term strictly exceeds
 every other summand, its leading term is the leading term of f(t, z).  The
 truncation depth doubles until that certificate fires; it must, once
 e_{N+1} drops below the distance from z to the nearest root of f.
+
+The truncation minimal polynomials p_j behind every preimage are norms of
+y - z_k, built as a tower of prime-degree norms (Abhyankar-Moh's
+approximate-root tower): each step needs only the p-th roots of unity for
+one prime p dividing the ramification index, never all of Q(zeta_R).
 """
 
+import threading
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -21,7 +27,7 @@ from math import ceil, comb, floor
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
-from .exactnum import CyclotomicElement, acc_zeta_shift, lcm, rat_str
+from .exactnum import lcm, rat_str
 from .series import FinitePuiseux, truncate
 from .valmonoid import decompose, rep_value
 
@@ -333,25 +339,33 @@ class _ZPow:
         self.zterms = tuple(zt)
         self.lead = zt[0][0]
         self.integral = all(isinstance(c, int) for _, c in zt)
-        self.pows = [((0, 1),)]
-        self.negexps = [[0]]  # ascending -exponent lists for bisect
+        # per power: descending (exponent, coeff) terms and the ascending
+        # negated exponents for bisect
+        self.pows = ((((0, 1),), (0,)),)
+        self._lock = threading.Lock()
 
     def pow(self, b):
-        while len(self.pows) <= b:
-            prev = self.pows[-1]
-            acc = {}
-            for e1, c1 in prev:
-                for e2, c2 in self.zterms:
-                    k = e1 + e2
-                    if k in acc:
-                        acc[k] += c1 * c2
-                    else:
-                        acc[k] = c1 * c2
-            terms = tuple(sorted(
-                ((e, c) for e, c in acc.items() if c), reverse=True))
-            self.pows.append(terms)
-            self.negexps.append([-e for e, _ in terms])
-        return self.pows[b]
+        """(terms, negated exponents) of z_N^b.  Powers are built under a
+        lock and published as a new tuple; built powers are read lock-free."""
+        pows = self.pows
+        if b < len(pows):
+            return pows[b]
+        with self._lock:
+            ext = list(self.pows)
+            while len(ext) <= b:
+                acc = {}
+                for e1, c1 in ext[-1][0]:
+                    for e2, c2 in self.zterms:
+                        k = e1 + e2
+                        if k in acc:
+                            acc[k] += c1 * c2
+                        else:
+                            acc[k] = c1 * c2
+                terms = tuple(sorted(
+                    ((e, c) for e, c in acc.items() if c), reverse=True))
+                ext.append((terms, tuple(-e for e, _ in terms)))
+            self.pows = tuple(ext)
+        return ext[b]
 
 
 def _prepare(monos, zp):
@@ -380,8 +394,7 @@ def _scan(work, zp, cutoff, upper=None):
     """
     acc = defaultdict(int)
     for shift, b, coeff in work:
-        terms = zp.pow(b)
-        neg = zp.negexps[b]
+        terms, neg = zp.pow(b)
         start = 0 if upper is None else bisect_left(neg, shift - upper)
         end = len(terms) if cutoff is None else bisect_right(
             neg, shift - cutoff)
@@ -571,68 +584,62 @@ def image_matches_leading(f, le, lc, n, ctx):
 
 def min_poly_finite_puiseux(w):
     """Minimal polynomial over Q(x) of a finite Puiseux series with positive
-    exponents: the expanded product of y - w_j over all ram_index conjugates.
+    exponents: the norm of y - w from Q(t^(1/R)) down to Q(t), R = ram_index,
+    which is the product of y - w_j over all R conjugates.
+
+    The norm is taken one prime factor p of R at a time.  Writing F(v, y)
+    with v = t^(1/m), one step replaces F by the product of its p conjugates
+    F(zeta_p^i v, y) and m by m/p; norms are transitive, so the steps compose
+    to the full norm.  The power of zeta_p is carried as a residue mod p, so
+    a step computes in the group ring Q[C_p], where multiplying by zeta_p is
+    a rotation.  Mapping back to Q(zeta_p), a coefficient (a_0, ..., a_{p-1})
+    is rational exactly when a_1 = ... = a_{p-1}, with value a_0 - a_1.
 
     The zero series is allowed and yields y.  Coefficients are certified to
     land in Q and exponents in Z; a failure is a bug, hence InternalError.
     """
     if not isinstance(w, FinitePuiseux):
         w = FinitePuiseux.from_series(w)
-    if w.is_zero():
-        return BivarPoly.y()
     R = w.ram_index
-    if R == 1:
-        out = {(0, 1): Fraction(1)}
-        for e, c in w.terms:
-            out[(int(e), 0)] = -c
-        return BivarPoly(out)
-    # Accumulate y-coefficients as series over Q(zeta_R), each coefficient a
-    # mutable coordinate list; conjugate coefficients are root-of-unity
-    # monomials, so every product is a signed-rotation accumulation.  For
-    # integral series coefficients the vectors hold machine integers.
-    phi = len(CyclotomicElement.from_rational(0, R).coeffs)
-    one = [0] * phi
-    one[0] = 1
-    coeffs = [{0: one}]
-    scaled = [(int(e * R),
-               c.numerator if c.denominator == 1 else c) for e, c in w.terms]
-    for j in range(R):
-        wj = [(m, (j * m) % R, c) for m, c in scaled]
-        new = [dict() for _ in range(len(coeffs) + 1)]
-        for k, ser in enumerate(coeffs):
-            up = new[k + 1]
-            for e, vec in ser.items():
-                got = up.get(e)
-                if got is None:
-                    up[e] = list(vec)
-                else:
-                    for t in range(phi):
-                        got[t] += vec[t]
-            down = new[k]
-            for e1, vec in ser.items():
-                for m, shift, c in wj:
-                    e = e1 + m
-                    got = down.get(e)
-                    if got is None:
-                        got = [0] * phi
-                        down[e] = got
-                    acc_zeta_shift(got, vec, shift, -c, R)
-        coeffs = [{e: vec for e, vec in ser.items() if any(vec)}
-                  for ser in new]
-    out = {}
-    for k, ser in enumerate(coeffs):
-        for e, vec in ser.items():
-            if e % R:
-                raise InternalError(
-                    f"conjugate product left exponent {e}/{R} non-integral")
-            if any(vec[1:]):
-                raise InternalError("conjugate product coefficient not rational")
-            if vec[0]:
-                out[(e // R, k)] = Fraction(vec[0])
-    poly = BivarPoly(out)
-    if poly.deg_y() != R:
-        raise InternalError("conjugate product degree mismatch")
-    return poly
+    # F as {(v-exponent, y-degree): coeff}; integral coefficients stay ints
+    poly = {(0, 1): 1}
+    for e, c in w.terms:
+        poly[(int(e * R), 0)] = -(c.numerator if c.denominator == 1 else c)
+    primes, n, p = [], R, 2
+    while n > 1:
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+        p += 1
+    # largest primes first: their p - 1 products then act on the smallest F
+    m = R
+    for p in reversed(primes):
+        prod = {(k, d, 0): c for (k, d), c in poly.items()}
+        for i in range(1, p):
+            conj = [(k, d, i * k % p, c) for (k, d), c in poly.items()]
+            nxt = {}
+            for (k1, d1, g1), c1 in prod.items():
+                for k2, d2, g2, c2 in conj:
+                    key = (k1 + k2, d1 + d2, (g1 + g2) % p)
+                    nxt[key] = nxt.get(key, 0) + c1 * c2
+            prod = {key: c for key, c in nxt.items() if c}
+        coords = {}
+        for (k, d, g), c in prod.items():
+            coords.setdefault((k, d), [0] * p)[g] = c
+        poly = {}
+        for (k, d), a in coords.items():
+            if any(x != a[1] for x in a[2:]):
+                raise InternalError("norm coefficient not rational")
+            if a[0] != a[1]:
+                if k % p:
+                    raise InternalError(
+                        f"norm left exponent {k}/{m} non-integral")
+                poly[(k // p, d)] = a[0] - a[1]
+        m //= p
+    out = BivarPoly(poly)
+    if out.deg_y() != R:
+        raise InternalError("norm degree mismatch")
+    return out
 
 
 def truncation_min_poly(ctx, j):

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 incomplete basis, 3 insufficient
-precision, 4 parse error.  All rationals in JSON output are "p/q" strings.
+precision, 4 parse error, 5 internal error (a failed consistency check or
+sequence identity: a bug, not bad input).  All rationals in JSON output are
+"p/q" strings.
 """
 
 import argparse
@@ -9,8 +11,9 @@ import json
 import sys
 
 from . import bipoly, gbengine, seqderive, valmonoid
-from .errors import (IncompleteBasis, InsufficientPrecision, InvalidSpec,
-                     NotInMonoid, PolyParseError, ValmonError)
+from .errors import (IdentityViolation, IncompleteBasis, InsufficientPrecision,
+                     InternalError, InvalidSpec, NotInMonoid, PolyParseError,
+                     ValmonError)
 from .exactnum import rat, rat_str
 from .series import BUILTIN_SPECS, SimpleSeriesSpec
 
@@ -19,6 +22,7 @@ EXIT_USAGE = 1
 EXIT_INCOMPLETE = 2
 EXIT_PRECISION = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,6 +236,9 @@ def main(argv=None):
     except IncompleteBasis as exc:
         print(f"incomplete basis: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
+    except (InternalError, IdentityViolation) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (NotInMonoid, InvalidSpec, ValmonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

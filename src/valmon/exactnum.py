@@ -292,33 +292,6 @@ def _power_coords(order, k):
     return coords
 
 
-def acc_zeta_shift(dst, src, k, q, order):
-    """In-place dst += q * zeta_order^k * src on coordinate lists.
-
-    The hot loop of conjugate products: src is multiplied by a root-of-unity
-    monomial, which for power-of-two orders is a signed rotation.
-    """
-    phi = len(dst)
-    if order > 1 and order & (order - 1) == 0:
-        for i, c in enumerate(src):
-            if not c:
-                continue
-            j = i + k
-            if (j // phi) & 1:
-                dst[j % phi] -= q * c
-            else:
-                dst[j % phi] += q * c
-    else:
-        for i, c in enumerate(src):
-            if not c:
-                continue
-            vec = _power_coords(order, i + k)
-            qc = q * c
-            for t, vt in enumerate(vec):
-                if vt:
-                    dst[t] += qc * vt
-
-
 def cyclo_arith(a, b, kind):
     """Spec surface for exact +- and * in a shared cyclotomic order."""
     if kind == "add":

@@ -7,6 +7,7 @@ truncation.  Coefficients are Fraction, or CyclotomicElement inside
 conjugate computations.
 """
 
+import threading
 from fractions import Fraction
 
 from .errors import InsufficientPrecision, InvalidSpec, ValmonError
@@ -201,23 +202,35 @@ class SimpleSeriesSpec:
             terms.append((c, e))
         if not terms:
             raise InvalidSpec("empty prefix")
-        self._terms = terms
+        self._terms = tuple(terms)
         self._prefix_len = len(terms)
         self.tail = tail
+        self._lock = threading.Lock()
 
     def term(self, i):
-        """The i-th term (c_i, e_i), 1-based, or None when the spec is spent."""
-        while len(self._terms) < i:
-            idx = len(self._terms)
-            c_prev, e_prev = self._terms[-1]
-            nxt = self.tail.next_term(c_prev, e_prev, idx - self._prefix_len + 1)
-            if nxt is None:
-                return None
-            c, e = nxt
-            if c == 0 or e <= 0 or e >= e_prev:
-                raise InvalidSpec(f"tail produced invalid term ({c}, {e})")
-            self._terms.append((c, e))
-        return self._terms[i - 1]
+        """The i-th term (c_i, e_i), 1-based, or None when the spec is spent.
+
+        Safe to call from several threads: tail terms are generated under a
+        lock into a private list, then published as a new tuple, so readers
+        of already generated terms never wait and never see a partial list.
+        """
+        terms = self._terms
+        if i <= len(terms):
+            return terms[i - 1]
+        with self._lock:
+            ext = list(self._terms)
+            while len(ext) < i:
+                c_prev, e_prev = ext[-1]
+                nxt = self.tail.next_term(
+                    c_prev, e_prev, len(ext) - self._prefix_len + 1)
+                if nxt is None:
+                    break
+                c, e = nxt
+                if c == 0 or e <= 0 or e >= e_prev:
+                    raise InvalidSpec(f"tail produced invalid term ({c}, {e})")
+                ext.append((c, e))
+            self._terms = tuple(ext)
+        return ext[i - 1] if i <= len(ext) else None
 
     def exponent(self, i):
         t = self.term(i)

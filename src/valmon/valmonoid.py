@@ -147,13 +147,6 @@ def lambda_d(d, ctx):
     return rep_value(rep, ctx), rep
 
 
-def degree_of_rep(rep, ctx):
-    """Inverse of base_digits: sum d_j r_l(j-1)."""
-    seqs = ctx.seqs
-    return sum(d * seqs.r(seqs.l(j - 1))
-               for j, d in enumerate(rep.digits, start=1))
-
-
 def divides(mg, mf, ctx):
     """mf - mg when that difference is a member, else None."""
     diff = Fraction(mf) - Fraction(mg)

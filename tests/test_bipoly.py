@@ -8,8 +8,10 @@ from valmon.bipoly import (BivarPoly, eval_leading, min_poly_finite_puiseux,
                            truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
+from valmon.exactnum import as_rational
 from valmon.series import (FinitePuiseux, NoetherianSeries, SimpleSeriesSpec,
-                           dyadic_spec, leading_data, series_mul, truncate)
+                           conjugate, dyadic_spec, leading_data, series_mul,
+                           truncate)
 from valmon.valmonoid import MonoidContext, enumerate_omega
 
 F = Fraction
@@ -193,6 +195,47 @@ def test_min_poly_monic_and_rational(ctx):
         FinitePuiseux([(F(1, 2), 3), (F(1, 3), F(1, 2))]))
     assert p.deg_y() == 6
     assert p.coeffs[(0, 6)] == 1
+
+
+def _conjugate_product(w):
+    """Independent oracle: expand prod_j (y - w_j) over all ram_index
+    conjugates in Q(zeta_R) series arithmetic, then demand that every
+    coefficient is rational with an integral exponent."""
+    coeffs = [NoetherianSeries.monomial(F(1), 0)]
+    for j in range(w.ram_index):
+        root = -conjugate(w, j)
+        new = [NoetherianSeries.zero()] + coeffs
+        for k, c in enumerate(coeffs):
+            new[k] = new[k] + series_mul(c, root)
+        coeffs = new
+    out = {}
+    for k, ser in enumerate(coeffs):
+        for e, c in ser.terms:
+            q = as_rational(c)
+            assert q is not None and e.denominator == 1
+            out[(int(e), k)] = q
+    return BivarPoly(out)
+
+
+@pytest.mark.parametrize("terms", [
+    [(F(5, 4), F(2, 3)), (F(1, 2), -5)],                  # R = 4 = 2 * 2
+    [(F(1, 2), -5), (F(1, 3), F(2, 3))],                  # R = 6 = 2 * 3
+    [(F(4, 3), F(2, 3)), (F(1, 9), -5)],                  # R = 9 = 3 * 3
+    [(F(1, 2), F(2, 3)), (F(2, 5), -5), (F(1, 10), 1)],   # R = 10 = 2 * 5
+    [(F(3, 2), -5), (F(2, 3), F(2, 3)), (F(1, 4), 1)],    # R = 12 = 2 * 2 * 3
+])
+def test_min_poly_matches_conjugate_product(terms):
+    w = FinitePuiseux(terms)
+    p = min_poly_finite_puiseux(w)
+    assert p == _conjugate_product(w)
+    assert p.deg_y() == w.ram_index
+    assert p.coeffs[(0, w.ram_index)] == 1
+
+
+def test_dyadic_p7(ctx):
+    p7 = truncation_min_poly(ctx, 7)
+    assert p7.deg_y() == 64
+    assert eval_leading(p7, ctx).le == ctx.seqs.rho(7)
 
 
 def test_truncation_min_poly_lemma(ctx):

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from valmon import cli, valmonoid
 from valmon.bipoly import parse
 from valmon.cli import main
+from valmon.errors import IdentityViolation, InternalError
 
 
 def run(capsys, *argv):
@@ -116,6 +120,25 @@ def test_precision_error_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+
+
+@pytest.mark.parametrize("exc", [InternalError("broken invariant"),
+                                 IdentityViolation("rho-recurrence", 3)])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(m, ctx):
+        raise exc
+    monkeypatch.setattr(valmonoid, "decompose", broken)
+    code, out, err = run(capsys, "decompose", "3/4")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert "internal error" in err
+
+
+def test_step_limit_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "reduce", "--step-limit", "1",
+                       "--basis", "y^2-x", "y^6")
+    assert code == 1
+    assert "exceeded 1 steps" in err
 
 
 def test_not_in_monoid_preimage(capsys):

@@ -1,0 +1,72 @@
+"""Contexts and specs shared across threads give the sequential results.
+
+Each test forces frequent thread switches with a short switch interval, so
+an unsynchronised lazy extension (two threads appending the same term)
+shows up within a few trials.
+"""
+
+import sys
+import threading
+import time
+from fractions import Fraction
+
+from valmon.bipoly import eval_leading, parse
+from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
+from valmon.valmonoid import MonoidContext
+
+F = Fraction
+THREADS = 6
+
+
+def harmonic_spec():
+    return SimpleSeriesSpec([(1, F(1, 2))],
+                            CallbackTail(lambda i: (1, F(1, i + 2))))
+
+
+def run_threads(jobs, timeout=30):
+    """Run the callables in parallel; return their results in order."""
+    results = [None] * len(jobs)
+    errors = []
+    barrier = threading.Barrier(len(jobs))
+
+    def work(k):
+        try:
+            barrier.wait(timeout)
+            results[k] = jobs[k]()
+        except Exception as exc:  # reported to the test below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,), daemon=True)
+                   for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + timeout
+        for t in threads:
+            t.join(max(0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads), "threads did not finish"
+    assert not errors, errors
+    return results
+
+
+def test_spec_terms_under_concurrent_extension():
+    want = [harmonic_spec().term(i) for i in range(1, 41)]
+    for _ in range(10):
+        spec = harmonic_spec()
+        got = run_threads([lambda: spec.term(40)] * THREADS)
+        assert got == [want[-1]] * THREADS
+        assert [spec.term(i) for i in range(1, 41)] == want
+
+
+def test_shared_context_eval_leading_across_threads():
+    # every thread extends the same table of truncation powers z_N^b
+    f = parse("y^24 - x^5")
+    want = eval_leading(f, MonoidContext(dyadic_spec(), 8))
+    for _ in range(20):
+        ctx = MonoidContext(dyadic_spec(), 8)
+        got = run_threads([lambda: eval_leading(f, ctx)] * THREADS)
+        assert got == [want] * THREADS
