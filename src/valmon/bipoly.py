@@ -1,16 +1,13 @@
 """Exact bivariate polynomials over Q and their images under x -> t, y -> z.
 
 The central operation is eval_leading: the leading exponent and coefficient
-of f(t, z), certified against tail cancellation.  Writing z = z_N + T with
-T the tail past N terms, the exact Taylor identity
-
-    f(t, z) = sum_m f_m(t, z_N) * T^m,       f_m = (1/m!) d^m f / dy^m
-
-with LE(T) = e_{N+1} gives LE of the m-th summand as
-LE(f_m(t, z_N)) + m*e_{N+1} exactly.  When the m = 0 term strictly exceeds
-every other summand, its leading term is the leading term of f(t, z).  The
-truncation depth doubles until that certificate fires; it must, once
-e_{N+1} drops below the distance from z to the nearest root of f.
+of f(t, z), read off one exact evaluation f(t, z_N) at a truncation depth
+fixed by the y-degree alone: the least N whose ramification index r_N
+exceeds deg_y f.  Expanding f in x and the truncation minimal polynomials
+p_j (MacLane's key polynomials) shows that at this depth every term of the
+expansion keeps its leading term, and canonical representations keep the
+terms' values distinct, so no tail can cancel the top (proof at
+eval_leading).
 
 The truncation minimal polynomials p_j behind every preimage are norms of
 y - z_k, built as a tower of prime-degree norms (Abhyankar-Moh's
@@ -19,19 +16,22 @@ one prime p dividing the ramification index, never all of Q(zeta_R).
 """
 
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
 from .exactnum import lcm, rat_str
+from .seqderive import _MAX_PULL_GAP
 from .series import FinitePuiseux, truncate
 from .valmonoid import decompose, rep_value
 
 _EXPONENT_CAP = 10 ** 4
+# cap on the dense size (deg_x + 1) * (deg_y + 1) of any parsed product or
+# power, checked before it is computed
+_DENSE_CAP = 10 ** 5
 
 
 class BivarPoly:
@@ -210,6 +210,11 @@ class BivarPoly:
 # base   := 'x' | 'y' | rational | '(' expr ')'
 # rational := natural ('/' natural)?
 
+def _check_dense(deg_x, deg_y, at):
+    if (deg_x + 1) * (deg_y + 1) > _DENSE_CAP:
+        raise PolyParseError(f"result exceeds {_DENSE_CAP} dense terms", at)
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -255,8 +260,12 @@ class _Parser:
     def term(self):
         node = self.factor()
         while self.peek() == "*":
+            at = self.pos
             self.take("*")
-            node = node * self.factor()
+            rhs = self.factor()
+            _check_dense(node.deg_x() + rhs.deg_x(),
+                         node.deg_y() + rhs.deg_y(), at)
+            node = node * rhs
         return node
 
     def factor(self):
@@ -267,6 +276,7 @@ class _Parser:
             n = self.natural()
             if n > _EXPONENT_CAP:
                 raise PolyParseError(f"exponent {n} too large", at)
+            _check_dense(n * node.deg_x(), n * node.deg_y(), at)
             node = node ** n
         return node
 
@@ -307,35 +317,33 @@ def parse(text):
 
 
 # ---------------------------------------------------------------------------
-# Certified evaluation of LE_z / LC_z
+# Exact evaluation of LE_z / LC_z
 
 @dataclass(frozen=True)
 class LeadingData:
+    """Leading exponent and coefficient of f(t, z).
+
+    certified_at is the truncation depth N at which the evaluation was
+    exact (see eval_leading); leading data composed without an evaluation,
+    as preimage_leading does, carries 0.
+    """
+
     le: Fraction
     lc: Fraction
     certified_at: int
 
 
 class _ZPow:
-    """Powers of a truncation z_N on a scaled integer exponent lattice."""
+    """Powers of a truncation z_N, given by its (coeff, exponent) terms in
+    descending exponent order, on a scaled integer exponent lattice."""
 
-    def __init__(self, spec, n):
-        terms = []
+    def __init__(self, terms):
         scale = 1
-        for i in range(1, n + 1):
-            t = spec.term(i)
-            if t is None:
-                raise InsufficientPrecision(f"spec has fewer than {n} terms")
-            c, e = t
+        for _, e in terms:
             scale = lcm(scale, e.denominator)
-            terms.append((c, e))
-        self.n = n
         self.scale = scale
-        zt = []
-        for c, e in terms:
-            se = int(e * scale)
-            zt.append((se, c.numerator if c.denominator == 1 else c))
-        zt.sort(reverse=True)
+        zt = [(int(e * scale), c.numerator if c.denominator == 1 else c)
+              for c, e in terms]
         self.zterms = tuple(zt)
         self.lead = zt[0][0]
         self.integral = all(isinstance(c, int) for _, c in zt)
@@ -373,75 +381,48 @@ def _prepare(monos, zp):
     common denominator; coefficients stay exact Fractions for non-integral
     specs."""
     scale = zp.scale
+    den = 1
     if zp.integral:
-        den = 1
         for _, _, c in monos:
             den = lcm(den, c.denominator)
         work = [(a * scale, b, c.numerator * (den // c.denominator))
                 for a, b, c in monos]
     else:
-        den = 1
         work = [(a * scale, b, c) for a, b, c in monos]
     return work, den
 
 
-def _scan(work, zp, cutoff, upper=None):
-    """Accumulate the evaluation over scaled exponents in [cutoff, upper].
+def _scan(work, zp, cutoff):
+    """Accumulate the evaluation over scaled exponents >= cutoff (None: all).
 
-    cutoff None means no lower bound; upper None no upper bound.  Exponents
-    of each z-power are descending, so both bounds become one bisected
-    slice per monomial and the inner loop runs without comparisons.
+    Exponents of each z-power are descending, so the cutoff becomes one
+    bisected slice per monomial and the inner loop runs without
+    comparisons.
     """
     acc = defaultdict(int)
     for shift, b, coeff in work:
         terms, neg = zp.pow(b)
-        start = 0 if upper is None else bisect_left(neg, shift - upper)
         end = len(terms) if cutoff is None else bisect_right(
             neg, shift - cutoff)
-        if end <= start:
-            continue
-        for e, c in terms[start:end]:
+        for e, c in terms[:end]:
             acc[e + shift] += coeff * c
     return {e: v for e, v in acc.items() if v}
 
 
-def _nonempty_at_or_above(work, zp, cutoff):
-    """Does the evaluation have any surviving term with exponent >= cutoff?
-
-    Scans disjoint windows from the top down, so a failure (a surviving
-    term near the top) is detected almost immediately.
-    """
-    emax = max(shift + b * zp.lead for shift, b, _ in work)
-    if emax < cutoff:
-        return False
-    window = max(zp.scale, zp.lead)
-    hi = emax
-    lo = max(cutoff, emax - window)
-    while True:
-        if _scan(work, zp, lo, hi):
-            return True
-        if lo <= cutoff:
-            return False
-        hi = lo - 1
-        window *= 2
-        lo = max(cutoff, hi - window)
-
-
-def _leading_scan(work, zp, upper=None):
-    """Leading (scaled exponent, raw coefficient) of the evaluation within
-    exponents <= upper; None when nothing survives.
+def _leading_scan(work, zp):
+    """Leading (scaled exponent, raw coefficient) of the evaluation; None
+    when nothing survives.
 
     Descends in geometrically widening windows, so cancellation near the
     top costs only the cancelled range.
     """
-    emax = max(shift + b * zp.lead for shift, b, _ in work)
-    top = emax if upper is None or upper > emax else upper
+    top = max(shift + b * zp.lead for shift, b, _ in work)
     window = max(zp.scale, zp.lead)
     cutoff = top - window
     while True:
         if cutoff <= 0:
             cutoff = None
-        got = _scan(work, zp, cutoff, upper)
+        got = _scan(work, zp, cutoff)
         if got:
             e = max(got)
             return e, got[e]
@@ -451,81 +432,49 @@ def _leading_scan(work, zp, upper=None):
         cutoff = top - window
 
 
-def _certified_leading(monos, degy, zp, e_next, upper=None):
-    """(le, lc) of f(t, z) certified at truncation depth zp.n, or None.
-
-    None means either f(t, z_N) vanished (below `upper`, when given) or a
-    perturbation order could reach the candidate level; both ask for more
-    terms.  e_next is the exponent e_{N+1} of the first dropped term, or
-    None when the series is exhausted (then the evaluation is exact).
-    `upper` is a scaled exponent bound above which the caller has proved
-    the evaluation empty.
-
-    Perturbation orders are screened with a support-only coarse bound
-    max_{b>=m}(deg_x + (b-m) e_1) + m e_{N+1}, which decreases in m; only
-    orders whose coarse bound reaches the candidate get an exact scan.
-    """
-    work, den = _prepare(monos, zp)
-    led = _leading_scan(work, zp, upper)
-    if led is None:
-        return None
-    scale = zp.scale
-    cand = Fraction(led[0], scale)
-    v = led[1]
-    lc = Fraction(v, den) if isinstance(v, int) else v / den
-    if e_next is None:
-        return cand, lc
-    best_by_deg = {}
-    for shift, b, _ in work:
-        key = shift + b * zp.lead
-        if b not in best_by_deg or key > best_by_deg[b]:
-            best_by_deg[b] = key
-    suffix = [None] * (degy + 1)
-    best = None
-    for b in range(degy, -1, -1):
-        if b in best_by_deg and (best is None or best_by_deg[b] > best):
-            best = best_by_deg[b]
-        suffix[b] = best
-    e1 = Fraction(zp.lead, scale)
-    for m in range(1, degy + 1):
-        if suffix[m] is None:
+def _exact_truncation(spec, degy):
+    """Terms of z_N for the least N >= 1 with r_N > degy, or every term of
+    a finite spec that runs out first.  Terms are pulled under derive's
+    no-jump guard."""
+    terms = []
+    r = 1
+    last_jump = 0
+    while not terms or r <= degy:
+        if len(terms) - last_jump >= _MAX_PULL_GAP:
+            raise InsufficientPrecision(
+                f"no ramification jump within {_MAX_PULL_GAP} terms")
+        t = spec.term(len(terms) + 1)
+        if t is None:
             break
-        coarse = Fraction(suffix[m], scale) + m * (e_next - e1)
-        if coarse < cand:
-            break  # coarse bound decreases in m; the rest are safe
-        monos_m = [(shift, b - m, coeff * comb(b, m))
-                   for shift, b, coeff in work if b >= m]
-        theta = cand - m * e_next
-        if _nonempty_at_or_above(monos_m, zp, ceil(theta * scale)):
-            return None
-    return cand, lc
+        terms.append(t)
+        r_next = lcm(r, t[1].denominator)
+        if r_next > r:
+            r, last_jump = r_next, len(terms)
+    return terms
 
 
-def _truncation_state(ctx, n):
-    """(power table, e_{M+1} or None, M) for M = min(n, available terms)."""
-    spec = ctx.spec
-    m = n
-    while m > 0 and spec.term(m) is None:
-        m -= 1
-    if m == 0:
-        raise InsufficientPrecision("series spec supplies no terms")
-    key = ("zpow", m)
-    if key not in ctx.cache:
-        ctx.cache[key] = _ZPow(spec, m)
-    return ctx.cache[key], spec.exponent(m + 1), m
+def eval_leading(f, ctx):
+    """LE_z(f) and LC_z(f), read off one exact evaluation f(t, z_N).
 
+    N is the least n with r_n = lcm(den e_1, ..., den e_n) > deg_y f; when
+    a finite spec runs out first, N is all of it and z_N = z.
 
-_START_DEPTH = 4
-_DEPTH_CAP = 256
+    Proof that f(t, z_N) and f(t, z) have the same leading term.  Let
+    D = deg_y f and let p_J be the last truncation minimal polynomial of
+    y-degree <= D.  Dividing repeatedly by p_J, p_{J-1}, ..., p_1 (monic in
+    y, deg p_{j+1} = s_j deg p_j) writes f = sum c * x^n * prod p_j^(d_j)
+    with 0 <= d_j < s_j, using only p_j of y-degree r_{l(j)-1} <= D < r_N,
+    hence l(j) <= N.  Each such p_j(t, z_N) is prod (z_N - w_i) over the
+    conjugates w_i of z_{l(j)-1}; z_N and z first differ from w_i at the
+    same index, at most l(j) <= N, so z_N - w_i and z - w_i share their
+    leading term, and so do p_j(t, z_N) and p_j(t, z).  Distinct canonical
+    representations n + sum d_j rho_j have distinct values, so the terms
+    of the expansion have pairwise distinct leading exponents at z_N as at
+    z, and the largest one is the leading term of both images.
 
-
-def eval_leading(f, ctx, upper=None, n_start=None):
-    """LE_z(f) and LC_z(f) with a certified truncation depth.
-
-    `upper` is an exponent the caller has proved strictly dominates the
-    image of f under every truncation at depth n_start (reduction steps
-    prove this for f_i - g*h); it narrows the candidate search and is
-    discarded if the truncation depth has to grow.
+    f(t, z_N) = 0 would make the minimal polynomial of z_N, of y-degree
+    r_N > D, divide f; so the image vanishes only on an exhausted finite
+    spec, which raises InsufficientPrecision.
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no leading data")
@@ -533,50 +482,21 @@ def eval_leading(f, ctx, upper=None, n_start=None):
     hit = ctx.cache.get(key)
     if hit is not None:
         return hit
-    monos = f.monomials()
-    degy = f.deg_y()
-    n = n_start if n_start else _START_DEPTH
-    while True:
-        zp, e_next, m = _truncation_state(ctx, n)
-        up_scaled = None if upper is None else floor(upper * zp.scale)
-        res = _certified_leading(monos, degy, zp, e_next, up_scaled)
-        if res is not None:
-            data = LeadingData(res[0], res[1], m)
-            ctx.cache[key] = data
-            return data
-        if e_next is None:
-            raise InsufficientPrecision(
-                "polynomial image vanishes on the exhausted finite series")
-        n = 2 * m
-        upper = None  # emptiness above was proved only at the old depth
-        if n > _DEPTH_CAP:
-            raise InsufficientPrecision(
-                f"leading term not certified within {_DEPTH_CAP} terms")
-
-
-def image_matches_leading(f, le, lc, n, ctx):
-    """True when f(t, z_n) peaks exactly at its true leading term (le, lc).
-
-    This is the precondition under which exact leading-term cancellation in
-    a difference can be trusted at truncation depth n.  Cached per (f, n).
-    """
-    key = ("imgpeak", f, n)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
-    zp, _, m = _truncation_state(ctx, n)
-    ok = False
-    if m == n:
-        target = le * zp.scale
-        if target.denominator == 1:
-            work, den = _prepare(f.monomials(), zp)
-            got = _scan(work, zp, target.numerator)
-            if got and max(got) == target.numerator:
-                v = got[target.numerator]
-                val = Fraction(v, den) if isinstance(v, int) else v / den
-                ok = val == lc
-    ctx.cache[key] = ok
-    return ok
+    terms = _exact_truncation(ctx.spec, f.deg_y())
+    zkey = ("zpow", len(terms))
+    zp = ctx.cache.get(zkey)
+    if zp is None:
+        zp = ctx.cache[zkey] = _ZPow(terms)
+    work, den = _prepare(f.monomials(), zp)
+    led = _leading_scan(work, zp)
+    if led is None:
+        raise InsufficientPrecision(
+            "polynomial image vanishes on the exhausted finite series")
+    e, v = led
+    lc = Fraction(v, den) if isinstance(v, int) else v / den
+    data = LeadingData(Fraction(e, zp.scale), lc, len(terms))
+    ctx.cache[key] = data
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ m - LE_z(f), m - LE_z(g), scaled so the leading terms of a*f and b*g cancel.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import (BivarPoly, eval_leading, image_matches_leading,
-                     preimage_leading, preimage_of_rep)
+from .bipoly import (BivarPoly, eval_leading, preimage_leading,
+                     preimage_of_rep)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
 from .valmonoid import decompose, digit_part_values, min_eta
@@ -52,7 +52,8 @@ class GbResult:
 
 
 def _quotient_for(lead_f, lead_g, ctx):
-    """(h, its leading data) lowering lead_f against lead_g, or None."""
+    """h lowering the leading term lead_f against lead_g, or None when the
+    value of g does not divide the value of f."""
     rep = decompose(lead_f.le - lead_g.le, ctx)
     if rep is None:
         return None
@@ -69,67 +70,33 @@ def approx_quotient(f, g, ctx):
     return _quotient_for(eval_leading(f, ctx), eval_leading(g, ctx), ctx)
 
 
-def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT,
-           value_hint=None, hint_deps=()):
+def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     """Reduce f over the basis, always taking the lowest-index divisor.
 
     Stops at zero or at a remainder whose value no basis value divides.
     The cap is a safety net; termination itself is guaranteed because the
     values along the trace strictly descend in a well-ordered monoid.
-
-    value_hint, when given with hint_deps = ((poly, LeadingData), ...),
-    asserts that f is a combination of those polynomials whose leading
-    terms cancel at value_hint, so f's image under a truncation at which
-    every dependency peaks cleanly is empty at and above the hint.  Each
-    f_i - g*h step re-establishes the same situation, which lets every
-    leading-term search skip the exponent range already known empty.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
     steps = []
     cur = f
-    cur_lead = None
-    if value_hint is not None and not cur.is_zero():
-        for n0 in (4, 8, 16):
-            if all(image_matches_leading(p, ld.le, ld.lc, n0, ctx)
-                   for p, ld in hint_deps):
-                cur_lead = eval_leading(cur, ctx, upper=value_hint,
-                                        n_start=n0)
-                break
     while not cur.is_zero():
-        if cur_lead is None:
-            cur_lead = eval_leading(cur, ctx)
-        hit = None
+        cur_lead = eval_leading(cur, ctx)
+        if steps and cur_lead.le >= steps[-1].value_before:
+            raise InternalError(
+                f"reduction failed to lower the value at step {len(steps)}")
         for idx, lg in enumerate(lead_basis):
-            rep = decompose(cur_lead.le - lg.le, ctx)
-            if rep is not None:
-                hit = (idx, lg, rep)
+            h = _quotient_for(cur_lead, lg, ctx)
+            if h is not None:
                 break
-        if hit is None:
+        else:
             break
-        idx, lg, rep = hit
-        p = preimage_of_rep(rep, ctx)
-        lp = preimage_leading(rep, ctx)
-        h = p.scale(cur_lead.lc / (lg.lc * lp.lc))
         steps.append(ReductionStep(idx, h, cur_lead.le))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
-        nxt = cur - basis[idx] * h
-        if nxt.is_zero():
-            cur = nxt
-            break
-        n = cur_lead.certified_at
-        clean = (image_matches_leading(basis[idx], lg.le, lg.lc, n, ctx)
-                 and image_matches_leading(p, lp.le, lp.lc, n, ctx))
-        prev = cur_lead
-        cur = nxt
-        cur_lead = eval_leading(cur, ctx,
-                                upper=prev.le if clean else None,
-                                n_start=n)
-        if cur_lead.le >= prev.le:
-            raise InternalError(
-                f"reduction failed to lower the value at step {len(steps)}")
+        cur = cur - basis[idx] * h
     return ReductionTrace(tuple(steps), cur)
 
 
@@ -160,7 +127,6 @@ def syzygy_values(f, g, ctx, minimal=False):
 
 
 def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
-    """(element, cancellation dependencies) for one generating value."""
     ra = decompose(value - lead_f.le, ctx)
     rb = decompose(value - lead_g.le, ctx)
     a = preimage_of_rep(ra, ctx)
@@ -168,9 +134,7 @@ def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
     la = preimage_leading(ra, ctx)
     lb = preimage_leading(rb, ctx)
     b = pb.scale((la.lc * lead_f.lc) / (lb.lc * lead_g.lc))
-    elt = SyzygyElement(value, a, b, a * f - b * g)
-    deps = ((a, la), (f, lead_f), (pb, lb), (g, lead_g))
-    return elt, deps
+    return SyzygyElement(value, a, b, a * f - b * g)
 
 
 def syzygy_family(f, g, ctx, minimal=False):
@@ -180,13 +144,6 @@ def syzygy_family(f, g, ctx, minimal=False):
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("syzygy family needs nonzero inputs")
     values, lead_f, lead_g = syzygy_values(f, g, ctx, minimal)
-    return [_syzygy_element(v, f, g, lead_f, lead_g, ctx)[0] for v in values]
-
-
-def _syzygy_family_with_deps(f, g, ctx):
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomial("syzygy family needs nonzero inputs")
-    values, lead_f, lead_g = syzygy_values(f, g, ctx, minimal=True)
     return [_syzygy_element(v, f, g, lead_f, lead_g, ctx) for v in values]
 
 
@@ -217,22 +174,22 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     pending = []
     for j in range(len(basis)):
         for k in range(j + 1, len(basis)):
-            pending.extend(_syzygy_family_with_deps(basis[j], basis[k], ctx))
+            pending.extend(
+                syzygy_family(basis[j], basis[k], ctx, minimal=True))
     rounds = 0
     complete = False
     while True:
         if rounds >= max_rounds:
             break
         rounds += 1
-        pending.sort(key=lambda item: item[0].value)
+        pending.sort(key=lambda elt: elt.value)
         seen = set()
         first_new = len(basis)
-        for elt, deps in pending:
+        for elt in pending:
             if elt.spoly.is_zero() or elt.spoly in seen:
                 continue
             seen.add(elt.spoly)
-            rem = reduce(elt.spoly, basis, ctx, step_limit,
-                         value_hint=elt.value, hint_deps=deps).remainder
+            rem = reduce(elt.spoly, basis, ctx, step_limit).remainder
             if not rem.is_zero() and rem not in basis:
                 basis.append(rem)
         if len(basis) == first_new:
@@ -244,7 +201,7 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
         for k in range(first_new, len(basis)):
             for j in range(k):
                 pending.extend(
-                    _syzygy_family_with_deps(basis[j], basis[k], ctx))
+                    syzygy_family(basis[j], basis[k], ctx, minimal=True))
     return GbResult(tuple(basis), complete, rounds)
 
 

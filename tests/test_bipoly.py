@@ -59,6 +59,37 @@ def test_parse_exponent_overflow():
         parse("x^100000")
 
 
+def _max_dense_product(monkeypatch):
+    """Record the largest dense bound (deg_x+1)*(deg_y+1) of any product
+    BivarPoly.__mul__ is asked for."""
+    seen = [0]
+    mul = BivarPoly.__mul__
+
+    def spy(a, b):
+        seen[0] = max(seen[0], (a.deg_x() + b.deg_x() + 1)
+                      * (a.deg_y() + b.deg_y() + 1))
+        return mul(a, b)
+    monkeypatch.setattr(BivarPoly, "__mul__", spy)
+    return seen
+
+
+def test_parse_output_bound(monkeypatch):
+    seen = _max_dense_product(monkeypatch)
+    with pytest.raises(PolyParseError) as err:
+        parse("(1+x+y)^10000")
+    assert err.value.pos == 8
+    assert seen[0] <= 1  # raised before powering (1 + x + y)
+    # each factor is within the bound, their product is not
+    with pytest.raises(PolyParseError) as err:
+        parse("(1 + x^400) * (1 + y^400)")
+    assert err.value.pos == 12  # the "*"
+    assert seen[0] <= 401  # only the in-bound powers x^400 and y^400 ran
+
+
+def test_parse_within_output_bound():
+    assert len(parse("(1+x+y)^80").coeffs) == 3321
+
+
 def test_to_string_round_trip():
     samples = ["y^2 - x", "x*y", "-x", "1/2*x^3*y - 7/3", "0", "3",
                "(x+y)^3 - y^2"]
@@ -91,35 +122,91 @@ def test_eval_leading_zero_polynomial(ctx):
         eval_leading(BivarPoly.zero(), ctx)
 
 
-def _series_eval(poly, spec, depth):
+def _series_eval(poly, spec, depth, floor=None):
     """Independent oracle: substitute the depth-term truncation directly via
-    exact series arithmetic."""
+    exact series arithmetic.  With a floor, only terms of exponent >= floor
+    are kept: every exponent is positive, and a term of z^b of exponent e
+    reaches at most e + a + (b' - b) * e_1 through a monomial x^a y^b' with
+    b' >= b, so terms that cannot reach the floor are dropped on the way
+    and the kept ones stay exact."""
     zn = truncate(spec, depth)
+    monos = poly.monomials()
     t = NoetherianSeries(((F(1), F(1)),))
+    zpows = [NoetherianSeries(((F(0), F(1)),))]
     total = NoetherianSeries.zero()
-    for a, b, c in poly.monomials():
+    for a, b, c in monos:
+        while len(zpows) <= b:
+            zb = series_mul(zpows[-1], zn)
+            if floor is not None:
+                k = len(zpows)
+                reach = max(a2 + (b2 - k) * zn.terms[0][0]
+                            for a2, b2, _ in monos if b2 >= k)
+                zb = NoetherianSeries(tuple(
+                    (e, v) for e, v in zb.terms if e + reach >= floor))
+            zpows.append(zb)
         term = NoetherianSeries(((F(0), c),))
         for _ in range(a):
             term = series_mul(term, t)
-        for _ in range(b):
-            term = series_mul(term, zn)
-        total = total + term
-    return total
+        total = total + series_mul(term, zpows[b])
+    if floor is None:
+        return total
+    return NoetherianSeries(tuple((e, v) for e, v in total.terms
+                                  if e >= floor))
 
 
-def test_eval_leading_against_series_oracle(ctx):
+def _oracle_spec(name):
+    """(spec, context depth, number of terms or None for an infinite spec)."""
+    from valmon.series import CallbackTail, GeometricTail
+    if name == "dyadic":
+        return dyadic_spec(), 8, None
+    if name == "triadic":
+        return SimpleSeriesSpec([(1, F(1, 3))], GeometricTail(3)), 4, None
+    if name == "harmonic":
+        tail = CallbackTail(lambda i: (1, F(1, i + 2)))
+        return SimpleSeriesSpec([(1, F(1, 2))], tail), 4, None
+    if name == "rational":
+        tail = GeometricTail(2)
+        return SimpleSeriesSpec([(F(1, 2), F(1, 2))], tail), 6, None
+    exps = [F(2), F(3, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)]
+    return SimpleSeriesSpec([(1, e) for e in exps]), 4, len(exps)
+
+
+@pytest.mark.parametrize("name", ["dyadic", "triadic", "harmonic", "rational",
+                                  "finite7"])
+def test_eval_leading_against_series_oracle(name):
+    # random sparse polynomials of y-degree up to 20; every other one is a
+    # multiple of some p_j plus terms of lower y-degree, so deg_y f =
+    # deg p_j makes N = l(j), one term past where p_j's image vanishes
+    spec, depth, n_terms = _oracle_spec(name)
+    octx = MonoidContext(spec, depth)
+    mins = [truncation_min_poly(octx, j) for j in range(1, depth + 1)]
+    mins = [p for p in mins if p.deg_y() <= 20]
     rng = random.Random(23)
-    for _ in range(40):
+    depths = set()
+    for trial in range(16):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = rng.randint(-5, 5)
-        f = BivarPoly(terms)
+            key = (rng.randint(0, 3), rng.randint(0, 20 if trial % 3 else 3))
+            terms[key] = rng.randint(-5, 5)
+        if trial % 2:
+            p = mins[trial // 2 % len(mins)]
+            terms = {k: v for k, v in terms.items() if k[1] < p.deg_y()}
+            f = BivarPoly(terms) + p * BivarPoly.monomial(
+                rng.randint(1, 3), rng.randint(0, 2), 0)
+        else:
+            f = BivarPoly(terms)
         if f.is_zero():
             continue
-        got = eval_leading(f, ctx)
-        deep = _series_eval(f, ctx.spec, got.certified_at + 4)
-        le, lc = leading_data(deep)
-        assert (got.le, got.lc) == (le, lc)
+        got = eval_leading(f, octx)
+        depths.add(got.certified_at)
+        deeper = got.certified_at + 4
+        if n_terms is not None:
+            deeper = min(deeper, n_terms)
+        for n in (got.certified_at, deeper):
+            image = _series_eval(f, spec, n, floor=got.le)
+            assert (got.le, got.lc) == leading_data(image)
+    if name == "dyadic":
+        assert max(depths) > 4
 
 
 def test_eval_homomorphism(ctx):
@@ -169,6 +256,10 @@ def test_finite_spec_exact_evaluation():
     ctx = MonoidContext(spec, 2)
     got = eval_leading(parse("y^2 - x"), ctx)
     assert (got.le, got.lc) == (F(3, 4), 2)
+    # r_1 = 2 <= deg_y: the spec runs out first and z itself is evaluated
+    ctx1 = MonoidContext(SimpleSeriesSpec([(1, F(1, 2))]), 1)
+    got = eval_leading(parse("y^3"), ctx1)
+    assert (got.le, got.lc, got.certified_at) == (F(3, 2), 1, 1)
 
 
 def test_finite_spec_vanishing_image_errors():

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +151,16 @@ def test_buchberger_open_ideal_climbs_rho_ladder(ctx):
     assert res.iterations == 3
     values = {eval_leading(g, ctx).le for g in res.basis}
     assert {F(1), F(1, 2), F(3, 4), F(11, 8)} <= values
+
+
+def test_buchberger_ladder_matches_reference():
+    # the 5-round basis is a prefix of the recorded 6-round benchmark basis
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    with open(ref / "gb_ladder.json") as fh:
+        reference = json.load(fh)["basis"]
+    res = buchberger([parse("x"), parse("y")],
+                     MonoidContext(dyadic_spec(), 8), max_rounds=5)
+    assert [g.to_string() for g in res.basis] == reference[:7]
 
 
 def test_buchberger_determinism(ctx):
