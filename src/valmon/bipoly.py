@@ -13,6 +13,10 @@ The truncation minimal polynomials p_j behind every preimage are norms of
 y - z_k, built as a tower of prime-degree norms (Abhyankar-Moh's
 approximate-root tower): each step needs only the p-th roots of unity for
 one prime p dividing the ramification index, never all of Q(zeta_R).
+
+Polynomials are integer numerators over one common denominator, so
+arithmetic, evaluation and the norm tower all run on ints; Fractions appear
+only at the boundary (constructor, coeffs, monomials, leading data).
 """
 
 import threading
@@ -20,10 +24,11 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
-from .exactnum import lcm, rat_str
+from .exactnum import rat_str
 from .seqderive import _MAX_PULL_GAP
 from .series import FinitePuiseux, truncate
 from .valmonoid import decompose, rep_value
@@ -35,31 +40,42 @@ _DENSE_CAP = 10 ** 5
 
 
 class BivarPoly:
-    """Sparse exact polynomial in x and y; the zero polynomial is the empty map.
+    """Sparse exact polynomial in x and y over Q: integer numerators
+    {(xdeg, ydeg): int} over one positive denominator, in lowest terms, so
+    equal polynomials have equal representations.  Operations run on ints
+    and normalise once, in _make; the zero polynomial is {} over 1.
 
-    Internal monomial order for iteration and printing is (y-degree,
-    x-degree) lexicographic, purely for determinism.
+    The constructor takes a dict or (key, coeff) pairs with int, Fraction
+    or "p/q" coefficients; coeffs and monomials() return Fractions.
+    Monomials iterate and print in (y-degree, x-degree) lexicographic
+    order, purely for determinism.
     """
 
-    __slots__ = ("_c", "_key")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs=()):
-        d = {}
+    def __new__(cls, coeffs=()):
+        fr = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for (a, b), v in items:
-            v = Fraction(v)
-            if not v:
-                continue
             k = (int(a), int(b))
-            if k in d:
-                d[k] += v
-                if not d[k]:
-                    del d[k]
-            else:
-                d[k] = v
-        object.__setattr__(self, "_c", d)
-        object.__setattr__(self, "_key", tuple(
-            sorted(d.items(), key=lambda t: (t[0][1], t[0][0]), reverse=True)))
+            fr[k] = fr.get(k, 0) + Fraction(v)
+        den = lcm(*(v.denominator for v in fr.values()))
+        return cls._make({k: v.numerator * (den // v.denominator)
+                          for k, v in fr.items()}, den)
+
+    @classmethod
+    def _make(cls, num, den):
+        """num / den for int numerators (zeros allowed) and a positive int
+        denominator, reduced to lowest terms."""
+        num = {k: v for k, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_num", num)
+        object.__setattr__(poly, "_den", den)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
@@ -90,74 +106,65 @@ class BivarPoly:
 
     @property
     def coeffs(self):
-        return dict(self._c)
+        return {k: Fraction(v, self._den) for k, v in self._num.items()}
 
     def monomials(self):
         """[(xdeg, ydeg, coeff)] in the deterministic internal order."""
-        return [(a, b, v) for (a, b), v in self._key]
+        return [(a, b, Fraction(v, self._den)) for (a, b), v in sorted(
+            self._num.items(), key=lambda t: (t[0][1], t[0][0]),
+            reverse=True)]
 
     def is_zero(self):
-        return not self._c
+        return not self._num
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._num)
 
     def deg_x(self):
-        return max((a for a, _ in self._c), default=0)
+        return max((a for a, _ in self._num), default=0)
 
     def deg_y(self):
-        return max((b for _, b in self._c), default=0)
+        return max((b for _, b in self._num), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return self._key == other._key
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self._den, frozenset(self._num.items())))
 
     def __add__(self, other):
-        d = dict(self._c)
-        for k, v in other._c.items():
-            d[k] = d.get(k, Fraction(0)) + v
-        return BivarPoly(d)
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, den // other._den
+        num = {k: v * m1 for k, v in self._num.items()}
+        for k, v in other._num.items():
+            num[k] = num.get(k, 0) + v * m2
+        return BivarPoly._make(num, den)
 
     def __neg__(self):
-        return BivarPoly({k: -v for k, v in self._c.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self._c or not other._c:
-            return BivarPoly()
-        # scale both factors to integers once; one gcd per output term
-        # instead of one per term pair
-        d1 = d2 = 1
-        for v in self._c.values():
-            d1 = lcm(d1, v.denominator)
-        for v in other._c.values():
-            d2 = lcm(d2, v.denominator)
-        left = [(a, b, v.numerator * (d1 // v.denominator))
-                for (a, b), v in self._c.items()]
-        right = [(a, b, v.numerator * (d2 // v.denominator))
-                 for (a, b), v in other._c.items()]
         acc = {}
-        for a1, b1, v1 in left:
-            for a2, b2, v2 in right:
+        right = other._num.items()
+        for (a1, b1), v1 in self._num.items():
+            for (a2, b2), v2 in right:
                 k = (a1 + a2, b1 + b2)
                 if k in acc:
                     acc[k] += v1 * v2
                 else:
                     acc[k] = v1 * v2
-        den = d1 * d2
-        return BivarPoly({k: Fraction(n, den) for k, n in acc.items() if n})
+        return BivarPoly._make(acc, self._den * other._den)
 
     def scale(self, q):
         q = Fraction(q)
-        if not q:
-            return BivarPoly()
-        return BivarPoly({k: q * v for k, v in self._c.items()})
+        return BivarPoly._make(
+            {k: v * q.numerator for k, v in self._num.items()},
+            self._den * q.denominator)
 
     def __pow__(self, n):
         if n < 0:
@@ -172,10 +179,11 @@ class BivarPoly:
         return result
 
     def to_string(self):
-        if not self._key:
+        monos = self.monomials()
+        if not monos:
             return "0"
         bits = []
-        for (a, b), v in self._key:
+        for a, b, v in monos:
             mono = []
             if a == 1:
                 mono.append("x")
@@ -334,26 +342,25 @@ class LeadingData:
 
 
 class _ZPow:
-    """Powers of a truncation z_N, given by its (coeff, exponent) terms in
-    descending exponent order, on a scaled integer exponent lattice."""
+    """Integer powers (d*z_N)^b of a truncation z_N, given by its
+    (coeff, exponent) terms in descending exponent order: exponents are
+    scaled by the lcm of their denominators (scale) and coefficients by the
+    lcm d of theirs (den), so every table entry is an int."""
 
     def __init__(self, terms):
-        scale = 1
-        for _, e in terms:
-            scale = lcm(scale, e.denominator)
-        self.scale = scale
-        zt = [(int(e * scale), c.numerator if c.denominator == 1 else c)
-              for c, e in terms]
-        self.zterms = tuple(zt)
-        self.lead = zt[0][0]
-        self.integral = all(isinstance(c, int) for _, c in zt)
+        self.scale = lcm(*(e.denominator for _, e in terms))
+        self.den = lcm(*(c.denominator for c, _ in terms))
+        self.zterms = tuple(
+            (e.numerator * (self.scale // e.denominator),
+             c.numerator * (self.den // c.denominator)) for c, e in terms)
+        self.lead = self.zterms[0][0]
         # per power: descending (exponent, coeff) terms and the ascending
         # negated exponents for bisect
         self.pows = ((((0, 1),), (0,)),)
         self._lock = threading.Lock()
 
     def pow(self, b):
-        """(terms, negated exponents) of z_N^b.  Powers are built under a
+        """(terms, negated exponents) of (d*z_N)^b.  Powers are built under a
         lock and published as a new tuple; built powers are read lock-free."""
         pows = self.pows
         if b < len(pows):
@@ -376,20 +383,19 @@ class _ZPow:
         return ext[b]
 
 
-def _prepare(monos, zp):
-    """Integer-rescaled work list [(scaled shift, ydeg, coeff)] plus the
-    common denominator; coefficients stay exact Fractions for non-integral
-    specs."""
-    scale = zp.scale
-    den = 1
-    if zp.integral:
-        for _, _, c in monos:
-            den = lcm(den, c.denominator)
-        work = [(a * scale, b, c.numerator * (den // c.denominator))
-                for a, b, c in monos]
-    else:
-        work = [(a * scale, b, c) for a, b, c in monos]
-    return work, den
+def _prepare(f, zp):
+    """Integer work list [(scaled x-shift, ydeg, weight)] for f(t, z_N), and
+    the denominator of the evaluation.
+
+    With D = deg_y f and d = zp.den, f(t, z_N) = sum num * t^a * z_N^b / den_f
+    = sum num * d^(D-b) * t^a * (d*z_N)^b / (den_f * d^D), so each monomial
+    weighs its numerator by d^(D-b) against the table of (d*z_N)^b.
+    """
+    D = f.deg_y()
+    d = zp.den
+    work = [(a * zp.scale, b, v * d ** (D - b))
+            for (a, b), v in f._num.items()]
+    return work, f._den * d ** D
 
 
 def _scan(work, zp, cutoff):
@@ -476,27 +482,29 @@ def eval_leading(f, ctx):
     r_N > D, divide f; so the image vanishes only on an exhausted finite
     spec, which raises InsufficientPrecision.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no leading data")
     key = ("lead", f)
     hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = ctx.cache[key] = _eval_leading_uncached(f, ctx)
+    return hit
+
+
+def _eval_leading_uncached(f, ctx):
+    """eval_leading without the memo, for polynomials that will not recur."""
+    if f.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no leading data")
     terms = _exact_truncation(ctx.spec, f.deg_y())
     zkey = ("zpow", len(terms))
     zp = ctx.cache.get(zkey)
     if zp is None:
         zp = ctx.cache[zkey] = _ZPow(terms)
-    work, den = _prepare(f.monomials(), zp)
+    work, den = _prepare(f, zp)
     led = _leading_scan(work, zp)
     if led is None:
         raise InsufficientPrecision(
             "polynomial image vanishes on the exhausted finite series")
     e, v = led
-    lc = Fraction(v, den) if isinstance(v, int) else v / den
-    data = LeadingData(Fraction(e, zp.scale), lc, len(terms))
-    ctx.cache[key] = data
-    return data
+    return LeadingData(Fraction(e, zp.scale), Fraction(v, den), len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +519,11 @@ def min_poly_finite_puiseux(w):
     with v = t^(1/m), one step replaces F by the product of its p conjugates
     F(zeta_p^i v, y) and m by m/p; norms are transitive, so the steps compose
     to the full norm.  The power of zeta_p is carried as a residue mod p, so
-    a step computes in the group ring Q[C_p], where multiplying by zeta_p is
+    a step computes in the group ring Z[C_p], where multiplying by zeta_p is
     a rotation.  Mapping back to Q(zeta_p), a coefficient (a_0, ..., a_{p-1})
     is rational exactly when a_1 = ... = a_{p-1}, with value a_0 - a_1.
+    The norm is taken of den*y - den*w, den the lcm of the coefficient
+    denominators, so it runs on ints; it is den^R times the norm of y - w.
 
     The zero series is allowed and yields y.  Coefficients are certified to
     land in Q and exponents in Z; a failure is a bug, hence InternalError.
@@ -521,10 +531,11 @@ def min_poly_finite_puiseux(w):
     if not isinstance(w, FinitePuiseux):
         w = FinitePuiseux.from_series(w)
     R = w.ram_index
-    # F as {(v-exponent, y-degree): coeff}; integral coefficients stay ints
-    poly = {(0, 1): 1}
+    # F = den*y - den*w as {(v-exponent, y-degree): int}
+    den = lcm(*(c.denominator for _, c in w.terms))
+    poly = {(0, 1): den}
     for e, c in w.terms:
-        poly[(int(e * R), 0)] = -(c.numerator if c.denominator == 1 else c)
+        poly[(int(e * R), 0)] = -c.numerator * (den // c.denominator)
     primes, n, p = [], R, 2
     while n > 1:
         while n % p == 0:
@@ -556,7 +567,7 @@ def min_poly_finite_puiseux(w):
                         f"norm left exponent {k}/{m} non-integral")
                 poly[(k // p, d)] = a[0] - a[1]
         m //= p
-    out = BivarPoly(poly)
+    out = BivarPoly._make(poly, den ** R)
     if out.deg_y() != R:
         raise InternalError("norm degree mismatch")
     return out

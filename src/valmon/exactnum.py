@@ -8,7 +8,6 @@ series live in before they collapse back to the rationals.
 """
 
 from fractions import Fraction
-from math import gcd
 
 
 def rat(text):
@@ -312,7 +311,3 @@ def coeff_is_zero(c):
     if isinstance(c, CyclotomicElement):
         return c.is_zero()
     return c == 0
-
-
-def lcm(a, b):
-    return a // gcd(a, b) * b

@@ -13,11 +13,11 @@ m - LE_z(f), m - LE_z(g), scaled so the leading terms of a*f and b*g cancel.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import (BivarPoly, eval_leading, preimage_leading,
-                     preimage_of_rep)
+from .bipoly import (BivarPoly, _eval_leading_uncached, eval_leading,
+                     preimage_leading, preimage_of_rep)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
-from .valmonoid import decompose, digit_part_values, min_eta
+from .valmonoid import decompose, enumerate_omega, min_eta
 
 DEFAULT_STEP_LIMIT = 10 ** 4
 DEFAULT_MAX_ROUNDS = 16
@@ -76,6 +76,7 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     Stops at zero or at a remainder whose value no basis value divides.
     The cap is a safety net; termination itself is guaranteed because the
     values along the trace strictly descend in a well-ordered monoid.
+    Only f's leading data is memoised: the intermediates do not recur.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
@@ -83,7 +84,8 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     steps = []
     cur = f
     while not cur.is_zero():
-        cur_lead = eval_leading(cur, ctx)
+        cur_lead = (_eval_leading_uncached(cur, ctx) if steps
+                    else eval_leading(cur, ctx))
         if steps and cur_lead.le >= steps[-1].value_before:
             raise InternalError(
                 f"reduction failed to lower the value at step {len(steps)}")
@@ -113,7 +115,7 @@ def syzygy_values(f, g, ctx, minimal=False):
     rep_g = decompose(lead_g.le, ctx)
     depth = max(len(rep_f.digits), len(rep_g.digits))
     values = []
-    for sigma, _ in digit_part_values(depth, ctx):
+    for sigma, _ in enumerate_omega(depth, ctx, 0):
         eta = min_eta(sigma, (lead_f.le, lead_g.le), ctx)
         values.append(sigma + eta)
     values.sort()

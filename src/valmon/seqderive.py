@@ -15,10 +15,10 @@ raw lists, because raw-vs-reduced index mixups are the chief hazard here.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import IdentityViolation, InsufficientPrecision
-from .exactnum import lcm, rat_str
+from .exactnum import rat_str
 
 # A spec whose tail stops ramifying would loop forever in derive; cut the
 # search well past any reasonable jump gap instead.
@@ -77,10 +77,6 @@ class DerivedSequences:
         if not 1 <= i <= self.depth:
             raise IndexError(f"c_{i} out of range")
         return self._c[i - 1]
-
-    @property
-    def e_list(self):
-        return self._e
 
     @property
     def r_list(self):
@@ -148,13 +144,13 @@ def derive(spec, depth):
     e = e[:K]
     r = r[:K + 1]
 
+    # u_i = r_i * S_i with the running sum
+    # S_i = sum_{j<i} (1/r_j - 1/r_{j+1}) e_{j+1}
     u = [Fraction(0)]
+    acc = Fraction(0)
     for idx in range(1, K + 1):
-        ri = r[idx]
-        acc = Fraction(0)
-        for j in range(idx):
-            acc += (Fraction(ri, r[j]) - Fraction(ri, r[j + 1])) * e[j]
-        u.append(acc)
+        acc += (Fraction(1, r[idx - 1]) - Fraction(1, r[idx])) * e[idx - 1]
+        u.append(r[idx] * acc)
 
     rho, s, c = [], [], []
     for idx in range(1, depth + 1):

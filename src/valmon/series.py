@@ -9,10 +9,11 @@ conjugate computations.
 
 import threading
 from fractions import Fraction
+from math import lcm
 
 from .errors import InsufficientPrecision, InvalidSpec, ValmonError
-from .exactnum import (CyclotomicElement, as_rational, coeff_is_zero, lcm,
-                       rat, rat_str)
+from .exactnum import (CyclotomicElement, as_rational, coeff_is_zero, rat,
+                       rat_str)
 
 
 class NoetherianSeries:
@@ -131,8 +132,6 @@ def agreement_order(a, b):
 class TailRule:
     """How a spec continues past its explicit prefix."""
 
-    kind = "none"
-
     def next_term(self, prev_coeff, prev_exp, index):
         return None
 
@@ -142,8 +141,6 @@ class TailRule:
 
 class GeometricTail(TailRule):
     """Exponents continue by e -> e/base with unit coefficients."""
-
-    kind = "geometric"
 
     def __init__(self, base):
         if not isinstance(base, int) or base < 2:
@@ -163,8 +160,6 @@ class CallbackTail(TailRule):
     Indices are 1-based positions within the tail.  The callback keeps the
     library open to arbitrary exponent sequences without interpreting them.
     """
-
-    kind = "callback"
 
     def __init__(self, fn):
         self.fn = fn
@@ -232,13 +227,6 @@ class SimpleSeriesSpec:
             self._terms = tuple(ext)
         return ext[i - 1] if i <= len(ext) else None
 
-    def exponent(self, i):
-        t = self.term(i)
-        return None if t is None else t[1]
-
-    def has_tail(self):
-        return self.tail.kind != "none"
-
     def to_json(self):
         return {
             "prefix": [{"c": rat_str(c), "e": rat_str(e)}
@@ -295,10 +283,7 @@ class FinitePuiseux:
             if e <= 0:
                 raise InvalidSpec(f"nonpositive exponent {e} in Puiseux series")
         self.series = cleaned
-        r = 1
-        for e, _ in cleaned.terms:
-            r = lcm(r, e.denominator)
-        self.ram_index = r
+        self.ram_index = lcm(*(e.denominator for e, _ in cleaned.terms))
 
     @classmethod
     def from_series(cls, s):

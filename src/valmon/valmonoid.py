@@ -19,6 +19,9 @@ from math import ceil
 from .errors import InsufficientPrecision, NotInMonoid
 from . import seqderive
 
+# how far above its lower bound min_eta searches for eta
+_ETA_CAP = 10000
+
 
 @dataclass(frozen=True)
 class MonoidRep:
@@ -46,12 +49,6 @@ class MonoidContext:
         self.seqs = seqderive.derive(spec, depth)
         self.depth = depth
         self.cache = {}
-
-    def rho(self, i):
-        return self.seqs.rho(i)
-
-    def s(self, i):
-        return self.seqs.s(i)
 
 
 def rep_value(rep, ctx):
@@ -181,12 +178,7 @@ def enumerate_omega(i, ctx, n_max):
     return out
 
 
-def digit_part_values(i, ctx):
-    """The finitely many sums over digit vectors of length <= i, ascending."""
-    return [(v, rep) for v, rep in enumerate_omega(i, ctx, 0)]
-
-
-def min_eta(sigma, targets, ctx, cap=10000):
+def min_eta(sigma, targets, ctx):
     """Smallest integer eta with sigma + eta - t a member for every target t.
 
     Existence is guaranteed because large naturals absorb any quotient-group
@@ -194,9 +186,9 @@ def min_eta(sigma, targets, ctx, cap=10000):
     """
     lo = max(ceil(t - sigma) for t in targets)
     eta = lo
-    while eta - lo <= cap:
+    while eta - lo <= _ETA_CAP:
         if all(decompose(sigma + eta - t, ctx) is not None for t in targets):
             return eta
         eta += 1
     raise InsufficientPrecision(
-        f"no common ideal element found within {cap} steps above {lo}")
+        f"no common ideal element found within {_ETA_CAP} steps above {lo}")

@@ -105,6 +105,67 @@ def test_poly_arithmetic_basics():
     assert x ** 0 == BivarPoly.one()
     assert (x + y) ** 2 == x * x + x * y * BivarPoly.constant(2) + y * y
     assert x.scale(F(1, 2)) == parse("1/2*x")
+    # denominators that cancel leave the same representation as x*y
+    xy = x.scale(F(2, 3)) * y.scale(F(3, 2))
+    assert xy == x * y and hash(xy) == hash(x * y)
+    assert xy.to_string() == "x*y"
+    assert parse("1/2*x + 1/2*y").scale(2) == x + y
+    assert hash(parse("1/2*x + 1/2*y").scale(2)) == hash(x + y)
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (a1, b1), v1 in p.items():
+        for (a2, b2), v2 in q.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_text(p):
+    return " + ".join(f"({c})*x^{a}*y^{b}" for (a, b), c in p.items()) or "0"
+
+
+def test_poly_arithmetic_against_fraction_reference():
+    # integer numerators over one denominator against a plain
+    # {monomial: Fraction} reference
+    rng = random.Random(47)
+
+    def rand_ref():
+        return {k: v for k, v in (
+            ((rng.randint(0, 3), rng.randint(0, 3)),
+             F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9))))
+            for _ in range(rng.randint(0, 5))) if v}
+
+    for _ in range(60):
+        rp, rq = rand_ref(), rand_ref()
+        p, q = BivarPoly(rp), BivarPoly(rq)
+        rs = F(rng.randint(-4, 4), rng.randint(1, 6))
+        cases = [
+            (p + q, _ref_add(rp, rq)),
+            (p - q, _ref_add(rp, {k: -v for k, v in rq.items()})),
+            (-p, {k: -v for k, v in rp.items()}),
+            (p * q, _ref_mul(rp, rq)),
+            (p.scale(rs), {k: v * rs for k, v in rp.items() if v * rs}),
+            (p ** 3, _ref_mul(_ref_mul(rp, rp), rp)),
+            (parse(_ref_text(rp)), rp),
+            (p - p, {}),
+            (p + (-p), {}),
+        ]
+        for got, ref in cases:
+            want = BivarPoly(ref)
+            assert got.coeffs == ref
+            assert got == want and hash(got) == hash(want)
+            assert got.to_string() == want.to_string()
+            assert parse(got.to_string()) == got
+        assert (p - p) == BivarPoly.zero()
 
 
 # --- certified evaluation ---------------------------------------------------
@@ -167,12 +228,17 @@ def _oracle_spec(name):
     if name == "rational":
         tail = GeometricTail(2)
         return SimpleSeriesSpec([(F(1, 2), F(1, 2))], tail), 6, None
+    if name == "mixed-denominators":
+        # coefficient denominators 3 and 2: z_N is tabulated as (6*z_N)^b
+        tail = GeometricTail(2)
+        prefix = [(F(2, 3), F(1, 2)), (F(1, 2), F(1, 4))]
+        return SimpleSeriesSpec(prefix, tail), 6, None
     exps = [F(2), F(3, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)]
     return SimpleSeriesSpec([(1, e) for e in exps]), 4, len(exps)
 
 
 @pytest.mark.parametrize("name", ["dyadic", "triadic", "harmonic", "rational",
-                                  "finite7"])
+                                  "finite7", "mixed-denominators"])
 def test_eval_leading_against_series_oracle(name):
     # random sparse polynomials of y-degree up to 20; every other one is a
     # multiple of some p_j plus terms of lower y-degree, so deg_y f =

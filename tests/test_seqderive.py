@@ -24,6 +24,13 @@ def seven_exponent_spec():
     return SimpleSeriesSpec([(1, e) for e in exps])
 
 
+def extended_seven_spec():
+    """The seven exponents continued by 1/13, 1/17, 1/19: depth 8."""
+    exps = [F(2), F(3, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11),
+            F(1, 13), F(1, 17), F(1, 19)]
+    return SimpleSeriesSpec([(1, e) for e in exps])
+
+
 def trimmed_seven_spec():
     """Same spec with the integer-exponent head dropped."""
     exps = [F(3, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)]
@@ -75,6 +82,18 @@ def test_integer_head_does_not_change_monoid_data():
     b = derive(trimmed_seven_spec(), 5)
     assert a.rho_list == b.rho_list
     assert a.s_list == b.s_list
+
+
+@pytest.mark.parametrize("make", [dyadic_spec, harmonic_spec,
+                                  extended_seven_spec])
+def test_u_matches_literal_double_sum(make):
+    # derive accumulates u in one pass; the definition re-sums per index
+    seqs = derive(make(), 8)
+    r = seqs.r_list
+    for i in range(seqs.raw_length + 1):
+        literal = sum(((F(r[i], r[j]) - F(r[i], r[j + 1])) * seqs.e(j + 1)
+                       for j in range(i)), F(0))
+        assert seqs.u(i) == literal
 
 
 def test_self_check_across_specs():
