@@ -45,10 +45,6 @@ def load_spec(name_or_path):
     return SimpleSeriesSpec.from_json(data)
 
 
-def _poly(text):
-    return bipoly.parse(text)
-
-
 def _poly_list(text):
     polys = [bipoly.parse(part) for part in text.split(",") if part.strip()]
     if not polys:
@@ -83,8 +79,10 @@ def _add_common(parser, with_defaults):
                         help="built-in spec name or path to a spec JSON file")
     parser.add_argument("--depth", type=int, default=d(8),
                         help="sequence derivation depth (default 8)")
-    parser.add_argument("--max-rounds", type=int, default=d(16))
-    parser.add_argument("--step-limit", type=int, default=d(10000))
+    parser.add_argument("--max-rounds", type=int,
+                        default=d(gbengine.DEFAULT_MAX_ROUNDS))
+    parser.add_argument("--step-limit", type=int,
+                        default=d(gbengine.DEFAULT_STEP_LIMIT))
     parser.add_argument("--output", choices=("json", "text"),
                         default=d("json"))
 
@@ -170,12 +168,12 @@ def run(args):
         return EXIT_OK
 
     if args.command == "leadexp":
-        data = bipoly.eval_leading(_poly(args.poly), ctx)
+        data = bipoly.eval_leading(bipoly.parse(args.poly), ctx)
         _emit({"le": rat_str(data.le), "lc": rat_str(data.lc)}, args)
         return EXIT_OK
 
     if args.command == "divide":
-        f, g = _poly(args.f), _poly(args.g)
+        f, g = bipoly.parse(args.f), bipoly.parse(args.g)
         h = gbengine.approx_quotient(f, g, ctx)
         payload = {"divides": h is not None}
         if h is not None:
@@ -185,7 +183,7 @@ def run(args):
 
     if args.command == "reduce":
         basis = _poly_list(args.basis)
-        trace = gbengine.reduce(_poly(args.poly), basis, ctx,
+        trace = gbengine.reduce(bipoly.parse(args.poly), basis, ctx,
                                 args.step_limit)
         _emit({
             "remainder": trace.remainder.to_string(),
@@ -197,7 +195,8 @@ def run(args):
         return EXIT_OK
 
     if args.command == "syzygy":
-        fam = gbengine.syzygy_family(_poly(args.f), _poly(args.g), ctx)
+        f, g = bipoly.parse(args.f), bipoly.parse(args.g)
+        fam = gbengine.syzygy_family(f, g, ctx)
         _emit({"family": [{
             "value": rat_str(e.value),
             "a": e.a.to_string(),

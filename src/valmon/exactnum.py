@@ -3,8 +3,13 @@
 Rationals are ``fractions.Fraction`` throughout the package: arbitrary
 precision, always in lowest terms, positive denominator.  This module adds
 the "p/q" string convention used by every file format, plus arithmetic in
-cyclotomic fields Q(zeta_n), which is what conjugate products of Puiseux
-series live in before they collapse back to the rationals.
+cyclotomic fields Q(zeta_n): an element is its remainder modulo Phi_n, and
+one polynomial division both builds Phi_n and takes that remainder.
+
+Q(zeta_n) is the reference the norm tower of
+``bipoly.min_poly_finite_puiseux`` is checked against (conjugate products
+of Puiseux series, ``series.conjugate``); no production path multiplies in
+it.
 """
 
 from fractions import Fraction
@@ -61,30 +66,23 @@ def _divisors(n):
     return small + large[::-1]
 
 
-def _poly_divmod_int(num, den):
-    """Exact division of dense integer polynomials (ascending coefficients).
+def _poly_divmod(num, den):
+    """Quotient and remainder of dense polynomials (ascending coefficients)
+    by a monic den, on ints or Fractions alike.
 
-    den must be monic up to sign of its leading coefficient +-1; remainder
-    must come out zero, which holds for every quotient taken in the
-    cyclotomic recursion.
+    The remainder always has exactly deg den coefficients, so modulo Phi_n
+    it is the power-basis coordinate vector of an element of Q(zeta_n).
     """
-    num = list(num)
-    dden = len(den) - 1
-    lead = den[-1]
-    quot = [0] * (len(num) - dden)
-    for i in range(len(num) - 1, dden - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("non-exact cyclotomic division")
-        quot[i - dden] = q
-        for j, dc in enumerate(den):
-            num[i - dden + j] -= q * dc
-    if any(num):
-        raise ArithmeticError("nonzero remainder in cyclotomic division")
-    return quot
+    d = len(den) - 1
+    rem = list(num) + [0] * (d - len(num))
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q = rem[i]
+        if q:
+            quot[i - d] = q
+            for j in range(d):
+                rem[i - d + j] -= q * den[j]
+    return quot, rem[:d]
 
 
 _cyclo_cache = {1: [-1, 1]}
@@ -100,41 +98,12 @@ def cyclotomic_modulus(n):
         return list(_cyclo_cache[n])
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
-    for d in _divisors(n):
-        if d == n:
-            continue
-        num = _poly_divmod_int(num, cyclotomic_modulus(d))
+    for d in _divisors(n)[:-1]:
+        num, rem = _poly_divmod(num, cyclotomic_modulus(d))
+        if any(rem):
+            raise ArithmeticError("nonzero remainder in cyclotomic division")
     _cyclo_cache[n] = list(num)
     return num
-
-
-# Per-order reduction tables: x^j mod Phi_n for phi(n) <= j < n,
-# each as a tuple of Fraction coordinates in the power basis.
-_reduction_cache = {}
-
-
-def _reductions(n):
-    if n in _reduction_cache:
-        return _reduction_cache[n]
-    phi = euler_phi(n)
-    mod = cyclotomic_modulus(n)
-    # x^phi = -(mod[0] + mod[1] x + ... + mod[phi-1] x^(phi-1)), Phi_n monic
-    rows = {}
-    prev = [Fraction(0)] * phi
-    if phi > 0:
-        top = [Fraction(-c) for c in mod[:phi]]
-    for j in range(phi, 2 * phi):
-        if j == phi:
-            row = list(top)
-        else:
-            # multiply previous row by x and fold the overflow
-            row = [Fraction(0)] + prev[:-1]
-            if prev[-1]:
-                row = [a + prev[-1] * b for a, b in zip(row, top)]
-        rows[j] = tuple(row)
-        prev = row
-    _reduction_cache[n] = (phi, rows)
-    return phi, rows
 
 
 class CyclotomicElement:
@@ -173,8 +142,9 @@ class CyclotomicElement:
 
     @classmethod
     def zeta(cls, order, k=1):
-        """zeta_order^k."""
-        return cls(order, _power_coords(order, k))
+        """zeta_order^k: the remainder of x^(k mod order) modulo Phi_order."""
+        power = [0] * (k % order) + [1]
+        return cls(order, _poly_divmod(power, cyclotomic_modulus(order))[1])
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -230,22 +200,7 @@ class CyclotomicElement:
             for j, bj in enumerate(b):
                 if bj:
                     conv[i + j] += ai * bj
-        n = self.order
-        out = conv[:phi]
-        if n > 1 and n & (n - 1) == 0:
-            # Phi_{2^k} = x^phi + 1, so x^(phi+i) folds to -x^i
-            for j in range(phi, len(conv)):
-                if conv[j]:
-                    out[j - phi] -= conv[j]
-        else:
-            _, rows = _reductions(n)
-            for j in range(phi, len(conv)):
-                cj = conv[j]
-                if cj:
-                    row = rows[j]
-                    for k in range(phi):
-                        if row[k]:
-                            out[k] += cj * row[k]
+        _, out = _poly_divmod(conv, cyclotomic_modulus(self.order))
         return CyclotomicElement._raw(self.order, tuple(out))
 
     __rmul__ = __mul__
@@ -265,32 +220,6 @@ class CyclotomicElement:
         return f"CyclotomicElement(order={self.order}, coeffs={self.coeffs})"
 
 
-_power_cache = {}
-
-
-def _power_coords(order, k):
-    """Coordinates of zeta_order^k (k reduced mod order, zeta^order = 1)."""
-    k = k % order
-    key = (order, k)
-    if key in _power_cache:
-        return _power_cache[key]
-    phi, rows = _reductions(order)
-    if k < phi:
-        coords = tuple(Fraction(1) if i == k else Fraction(0) for i in range(phi))
-    else:
-        coords = rows[k] if k in rows else None
-        if coords is None:
-            # k in [2*phi-1, order): reduce by repeated multiplication by x
-            coords = _power_coords(order, k - 1)
-            shifted = [Fraction(0)] + list(coords[:-1])
-            if coords[-1]:
-                top = rows[phi]
-                shifted = [a + coords[-1] * b for a, b in zip(shifted, top)]
-            coords = tuple(shifted)
-    _power_cache[key] = coords
-    return coords
-
-
 def cyclo_arith(a, b, kind):
     """Spec surface for exact +- and * in a shared cyclotomic order."""
     if kind == "add":
@@ -305,9 +234,3 @@ def as_rational(a):
     if isinstance(a, (int, Fraction)):
         return Fraction(a)
     return a.as_rational()
-
-
-def coeff_is_zero(c):
-    if isinstance(c, CyclotomicElement):
-        return c.is_zero()
-    return c == 0

@@ -215,23 +215,25 @@ def self_check(seqs):
         if seqs.rho(i + 1) != expect:
             raise IdentityViolation("rho-recurrence", i + 1)
 
+    total = 1  # 1 + sum_{j<=i} (s_j - 1) r_l(j-1)
     for i in range(w + 1):
-        total = 1 + sum((seqs.s(j) - 1) * seqs.r(seqs.l(j - 1))
-                        for j in range(1, i + 1))
         if seqs.r(seqs.l(i)) != total:
             raise IdentityViolation("ramification-sum", i)
+        if i < w:
+            total += (seqs.s(i + 1) - 1) * seqs.r(seqs.l(i))
 
+    total = 0  # sum_{j<i} (s_j - 1) rho_j
     for i in range(1, w + 1):
-        total = sum((seqs.s(j) - 1) * seqs.rho(j)
-                    for j in range(1, i)) + seqs.e(seqs.l(i))
-        if seqs.rho(i) != total:
+        if seqs.rho(i) != total + seqs.e(seqs.l(i)):
             raise IdentityViolation("rho-difference", i)
+        total += (seqs.s(i) - 1) * seqs.rho(i)
 
-    K = seqs.raw_length
-    for i in range(K + 1):
-        for k in range(i + 1, K + 1):
-            if seqs.r(i) == seqs.r(k) and seqs.u(i) != seqs.u(k):
-                raise IdentityViolation("u-stabilization", (i, k))
+    # u agrees wherever r does: compare each u with the first at its r
+    first = {}
+    for k in range(seqs.raw_length + 1):
+        i, u = first.setdefault(seqs.r(k), (k, seqs.u(k)))
+        if seqs.u(k) != u:
+            raise IdentityViolation("u-stabilization", (i, k))
     for i in range(1, w + 1):
         if seqs.u(seqs.l(i - 1)) != seqs.u(seqs.l(i) - 1):
             raise IdentityViolation("u-stabilization", i,

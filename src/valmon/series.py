@@ -3,8 +3,9 @@
 A series is a finite list of (exponent, coefficient) terms in strictly
 descending exponent order; the infinite objects of interest exist only as a
 SimpleSeriesSpec (finite prefix plus a tail rule) together with on-demand
-truncation.  Coefficients are Fraction, or CyclotomicElement inside
-conjugate computations.
+truncation.  Coefficients are Fraction, or CyclotomicElement in the
+conjugates of ``conjugate``, the reference for the norm tower; both compare
+equal to 0 exactly when they vanish.
 """
 
 import threading
@@ -12,8 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InsufficientPrecision, InvalidSpec, ValmonError
-from .exactnum import (CyclotomicElement, as_rational, coeff_is_zero, rat,
-                       rat_str)
+from .exactnum import CyclotomicElement, as_rational, rat, rat_str
 
 
 class NoetherianSeries:
@@ -30,7 +30,7 @@ class NoetherianSeries:
             else:
                 merged[e] = c
         cleaned = tuple(sorted(
-            ((e, c) for e, c in merged.items() if not coeff_is_zero(c)),
+            ((e, c) for e, c in merged.items() if c != 0),
             key=lambda t: t[0], reverse=True))
         object.__setattr__(self, "terms", cleaned)
 
@@ -43,7 +43,7 @@ class NoetherianSeries:
 
     @classmethod
     def monomial(cls, coeff, exponent):
-        if coeff_is_zero(coeff):
+        if coeff == 0:
             return cls()
         return cls(((Fraction(exponent), coeff),))
 
@@ -83,7 +83,7 @@ class NoetherianSeries:
         return NoetherianSeries(acc.items())
 
     def scale(self, c):
-        if coeff_is_zero(c):
+        if c == 0:
             return NoetherianSeries()
         return NoetherianSeries(tuple((e, c * co) for e, co in self.terms))
 

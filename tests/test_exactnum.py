@@ -124,3 +124,35 @@ def test_cyclo_mixed_scalar_ops():
     z4 = CyclotomicElement.zeta(4)
     assert (z4 * 2 - z4 - z4).is_zero()
     assert (Fraction(1, 2) * z4 + Fraction(1, 2) * z4) == z4
+
+
+def test_cyclotomic_arithmetic_against_sympy():
+    # independent oracle: sympy's remainder modulo Phi_n over QQ, padded to
+    # phi(n); reaches orders 2^k up to 32 and exponents past 2*phi(n) - 1
+    from sympy import QQ, Poly, cyclotomic_poly, symbols
+
+    x = symbols("x")
+    rng = random.Random(11)
+
+    def reduced(poly, modulus, phi):
+        coeffs = poly.rem(modulus).all_coeffs()[::-1]
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+        return tuple(coeffs + [Fraction(0)] * (phi - len(coeffs)))
+
+    def as_poly(coeffs):
+        return Poly([QQ(c.numerator, c.denominator) for c in coeffs[::-1]],
+                    x, domain=QQ)
+
+    for n in range(1, 41):
+        phi = euler_phi(n)
+        modulus = Poly(cyclotomic_poly(n, x), x, domain=QQ)
+        for k in range(-n, 2 * n):
+            want = reduced(Poly(x ** (k % n), x, domain=QQ), modulus, phi)
+            assert CyclotomicElement.zeta(n, k).coeffs == want, (n, k)
+        for _ in range(3):
+            a, b = (CyclotomicElement(n, [Fraction(rng.randint(-9, 9),
+                                                   rng.randint(1, 6))
+                                          for _ in range(phi)])
+                    for _ in range(2))
+            want = reduced(as_poly(a.coeffs) * as_poly(b.coeffs), modulus, phi)
+            assert (a * b).coeffs == want, n

@@ -4,8 +4,9 @@ from math import gcd
 
 import pytest
 
-from valmon.errors import InsufficientPrecision
-from valmon.seqderive import derive, self_check, CHECKED_IDENTITIES
+from valmon.errors import IdentityViolation, InsufficientPrecision
+from valmon.seqderive import (CHECKED_IDENTITIES, DerivedSequences, derive,
+                              self_check)
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
 
 F = Fraction
@@ -161,3 +162,51 @@ def test_json_shape():
     assert data["rho"] == ["1/2", "3/4"]
     assert data["r"] == ["1", "2", "4"]
     assert data["depth"] == 2
+
+
+def _corrupted(seqs, name, pos, delta=F(1, 7)):
+    """A copy of seqs with entry pos of the raw list `name` shifted by delta
+    (positions as stored: e and rho from index 1, r and u from index 0)."""
+    raw = {"e": [seqs.e(i) for i in range(1, seqs.raw_length + 1)],
+           "r": list(seqs.r_list), "l": list(seqs.l_list),
+           "u": list(seqs.u_list), "rho": list(seqs.rho_list),
+           "s": list(seqs.s_list), "c": list(seqs.c_list)}
+    raw[name][pos] += delta
+    return DerivedSequences(seqs.depth, **raw)
+
+
+@pytest.mark.parametrize("make,depth", [(harmonic_spec, 10),
+                                        (seven_exponent_spec, 5)])
+def test_self_check_catches_u_inside_run_of_equal_r(make, depth):
+    # harmonic r_12 = r_13 = r_14: u_13 is compared with no u_l(i) or
+    # u_(l(i)-1), so only the check over equal r can catch it
+    seqs = derive(make(), depth)
+    r = seqs.r_list
+    repeats = [k for k in range(1, len(r)) if r[k] == r[k - 1]]
+    assert repeats
+    for k in repeats:
+        with pytest.raises(IdentityViolation) as exc:
+            self_check(_corrupted(seqs, "u", k))
+        assert exc.value.identity == "u-stabilization"
+
+
+@pytest.mark.parametrize("make", [dyadic_spec, harmonic_spec])
+def test_self_check_catches_r_at_jump(make):
+    seqs = derive(make(), 6)
+    for i in range(1, seqs.depth + 1):
+        with pytest.raises(IdentityViolation) as exc:
+            self_check(_corrupted(seqs, "r", seqs.l(i), 1))
+        assert exc.value.identity == "ramification-sum"
+        assert exc.value.index == i
+
+
+@pytest.mark.parametrize("make", [dyadic_spec, harmonic_spec])
+def test_self_check_catches_e_and_rho(make):
+    # rho-difference is equivalent to rho-recurrence given rho_1, so the
+    # recurrence, checked first, is the one that fires
+    seqs = derive(make(), 6)
+    for i in range(1, seqs.depth + 1):
+        for name, pos in (("e", seqs.l(i) - 1), ("rho", i - 1)):
+            with pytest.raises(IdentityViolation) as exc:
+                self_check(_corrupted(seqs, name, pos))
+            assert exc.value.identity == "rho-recurrence"
