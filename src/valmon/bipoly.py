@@ -31,7 +31,7 @@ from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
 from .exactnum import rat_str
 from .seqderive import _MAX_PULL_GAP
 from .series import FinitePuiseux, truncate
-from .valmonoid import decompose, rep_value
+from .valmonoid import MonoidRep, decompose, rep_value
 
 _EXPONENT_CAP = 10 ** 4
 # cap on the dense size (deg_x + 1) * (deg_y + 1) of any parsed product or
@@ -344,10 +344,12 @@ class LeadingData:
 class _ZPow:
     """Integer powers (d*z_N)^b of a truncation z_N, given by its
     (coeff, exponent) terms in descending exponent order: exponents are
-    scaled by the lcm of their denominators (scale) and coefficients by the
-    lcm d of theirs (den), so every table entry is an int."""
+    scaled by the lcm of their denominators (scale, which is r_N) and
+    coefficients by the lcm d of theirs (den), so every table entry is an
+    int."""
 
     def __init__(self, terms):
+        self.depth = len(terms)
         self.scale = lcm(*(e.denominator for _, e in terms))
         self.den = lcm(*(c.denominator for c, _ in terms))
         self.zterms = tuple(
@@ -383,59 +385,60 @@ class _ZPow:
         return ext[b]
 
 
-def _prepare(f, zp):
+def _prepare(f, zp, D):
     """Integer work list [(scaled x-shift, ydeg, weight)] for f(t, z_N), and
-    the denominator of the evaluation.
+    the denominator of the evaluation; D is deg_y f.
 
-    With D = deg_y f and d = zp.den, f(t, z_N) = sum num * t^a * z_N^b / den_f
+    With d = zp.den, f(t, z_N) = sum num * t^a * z_N^b / den_f
     = sum num * d^(D-b) * t^a * (d*z_N)^b / (den_f * d^D), so each monomial
     weighs its numerator by d^(D-b) against the table of (d*z_N)^b.
     """
-    D = f.deg_y()
     d = zp.den
     work = [(a * zp.scale, b, v * d ** (D - b))
             for (a, b), v in f._num.items()]
     return work, f._den * d ** D
 
 
-def _scan(work, zp, cutoff):
-    """Accumulate the evaluation over scaled exponents >= cutoff (None: all).
+def _scan(work, zp, cutoff, ceiling=None):
+    """Accumulate the evaluation over scaled exponents >= cutoff (None: all)
+    and < ceiling (None: no bound).
 
-    Exponents of each z-power are descending, so the cutoff becomes one
+    Exponents of each z-power are descending, so the band becomes one
     bisected slice per monomial and the inner loop runs without
     comparisons.
     """
     acc = defaultdict(int)
     for shift, b, coeff in work:
         terms, neg = zp.pow(b)
+        start = 0 if ceiling is None else bisect_right(neg, shift - ceiling)
         end = len(terms) if cutoff is None else bisect_right(
             neg, shift - cutoff)
-        for e, c in terms[:end]:
+        for e, c in terms[start:end]:
             acc[e + shift] += coeff * c
     return {e: v for e, v in acc.items() if v}
 
 
 def _leading_scan(work, zp):
-    """Leading (scaled exponent, raw coefficient) of the evaluation; None
-    when nothing survives.
+    """The evaluation at scaled exponents >= cutoff, and the cutoff: the
+    first of a descending run of windows that leaves a nonzero term (None:
+    every exponent, and {} when the evaluation vanishes).
 
-    Descends in geometrically widening windows, so cancellation near the
-    top costs only the cancelled range.
+    Windows widen geometrically, and each scan covers only the band below
+    the last one, whose terms all cancelled, so cancellation near the top
+    costs one pass over the cancelled range.
     """
     top = max(shift + b * zp.lead for shift, b, _ in work)
+    ceiling = None
     window = max(zp.scale, zp.lead)
-    cutoff = top - window
     while True:
+        cutoff = top - window
         if cutoff <= 0:
             cutoff = None
-        got = _scan(work, zp, cutoff)
-        if got:
-            e = max(got)
-            return e, got[e]
-        if cutoff is None:
-            return None
+        got = _scan(work, zp, cutoff, ceiling)
+        if got or cutoff is None:
+            return got, cutoff
+        ceiling = cutoff
         window *= 2
-        cutoff = top - window
 
 
 def _exact_truncation(spec, degy):
@@ -459,6 +462,98 @@ def _exact_truncation(spec, degy):
     return terms
 
 
+def _power_table(ctx, degy):
+    """The power table of z_N at the exact depth for y-degree degy."""
+    terms = _exact_truncation(ctx.spec, degy)
+    key = ("zpow", len(terms))
+    zp = ctx.cache.get(key)
+    if zp is None:
+        zp = ctx.cache[key] = _ZPow(terms)
+    return zp
+
+
+class Image:
+    """The evaluation f(t, z_N) of a polynomial f at scaled exponents
+    >= floor (None: every exponent), as int numerators {exponent: int}
+    over den = den_f * d^(deg_y f), the denominator _prepare gives.
+
+    Evaluation at z_N is a ring map, so the image of f - g*h is the image
+    of f minus the product of the images of g and h, exactly and at any
+    N, and truncation at the floor commutes with subtraction.  That is how
+    reduce carries an image from one step to the next instead of
+    evaluating every intermediate afresh.  exact says r_N > deg_y f, so
+    that by eval_leading's theorem the top term is the leading term of
+    f(t, z).
+    """
+
+    __slots__ = ("zp", "floor", "num", "den", "exact")
+
+    def __init__(self, zp, floor, num, den, degy):
+        self.zp = zp
+        self.floor = floor
+        self.num = num
+        self.den = den
+        self.exact = degy < zp.scale
+
+    @classmethod
+    def scan(cls, f, ctx):
+        """f's image at its exact depth, above the highest window that keeps
+        a nonzero term."""
+        degy = f.deg_y()
+        zp = _power_table(ctx, degy)
+        work, den = _prepare(f, zp, degy)
+        num, floor = _leading_scan(work, zp)
+        return cls(zp, floor, num, den, degy)
+
+    def lead(self):
+        """Leading data of the top term.  A scan leaves no term only when
+        the evaluation vanishes, on an exhausted finite spec."""
+        if not self.num:
+            raise InsufficientPrecision(
+                "polynomial image vanishes on the exhausted finite series")
+        e = max(self.num)
+        return LeadingData(Fraction(e, self.zp.scale),
+                           Fraction(self.num[e], self.den), self.zp.depth)
+
+    def minus_product(self, g, p, shift, factor, result):
+        """The image of result = f - factor * x^shift * g * p, self being
+        f's: g and p are full images at the same depth.  Only the products
+        that reach the floor are formed."""
+        (gterms, gden), (pterms, pden) = g, p
+        shift *= self.zp.scale
+        lo = (self.floor or 0) - shift
+        prod = {}
+        for e1, c1 in gterms:
+            lim = lo - e1
+            if not pterms or pterms[0][0] < lim:
+                break
+            for e2, c2 in pterms:
+                if e2 < lim:
+                    break
+                k = e1 + e2
+                prod[k] = prod.get(k, 0) + c1 * c2
+        pden *= gden * factor.denominator
+        den = lcm(self.den, pden)
+        m1 = den // self.den
+        m2 = factor.numerator * (den // pden)
+        num = {e: v * m1 for e, v in self.num.items()}
+        for e, v in prod.items():
+            e += shift
+            num[e] = num.get(e, 0) - v * m2
+        # back to the denominator of result's own evaluation, over which
+        # every exponent of the exact image has an int numerator
+        degy = result.deg_y()
+        new_den = result._den * self.zp.den ** degy
+        num = {e: v * new_den // den for e, v in num.items() if v}
+        return Image(self.zp, self.floor, num, new_den, degy)
+
+
+def full_image(f, zp):
+    """f(t, z_N) in full: descending ((scaled exponent, int), ...) and den."""
+    work, den = _prepare(f, zp, f.deg_y())
+    return tuple(sorted(_scan(work, zp, None).items(), reverse=True)), den
+
+
 def eval_leading(f, ctx):
     """LE_z(f) and LC_z(f), read off one exact evaluation f(t, z_N).
 
@@ -476,7 +571,8 @@ def eval_leading(f, ctx):
     leading term, and so do p_j(t, z_N) and p_j(t, z).  Distinct canonical
     representations n + sum d_j rho_j have distinct values, so the terms
     of the expansion have pairwise distinct leading exponents at z_N as at
-    z, and the largest one is the leading term of both images.
+    z, and the largest one is the leading term of both images.  The
+    argument holds at every N with r_N > D, not only the least.
 
     f(t, z_N) = 0 would make the minimal polynomial of z_N, of y-degree
     r_N > D, divide f; so the image vanishes only on an exhausted finite
@@ -485,26 +581,10 @@ def eval_leading(f, ctx):
     key = ("lead", f)
     hit = ctx.cache.get(key)
     if hit is None:
-        hit = ctx.cache[key] = _eval_leading_uncached(f, ctx)
+        if f.is_zero():
+            raise ZeroPolynomial("the zero polynomial has no leading data")
+        hit = ctx.cache[key] = Image.scan(f, ctx).lead()
     return hit
-
-
-def _eval_leading_uncached(f, ctx):
-    """eval_leading without the memo, for polynomials that will not recur."""
-    if f.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no leading data")
-    terms = _exact_truncation(ctx.spec, f.deg_y())
-    zkey = ("zpow", len(terms))
-    zp = ctx.cache.get(zkey)
-    if zp is None:
-        zp = ctx.cache[zkey] = _ZPow(terms)
-    work, den = _prepare(f, zp)
-    led = _leading_scan(work, zp)
-    if led is None:
-        raise InsufficientPrecision(
-            "polynomial image vanishes on the exhausted finite series")
-    e, v = led
-    return LeadingData(Fraction(e, zp.scale), Fraction(v, den), len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +685,17 @@ def preimage_of_rep(rep, ctx):
             poly = poly * truncation_min_poly(ctx, j) ** d
     ctx.cache[key] = poly
     return poly
+
+
+def preimage_image(digits, zp, ctx):
+    """full_image of prod p_j^(d_j) on the table zp, cached per context
+    under (digits, N): bounded by the monoid and the depth."""
+    key = ("image", digits, zp.depth)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        p = preimage_of_rep(MonoidRep(0, digits), ctx)
+        hit = ctx.cache[key] = full_image(p, zp)
+    return hit
 
 
 def preimage_leading(rep, ctx):

@@ -13,8 +13,8 @@ m - LE_z(f), m - LE_z(g), scaled so the leading terms of a*f and b*g cancel.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import (BivarPoly, _eval_leading_uncached, eval_leading,
-                     preimage_leading, preimage_of_rep)
+from .bipoly import (BivarPoly, Image, eval_leading, full_image,
+                     preimage_image, preimage_leading, preimage_of_rep)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
 from .valmonoid import decompose, enumerate_omega, min_eta
@@ -52,22 +52,24 @@ class GbResult:
 
 
 def _quotient_for(lead_f, lead_g, ctx):
-    """h lowering the leading term lead_f against lead_g, or None when the
-    value of g does not divide the value of f."""
+    """(h, rep, factor) with h = factor * preimage(rep) lowering the leading
+    term lead_f against lead_g, or None when the value of g does not divide
+    the value of f."""
     rep = decompose(lead_f.le - lead_g.le, ctx)
     if rep is None:
         return None
     p = preimage_of_rep(rep, ctx)
     lp = preimage_leading(rep, ctx)
     factor = lead_f.lc / (lead_g.lc * lp.lc)
-    return p.scale(factor)
+    return p.scale(factor), rep, factor
 
 
 def approx_quotient(f, g, ctx):
     """h with f = g*h or LE_z(f - g*h) < LE_z(f), when the values divide."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("approximate quotient needs nonzero inputs")
-    return _quotient_for(eval_leading(f, ctx), eval_leading(g, ctx), ctx)
+    q = _quotient_for(eval_leading(f, ctx), eval_leading(g, ctx), ctx)
+    return None if q is None else q[0]
 
 
 def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
@@ -76,29 +78,52 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     Stops at zero or at a remainder whose value no basis value divides.
     The cap is a safety net; termination itself is guaranteed because the
     values along the trace strictly descend in a well-ordered monoid.
-    Only f's leading data is memoised: the intermediates do not recur.
+
+    f's leading data comes from the memo.  The intermediates never recur,
+    so their leading terms come from one exact image f(t, z_N), carried
+    from step to step above a floor: a step subtracts the image of g*h,
+    which is image(g) times c*t^n*image(prod p_j^(d_j)).  image(g) is
+    evaluated once per basis element and depth in a call, and the images
+    of the products of p_j are cached per context.  cur is evaluated afresh
+    when nothing survives above the floor, or when deg_y(cur) reaches r_N,
+    where eval_leading's theorem no longer fixes the leading term.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
+    basis_images = {}
     steps = []
     cur = f
+    image = None
     while not cur.is_zero():
-        cur_lead = (_eval_leading_uncached(cur, ctx) if steps
-                    else eval_leading(cur, ctx))
+        if not steps:
+            cur_lead = eval_leading(cur, ctx)
+        else:
+            if image is None or not image.exact or not image.num:
+                image = Image.scan(cur, ctx)
+            cur_lead = image.lead()
         if steps and cur_lead.le >= steps[-1].value_before:
             raise InternalError(
                 f"reduction failed to lower the value at step {len(steps)}")
         for idx, lg in enumerate(lead_basis):
-            h = _quotient_for(cur_lead, lg, ctx)
-            if h is not None:
+            q = _quotient_for(cur_lead, lg, ctx)
+            if q is not None:
                 break
         else:
             break
+        h, rep, factor = q
         steps.append(ReductionStep(idx, h, cur_lead.le))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
         cur = cur - basis[idx] * h
+        if image is not None:
+            zp = image.zp
+            gkey = (idx, zp.depth)
+            if gkey not in basis_images:
+                basis_images[gkey] = full_image(basis[idx], zp)
+            image = image.minus_product(
+                basis_images[gkey], preimage_image(rep.digits, zp, ctx),
+                rep.n, factor, cur)
     return ReductionTrace(tuple(steps), cur)
 
 

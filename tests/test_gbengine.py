@@ -245,3 +245,38 @@ def test_buchberger_on_harmonic_context():
     for elt in syzygy_family(parse("x"), parse("y"), hctx):
         if not elt.spoly.is_zero():
             assert eval_leading(elt.spoly, hctx).le < elt.value
+
+
+def test_round_capped_bases_are_pinned():
+    # non-principal ideals have no finite basis here, so every round adds an
+    # element, and the round-capped basis depends on every reduction and on
+    # which pairs are processed; any change to either must keep these
+    fixture = Path(__file__).resolve().parent / "round_capped_bases.json"
+    with open(fixture) as fh:
+        cases = json.load(fh)
+    assert len(cases) == 4
+    for case in cases:
+        res = buchberger([parse(g) for g in case["gens"]],
+                         MonoidContext(dyadic_spec(), 8),
+                         max_rounds=case["max_rounds"])
+        assert res.complete == case["complete"]
+        assert res.iterations == case["iterations"]
+        assert [g.to_string() for g in res.basis] == case["basis"]
+
+
+@pytest.mark.parametrize("f,gs", [
+    ("y^2 - x", ("y", "1 + y")),
+    ("x + y^3", ("x", "1 - x")),
+    ("x", ("x + y", "x + y + 1")),
+])
+def test_principal_inputs_complete(f, gs):
+    # (g_1, ..., g_k) = (1), so f*g_1, ..., f*g_k generate the principal
+    # ideal (f), which has the finite basis {f}
+    ctx = MonoidContext(dyadic_spec(), 8)
+    gens = [parse(f) * parse(g) for g in gs]
+    res = buchberger(gens, ctx)
+    assert res.complete
+    assert res.iterations == 2
+    assert is_member(parse(f), res, ctx)
+    assert eval_leading(parse(f), ctx).le in {
+        eval_leading(g, ctx).le for g in res.basis}

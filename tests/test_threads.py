@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from valmon.bipoly import eval_leading, parse
+from valmon.gbengine import buchberger, reduce
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
 from valmon.valmonoid import MonoidContext
 
@@ -69,4 +70,18 @@ def test_shared_context_eval_leading_across_threads():
     for _ in range(20):
         ctx = MonoidContext(dyadic_spec(), 8)
         got = run_threads([lambda: eval_leading(f, ctx)] * THREADS)
+        assert got == [want] * THREADS
+
+
+def test_shared_context_reduce_across_threads():
+    # every thread fills the same per-context caches of leading data,
+    # preimages and the images of products of p_j that reduce carries
+    basis = list(buchberger([parse("x"), parse("y")],
+                            MonoidContext(dyadic_spec(), 8), 4).basis)
+    f = parse("y^16 + x^5")
+    want = reduce(f, basis, MonoidContext(dyadic_spec(), 8))
+    assert len(want.steps) > 50
+    for _ in range(10):
+        ctx = MonoidContext(dyadic_spec(), 8)
+        got = run_threads([lambda: reduce(f, basis, ctx)] * THREADS)
         assert got == [want] * THREADS
