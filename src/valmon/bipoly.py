@@ -418,17 +418,23 @@ def _scan(work, zp, cutoff, ceiling=None):
     return {e: v for e, v in acc.items() if v}
 
 
-def _leading_scan(work, zp):
+def _leading_scan(work, zp, ceiling=None):
     """The evaluation at scaled exponents >= cutoff, and the cutoff: the
     first of a descending run of windows that leaves a nonzero term (None:
     every exponent, and {} when the evaluation vanishes).
 
     Windows widen geometrically, and each scan covers only the band below
     the last one, whose terms all cancelled, so cancellation near the top
-    costs one pass over the cancelled range.
+    costs one pass over the cancelled range.  ceiling is an exclusive
+    scaled exponent at and above which the evaluation is known to vanish;
+    below the monomial top, the first window starts just under it, and the
+    result holds no term at or above it.
     """
     top = max(shift + b * zp.lead for shift, b, _ in work)
-    ceiling = None
+    if ceiling is not None and ceiling <= top:
+        top = ceiling
+    else:
+        ceiling = None
     window = max(zp.scale, zp.lead)
     while True:
         cutoff = top - window
@@ -496,13 +502,17 @@ class Image:
         self.exact = degy < zp.scale
 
     @classmethod
-    def scan(cls, f, ctx):
+    def scan(cls, f, ctx, below=None):
         """f's image at its exact depth, above the highest window that keeps
-        a nonzero term."""
+        a nonzero term.  below, when given, is a value known to exceed
+        LE_z(f); the scan then starts under ceil(below * r_N), and the image
+        holds no term at or above it."""
         degy = f.deg_y()
         zp = _power_table(ctx, degy)
         work, den = _prepare(f, zp, degy)
-        num, floor = _leading_scan(work, zp)
+        ceiling = None if below is None else -(
+            -below.numerator * zp.scale // below.denominator)
+        num, floor = _leading_scan(work, zp, ceiling)
         return cls(zp, floor, num, den, degy)
 
     def lead(self):
@@ -517,9 +527,10 @@ class Image:
 
     def minus_product(self, g, p, shift, factor, result):
         """The image of result = f - factor * x^shift * g * p, self being
-        f's: g and p are full images at the same depth.  Only the products
-        that reach the floor are formed."""
-        (gterms, gden), (pterms, pden) = g, p
+        f's: g is a full image at the same depth and p a preimage_image
+        that covers the exponents >= floor - shift - (top exponent of g).
+        Only the products that reach the floor are formed."""
+        (gterms, gden), (pterms, pden, _) = g, p
         shift *= self.zp.scale
         lo = (self.floor or 0) - shift
         prod = {}
@@ -554,7 +565,7 @@ def full_image(f, zp):
     return tuple(sorted(_scan(work, zp, None).items(), reverse=True)), den
 
 
-def eval_leading(f, ctx):
+def eval_leading(f, ctx, below=None):
     """LE_z(f) and LC_z(f), read off one exact evaluation f(t, z_N).
 
     N is the least n with r_n = lcm(den e_1, ..., den e_n) > deg_y f; when
@@ -577,13 +588,20 @@ def eval_leading(f, ctx):
     f(t, z_N) = 0 would make the minimal polynomial of z_N, of y-degree
     r_N > D, divide f; so the image vanishes only on an exhausted finite
     spec, which raises InsufficientPrecision.
+
+    below, when given, is a value known to exceed LE_z(f), such as the
+    syzygy value of an S-polynomial (see buchberger).  By the theorem,
+    f(t, z_N) has no term above LE_z(f) (on an exhausted spec z_N = z), so
+    its band at scaled exponents >= below * r_N is zero and the scan starts
+    under it.  The leading data, and hence the memo, are the same as
+    without the bound.
     """
     key = ("lead", f)
     hit = ctx.cache.get(key)
     if hit is None:
         if f.is_zero():
             raise ZeroPolynomial("the zero polynomial has no leading data")
-        hit = ctx.cache[key] = Image.scan(f, ctx).lead()
+        hit = ctx.cache[key] = Image.scan(f, ctx, below).lead()
     return hit
 
 
@@ -687,14 +705,28 @@ def preimage_of_rep(rep, ctx):
     return poly
 
 
-def preimage_image(digits, zp, ctx):
-    """full_image of prod p_j^(d_j) on the table zp, cached per context
-    under (digits, N): bounded by the monoid and the depth."""
+def preimage_image(digits, zp, ctx, lowest=None):
+    """(terms, den, floor): the image of prod p_j^(d_j) on the table zp at
+    scaled exponents >= floor (None: every exponent), as in full_image,
+    with floor <= lowest (None, or <= 0: the complete image).
+
+    Entries are cached per context under (digits, N), bounded by the monoid
+    and the depth.  A lower lowest extends an entry by the band between the
+    two floors, published as a new tuple the way _ZPow.pow publishes its
+    powers, so a reader never sees a partial entry."""
+    if lowest is not None and lowest <= 0:
+        lowest = None
     key = ("image", digits, zp.depth)
     hit = ctx.cache.get(key)
-    if hit is None:
-        p = preimage_of_rep(MonoidRep(0, digits), ctx)
-        hit = ctx.cache[key] = full_image(p, zp)
+    if hit is not None and (hit[2] is None or (
+            lowest is not None and hit[2] <= lowest)):
+        return hit
+    p = preimage_of_rep(MonoidRep(0, digits), ctx)
+    work, den = _prepare(p, zp, p.deg_y())
+    terms, floor = ((), None) if hit is None else (hit[0], hit[2])
+    band = _scan(work, zp, lowest, floor)
+    hit = ctx.cache[key] = (
+        terms + tuple(sorted(band.items(), reverse=True)), den, lowest)
     return hit
 
 

@@ -84,9 +84,11 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     from step to step above a floor: a step subtracts the image of g*h,
     which is image(g) times c*t^n*image(prod p_j^(d_j)).  image(g) is
     evaluated once per basis element and depth in a call, and the images
-    of the products of p_j are cached per context.  cur is evaluated afresh
-    when nothing survives above the floor, or when deg_y(cur) reaches r_N,
-    where eval_leading's theorem no longer fixes the leading term.
+    of the products of p_j are cached per context, down to the lowest
+    exponent from which a step's product reaches the floor.  cur is
+    evaluated afresh when nothing survives above the floor, or when
+    deg_y(cur) reaches r_N, where eval_leading's theorem no longer fixes
+    the leading term.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
@@ -121,8 +123,12 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
             gkey = (idx, zp.depth)
             if gkey not in basis_images:
                 basis_images[gkey] = full_image(basis[idx], zp)
+            gterms = basis_images[gkey][0]
+            lowest = (None if image.floor is None or not gterms else
+                      image.floor - rep.n * zp.scale - gterms[0][0])
             image = image.minus_product(
-                basis_images[gkey], preimage_image(rep.digits, zp, ctx),
+                basis_images[gkey],
+                preimage_image(rep.digits, zp, ctx, lowest),
                 rep.n, factor, cur)
     return ReductionTrace(tuple(steps), cur)
 
@@ -188,6 +194,13 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     families carry only a minimal generating value set, and remainders
     adjoined earlier in a round serve as divisors for the elements reduced
     after them (pending elements are taken in ascending value order).
+
+    Each pending element's S-polynomial a*f - b*g is first evaluated below
+    its syzygy value m, priming the memo that reduce reads its input's
+    leading data from.  LE(a) + LE(f) = LE(b) + LE(g) = m, and b is scaled
+    so that the leading coefficients of a*f and b*g match, so they cancel
+    and LE(a*f - b*g) < m: by eval_leading's theorem the band of the exact
+    image at scaled exponents >= m * r_N is zero.
     """
     gens = list(gens)
     if not gens:
@@ -216,6 +229,7 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
             if elt.spoly.is_zero() or elt.spoly in seen:
                 continue
             seen.add(elt.spoly)
+            eval_leading(elt.spoly, ctx, below=elt.value)
             rem = reduce(elt.spoly, basis, ctx, step_limit).remainder
             if not rem.is_zero() and rem not in basis:
                 basis.append(rem)

@@ -1,0 +1,206 @@
+"""Bounded scans and floored images against their unbounded forms.
+
+buchberger evaluates each S-polynomial a*f - b*g below its syzygy value m,
+which exceeds its leading exponent, so the scan starts under
+ceil(m * r_N) instead of at the monomial top.  reduce takes the images of
+the products of p_j only down to the exponent a step's product reaches
+the floor from.  Both must give exactly what the unbounded forms give:
+the same leading data, and the same terms wherever they cover.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+from math import ceil
+
+import pytest
+
+from valmon import gbengine
+from valmon.bipoly import (BivarPoly, Image, _power_table, eval_leading,
+                           full_image, parse, preimage_image, preimage_of_rep)
+from valmon.gbengine import buchberger, syzygy_family
+from valmon.series import (CallbackTail, GeometricTail, SimpleSeriesSpec,
+                           dyadic_spec)
+from valmon.valmonoid import MonoidContext, MonoidRep
+
+F = Fraction
+
+
+def harmonic_spec():
+    return SimpleSeriesSpec([(1, F(1, 2))],
+                            CallbackTail(lambda i: (1, F(1, i + 2))))
+
+
+def mixed_spec():
+    # coefficient denominators 3 and 2: z_N is tabulated as (6*z_N)^b
+    return SimpleSeriesSpec([(F(2, 3), F(1, 2)), (F(1, 2), F(1, 4))],
+                            GeometricTail(2))
+
+
+SPECS = {"dyadic": (dyadic_spec, 8), "harmonic": (harmonic_spec, 6),
+         "mixed-denominators": (mixed_spec, 6)}
+
+
+def random_poly(rng, max_total_deg=4):
+    """The criterion-9 generator."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(0, max_total_deg)
+        b = rng.randint(0, max_total_deg - a)
+        c = rng.randint(-5, 5)
+        if c:
+            terms[(a, b)] = c
+    return BivarPoly(terms)
+
+
+def check_bounded_scans(elements, ctx):
+    """Scan every nonzero S-polynomial with and without its syzygy value as
+    the bound; return how many scans the bound started under the monomial
+    top, and how many of those had a non-integer scaled bound."""
+    bounded = fractional = 0
+    for elt in elements:
+        f = elt.spoly
+        if f.is_zero():
+            continue
+        free = Image.scan(f, ctx)
+        got = Image.scan(f, ctx, below=elt.value)
+        assert got.lead() == free.lead()
+        zp = got.zp
+        ceiling = ceil(elt.value * zp.scale)
+        top = max(a * zp.scale + b * zp.lead for a, b, _ in f.monomials())
+        if ceiling > top:
+            assert (got.floor, got.num) == (free.floor, free.num)
+            continue
+        bounded += 1
+        fractional += (elt.value * zp.scale).denominator != 1
+        # the bounded image is the exact image on [floor, ceiling)
+        assert got.num and max(got.num) < ceiling
+        assert got.num == {e: v for e, v in full_image(f, zp)[0]
+                           if e >= (got.floor or 0) and e < ceiling}
+    return bounded, fractional
+
+
+def recorded_families(monkeypatch, gens, ctx, max_rounds):
+    """Every syzygy element buchberger builds for gens."""
+    elements = []
+
+    def recording(f, g, ctx, minimal=False):
+        family = syzygy_family(f, g, ctx, minimal)
+        elements.extend(family)
+        return family
+
+    monkeypatch.setattr(gbengine, "syzygy_family", recording)
+    buchberger([parse(g) for g in gens], ctx, max_rounds=max_rounds)
+    return elements
+
+
+# the dyadic gb inputs of this suite: x,y up to 5 rounds, the four ideals
+# whose round-capped bases are pinned, and (y^2 - x, x*y)
+DYADIC_GB_CASES = [
+    (("x", "y"), 5),
+    (("x^2", "y^3"), 5),
+    (("y^2 - x - x*y", "x^2"), 5),
+    (("y^2", "x"), 4),
+    (("y + x^3", "3*x*y"), 3),
+    (("y^2 - x", "x*y"), 3),
+]
+
+
+def test_bounded_scans_of_dyadic_gb_inputs(monkeypatch):
+    bounded = fractional = 0
+    for gens, rounds in DYADIC_GB_CASES:
+        ctx = MonoidContext(dyadic_spec(), 8)
+        elements = recorded_families(monkeypatch, gens, ctx, rounds)
+        got = check_bounded_scans(elements, ctx)
+        bounded += got[0]
+        fractional += got[1]
+    # the ceiling is rounded up when m * r_N is not an integer
+    assert bounded > 100
+    assert fractional > 0
+
+
+@pytest.mark.parametrize("spec_name", list(SPECS))
+def test_bounded_scans_of_criterion_9_families(spec_name):
+    # the families of criterion 9's 200 pairs (seed 97)
+    make_spec, depth = SPECS[spec_name]
+    ctx = MonoidContext(make_spec(), depth)
+    rng = random.Random(97)
+    elements = []
+    pairs = 0
+    while pairs < 200:
+        f, g = random_poly(rng), random_poly(rng)
+        if f.is_zero() or g.is_zero():
+            continue
+        pairs += 1
+        elements.extend(syzygy_family(f, g, ctx))
+    bounded, _ = check_bounded_scans(elements, ctx)
+    assert bounded > 0
+
+
+def test_bound_above_the_monomial_top():
+    # y^2 and x cancel at the monomial top, scaled exponent 4 at N = 2
+    # (r_2 = 4); LE = rho_2 = 3/4
+    ctx = MonoidContext(dyadic_spec(), 8)
+    f = parse("y^2 - x + y")
+    free = Image.scan(f, ctx)
+    assert free.lead().le == F(3, 4)
+    assert free.zp.scale == 4
+    # bounds whose ceiling lies above the top fall back to the plain scan
+    for below in (F(5, 4), F(100)):
+        got = Image.scan(f, ctx, below=below)
+        assert (got.floor, got.num, got.den) == (free.floor, free.num,
+                                                  free.den)
+    # ceiling 4, the top itself
+    for below in (F(4, 5), F(1)):
+        assert Image.scan(f, ctx, below=below).lead() == free.lead()
+        fresh = MonoidContext(dyadic_spec(), 8)
+        assert eval_leading(f, fresh, below=below) == eval_leading(f, ctx)
+
+
+def digit_vectors(ctx, k):
+    """Every digit vector of the first k indices, trailing zeros trimmed."""
+    ranges = [range(ctx.seqs.s(j)) for j in range(1, k + 1)]
+    return sorted({MonoidRep(0, d).digits for d in product(*ranges)})
+
+
+def check_floored(ctx, zp, digits, lowests):
+    """preimage_image under a sequence of floors against the full image."""
+    p = preimage_of_rep(MonoidRep(0, digits), ctx)
+    full, den = full_image(p, zp)
+    for lowest in lowests:
+        terms, got_den, floor = preimage_image(digits, zp, ctx, lowest)
+        assert got_den == den
+        if lowest is None or lowest <= 0:
+            assert floor is None
+            assert terms == full
+        else:
+            assert floor is None or floor <= lowest
+            assert terms == tuple(t for t in full
+                                  if floor is None or t[0] >= floor)
+
+
+# (spec, number of digit indices, y-degree fixing the table)
+FLOOR_CASES = [("dyadic", 4, 15), ("dyadic", 3, 31),
+               ("harmonic", 3, 11), ("harmonic", 2, 59)]
+
+
+@pytest.mark.parametrize("spec_name,k,degy", FLOOR_CASES)
+def test_floored_preimage_images(spec_name, k, degy):
+    make_spec, depth = SPECS[spec_name]
+    rng = random.Random(degy)
+    desc_ctx = MonoidContext(make_spec(), depth)
+    rand_ctx = MonoidContext(make_spec(), depth)
+    desc_zp = _power_table(desc_ctx, degy)
+    rand_zp = _power_table(rand_ctx, degy)
+    assert desc_zp.scale > degy
+    vectors = digit_vectors(desc_ctx, k)
+    assert len(vectors) > 5
+    for digits in vectors:
+        p = preimage_of_rep(MonoidRep(0, digits), desc_ctx)
+        top = full_image(p, desc_zp)[0][0][0]
+        step = max(1, top // 6)
+        check_floored(desc_ctx, desc_zp, digits,
+                      list(range(top + 2, -step, -step)) + [0])
+        draws = [rng.randint(-2, top + 2) for _ in range(8)]
+        check_floored(rand_ctx, rand_zp, digits,
+                      draws + [None, rng.randint(1, top + 2), -1])

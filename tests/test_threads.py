@@ -85,3 +85,14 @@ def test_shared_context_reduce_across_threads():
         ctx = MonoidContext(dyadic_spec(), 8)
         got = run_threads([lambda: reduce(f, basis, ctx)] * THREADS)
         assert got == [want] * THREADS
+
+
+def test_shared_context_buchberger_across_threads():
+    # every thread primes the memo with bounded scans of the same
+    # S-polynomials and extends the same cached images of products of p_j
+    gens = [parse("x"), parse("y")]
+    want = buchberger(gens, MonoidContext(dyadic_spec(), 8), 4)
+    for _ in range(5):
+        ctx = MonoidContext(dyadic_spec(), 8)
+        got = run_threads([lambda: buchberger(gens, ctx, 4)] * THREADS)
+        assert got == [want] * THREADS
