@@ -24,7 +24,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
@@ -510,8 +510,7 @@ class Image:
         degy = f.deg_y()
         zp = _power_table(ctx, degy)
         work, den = _prepare(f, zp, degy)
-        ceiling = None if below is None else -(
-            -below.numerator * zp.scale // below.denominator)
+        ceiling = None if below is None else ceil(below * zp.scale)
         num, floor = _leading_scan(work, zp, ceiling)
         return cls(zp, floor, num, den, degy)
 
