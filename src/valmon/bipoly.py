@@ -469,12 +469,15 @@ def _exact_truncation(spec, degy):
 
 
 def _power_table(ctx, degy):
-    """The power table of z_N at the exact depth for y-degree degy."""
-    terms = _exact_truncation(ctx.spec, degy)
-    key = ("zpow", len(terms))
-    zp = ctx.cache.get(key)
+    """The power table of z_N at the exact depth for y-degree degy, cached
+    per depth and looked up per y-degree.  setdefault keeps one table per
+    depth when threads race to build it."""
+    zp = ctx.cache.get(("zpow-degy", degy))
     if zp is None:
-        zp = ctx.cache[key] = _ZPow(terms)
+        terms = _exact_truncation(ctx.spec, degy)
+        key = ("zpow", len(terms))
+        zp = ctx.cache.get(key) or ctx.cache.setdefault(key, _ZPow(terms))
+        ctx.cache[("zpow-degy", degy)] = zp
     return zp
 
 
@@ -731,13 +734,16 @@ def preimage_image(digits, zp, ctx, lowest=None):
 
 def preimage_leading(rep, ctx):
     """Leading data of the preimage, composed multiplicatively from its
-    factors; avoids evaluating the expanded product."""
-    le = rep_value(rep, ctx)
-    lc = Fraction(1)
-    for j, d in enumerate(rep.digits, start=1):
-        if d:
-            lc *= eval_leading(truncation_min_poly(ctx, j), ctx).lc ** d
-    return LeadingData(le, lc, 0)
+    factors; avoids evaluating the expanded product.  Cached per context."""
+    key = ("preimage-lead", rep)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        lc = Fraction(1)
+        for j, d in enumerate(rep.digits, start=1):
+            if d:
+                lc *= eval_leading(truncation_min_poly(ctx, j), ctx).lc ** d
+        hit = ctx.cache[key] = LeadingData(rep_value(rep, ctx), lc, 0)
+    return hit
 
 
 def preimage(m, ctx):

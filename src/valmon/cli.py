@@ -24,6 +24,10 @@ EXIT_PRECISION = 3
 EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 
+# derive's cost grows about quadratically with the depth (1.2 s at 5,000),
+# so an untrusted --depth is capped before anything is derived
+_DEPTH_CAP = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -130,6 +134,8 @@ def run(args):
     spec = load_spec(args.spec)
     if args.depth < 1 or args.max_rounds < 1 or args.step_limit < 1:
         raise ValueError("depth and limits must be >= 1")
+    if args.depth > _DEPTH_CAP:
+        raise ValueError(f"depth {args.depth} exceeds {_DEPTH_CAP}")
 
     if args.command == "sequences":
         seqs = seqderive.derive(spec, args.depth)

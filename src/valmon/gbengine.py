@@ -17,7 +17,7 @@ from .bipoly import (BivarPoly, Image, eval_leading, full_image,
                      preimage_image, preimage_leading, preimage_of_rep)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
-from .valmonoid import decompose, enumerate_omega, min_eta
+from .valmonoid import apery_set, decompose, min_eta
 
 DEFAULT_STEP_LIMIT = 10 ** 4
 DEFAULT_MAX_ROUNDS = 16
@@ -136,7 +136,8 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
 def syzygy_values(f, g, ctx, minimal=False):
     """Values generating the intersection of the principal ideals of
     LE_z(f) and LE_z(g): per digit vector sigma of the common enumeration
-    depth, the least sigma + eta lying in both.  With minimal=True the list
+    depth (the Apery set, cached per context), the least sigma + eta lying
+    in both.  With minimal=True the list
     is pruned to the minimal generating subset (anything divisible by a
     smaller kept value is dropped), which any generating set may be.
     """
@@ -145,11 +146,9 @@ def syzygy_values(f, g, ctx, minimal=False):
     rep_f = decompose(lead_f.le, ctx)
     rep_g = decompose(lead_g.le, ctx)
     depth = max(len(rep_f.digits), len(rep_g.digits))
-    values = []
-    for sigma, _ in enumerate_omega(depth, ctx, 0):
-        eta = min_eta(sigma, (lead_f.le, lead_g.le), ctx)
-        values.append(sigma + eta)
-    values.sort()
+    targets = (lead_f.le, lead_g.le)
+    values = sorted(sigma + min_eta(sigma, targets, ctx)
+                    for sigma in apery_set(depth, ctx))
     if not minimal:
         return values, lead_f, lead_g
     kept = []

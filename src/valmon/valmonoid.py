@@ -9,18 +9,26 @@ solved from the largest index down; the factor m^(j) on the right keeps
 each partial remainder in (1/r_l(j-1))Z, and r_l(j)*m^(j) is an integer at
 every step.  Since gcd(c_j, s_j) = 1 the digit is unique, and membership
 reduces to the final remainder being a nonnegative integer.
+
+The chain runs on the lattice (1/R)Z, R = r_l(depth), which holds every
+value of the context's depth: a value q is carried as the int q*R, and
+Fractions appear only at the boundary (arguments, MonoidRep values).  On
+any q of the lattice, members or not, the chain leaves digits d_j and an
+integer remainder c(q) with q = c(q) + sum d_j rho_j.  Canonical forms are
+unique, so the sums sigma = sum d_j rho_j are the least members of their
+classes modulo Z: they form the Apery set of the monoid with respect to 1
+(Apery 1946; Rosales and Garcia-Sanchez, Numerical Semigroups, 2009).
+Hence q is a member exactly when c(q) >= 0, and since adding an integer
+to q adds it to c(q), the least integer eta putting sigma + eta - t in the
+monoid is -c(sigma - t), with no search (min_eta).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil
 
-from .errors import InsufficientPrecision, NotInMonoid
+from .errors import InsufficientPrecision, InternalError, NotInMonoid
 from . import seqderive
-
-# how far above its lower bound min_eta searches for eta
-_ETA_CAP = 10000
 
 
 @dataclass(frozen=True)
@@ -42,12 +50,21 @@ class MonoidContext:
 
     The context is logically immutable; the cache dict only memoizes pure
     computations (leading data, truncation powers, minimal polynomials).
+    lattice_den is R = r_l(depth), and chain holds one row of the
+    congruence chain per index j, from depth down to 1:
+    (R / r_l(j), s_j, c_j^-1 mod s_j, rho_j * R).
     """
 
     def __init__(self, spec, depth=8):
         self.spec = spec
-        self.seqs = seqderive.derive(spec, depth)
+        self.seqs = seqs = seqderive.derive(spec, depth)
         self.depth = depth
+        self.lattice_den = R = seqs.r(seqs.l(depth))
+        rows = []
+        for j in range(depth, 0, -1):
+            step, s = R // seqs.r(seqs.l(j)), seqs.s(j)
+            rows.append((step, s, pow(seqs.c(j), -1, s), seqs.c(j) * step))
+        self.chain = tuple(rows)
         self.cache = {}
 
 
@@ -70,49 +87,55 @@ def rep_value(rep, ctx):
 
 
 def decompose(m, ctx):
-    """The canonical representation of m, or None when m is not a member."""
-    m = Fraction(m)
-    key = ("decompose", m)
+    """The canonical representation of m, or None when m is not a member.
+    Cached per context under the lattice point m * R."""
+    if not isinstance(m, Fraction):
+        m = Fraction(m)
+    if m.numerator < 0:
+        return None
+    k = _on_lattice(m, ctx)
+    key = ("decompose", k)
     hit = ctx.cache.get(key, _MISS)
-    if hit is not _MISS:
-        return hit
-    rep = _decompose_uncached(m, ctx)
-    ctx.cache[key] = rep
-    return rep
+    if hit is _MISS:
+        c, digits = _chain(k, ctx)
+        hit = ctx.cache[key] = MonoidRep(c, digits) if c >= 0 else None
+    return hit
 
 
 _MISS = object()
 
 
-def _decompose_uncached(m, ctx):
-    if m < 0:
-        return None
-    seqs = ctx.seqs
-    b = m.denominator
-    if b == 1:
-        return MonoidRep(m.numerator, ())
-    i = None
-    for idx in range(seqs.depth + 1):
-        if seqs.r(seqs.l(idx)) % b == 0:
-            i = idx
-            break
-    if i is None:
+def _on_lattice(q, ctx):
+    """q * R as an int; InsufficientPrecision when R = r_l(depth) is not a
+    multiple of q's denominator."""
+    b = q.denominator
+    k, rest = divmod(ctx.lattice_den, b)
+    if rest:
         raise InsufficientPrecision(
-            f"denominator {b} not resolved at depth {seqs.depth}")
-    digits = [0] * i
-    cur = m
-    for j in range(i, 0, -1):
-        rj = seqs.r(seqs.l(j))
-        sj = seqs.s(j)
-        scaled = cur * rj
-        assert scaled.denominator == 1, "remainder left the expected lattice"
-        d = (scaled.numerator * pow(seqs.c(j), -1, sj)) % sj
-        digits[j - 1] = d
-        if d:
-            cur -= d * seqs.rho(j)
-    if cur.denominator != 1 or cur < 0:
-        return None
-    return MonoidRep(cur.numerator, tuple(digits))
+            f"denominator {b} not resolved at depth {ctx.depth}")
+    return q.numerator * k
+
+
+def _chain(k, ctx):
+    """(c, digits) for the lattice point q = k / R: the congruence chain's
+    integer remainder c(q) and digits (d_1, ..., d_depth), with
+    q = c(q) + sum d_j rho_j.  q is a member exactly when c(q) >= 0.
+
+    Before row j the partial remainder lies in (1/r_l(j))Z, after it in
+    (1/r_l(j-1))Z; each row tests that exactly."""
+    digits = []
+    for step, s, c_inv, rho in ctx.chain:
+        scaled, rest = divmod(k, step)
+        if rest:
+            raise InternalError("remainder left the expected lattice")
+        d = scaled * c_inv % s
+        digits.append(d)
+        k -= d * rho
+    c, rest = divmod(k, ctx.lattice_den)
+    if rest:
+        raise InternalError("remainder left the expected lattice")
+    digits.reverse()
+    return c, tuple(digits)
 
 
 def base_digits(d, ctx):
@@ -178,17 +201,36 @@ def enumerate_omega(i, ctx, n_max):
     return out
 
 
+def apery_set(i, ctx):
+    """The sums sigma = sum_{j<=i} d_j rho_j over all digit vectors
+    (0 <= d_j < s_j), unsorted: the least members of their classes modulo
+    Z among the members of index <= i.  Cached per context and index."""
+    key = ("apery", i)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        if i > ctx.depth:
+            raise InsufficientPrecision(
+                f"omega index {i} exceeds depth {ctx.depth}")
+        sums = [0]
+        for _, s, _, rho in ctx.chain[ctx.depth - i:]:
+            sums = [k + d * rho for d in range(s) for k in sums]
+        R = ctx.lattice_den
+        hit = ctx.cache[key] = tuple(Fraction(k, R) for k in sums)
+    return hit
+
+
 def min_eta(sigma, targets, ctx):
     """Smallest integer eta with sigma + eta - t a member for every target t.
 
-    Existence is guaranteed because large naturals absorb any quotient-group
-    element back into the monoid.
+    sigma + eta - t is a member exactly when c(sigma - t) + eta >= 0 (see
+    the module docstring), so eta = max over t of -c(sigma - t).  No lower
+    bound ceil(t - sigma) is needed: q - c(q) = sum d_j rho_j >= 0, so
+    sigma + eta - t >= 0 already.
     """
-    lo = max(ceil(t - sigma) for t in targets)
-    eta = lo
-    while eta - lo <= _ETA_CAP:
-        if all(decompose(sigma + eta - t, ctx) is not None for t in targets):
-            return eta
-        eta += 1
-    raise InsufficientPrecision(
-        f"no common ideal element found within {_ETA_CAP} steps above {lo}")
+    try:
+        k = _on_lattice(sigma, ctx)
+        diffs = [k - _on_lattice(t, ctx) for t in targets]
+    except InsufficientPrecision:
+        # off the lattice, a difference may still land on it
+        diffs = [_on_lattice(sigma - t, ctx) for t in targets]
+    return max(-_chain(d, ctx)[0] for d in diffs)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from valmon import cli, valmonoid
+from valmon import cli, seqderive, valmonoid
 from valmon.bipoly import parse
 from valmon.cli import main
 from valmon.errors import IdentityViolation, InternalError
@@ -132,6 +132,24 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
     assert "internal error" in err
+
+
+def test_depth_above_the_cap_is_a_usage_error(capsys, monkeypatch):
+    def derive(spec, depth):
+        raise AssertionError("derived a depth above the cap")
+    monkeypatch.setattr(seqderive, "derive", derive)
+    for command in (("sequences",), ("selfcheck",), ("decompose", "1/2")):
+        code, out, err = run(capsys, "--depth", str(cli._DEPTH_CAP + 1),
+                             *command)
+        assert code == cli.EXIT_USAGE == 1
+        assert out == ""
+        assert f"depth {cli._DEPTH_CAP + 1} exceeds {cli._DEPTH_CAP}" in err
+
+
+def test_depth_at_the_cap_is_accepted(capsys):
+    got = run_json(capsys, "--depth", str(cli._DEPTH_CAP), "decompose",
+                   "1/2")
+    assert got["n"] == "0" and got["digits"] == [1]
 
 
 def test_step_limit_is_a_usage_error(capsys):

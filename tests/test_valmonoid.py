@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 import pytest
 
+from valmon.bipoly import BivarPoly, eval_leading, truncation_min_poly
 from valmon.errors import InsufficientPrecision, NotInMonoid
+from valmon.gbengine import syzygy_values
 from valmon.series import dyadic_spec
-from valmon.valmonoid import (MonoidContext, MonoidRep, base_digits,
-                              canonical_min, decompose, divides,
-                              enumerate_omega, lambda_d, rep_value)
+from valmon.valmonoid import (MonoidContext, MonoidRep, apery_set,
+                              base_digits, canonical_min, decompose, divides,
+                              enumerate_omega, lambda_d, min_eta, rep_value)
 
 F = Fraction
 
@@ -184,3 +188,209 @@ def test_decompose_round_trip_on_other_contexts():
     for other in _other_contexts():
         for v, rep in enumerate_omega(3, other, 4):
             assert decompose(v, other) == rep
+
+
+# ---------------------------------------------------------------------------
+# The integer lattice: decompose's chain and min_eta's closed form against
+# brute-force enumeration and the linear search min_eta used to run.
+
+_REFERENCE_ETA_CAP = 10000
+
+
+def reference_min_eta(sigma, targets, ctx):
+    """min_eta as a linear search upward from ceil(t - sigma), with its cap:
+    the definition the closed form replaced."""
+    lo = max(ceil(t - sigma) for t in targets)
+    eta = lo
+    while eta - lo <= _REFERENCE_ETA_CAP:
+        if all(decompose(sigma + eta - t, ctx) is not None for t in targets):
+            return eta
+        eta += 1
+    raise InsufficientPrecision(
+        f"no common ideal element found within {_REFERENCE_ETA_CAP} steps "
+        f"above {lo}")
+
+
+def _named_contexts():
+    harmonic, mixed = _other_contexts()
+    return {"dyadic": MonoidContext(dyadic_spec(), 8), "harmonic": harmonic,
+            "mixed-denominators": mixed}
+
+
+def test_chain_rows_leave_the_dyadic_case():
+    # off the dyadic spec the chain has s_j != 2 and c_j^-1 != 1 (mod s_j),
+    # so a swapped inverse, weight or row order changes decompose
+    for name, other in _named_contexts().items():
+        seqs = other.seqs
+        R = seqs.r(seqs.l(other.depth))
+        assert other.lattice_den == R
+        rows = [(R // seqs.r(seqs.l(j)), seqs.s(j),
+                 pow(seqs.c(j), -1, seqs.s(j)), seqs.rho(j) * R)
+                for j in range(other.depth, 0, -1)]
+        assert list(other.chain) == rows
+        if name != "dyadic":
+            assert any(s != 2 for _, s, _, _ in other.chain)
+            assert any(c_inv != 1 for _, _, c_inv, _ in other.chain)
+
+
+@pytest.mark.parametrize("name,bound", [("harmonic", 12),
+                                        ("mixed-denominators", 1)])
+def test_decompose_on_every_lattice_point(name, bound):
+    # members and non-members alike, against brute-force enumeration: every
+    # member of the lattice (1/R)Z has digits only up to the context depth
+    other = _named_contexts()[name]
+    R = other.lattice_den
+    members = dict(enumerate_omega(other.depth, other, bound))
+    for k in range(bound * R + 1):
+        m = F(k, R)
+        want = members.get(m)
+        got = decompose(m, other)
+        assert got == want, m
+        assert decompose(-m - F(1, R), other) is None
+
+
+def test_off_lattice_denominators_raise(ctx):
+    # never a silently floored answer: 1/3 and 1/512 lie outside (1/256)Z
+    for m, b in ((F(1, 3), 3), (F(1, 512), 512), (F(1025, 512), 512)):
+        message = f"denominator {b} not resolved at depth 8"
+        with pytest.raises(InsufficientPrecision, match=message):
+            decompose(m, ctx)
+        # as before, a negative value is no member whatever its denominator
+        assert decompose(-m, ctx) is None
+    cases = [(F(1, 3), (F(1, 2),)), (F(1, 2), (F(1, 512), F(3, 4))),
+             (F(3, 4), (F(1, 2), F(5, 3))), (F(1, 512), (F(1, 2),))]
+    for sigma, targets in cases:
+        with pytest.raises(InsufficientPrecision) as want:
+            reference_min_eta(sigma, targets, ctx)
+        assert "not resolved at depth 8" in str(want.value)
+        with pytest.raises(InsufficientPrecision, match=str(want.value)):
+            min_eta(sigma, targets, ctx)
+    # off the lattice, a difference that lands on it is still decided
+    for sigma, targets in [(F(1, 3), (F(1, 3),)),
+                           (F(1, 3), (F(1, 3), F(7, 3)))]:
+        assert min_eta(sigma, targets, ctx) == reference_min_eta(
+            sigma, targets, ctx)
+
+
+def _random_cases(other, rng, count, top):
+    """(sigma, targets): sigma a random Apery element or lattice point of
+    index <= top, one to three targets members or arbitrary lattice points
+    of index <= top."""
+    R = other.lattice_den
+    sums = [apery_set(i, other) for i in range(top + 1)]
+
+    def point():
+        if rng.random() < 0.5:
+            return rng.choice(sums[rng.randint(0, top)]) + rng.randint(0, 3)
+        # a lattice point of index <= top
+        step = R // other.seqs.r(other.seqs.l(top))
+        return F(rng.randint(-4 * R, 4 * R) // step * step, R)
+
+    for _ in range(count):
+        sigma = rng.choice(sums[rng.randint(0, top)]) if rng.random() < 0.7 \
+            else point()
+        yield sigma, tuple(point() for _ in range(rng.randint(1, 3)))
+
+
+@pytest.mark.parametrize("name,top,count", [
+    ("dyadic", 8, 2000), ("harmonic", 6, 400),
+    # at index 6 the search runs past its cap: rho_6 = 61897273/30030
+    ("mixed-denominators", 5, 80)])
+def test_min_eta_closed_form_against_search(name, top, count):
+    other = _named_contexts()[name]
+    rng = random.Random(2024)
+    for sigma, targets in _random_cases(other, rng, count, top):
+        assert min_eta(sigma, targets, other) == reference_min_eta(
+            sigma, targets, other), (sigma, targets)
+
+
+def test_min_eta_closed_form_past_the_search_cap():
+    # index 6 of the mixed spec, where the search gives up: eta is still
+    # the least integer putting every sigma + eta - t in the monoid
+    other = _named_contexts()["mixed-denominators"]
+    rng = random.Random(2024)
+    past_cap = 0
+    for sigma, targets in _random_cases(other, rng, 300, 6):
+        eta = min_eta(sigma, targets, other)
+        assert all(decompose(sigma + eta - t, other) is not None
+                   for t in targets)
+        assert any(decompose(sigma + eta - 1 - t, other) is None
+                   for t in targets)
+        lo = max(ceil(t - sigma) for t in targets)
+        past_cap += eta - lo > _REFERENCE_ETA_CAP
+    assert past_cap > 0
+
+
+def test_min_eta_harmonic_top_targets():
+    # harmonic depth 6, targets (rho_6, rho_5), every sigma of index 6
+    other = _named_contexts()["harmonic"]
+    targets = (other.seqs.rho(6), other.seqs.rho(5))
+    sigmas = [v for v, _ in enumerate_omega(6, other, 0)]
+    assert len(sigmas) == 840
+    assert sorted(apery_set(6, other)) == sigmas
+    for sigma in sigmas:
+        assert min_eta(sigma, targets, other) == reference_min_eta(
+            sigma, targets, other)
+
+
+def reference_syzygy_values(f, g, ctx, minimal=False):
+    """syzygy_values from enumerate_omega and the linear search."""
+    lead_f, lead_g = eval_leading(f, ctx), eval_leading(g, ctx)
+    depth = max(len(decompose(lead_f.le, ctx).digits),
+                len(decompose(lead_g.le, ctx).digits))
+    values = sorted(
+        sigma + reference_min_eta(sigma, (lead_f.le, lead_g.le), ctx)
+        for sigma, _ in enumerate_omega(depth, ctx, 0))
+    if not minimal:
+        return values
+    kept = []
+    for v in values:
+        if not any(decompose(v - k, ctx) is not None for k in kept):
+            kept.append(v)
+    return kept
+
+
+def _random_poly(rng, max_total_deg=4):
+    """The criterion-9 generator."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(0, max_total_deg)
+        b = rng.randint(0, max_total_deg - a)
+        c = rng.randint(-5, 5)
+        if c:
+            terms[(a, b)] = c
+    return BivarPoly(terms)
+
+
+def _criterion_9_pairs():
+    rng = random.Random(97)
+    pairs = []
+    while len(pairs) < 200:
+        f, g = _random_poly(rng), _random_poly(rng)
+        if not (f.is_zero() or g.is_zero()):
+            pairs.append((f, g))
+    return pairs
+
+
+def test_syzygy_values_unchanged_on_criterion_9_pairs(ctx):
+    # ctx is shared, so the cached Apery sets serve every pair
+    compared = 0
+    for f, g in _criterion_9_pairs():
+        for minimal in (False, True):
+            got, lead_f, lead_g = syzygy_values(f, g, ctx, minimal)
+            assert (lead_f, lead_g) == (eval_leading(f, ctx),
+                                        eval_leading(g, ctx))
+            assert got == reference_syzygy_values(f, g, ctx, minimal)
+            compared += len(got)
+    assert compared > 400  # some pairs have several values
+
+
+def test_syzygy_values_unchanged_on_harmonic_key_polynomials():
+    other = _named_contexts()["harmonic"]
+    p5, p4 = truncation_min_poly(other, 5), truncation_min_poly(other, 4)
+    values = syzygy_values(p5, p4, other)[0]
+    assert len(values) == 420
+    assert values == reference_syzygy_values(p5, p4, other)
+    kept = syzygy_values(p5, p4, other, minimal=True)[0]
+    assert kept == reference_syzygy_values(p5, p4, other, minimal=True)
+    assert kept == [F(401, 14), F(10021, 60)]
