@@ -49,7 +49,8 @@ class MonoidContext:
     """A spec together with its derived sequences and shared caches.
 
     The context is logically immutable; the cache dict only memoizes pure
-    computations (leading data, truncation powers, minimal polynomials).
+    computations (decompositions, Apery sets, leading data, truncation
+    powers, minimal polynomials).
     lattice_den is R = r_l(depth), and chain holds one row of the
     congruence chain per index j, from depth down to 1:
     (R / r_l(j), s_j, c_j^-1 mod s_j, rho_j * R).

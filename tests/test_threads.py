@@ -96,3 +96,19 @@ def test_shared_context_buchberger_across_threads():
         ctx = MonoidContext(dyadic_spec(), 8)
         got = run_threads([lambda: buchberger(gens, ctx, 4)] * THREADS)
         assert got == [want] * THREADS
+
+
+def test_shared_context_power_tables_across_threads():
+    # y-degrees 8..15 share the depth-4 table (r_4 = 16 > deg_y); racing
+    # threads must all read one table per depth, whichever y-degree they
+    # look it up by
+    polys = [parse(f"y^{d} - x^3") for d in range(8, 16)]
+    for _ in range(10):
+        ctx = MonoidContext(dyadic_spec(), 8)
+        run_threads([lambda: [eval_leading(f, ctx) for f in polys]]
+                    * THREADS)
+        tables = {key: zp for key, zp in ctx.cache.items()
+                  if key[0] == "zpow"}
+        assert list(tables) == [("zpow", 4)]
+        by_degy = {ctx.cache[("zpow-degy", d)] for d in range(8, 16)}
+        assert by_degy == {tables[("zpow", 4)]}

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import ceil
@@ -263,7 +264,8 @@ def test_off_lattice_denominators_raise(ctx):
         with pytest.raises(InsufficientPrecision) as want:
             reference_min_eta(sigma, targets, ctx)
         assert "not resolved at depth 8" in str(want.value)
-        with pytest.raises(InsufficientPrecision, match=str(want.value)):
+        with pytest.raises(InsufficientPrecision,
+                           match=re.escape(str(want.value))):
             min_eta(sigma, targets, ctx)
     # off the lattice, a difference that lands on it is still decided
     for sigma, targets in [(F(1, 3), (F(1, 3),)),
