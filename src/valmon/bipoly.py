@@ -44,6 +44,10 @@ class BivarPoly:
     {(xdeg, ydeg): int} over one positive denominator, in lowest terms, so
     equal polynomials have equal representations.  Operations run on ints
     and normalise once, in _make; the zero polynomial is {} over 1.
+    Subtraction accumulates over the common denominator in one pass, and
+    the reduction and syzygy steps form p - q*r with the fused
+    _minus_product, so the product is never reduced on its own; scale
+    reads an int or a Fraction's numerator and denominator directly.
 
     The constructor takes a dict or (key, coeff) pairs with int, Fraction
     or "p/q" coefficients; coeffs and monomials() return Fractions.
@@ -135,18 +139,24 @@ class BivarPoly:
         return hash((self._den, frozenset(self._num.items())))
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __neg__(self):
+        return BivarPoly._make({k: -v for k, v in self._num.items()},
+                               self._den)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, accumulated over the lcm of the two
+        denominators."""
         den = lcm(self._den, other._den)
-        m1, m2 = den // self._den, den // other._den
+        m1, m2 = den // self._den, sign * (den // other._den)
         num = {k: v * m1 for k, v in self._num.items()}
         for k, v in other._num.items():
             num[k] = num.get(k, 0) + v * m2
         return BivarPoly._make(num, den)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         acc = {}
@@ -160,11 +170,38 @@ class BivarPoly:
                     acc[k] = v1 * v2
         return BivarPoly._make(acc, self._den * other._den)
 
+    def _minus_product(self, q, r):
+        """self - q*r in one accumulation: the product's terms are
+        subtracted straight into self's numerators over the common
+        denominator, and the result is normalised once.  Equal to
+        self - q * r, without building and reducing q * r on its own."""
+        qr_den = q._den * r._den
+        den = lcm(self._den, qr_den)
+        m1, m2 = den // self._den, den // qr_den
+        acc = {k: v * m1 for k, v in self._num.items()}
+        right = r._num.items()
+        for (a1, b1), v1 in q._num.items():
+            v1 *= -m2
+            for (a2, b2), v2 in right:
+                k = (a1 + a2, b1 + b2)
+                if k in acc:
+                    acc[k] += v1 * v2
+                else:
+                    acc[k] = v1 * v2
+        return BivarPoly._make(acc, den)
+
     def scale(self, q):
-        q = Fraction(q)
-        return BivarPoly._make(
-            {k: v * q.numerator for k, v in self._num.items()},
-            self._den * q.denominator)
+        """q * self for an int, a Fraction, or anything Fraction takes."""
+        if isinstance(q, int):
+            return self._scaled(q, 1)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return self._scaled(q.numerator, q.denominator)
+
+    def _scaled(self, n, d):
+        """(n / d) * self for ints n and d > 0, not necessarily coprime."""
+        return BivarPoly._make({k: v * n for k, v in self._num.items()},
+                               self._den * d)
 
     def __pow__(self, n):
         if n < 0:
@@ -528,10 +565,11 @@ class Image:
                            Fraction(self.num[e], self.den), self.zp.depth)
 
     def minus_product(self, g, p, shift, factor, result):
-        """The image of result = f - factor * x^shift * g * p, self being
-        f's: g is a full image at the same depth and p a preimage_image
-        that covers the exponents >= floor - shift - (top exponent of g).
-        Only the products that reach the floor are formed."""
+        """The image of result = f - (n/d) * x^shift * g * p, self being
+        f's, for the step factor (n, d) given as ints with d > 0: g is a
+        full image at the same depth and p a preimage_image that covers the
+        exponents >= floor - shift - (top exponent of g).  Only the
+        products that reach the floor are formed."""
         (gterms, gden), (pterms, pden, _) = g, p
         shift *= self.zp.scale
         lo = (self.floor or 0) - shift
@@ -545,10 +583,11 @@ class Image:
                     break
                 k = e1 + e2
                 prod[k] = prod.get(k, 0) + c1 * c2
-        pden *= gden * factor.denominator
+        n, d = factor
+        pden *= gden * d
         den = lcm(self.den, pden)
         m1 = den // self.den
-        m2 = factor.numerator * (den // pden)
+        m2 = n * (den // pden)
         num = {e: v * m1 for e, v in self.num.items()}
         for e, v in prod.items():
             e += shift

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 
 def rat(text):
-    """Parse a rational from an int, a Fraction, or a "p/q" string."""
+    """Parse a rational from an int, a Fraction, or a "p/q" string.
+    Malformed text, a zero denominator included, raises ValueError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -24,7 +25,10 @@ def rat(text):
     s = str(text).strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError("zero denominator")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

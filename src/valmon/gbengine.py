@@ -12,12 +12,14 @@ m - LE_z(f), m - LE_z(g), scaled so the leading terms of a*f and b*g cancel.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .bipoly import (BivarPoly, Image, eval_leading, full_image,
                      preimage_image, preimage_leading, preimage_of_rep)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
-from .valmonoid import apery_set, decompose, min_eta
+from .valmonoid import (apery_set, decompose, decompose_point,
+                        lattice_point, min_eta)
 
 DEFAULT_STEP_LIMIT = 10 ** 4
 DEFAULT_MAX_ROUNDS = 16
@@ -51,24 +53,52 @@ class GbResult:
     iterations: int
 
 
+def _int_lead(lead, ctx):
+    """Leading data as the step arithmetic reads it: (le, k, n, d) with k
+    the lattice point le * R (None off the lattice) and lc = n / d."""
+    lc = lead.lc
+    return lead.le, lattice_point(lead.le, ctx), lc.numerator, lc.denominator
+
+
+def _step_factor(n, d):
+    """n / d as coprime ints (n, d) with d > 0."""
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _quotient_for(lead_f, lead_g, ctx):
     """(h, rep, factor) with h = factor * preimage(rep) lowering the leading
     term lead_f against lead_g, or None when the value of g does not divide
-    the value of f."""
-    rep = decompose(lead_f.le - lead_g.le, ctx)
+    the value of f.  The leads are _int_lead tuples; the factor
+    LC(f) / (LC(g) * LC(preimage)) is formed from their int numerators and
+    denominators with one gcd and returned as (n, d), d > 0.
+
+    The value difference is the difference of lattice ints.  A leading
+    exponent off the lattice (deg_y >= r_l(depth)) falls back to the
+    Fraction difference, as min_eta does: a difference landing on the
+    lattice is decomposed, any other raises decompose's
+    InsufficientPrecision."""
+    le_f, kf, nf, df = lead_f
+    le_g, kg, ng, dg = lead_g
+    if kf is None or kg is None:
+        rep = decompose(le_f - le_g, ctx)
+    else:
+        rep = decompose_point(kf - kg, ctx)
     if rep is None:
         return None
-    p = preimage_of_rep(rep, ctx)
-    lp = preimage_leading(rep, ctx)
-    factor = lead_f.lc / (lead_g.lc * lp.lc)
-    return p.scale(factor), rep, factor
+    lc = preimage_leading(rep, ctx).lc
+    factor = _step_factor(nf * dg * lc.denominator, df * ng * lc.numerator)
+    return preimage_of_rep(rep, ctx)._scaled(*factor), rep, factor
 
 
 def approx_quotient(f, g, ctx):
     """h with f = g*h or LE_z(f - g*h) < LE_z(f), when the values divide."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("approximate quotient needs nonzero inputs")
-    q = _quotient_for(eval_leading(f, ctx), eval_leading(g, ctx), ctx)
+    q = _quotient_for(_int_lead(eval_leading(f, ctx), ctx),
+                      _int_lead(eval_leading(g, ctx), ctx), ctx)
     return None if q is None else q[0]
 
 
@@ -89,10 +119,17 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     evaluated afresh when nothing survives above the floor, or when
     deg_y(cur) reaches r_N, where eval_leading's theorem no longer fixes
     the leading term.
+
+    The step arithmetic runs on ints.  The basis leads are read once per
+    call as lattice points and int coefficients (_int_lead), each step's
+    value difference is a difference of lattice ints, its factor is a
+    coprime pair (n, d) formed with one gcd (_quotient_for), and cur - g*h
+    is formed in one accumulation (BivarPoly._minus_product).  Fractions
+    remain only in the trace: the quotient's coefficients and value_before.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
-    lead_basis = [eval_leading(g, ctx) for g in basis]
+    lead_basis = [_int_lead(eval_leading(g, ctx), ctx) for g in basis]
     basis_images = {}
     steps = []
     cur = f
@@ -107,8 +144,9 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
         if steps and cur_lead.le >= steps[-1].value_before:
             raise InternalError(
                 f"reduction failed to lower the value at step {len(steps)}")
+        lead = _int_lead(cur_lead, ctx)
         for idx, lg in enumerate(lead_basis):
-            q = _quotient_for(cur_lead, lg, ctx)
+            q = _quotient_for(lead, lg, ctx)
             if q is not None:
                 break
         else:
@@ -117,7 +155,7 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
         steps.append(ReductionStep(idx, h, cur_lead.le))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
-        cur = cur - basis[idx] * h
+        cur = cur._minus_product(basis[idx], h)
         if image is not None:
             zp = image.zp
             gkey = (idx, zp.depth)
@@ -159,14 +197,24 @@ def syzygy_values(f, g, ctx, minimal=False):
 
 
 def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
-    ra = decompose(value - lead_f.le, ctx)
-    rb = decompose(value - lead_g.le, ctx)
+    """The element of the pair at value; lead_f and lead_g are _int_lead
+    tuples.  syzygy_values has decomposed both leading exponents, so they
+    lie on the lattice, as every value sigma + eta does, and the value
+    differences are lattice ints.  b's factor LC(a) LC(f) / (LC(pb) LC(g))
+    is formed on ints, and the S-polynomial a*f - b*g with the fused
+    _minus_product."""
+    _, kf, nf, df = lead_f
+    _, kg, ng, dg = lead_g
+    kv = lattice_point(value, ctx)
+    ra = decompose_point(kv - kf, ctx)
+    rb = decompose_point(kv - kg, ctx)
     a = preimage_of_rep(ra, ctx)
-    pb = preimage_of_rep(rb, ctx)
-    la = preimage_leading(ra, ctx)
-    lb = preimage_leading(rb, ctx)
-    b = pb.scale((la.lc * lead_f.lc) / (lb.lc * lead_g.lc))
-    return SyzygyElement(value, a, b, a * f - b * g)
+    la = preimage_leading(ra, ctx).lc
+    lb = preimage_leading(rb, ctx).lc
+    b = preimage_of_rep(rb, ctx)._scaled(*_step_factor(
+        la.numerator * nf * lb.denominator * dg,
+        la.denominator * df * lb.numerator * ng))
+    return SyzygyElement(value, a, b, (a * f)._minus_product(b, g))
 
 
 def syzygy_family(f, g, ctx, minimal=False):
@@ -176,6 +224,7 @@ def syzygy_family(f, g, ctx, minimal=False):
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("syzygy family needs nonzero inputs")
     values, lead_f, lead_g = syzygy_values(f, g, ctx, minimal)
+    lead_f, lead_g = _int_lead(lead_f, ctx), _int_lead(lead_g, ctx)
     return [_syzygy_element(v, f, g, lead_f, lead_g, ctx) for v in values]
 
 

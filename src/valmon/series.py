@@ -236,18 +236,20 @@ class SimpleSeriesSpec:
 
     @classmethod
     def from_json(cls, data):
+        """The spec of a JSON object; InvalidSpec for any malformed part,
+        the tail included."""
         try:
             prefix = [(rat(t["c"]), rat(t["e"])) for t in data["prefix"]]
             tail_data = data.get("tail", {"kind": "none"})
             kind = tail_data.get("kind", "none")
-        except (KeyError, TypeError, ValueError) as exc:
+            if kind == "none":
+                tail = TailRule()
+            elif kind == "geometric":
+                tail = GeometricTail(int(tail_data["base"]))
+            else:
+                raise InvalidSpec(f"unknown tail kind {kind!r}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed spec JSON: {exc}")
-        if kind == "none":
-            tail = TailRule()
-        elif kind == "geometric":
-            tail = GeometricTail(int(tail_data["base"]))
-        else:
-            raise InvalidSpec(f"unknown tail kind {kind!r}")
         return cls(prefix, tail)
 
 

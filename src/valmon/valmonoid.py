@@ -89,12 +89,20 @@ def rep_value(rep, ctx):
 
 def decompose(m, ctx):
     """The canonical representation of m, or None when m is not a member.
-    Cached per context under the lattice point m * R."""
+    Cached per context under the lattice point m * R (decompose_point)."""
     if not isinstance(m, Fraction):
         m = Fraction(m)
     if m.numerator < 0:
         return None
-    k = _on_lattice(m, ctx)
+    return decompose_point(_on_lattice(m, ctx), ctx)
+
+
+def decompose_point(k, ctx):
+    """decompose of the lattice point k / R, given as the int k: the
+    canonical representation, or None for a non-member (every negative k
+    included).  Cached per context under ("decompose", k)."""
+    if k < 0:
+        return None
     key = ("decompose", k)
     hit = ctx.cache.get(key, _MISS)
     if hit is _MISS:
@@ -106,15 +114,21 @@ def decompose(m, ctx):
 _MISS = object()
 
 
+def lattice_point(q, ctx):
+    """q * R as an int, or None when R = r_l(depth) is not a multiple of
+    q's denominator."""
+    k, rest = divmod(ctx.lattice_den, q.denominator)
+    return None if rest else q.numerator * k
+
+
 def _on_lattice(q, ctx):
-    """q * R as an int; InsufficientPrecision when R = r_l(depth) is not a
-    multiple of q's denominator."""
-    b = q.denominator
-    k, rest = divmod(ctx.lattice_den, b)
-    if rest:
+    """q * R as an int; InsufficientPrecision when q lies off the
+    lattice."""
+    k = lattice_point(q, ctx)
+    if k is None:
         raise InsufficientPrecision(
-            f"denominator {b} not resolved at depth {ctx.depth}")
-    return q.numerator * k
+            f"denominator {q.denominator} not resolved at depth {ctx.depth}")
+    return k
 
 
 def _chain(k, ctx):

@@ -203,3 +203,42 @@ def test_flags_after_subcommand(tmp_path, capsys):
     assert got == {"in_monoid": False}
     got = run_json(capsys, "sequences", "--depth", "1")
     assert got["rho"] == ["1/2"]
+
+
+def assert_usage_error(code, out, err):
+    """Exit 1 with a one-line error message, and nothing on stdout."""
+    assert code == cli.EXIT_USAGE == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["member", "decompose", "preimage"])
+def test_zero_denominator_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "1/0")
+    assert_usage_error(code, out, err)
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("field", ["c", "e"])
+def test_spec_with_a_zero_denominator_is_a_usage_error(tmp_path, capsys,
+                                                       field):
+    term = {"c": "1", "e": "1/2"}
+    term[field] = "1/0"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"prefix": [term]}))
+    code, out, err = run(capsys, "--spec", str(path), "sequences")
+    assert_usage_error(code, out, err)
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("tail", [{"kind": "geometric"},
+                                  {"kind": "geometric", "base": None},
+                                  "none"],
+                         ids=["no-base", "null-base", "string-tail"])
+def test_malformed_spec_tail_is_a_usage_error(tmp_path, capsys, tail):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"prefix": [{"c": "1", "e": "1/2"}],
+                                "tail": tail}))
+    code, out, err = run(capsys, "--spec", str(path), "sequences")
+    assert_usage_error(code, out, err)
+    assert "malformed spec JSON" in err

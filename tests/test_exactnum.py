@@ -16,6 +16,12 @@ def test_rat_parsing():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", " 7/00 ", "0/0"])
+def test_rat_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat(text)
+
+
 def test_rat_str():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5"

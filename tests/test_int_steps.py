@@ -1,0 +1,276 @@
+"""Integer step arithmetic against the Fraction arithmetic it replaced.
+
+BivarPoly forms p - q*r with one fused accumulation (_minus_product),
+subtracts without negating first, and scales by an int or a Fraction's
+numerator and denominator directly.  gbengine forms its step factors from
+the int numerators and denominators of the leading coefficients, and its
+value differences as lattice ints.  The references below are copies of
+the Fraction code these replaced; results must be identical,
+representation and all.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from valmon import gbengine
+from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
+                           preimage_leading, preimage_of_rep,
+                           truncation_min_poly)
+from valmon.errors import InsufficientPrecision
+from valmon.gbengine import (ReductionStep, ReductionTrace, SyzygyElement,
+                             approx_quotient, reduce, syzygy_family,
+                             syzygy_values)
+from valmon.series import dyadic_spec
+from valmon.valmonoid import MonoidContext, decompose
+
+F = Fraction
+
+
+# --- BivarPoly kernels ------------------------------------------------------
+
+def reference_scale(p, q):
+    """BivarPoly.scale before the change: every factor through Fraction."""
+    q = Fraction(q)
+    return BivarPoly._make({k: v * q.numerator for k, v in p._num.items()},
+                           p._den * q.denominator)
+
+
+def reference_add(p, q):
+    den = lcm(p._den, q._den)
+    m1, m2 = den // p._den, den // q._den
+    num = {k: v * m1 for k, v in p._num.items()}
+    for k, v in q._num.items():
+        num[k] = num.get(k, 0) + v * m2
+    return BivarPoly._make(num, den)
+
+
+def reference_sub(p, q):
+    """p - q before the change: p + (-q), with -q = q.scale(-1)."""
+    return reference_add(p, reference_scale(q, -1))
+
+
+def random_poly(rng, terms=5, deg=4):
+    return BivarPoly({(rng.randint(0, deg), rng.randint(0, deg)):
+                      F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12)))
+                      for _ in range(rng.randint(0, terms))})
+
+
+def assert_same(got, want):
+    assert got == want
+    assert (got._num, got._den) == (want._num, want._den)
+    assert hash(got) == hash(want)
+    assert got.to_string() == want.to_string()
+
+
+def test_fused_minus_product_matches_the_operators():
+    rng = random.Random(9)
+    cancelled = 0
+    for _ in range(400):
+        p, q, r = (random_poly(rng) for _ in range(3))
+        if rng.random() < 0.3:
+            # p = q*r + small: the product cancels p, or all but a tail
+            p = reference_add(q * r, random_poly(rng, terms=1)
+                              if rng.random() < 0.5 else BivarPoly.zero())
+        got = p._minus_product(q, r)
+        assert_same(got, reference_sub(p, q * r))
+        assert_same(got, p - q * r)
+        cancelled += got.is_zero() and not p.is_zero()
+    assert cancelled > 20
+
+
+def test_sub_and_neg_match_the_reference():
+    rng = random.Random(10)
+    for _ in range(400):
+        p, q = random_poly(rng), random_poly(rng)
+        assert_same(p - q, reference_sub(p, q))
+        assert_same(-q, reference_scale(q, -1))
+        assert_same(p + (-q), reference_sub(p, q))
+        assert_same(p - p, BivarPoly.zero())
+        assert_same(q + (-q), BivarPoly.zero())
+
+
+def test_scale_matches_the_reference():
+    rng = random.Random(11)
+    factors = [0, 1, -1, 2, -3, F(1, 2), F(-3, 4), F(12, 5), F(-7, 12),
+               True, "5/6", "-4"]
+    for _ in range(200):
+        p = random_poly(rng)
+        for q in factors + [F(rng.randint(-20, 20), rng.randint(1, 24))]:
+            assert_same(p.scale(q), reference_scale(p, q))
+        # _scaled takes ints n, d > 0 that need not be coprime
+        n, d = rng.randint(-30, 30), rng.randint(1, 30)
+        assert_same(p._scaled(n, d), reference_scale(p, F(n, d)))
+
+
+# --- off-lattice leading exponents ------------------------------------------
+#
+# At dyadic depth 3 the lattice is (1/8)Z.  p_4 (y-degree 8, LE 43/16) and
+# p_5 (y-degree 16, LE 171/32) have y-degree >= r_l(3) = 8 and leading
+# exponents off the lattice.  A difference of values that lands back on
+# the lattice must still be decided, one that does not must raise with
+# decompose's message, and a negative one gives None first.
+
+def reference_quotient_for(lead_f, lead_g, ctx):
+    """_quotient_for before the change, on Fraction leading data."""
+    rep = decompose(lead_f.le - lead_g.le, ctx)
+    if rep is None:
+        return None
+    p = preimage_of_rep(rep, ctx)
+    lp = preimage_leading(rep, ctx)
+    factor = lead_f.lc / (lead_g.lc * lp.lc)
+    return p.scale(factor), rep, factor
+
+
+def reference_approx_quotient(f, g, ctx):
+    q = reference_quotient_for(eval_leading(f, ctx), eval_leading(g, ctx),
+                               ctx)
+    return None if q is None else q[0]
+
+
+def reference_reduce(f, basis, ctx):
+    """The plain reduction loop: every intermediate evaluated afresh."""
+    lead_basis = [eval_leading(g, ctx) for g in basis]
+    steps = []
+    cur = f
+    while not cur.is_zero():
+        lead = Image.scan(cur, ctx).lead()
+        for idx, lg in enumerate(lead_basis):
+            q = reference_quotient_for(lead, lg, ctx)
+            if q is not None:
+                break
+        else:
+            break
+        steps.append(ReductionStep(idx, q[0], lead.le))
+        cur = reference_sub(cur, basis[idx] * q[0])
+    return ReductionTrace(tuple(steps), cur)
+
+
+def reference_syzygy_element(value, f, g, lead_f, lead_g, ctx):
+    """_syzygy_element before the change, on Fraction leading data."""
+    ra = decompose(value - lead_f.le, ctx)
+    rb = decompose(value - lead_g.le, ctx)
+    a = preimage_of_rep(ra, ctx)
+    pb = preimage_of_rep(rb, ctx)
+    la = preimage_leading(ra, ctx)
+    lb = preimage_leading(rb, ctx)
+    b = reference_scale(pb, (la.lc * lead_f.lc) / (lb.lc * lead_g.lc))
+    return SyzygyElement(value, a, b, reference_sub(a * f, b * g))
+
+
+def reference_syzygy_family(f, g, ctx):
+    values, lead_f, lead_g = syzygy_values(f, g, ctx)
+    return [reference_syzygy_element(v, f, g, lead_f, lead_g, ctx)
+            for v in values]
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("raised", message) for InsufficientPrecision."""
+    try:
+        return "ok", fn(*args)
+    except InsufficientPrecision as exc:
+        return "raised", str(exc)
+
+
+@pytest.fixture(scope="module")
+def shallow():
+    """A dyadic depth-3 context, with p_4 and p_5 built at depth 8."""
+    deep = MonoidContext(dyadic_spec(), 8)
+    return (MonoidContext(dyadic_spec(), 3), truncation_min_poly(deep, 4),
+            truncation_min_poly(deep, 5))
+
+
+def off_lattice_pairs(p4, p5):
+    x, y = parse("x"), parse("y")
+    return [
+        (x * p4, p4),                    # difference 1: on the lattice
+        (p4 * y, p4),                    # difference 1/2
+        (p4 * parse("y^2 - x"), p4),     # difference 3/4
+        (x * x * p5 + y ** 3, p5),       # difference 2
+        (p5 * p4, p4),                   # difference 171/32: raises
+        (p4, x * p4),                    # negative: None
+        (parse("y^2 - x"), p4),          # negative, g off the lattice
+        (p4, p4 + x ** 3),               # LE(g) = 3; negative
+        (p4, y),                         # difference 35/16: raises
+        (parse("x^3*y"), p4),            # difference 13/16: raises
+        (p5, p4),                        # difference 85/32: raises
+        (y ** 8 + x, parse("y^9")),      # y-degree >= 8, on the lattice
+        (x * p4 + y, p4),
+    ]
+
+
+def test_off_lattice_approx_quotient_and_reduce(shallow):
+    ctx, p4, p5 = shallow
+    assert eval_leading(p4, ctx).le == F(43, 16)
+    assert eval_leading(p5, ctx).le == F(171, 32)
+    assert ctx.lattice_den == 8
+    kinds = set()
+    for f, g in off_lattice_pairs(p4, p5):
+        got = outcome(approx_quotient, f, g, ctx)
+        assert got == outcome(reference_approx_quotient, f, g, ctx)
+        kinds.add((got[0], got[1] is None))
+        for basis in ([g], [g, f], [parse("x"), g]):
+            got = outcome(reduce, f, basis, ctx)
+            assert got == outcome(reference_reduce, f, basis, ctx)
+            kinds.add(("reduce", got[0]))
+    # quotients found, quotients refused, and off-lattice differences
+    # raising all occur, in both approx_quotient and reduce
+    assert kinds >= {("ok", False), ("ok", True), ("raised", False),
+                     ("reduce", "ok"), ("reduce", "raised")}
+
+
+def test_off_lattice_messages_name_the_difference(shallow):
+    ctx, p4, p5 = shallow
+    with pytest.raises(InsufficientPrecision,
+                       match="denominator 16 not resolved at depth 3"):
+        approx_quotient(p4, parse("y"), ctx)
+    with pytest.raises(InsufficientPrecision,
+                       match="denominator 32 not resolved at depth 3"):
+        reduce(p5 * p4, [p4], ctx)
+    # the difference lands on the lattice: decided, never floored
+    h = approx_quotient(parse("x") * p4, p4, ctx)
+    assert h == parse("x")
+    trace = reduce(parse("x") * p4 + parse("y"), [p4], ctx)
+    assert [s.value_before for s in trace.steps] == [F(59, 16)]
+    assert trace.remainder == parse("y")
+
+
+def test_off_lattice_syzygy_family(shallow):
+    ctx, p4, p5 = shallow
+    raised = ok = 0
+    for f, g in off_lattice_pairs(p4, p5):
+        got = outcome(syzygy_family, f, g, ctx)
+        assert got == outcome(reference_syzygy_family, f, g, ctx)
+        raised += got[0] == "raised"
+        ok += got[0] == "ok" and bool(got[1])
+    assert raised and ok
+
+
+def test_step_factors_on_criterion_9_pairs():
+    """The int factors of reduce's steps and of the family elements equal
+    the Fraction factors, on seeded pairs with Fraction coefficients."""
+    ctx = MonoidContext(dyadic_spec(), 8)
+    rng = random.Random(97)
+    seen = 0
+    while seen < 150:
+        f, g = random_poly(rng, 4, 3), random_poly(rng, 4, 3)
+        if f.is_zero() or g.is_zero():
+            continue
+        seen += 1
+        assert approx_quotient(f, g, ctx) == reference_approx_quotient(
+            f, g, ctx)
+        assert reduce(f, [g], ctx) == reference_reduce(f, [g], ctx)
+        assert (syzygy_family(f, g, ctx)
+                == reference_syzygy_family(f, g, ctx))
+        lf = gbengine._int_lead(eval_leading(f, ctx), ctx)
+        lg = gbengine._int_lead(eval_leading(g, ctx), ctx)
+        q, ref = (gbengine._quotient_for(lf, lg, ctx),
+                  reference_quotient_for(eval_leading(f, ctx),
+                                         eval_leading(g, ctx), ctx))
+        assert (q is None) == (ref is None)
+        if q is not None:
+            n, d = q[2]
+            assert d > 0 and F(n, d) == ref[2]
+            assert (n, d) == (ref[2].numerator, ref[2].denominator)
