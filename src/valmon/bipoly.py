@@ -42,15 +42,16 @@ _DENSE_CAP = 10 ** 5
 class BivarPoly:
     """Sparse exact polynomial in x and y over Q: integer numerators
     {(xdeg, ydeg): int} over one positive denominator, in lowest terms, so
-    equal polynomials have equal representations.  Operations run on ints
-    and normalise once, in _make; the zero polynomial is {} over 1.
-    Subtraction accumulates over the common denominator in one pass, and
-    the reduction and syzygy steps form p - q*r with the fused
-    _minus_product, so the product is never reduced on its own; scale
-    reads an int or a Fraction's numerator and denominator directly.
+    equal polynomials have equal representations; the zero polynomial is
+    {} over 1.  Arithmetic has one kernel, the fused accumulation
+    self + sign*q*r on ints (_add_product): a sum or difference is a
+    product with the constant 1, a product accumulates into zero, and the
+    result is normalised once, in _make.  scale and negation multiply the
+    numerators by an int pair.
 
-    The constructor takes a dict or (key, coeff) pairs with int, Fraction
-    or "p/q" coefficients; coeffs and monomials() return Fractions.
+    The constructor takes a dict or (key, coeff) pairs with non-negative
+    int exponents and int, Fraction or "p/q" coefficients; any other
+    exponent raises ValueError.  coeffs and monomials() return Fractions.
     Monomials iterate and print in (y-degree, x-degree) lexicographic
     order, purely for determinism.
     """
@@ -61,8 +62,11 @@ class BivarPoly:
         fr = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for (a, b), v in items:
-            k = (int(a), int(b))
-            fr[k] = fr.get(k, 0) + Fraction(v)
+            if not (isinstance(a, int) and isinstance(b, int)
+                    and a >= 0 and b >= 0):
+                raise ValueError(
+                    f"exponents must be non-negative ints, got {(a, b)!r}")
+            fr[a, b] = fr.get((a, b), 0) + Fraction(v)
         den = lcm(*(v.denominator for v in fr.values()))
         return cls._make({k: v.numerator * (den // v.denominator)
                           for k, v in fr.items()}, den)
@@ -139,49 +143,33 @@ class BivarPoly:
         return hash((self._den, frozenset(self._num.items())))
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        return self._add_product(1, other, _ONE)
 
     def __neg__(self):
-        return BivarPoly._make({k: -v for k, v in self._num.items()},
-                               self._den)
+        return self._scaled(-1, 1)
 
     def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def _plus(self, other, sign):
-        """self + sign * other, accumulated over the lcm of the two
-        denominators."""
-        den = lcm(self._den, other._den)
-        m1, m2 = den // self._den, sign * (den // other._den)
-        num = {k: v * m1 for k, v in self._num.items()}
-        for k, v in other._num.items():
-            num[k] = num.get(k, 0) + v * m2
-        return BivarPoly._make(num, den)
+        return self._add_product(-1, other, _ONE)
 
     def __mul__(self, other):
-        acc = {}
-        right = other._num.items()
-        for (a1, b1), v1 in self._num.items():
-            for (a2, b2), v2 in right:
-                k = (a1 + a2, b1 + b2)
-                if k in acc:
-                    acc[k] += v1 * v2
-                else:
-                    acc[k] = v1 * v2
-        return BivarPoly._make(acc, self._den * other._den)
+        return _ZERO._add_product(1, self, other)
 
     def _minus_product(self, q, r):
-        """self - q*r in one accumulation: the product's terms are
-        subtracted straight into self's numerators over the common
-        denominator, and the result is normalised once.  Equal to
-        self - q * r, without building and reducing q * r on its own."""
+        """self - q*r, without building and reducing q*r on its own."""
+        return self._add_product(-1, q, r)
+
+    def _add_product(self, sign, q, r):
+        """self + sign*q*r for sign = +-1: the arithmetic kernel behind +,
+        -, * and _minus_product.  The terms of q*r are accumulated straight
+        into self's numerators over the lcm of the denominators, and the
+        result is normalised once, in _make."""
         qr_den = q._den * r._den
         den = lcm(self._den, qr_den)
-        m1, m2 = den // self._den, den // qr_den
+        m1, m2 = den // self._den, sign * (den // qr_den)
         acc = {k: v * m1 for k, v in self._num.items()}
         right = r._num.items()
         for (a1, b1), v1 in q._num.items():
-            v1 *= -m2
+            v1 *= m2
             for (a2, b2), v2 in right:
                 k = (a1 + a2, b1 + b2)
                 if k in acc:
@@ -244,6 +232,10 @@ class BivarPoly:
 
     def __repr__(self):
         return f"BivarPoly({self.to_string()!r})"
+
+
+_ZERO = BivarPoly.zero()
+_ONE = BivarPoly.one()
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,11 @@ def _quotient_for(lead_f, lead_g, ctx):
     denominators with one gcd and returned as (n, d), d > 0.
 
     The value difference is the difference of lattice ints.  A leading
-    exponent off the lattice (deg_y >= r_l(depth)) falls back to the
-    Fraction difference, as min_eta does: a difference landing on the
-    lattice is decomposed, any other raises decompose's
-    InsufficientPrecision."""
+    exponent off the lattice (deg_y >= r_l(depth)), which reduce and
+    approx_quotient can meet, falls back to the Fraction difference: a
+    difference landing on the lattice is decomposed, any other raises
+    decompose's InsufficientPrecision.  This is the only off-lattice path:
+    syzygy_values decomposes both leading exponents first."""
     le_f, kf, nf, df = lead_f
     le_g, kg, ng, dg = lead_g
     if kf is None or kg is None:
@@ -175,25 +176,27 @@ def syzygy_values(f, g, ctx, minimal=False):
     """Values generating the intersection of the principal ideals of
     LE_z(f) and LE_z(g): per digit vector sigma of the common enumeration
     depth (the Apery set, cached per context), the least sigma + eta lying
-    in both.  With minimal=True the list
-    is pruned to the minimal generating subset (anything divisible by a
-    smaller kept value is dropped), which any generating set may be.
+    in both.  With minimal=True the list is pruned to the minimal
+    generating subset (anything divisible by a smaller kept value is
+    dropped), which any generating set may be.  The values are found and
+    pruned as lattice points and become Fractions on return.
     """
     lead_f = eval_leading(f, ctx)
     lead_g = eval_leading(g, ctx)
     rep_f = decompose(lead_f.le, ctx)
     rep_g = decompose(lead_g.le, ctx)
     depth = max(len(rep_f.digits), len(rep_g.digits))
-    targets = (lead_f.le, lead_g.le)
-    values = sorted(sigma + min_eta(sigma, targets, ctx)
-                    for sigma in apery_set(depth, ctx))
-    if not minimal:
-        return values, lead_f, lead_g
-    kept = []
-    for v in values:
-        if not any(decompose(v - k, ctx) is not None for k in kept):
-            kept.append(v)
-    return kept, lead_f, lead_g
+    targets = (lattice_point(lead_f.le, ctx), lattice_point(lead_g.le, ctx))
+    R = ctx.lattice_den
+    points = sorted(k + min_eta(k, targets, ctx) * R
+                    for k in apery_set(depth, ctx))
+    if minimal:
+        kept = []
+        for v in points:
+            if not any(decompose_point(v - u, ctx) is not None for u in kept):
+                kept.append(v)
+        points = kept
+    return [Fraction(v, R) for v in points], lead_f, lead_g
 
 
 def _syzygy_element(value, f, g, lead_f, lead_g, ctx):

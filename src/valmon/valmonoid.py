@@ -169,8 +169,6 @@ def base_digits(d, ctx):
         digits.append(rem % seqs.s(j))
         rem //= seqs.s(j)
         j += 1
-    while digits and digits[-1] == 0:
-        digits.pop()
     return tuple(digits)
 
 
@@ -217,9 +215,10 @@ def enumerate_omega(i, ctx, n_max):
 
 
 def apery_set(i, ctx):
-    """The sums sigma = sum_{j<=i} d_j rho_j over all digit vectors
-    (0 <= d_j < s_j), unsorted: the least members of their classes modulo
-    Z among the members of index <= i.  Cached per context and index."""
+    """The lattice points sigma * R of the sums sigma = sum_{j<=i} d_j rho_j
+    over all digit vectors (0 <= d_j < s_j), as ints, unsorted: the least
+    members of their classes modulo Z among the members of index <= i.
+    Cached per context and index."""
     key = ("apery", i)
     hit = ctx.cache.get(key)
     if hit is None:
@@ -229,23 +228,18 @@ def apery_set(i, ctx):
         sums = [0]
         for _, s, _, rho in ctx.chain[ctx.depth - i:]:
             sums = [k + d * rho for d in range(s) for k in sums]
-        R = ctx.lattice_den
-        hit = ctx.cache[key] = tuple(Fraction(k, R) for k in sums)
+        hit = ctx.cache[key] = tuple(sums)
     return hit
 
 
-def min_eta(sigma, targets, ctx):
-    """Smallest integer eta with sigma + eta - t a member for every target t.
+def min_eta(k, targets, ctx):
+    """Smallest integer eta with sigma + eta - t a member for every target
+    t, for sigma and the targets given as lattice points: k = sigma * R
+    and the ints t * R.
 
     sigma + eta - t is a member exactly when c(sigma - t) + eta >= 0 (see
     the module docstring), so eta = max over t of -c(sigma - t).  No lower
     bound ceil(t - sigma) is needed: q - c(q) = sum d_j rho_j >= 0, so
     sigma + eta - t >= 0 already.
     """
-    try:
-        k = _on_lattice(sigma, ctx)
-        diffs = [k - _on_lattice(t, ctx) for t in targets]
-    except InsufficientPrecision:
-        # off the lattice, a difference may still land on it
-        diffs = [_on_lattice(sigma - t, ctx) for t in targets]
-    return max(-_chain(d, ctx)[0] for d in diffs)
+    return max(-_chain(k - t, ctx)[0] for t in targets)

@@ -168,6 +168,18 @@ def test_poly_arithmetic_against_fraction_reference():
         assert (p - p) == BivarPoly.zero()
 
 
+@pytest.mark.parametrize("key", [(F(3, 2), 0), (2.7, 1), (-1, 0), (0, -1)],
+                         ids=["fraction", "float", "negative-x",
+                              "negative-y"])
+def test_invalid_exponents_raise(key):
+    # never truncated or wrapped: (3/2, 0) used to be x, (2.7, 1) x^2*y,
+    # (-1, 0) printed as 1, and (0, -1) failed inside eval_leading
+    with pytest.raises(ValueError, match="non-negative ints"):
+        BivarPoly({key: 1})
+    with pytest.raises(ValueError, match="non-negative ints"):
+        BivarPoly([((0, 0), 1), (key, 1)])
+
+
 # --- certified evaluation ---------------------------------------------------
 
 def test_eval_leading_paper_values(ctx):
@@ -333,6 +345,19 @@ def test_finite_spec_vanishing_image_errors():
     ctx = MonoidContext(spec, 1)
     with pytest.raises(InsufficientPrecision):
         eval_leading(parse("y^2 - x"), ctx)  # the minimal polynomial of z
+
+
+def test_exact_truncation_stops_at_the_no_jump_guard():
+    # the ramification index stops at 2^21 after three terms, so no depth
+    # resolves y-degree 2^21; the pull gives up without caching a table
+    from valmon.series import CallbackTail
+    spec = SimpleSeriesSpec(
+        [(1, F(1, 2))], CallbackTail(lambda i: (1, F(2**20 - i, 2**21))))
+    ctx = MonoidContext(spec, 2)
+    with pytest.raises(InsufficientPrecision,
+                       match="no ramification jump within 1024 terms"):
+        eval_leading(BivarPoly.monomial(1, 0, 2**21), ctx)
+    assert not any(key[0] == "zpow" for key in ctx.cache)
 
 
 # --- minimal polynomials and preimages --------------------------------------

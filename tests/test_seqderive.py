@@ -157,6 +157,20 @@ def test_derive_errors():
         derive(dyadic_spec(), 0)
 
 
+def stalled_spec():
+    """Exponents 1/2, then (2^20 - i)/2^21 for i = 0, 1, ...: the
+    ramification index jumps to 2^21 at the third term and never again."""
+    return SimpleSeriesSpec(
+        [(1, F(1, 2))], CallbackTail(lambda i: (1, F(2**20 - i, 2**21))))
+
+
+def test_derive_stops_at_the_no_jump_guard():
+    assert derive(stalled_spec(), 2).r(2) == 2**21
+    with pytest.raises(InsufficientPrecision,
+                       match="no ramification jump within 1024 terms"):
+        derive(stalled_spec(), 3)
+
+
 def test_json_shape():
     data = derive(dyadic_spec(), 2).to_json()
     assert data["rho"] == ["1/2", "3/4"]

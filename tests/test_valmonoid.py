@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 from itertools import product
 from math import ceil
@@ -258,20 +257,6 @@ def test_off_lattice_denominators_raise(ctx):
             decompose(m, ctx)
         # as before, a negative value is no member whatever its denominator
         assert decompose(-m, ctx) is None
-    cases = [(F(1, 3), (F(1, 2),)), (F(1, 2), (F(1, 512), F(3, 4))),
-             (F(3, 4), (F(1, 2), F(5, 3))), (F(1, 512), (F(1, 2),))]
-    for sigma, targets in cases:
-        with pytest.raises(InsufficientPrecision) as want:
-            reference_min_eta(sigma, targets, ctx)
-        assert "not resolved at depth 8" in str(want.value)
-        with pytest.raises(InsufficientPrecision,
-                           match=re.escape(str(want.value))):
-            min_eta(sigma, targets, ctx)
-    # off the lattice, a difference that lands on it is still decided
-    for sigma, targets in [(F(1, 3), (F(1, 3),)),
-                           (F(1, 3), (F(1, 3), F(7, 3)))]:
-        assert min_eta(sigma, targets, ctx) == reference_min_eta(
-            sigma, targets, ctx)
 
 
 def _random_cases(other, rng, count, top):
@@ -279,7 +264,7 @@ def _random_cases(other, rng, count, top):
     index <= top, one to three targets members or arbitrary lattice points
     of index <= top."""
     R = other.lattice_den
-    sums = [apery_set(i, other) for i in range(top + 1)]
+    sums = [[F(k, R) for k in apery_set(i, other)] for i in range(top + 1)]
 
     def point():
         if rng.random() < 0.5:
@@ -294,6 +279,14 @@ def _random_cases(other, rng, count, top):
         yield sigma, tuple(point() for _ in range(rng.randint(1, 3)))
 
 
+def _points(sigma, targets, ctx):
+    """sigma and the targets as the lattice points min_eta takes: k = q * R
+    as an int, for values q on the lattice."""
+    points = [q * ctx.lattice_den for q in (sigma, *targets)]
+    assert all(k.denominator == 1 for k in points)
+    return points[0].numerator, [k.numerator for k in points[1:]]
+
+
 @pytest.mark.parametrize("name,top,count", [
     ("dyadic", 8, 2000), ("harmonic", 6, 400),
     # at index 6 the search runs past its cap: rho_6 = 61897273/30030
@@ -302,7 +295,8 @@ def test_min_eta_closed_form_against_search(name, top, count):
     other = _named_contexts()[name]
     rng = random.Random(2024)
     for sigma, targets in _random_cases(other, rng, count, top):
-        assert min_eta(sigma, targets, other) == reference_min_eta(
+        k, points = _points(sigma, targets, other)
+        assert min_eta(k, points, other) == reference_min_eta(
             sigma, targets, other), (sigma, targets)
 
 
@@ -313,7 +307,7 @@ def test_min_eta_closed_form_past_the_search_cap():
     rng = random.Random(2024)
     past_cap = 0
     for sigma, targets in _random_cases(other, rng, 300, 6):
-        eta = min_eta(sigma, targets, other)
+        eta = min_eta(*_points(sigma, targets, other), other)
         assert all(decompose(sigma + eta - t, other) is not None
                    for t in targets)
         assert any(decompose(sigma + eta - 1 - t, other) is None
@@ -329,9 +323,11 @@ def test_min_eta_harmonic_top_targets():
     targets = (other.seqs.rho(6), other.seqs.rho(5))
     sigmas = [v for v, _ in enumerate_omega(6, other, 0)]
     assert len(sigmas) == 840
-    assert sorted(apery_set(6, other)) == sigmas
+    assert sorted(apery_set(6, other)) == [s * other.lattice_den
+                                           for s in sigmas]
     for sigma in sigmas:
-        assert min_eta(sigma, targets, other) == reference_min_eta(
+        k, points = _points(sigma, targets, other)
+        assert min_eta(k, points, other) == reference_min_eta(
             sigma, targets, other)
 
 
