@@ -16,7 +16,9 @@ one prime p dividing the ramification index, never all of Q(zeta_R).
 
 Polynomials are integer numerators over one common denominator, so
 arithmetic, evaluation and the norm tower all run on ints; Fractions appear
-only at the boundary (constructor, coeffs, monomials, leading data).
+only at the boundary (constructor, coeffs, monomials, leading data).  The
+tables of powers of z_N that evaluation reads are built by shifted adds on
+one packed int, whose fields are the coefficients (_ZPow).
 """
 
 import threading
@@ -24,7 +26,9 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import ceil, gcd, lcm
+from struct import iter_unpack
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
@@ -375,7 +379,31 @@ class _ZPow:
     (coeff, exponent) terms in descending exponent order: exponents are
     scaled by the lcm of their denominators (scale, which is r_N) and
     coefficients by the lcm d of theirs (den), so every table entry is an
-    int."""
+    int.
+
+    New powers are built on one packed int (Kronecker substitution;
+    Harvey, JSC 44, 2009).  With e_min the least scaled exponent of z_N,
+    field i of the packed (d*z_N)^k holds, in W-bit two's complement, its
+    coefficient a_i at scaled exponent k*e_min + i: the int is
+    P = sum a_i * 2^(W*i), and fields with no term hold 0.  Multiplying by
+    d*z_N is then sum c * (P << W*(e - e_min)) over the terms (e, c), a
+    few shifts and adds inside CPython's big-int code.  That identity holds
+    between ints whatever W is; W only has to make the fields of each
+    power decodable, which they are when every |a_i| < 2^(W-1) (_unpack).
+
+    Width.  Let |g|_1 be the sum of the absolute values of g's
+    coefficients.  The triangle inequality gives |gh|_1 <= |g|_1 |h|_1, so
+    every coefficient of (d*z_N)^k has absolute value at most
+    |(d*z_N)^k|_1 <= |d*z_N|_1^k, which for k <= b is at most
+    L = |d*z_N|_1^b.  An extension up to power b takes
+    W = bit_length(L) + 2 rounded up to whole bytes, so every
+    |a_i| <= L < 2^(W-2).
+
+    An extension packs the last built power from its terms (one pass over
+    a byte buffer), shifts and adds up to power b, and decodes each new
+    power once into (terms, negated exponents).  No packed state is kept
+    between extensions, so a later, higher b re-packs at its own width.
+    """
 
     def __init__(self, terms):
         self.depth = len(terms)
@@ -398,20 +426,54 @@ class _ZPow:
             return pows[b]
         with self._lock:
             ext = list(self.pows)
-            while len(ext) <= b:
-                acc = {}
-                for e1, c1 in ext[-1][0]:
-                    for e2, c2 in self.zterms:
-                        k = e1 + e2
-                        if k in acc:
-                            acc[k] += c1 * c2
-                        else:
-                            acc[k] = c1 * c2
-                terms = tuple(sorted(
-                    ((e, c) for e, c in acc.items() if c), reverse=True))
-                ext.append((terms, tuple(-e for e, _ in terms)))
-            self.pows = tuple(ext)
+            k = len(ext) - 1
+            if k < b:
+                low = self.zterms[-1][0]
+                span = self.lead - low
+                norm = sum(abs(c) for _, c in self.zterms)
+                width = ((norm ** b).bit_length() + 9) // 8
+                shifts = tuple((8 * width * (e - low), c)
+                               for e, c in self.zterms)
+                packed = _pack(ext[-1][0], k * low, k * span + 1, width)
+                while k < b:
+                    packed = sum(c * (packed << s) for s, c in shifts)
+                    k += 1
+                    ext.append(_unpack(packed, k * low, k * span + 1, width))
+                self.pows = tuple(ext)
         return ext[b]
+
+
+def _pack(terms, low, n, width):
+    """sum c * 2^(W*(e - low)) over the (e, c) terms, whose exponents lie
+    in [low, low + n), W = 8*width: each field is written as c + 2^(W-1)
+    into one byte buffer of n fields, and the offsets are subtracted once,
+    as an int."""
+    zero = bytes(width - 1) + b"\x80"  # 2^(W-1), little-endian
+    half = 1 << (8 * width - 1)
+    buf = bytearray(zero * n)
+    for e, c in terms:
+        at = (e - low) * width
+        buf[at:at + width] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(zero * n, "little")
+
+
+def _unpack(packed, low, n, width):
+    """(terms, negated exponents) of a packed power of n fields of width
+    bytes, field i at exponent low + i.  Read as two's complement, a field
+    of packed borrows 1 from the field above it whenever the fields below
+    sum to a negative int.  Adding 2^(W-1) to every field, one big-int
+    addition, carries all those borrows at once: as |a_i| < 2^(W-1), the
+    sum has the base-2^W digits a_i + 2^(W-1), each in [0, 2^W).  So a
+    field is its bytes, read unsigned, minus 2^(W-1), and a field with no
+    term reads as that offset."""
+    zero = bytes(width - 1) + b"\x80"  # 2^(W-1), little-endian
+    half = 1 << (8 * width - 1)
+    data = (packed + int.from_bytes(zero * n, "little")).to_bytes(
+        n * width, "little")
+    terms = [(e, int.from_bytes(c, "little") - half) for e, (c,) in zip(
+        count(low), iter_unpack(f"{width}s", data)) if c != zero]
+    terms.reverse()
+    return tuple(terms), tuple(-e for e, _ in terms)
 
 
 def _prepare(f, zp, D):
@@ -420,8 +482,11 @@ def _prepare(f, zp, D):
 
     With d = zp.den, f(t, z_N) = sum num * t^a * z_N^b / den_f
     = sum num * d^(D-b) * t^a * (d*z_N)^b / (den_f * d^D), so each monomial
-    weighs its numerator by d^(D-b) against the table of (d*z_N)^b.
+    weighs its numerator by d^(D-b) against the table of (d*z_N)^b.  The
+    table is extended to power D up front, so a scan extends it at most
+    once.
     """
+    zp.pow(D)
     d = zp.den
     work = [(a * zp.scale, b, v * d ** (D - b))
             for (a, b), v in f._num.items()]
@@ -546,15 +611,21 @@ class Image:
         num, floor = _leading_scan(work, zp, ceiling)
         return cls(zp, floor, num, den, degy)
 
-    def lead(self):
-        """Leading data of the top term.  A scan leaves no term only when
-        the evaluation vanishes, on an exhausted finite spec."""
+    def _top(self):
+        """(scaled exponent, numerator) of the top term.  A scan leaves no
+        term only when the evaluation vanishes, on an exhausted finite
+        spec."""
         if not self.num:
             raise InsufficientPrecision(
                 "polynomial image vanishes on the exhausted finite series")
         e = max(self.num)
-        return LeadingData(Fraction(e, self.zp.scale),
-                           Fraction(self.num[e], self.den), self.zp.depth)
+        return e, self.num[e]
+
+    def lead(self):
+        """Leading data of the top term."""
+        e, n = self._top()
+        return LeadingData(Fraction(e, self.zp.scale), Fraction(n, self.den),
+                           self.zp.depth)
 
     def minus_product(self, g, p, shift, factor, result):
         """The image of result = f - (n/d) * x^shift * g * p, self being
@@ -725,15 +796,22 @@ def truncation_min_poly(ctx, j):
 
 
 def preimage_of_rep(rep, ctx):
-    """x^n * product p_j^(d_j) for a canonical representation."""
+    """x^n * product p_j^(d_j) for a canonical representation.  The product
+    is multiplied out once per digit vector, under the entry for n = 0 that
+    preimage_image reads, and x^n shifts its x-exponents."""
     key = ("preimage", rep)
     hit = ctx.cache.get(key)
     if hit is not None:
         return hit
-    poly = BivarPoly.monomial(1, rep.n, 0)
-    for j, d in enumerate(rep.digits, start=1):
-        if d:
-            poly = poly * truncation_min_poly(ctx, j) ** d
+    if rep.n:
+        base = preimage_of_rep(MonoidRep(0, rep.digits), ctx)
+        poly = BivarPoly._make(
+            {(a + rep.n, b): v for (a, b), v in base._num.items()}, base._den)
+    else:
+        poly = _ONE
+        for j, d in enumerate(rep.digits, start=1):
+            if d:
+                poly = poly * truncation_min_poly(ctx, j) ** d
     ctx.cache[key] = poly
     return poly
 

@@ -60,6 +60,17 @@ def _int_lead(lead, ctx):
     return lead.le, lattice_point(lead.le, ctx), lc.numerator, lc.denominator
 
 
+def _image_lead(image, ctx):
+    """_int_lead of an image's top term, read off its ints: the exponent
+    e / r_N is the one Fraction built, the lattice point is e * R / r_N
+    (None when r_N does not divide e * R), and the coefficient stays the
+    unreduced pair (numerator, den), which _step_factor reduces."""
+    e, n = image._top()
+    r = image.zp.scale
+    k, rest = divmod(e * ctx.lattice_den, r)
+    return Fraction(e, r), None if rest else k, n, image.den
+
+
 def _step_factor(n, d):
     """n / d as coprime ints (n, d) with d > 0."""
     if d < 0:
@@ -122,11 +133,13 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     the leading term.
 
     The step arithmetic runs on ints.  The basis leads are read once per
-    call as lattice points and int coefficients (_int_lead), each step's
-    value difference is a difference of lattice ints, its factor is a
-    coprime pair (n, d) formed with one gcd (_quotient_for), and cur - g*h
-    is formed in one accumulation (BivarPoly._minus_product).  Fractions
-    remain only in the trace: the quotient's coefficients and value_before.
+    call as lattice points and int coefficients (_int_lead), every step
+    after the first reads cur's lead off the image's top term as ints
+    (_image_lead), each step's value difference is a difference of lattice
+    ints, its factor is a coprime pair (n, d) formed with one gcd
+    (_quotient_for), and cur - g*h is formed in one accumulation
+    (BivarPoly._minus_product).  Fractions remain only in the trace: the
+    quotient's coefficients and value_before, one Fraction per step.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
@@ -137,15 +150,15 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     image = None
     while not cur.is_zero():
         if not steps:
-            cur_lead = eval_leading(cur, ctx)
+            lead = _int_lead(eval_leading(cur, ctx), ctx)
         else:
             if image is None or not image.exact or not image.num:
                 image = Image.scan(cur, ctx)
-            cur_lead = image.lead()
-        if steps and cur_lead.le >= steps[-1].value_before:
-            raise InternalError(
-                f"reduction failed to lower the value at step {len(steps)}")
-        lead = _int_lead(cur_lead, ctx)
+            lead = _image_lead(image, ctx)
+            if lead[0] >= steps[-1].value_before:
+                raise InternalError(
+                    f"reduction failed to lower the value at step "
+                    f"{len(steps)}")
         for idx, lg in enumerate(lead_basis):
             q = _quotient_for(lead, lg, ctx)
             if q is not None:
@@ -153,7 +166,7 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
         else:
             break
         h, rep, factor = q
-        steps.append(ReductionStep(idx, h, cur_lead.le))
+        steps.append(ReductionStep(idx, h, lead[0]))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
         cur = cur._minus_product(basis[idx], h)

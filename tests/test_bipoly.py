@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from valmon.bipoly import (BivarPoly, eval_leading, min_poly_finite_puiseux,
-                           parse, preimage, preimage_leading, preimage_of_rep,
+from valmon.bipoly import (BivarPoly, _exact_truncation, _ZPow, eval_leading,
+                           min_poly_finite_puiseux, parse, preimage,
+                           preimage_leading, preimage_of_rep,
                            truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
@@ -12,7 +13,7 @@ from valmon.exactnum import as_rational
 from valmon.series import (FinitePuiseux, NoetherianSeries, SimpleSeriesSpec,
                            conjugate, dyadic_spec, leading_data, series_mul,
                            truncate)
-from valmon.valmonoid import MonoidContext, enumerate_omega
+from valmon.valmonoid import MonoidContext, MonoidRep, enumerate_omega
 
 F = Fraction
 
@@ -245,12 +246,17 @@ def _oracle_spec(name):
         tail = GeometricTail(2)
         prefix = [(F(2, 3), F(1, 2)), (F(1, 2), F(1, 4))]
         return SimpleSeriesSpec(prefix, tail), 6, None
+    if name == "signed":
+        # negative and non-integral coefficients: fields of the packed
+        # power tables decode to both signs
+        prefix = [(-1, F(1, 2)), (F(3, 2), F(1, 4))]
+        return SimpleSeriesSpec(prefix, GeometricTail(2)), 6, None
     exps = [F(2), F(3, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)]
     return SimpleSeriesSpec([(1, e) for e in exps]), 4, len(exps)
 
 
 @pytest.mark.parametrize("name", ["dyadic", "triadic", "harmonic", "rational",
-                                  "finite7", "mixed-denominators"])
+                                  "finite7", "mixed-denominators", "signed"])
 def test_eval_leading_against_series_oracle(name):
     # random sparse polynomials of y-degree up to 20; every other one is a
     # multiple of some p_j plus terms of lower y-degree, so deg_y f =
@@ -448,6 +454,70 @@ def test_preimage_leading_composition(ctx):
         composed = preimage_leading(rep, ctx)
         direct = eval_leading(preimage_of_rep(rep, ctx), ctx)
         assert (composed.le, composed.lc) == (direct.le, direct.lc)
+
+
+def _convolved_powers(zterms, b_max):
+    """(terms, negated exponents) of (d*z_N)^b for b <= b_max, each power
+    convolved with z_N's terms one pair at a time: the dict construction
+    that _ZPow.pow's packed shifted adds replaced."""
+    terms = ((0, 1),)
+    pows = [(terms, (0,))]
+    for _ in range(b_max):
+        acc = {}
+        for e1, c1 in terms:
+            for e2, c2 in zterms:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        terms = tuple(sorted(((e, c) for e, c in acc.items() if c),
+                             reverse=True))
+        pows.append((terms, tuple(-e for e, _ in terms)))
+    return pows
+
+
+@pytest.mark.parametrize("name, b_max", [
+    ("dyadic", 64), ("triadic", 80), ("harmonic", 59), ("rational", 63),
+    ("mixed-denominators", 63), ("signed", 63)])
+def test_packed_power_tables_match_convolution(name, b_max):
+    # each stage extends the table at a wider field than the last, since
+    # |d*z_N|_1^b grows with b; powers are read back from the top down
+    spec = _oracle_spec(name)[0]
+    zp = _ZPow(_exact_truncation(spec, b_max))
+    if name == "dyadic":
+        assert zp.depth == 7
+    if name == "mixed-denominators":
+        assert zp.den == 6
+    if name == "signed":
+        assert any(c < 0 for _, c in zp.zterms)
+    for b in (3, 10, b_max):
+        zp.pow(b)
+    want = _convolved_powers(zp.zterms, b_max)
+    for b in range(b_max, -1, -1):
+        assert zp.pow(b) == want[b]
+
+
+@pytest.mark.parametrize("spec, depth, top", [
+    (dyadic_spec(), 8, 6), (_oracle_spec("harmonic")[0], 4, 4)],
+    ids=["dyadic", "harmonic"])
+def test_preimage_products_per_digit_vector(spec, depth, top):
+    # x^n * prod p_j^(d_j) shares one product per digit vector across n;
+    # either n may be asked first in a fresh context
+    seqs = MonoidContext(spec, depth).seqs
+    rng = random.Random(31)
+    vectors = {tuple(rng.randrange(seqs.s(j)) for j in range(1, top + 1))
+               for _ in range(6)}
+    for positive_first in (True, False):
+        fresh = MonoidContext(spec, depth)
+        for digits in sorted(vectors):
+            n = rng.randint(1, 4)
+            reps = [MonoidRep(n, digits), MonoidRep(0, digits)]
+            for rep in reps if positive_first else reps[::-1]:
+                want = BivarPoly.monomial(1, rep.n, 0)
+                for j, d in enumerate(rep.digits, start=1):
+                    want = want * truncation_min_poly(fresh, j) ** d
+                got = preimage_of_rep(rep, fresh)
+                assert got == want
+                composed = preimage_leading(rep, fresh)
+                direct = eval_leading(got, fresh)
+                assert (composed.le, composed.lc) == (direct.le, direct.lc)
 
 
 def test_deg_y_definition():

@@ -274,3 +274,26 @@ def test_step_factors_on_criterion_9_pairs():
             n, d = q[2]
             assert d > 0 and F(n, d) == ref[2]
             assert (n, d) == (ref[2].numerator, ref[2].denominator)
+
+
+def test_image_lead_reads_the_int_lead(shallow):
+    """reduce's step leads read off the image top equal _int_lead of the
+    image's leading data, on and off the lattice; the coefficient pair is
+    left unreduced."""
+    shallow_ctx, p4, p5 = shallow
+    deep = MonoidContext(dyadic_spec(), 8)
+    rng = random.Random(61)
+    polys = [f for pair in off_lattice_pairs(p4, p5) for f in pair]
+    polys += [random_poly(rng, 4, 3) for _ in range(40)]
+    kinds = set()
+    for ctx in (shallow_ctx, deep):
+        for f in polys:
+            if f.is_zero():
+                continue
+            image = Image.scan(f, ctx)
+            le, k, n, d = gbengine._image_lead(image, ctx)
+            want = gbengine._int_lead(image.lead(), ctx)
+            assert (le, k) == want[:2] and d > 0
+            assert F(n, d) == F(want[2], want[3])
+            kinds.add(k is None)
+    assert kinds == {True, False}
