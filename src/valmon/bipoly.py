@@ -16,31 +16,37 @@ one prime p dividing the ramification index, never all of Q(zeta_R).
 
 Polynomials are integer numerators over one common denominator, so
 arithmetic, evaluation and the norm tower all run on ints; Fractions appear
-only at the boundary (constructor, coeffs, monomials, leading data).  The
-tables of powers of z_N that evaluation reads are built by shifted adds on
-one packed int, whose fields are the coefficients (_ZPow).
+only at the boundary (constructor, coeffs, monomials, leading data).
+
+Every image at z_N has one layout: int coefficients at consecutive scaled
+exponents from an int floor up, zeros included, with the top term last and
+floor 0 meaning complete, since no scaled exponent is negative.  The table
+powers of z_N (_ZPow), the windows of a scan (_scan), the image reduce
+carries (Image) and the full and floored images (full_image,
+preimage_image) all use it, so a band is located by index arithmetic and
+nothing is sorted.  The powers are built by shifted adds on one packed int
+whose fields are those coefficients (Kronecker substitution).
 """
 
 import threading
-from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from math import ceil, gcd, lcm
+from operator import add
 from struct import iter_unpack
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
 from .exactnum import rat_str
-from .seqderive import _MAX_PULL_GAP
+from .seqderive import _pull_terms
 from .series import FinitePuiseux, truncate
 from .valmonoid import MonoidRep, decompose, rep_value
 
 _EXPONENT_CAP = 10 ** 4
-# cap on the dense size (deg_x + 1) * (deg_y + 1) of any parsed product or
-# power, checked before it is computed
+# caps on the dense size (deg_x + 1) * (deg_y + 1) and on the coefficient
+# bit length of any parsed product or power, checked before it is computed
 _DENSE_CAP = 10 ** 5
+_COEFF_BITS_CAP = 10 ** 6
 
 
 class BivarPoly:
@@ -251,9 +257,21 @@ _ONE = BivarPoly.one()
 # base   := 'x' | 'y' | rational | '(' expr ')'
 # rational := natural ('/' natural)?
 
-def _check_dense(deg_x, deg_y, at):
+def _bits(p):
+    """bit_length(|num|_1) + bit_length(den) for p = num / den, a bound on
+    the bit length of every numerator and of the denominator.  The sum of
+    the absolute numerators is submultiplicative, so _bits of a product is
+    at most the sum of its factors' and _bits of a power n at most n times
+    its base's."""
+    return sum(map(abs, p._num.values())).bit_length() + p._den.bit_length()
+
+
+def _check_size(deg_x, deg_y, bits, at):
     if (deg_x + 1) * (deg_y + 1) > _DENSE_CAP:
         raise PolyParseError(f"result exceeds {_DENSE_CAP} dense terms", at)
+    if bits > _COEFF_BITS_CAP:
+        raise PolyParseError(
+            f"result coefficients may exceed {_COEFF_BITS_CAP} bits", at)
 
 
 class _Parser:
@@ -304,8 +322,9 @@ class _Parser:
             at = self.pos
             self.take("*")
             rhs = self.factor()
-            _check_dense(node.deg_x() + rhs.deg_x(),
-                         node.deg_y() + rhs.deg_y(), at)
+            _check_size(node.deg_x() + rhs.deg_x(),
+                        node.deg_y() + rhs.deg_y(), _bits(node) + _bits(rhs),
+                        at)
             node = node * rhs
         return node
 
@@ -317,7 +336,8 @@ class _Parser:
             n = self.natural()
             if n > _EXPONENT_CAP:
                 raise PolyParseError(f"exponent {n} too large", at)
-            _check_dense(n * node.deg_x(), n * node.deg_y(), at)
+            _check_size(n * node.deg_x(), n * node.deg_y(), n * _bits(node),
+                        at)
             node = node ** n
         return node
 
@@ -381,15 +401,19 @@ class _ZPow:
     coefficients by the lcm d of theirs (den), so every table entry is an
     int.
 
+    With lead and low the greatest and least scaled exponents of z_N,
+    pow(b) is one tuple of b*(lead - low) + 1 ints: entry i is the
+    coefficient of (d*z_N)^b at scaled exponent b*low + i, zeros included.
+    The first and last entries, the b-th powers of the lowest and leading
+    coefficients, are nonzero, so the top term is last.
+
     New powers are built on one packed int (Kronecker substitution;
-    Harvey, JSC 44, 2009).  With e_min the least scaled exponent of z_N,
-    field i of the packed (d*z_N)^k holds, in W-bit two's complement, its
-    coefficient a_i at scaled exponent k*e_min + i: the int is
-    P = sum a_i * 2^(W*i), and fields with no term hold 0.  Multiplying by
-    d*z_N is then sum c * (P << W*(e - e_min)) over the terms (e, c), a
-    few shifts and adds inside CPython's big-int code.  That identity holds
-    between ints whatever W is; W only has to make the fields of each
-    power decodable, which they are when every |a_i| < 2^(W-1) (_unpack).
+    Harvey, JSC 44, 2009) whose W-bit fields, in two's complement, are
+    exactly those entries: P = sum a_i * 2^(W*i).  Multiplying by d*z_N is
+    then sum c * (P << W*(e - low)) over the terms (e, c), a few shifts and
+    adds inside CPython's big-int code.  That identity holds between ints
+    whatever W is; W only has to make the fields of each power decodable,
+    which they are when every |a_i| < 2^(W-1) (_unpack).
 
     Width.  Let |g|_1 be the sum of the absolute values of g's
     coefficients.  The triangle inequality gives |gh|_1 <= |g|_1 |h|_1, so
@@ -399,10 +423,12 @@ class _ZPow:
     W = bit_length(L) + 2 rounded up to whole bytes, so every
     |a_i| <= L < 2^(W-2).
 
-    An extension packs the last built power from its terms (one pass over
-    a byte buffer), shifts and adds up to power b, and decodes each new
-    power once into (terms, negated exponents).  No packed state is kept
-    between extensions, so a later, higher b re-packs at its own width.
+    An extension packs the last built power (_pack), shifts and adds up to
+    power b, and reads every field of each new power once (_unpack).  No
+    packed state is kept between extensions, so a later, higher b re-packs
+    at its own width.  Powers are built under a lock and published as a
+    new tuple of tuples, so a published power never changes and is read
+    lock-free.
     """
 
     def __init__(self, terms):
@@ -413,14 +439,12 @@ class _ZPow:
             (e.numerator * (self.scale // e.denominator),
              c.numerator * (self.den // c.denominator)) for c, e in terms)
         self.lead = self.zterms[0][0]
-        # per power: descending (exponent, coeff) terms and the ascending
-        # negated exponents for bisect
-        self.pows = ((((0, 1),), (0,)),)
+        self.low = self.zterms[-1][0]
+        self.pows = ((1,),)
         self._lock = threading.Lock()
 
     def pow(self, b):
-        """(terms, negated exponents) of (d*z_N)^b.  Powers are built under a
-        lock and published as a new tuple; built powers are read lock-free."""
+        """The coefficients of (d*z_N)^b from scaled exponent b*low up."""
         pows = self.pows
         if b < len(pows):
             return pows[b]
@@ -428,52 +452,45 @@ class _ZPow:
             ext = list(self.pows)
             k = len(ext) - 1
             if k < b:
-                low = self.zterms[-1][0]
-                span = self.lead - low
+                span = self.lead - self.low
                 norm = sum(abs(c) for _, c in self.zterms)
                 width = ((norm ** b).bit_length() + 9) // 8
-                shifts = tuple((8 * width * (e - low), c)
+                shifts = tuple((8 * width * (e - self.low), c)
                                for e, c in self.zterms)
-                packed = _pack(ext[-1][0], k * low, k * span + 1, width)
+                packed = _pack(ext[-1], width)
                 while k < b:
                     packed = sum(c * (packed << s) for s, c in shifts)
                     k += 1
-                    ext.append(_unpack(packed, k * low, k * span + 1, width))
+                    ext.append(_unpack(packed, k * span + 1, width))
                 self.pows = tuple(ext)
         return ext[b]
 
 
-def _pack(terms, low, n, width):
-    """sum c * 2^(W*(e - low)) over the (e, c) terms, whose exponents lie
-    in [low, low + n), W = 8*width: each field is written as c + 2^(W-1)
-    into one byte buffer of n fields, and the offsets are subtracted once,
-    as an int."""
+def _pack(coeffs, width):
+    """sum a_i * 2^(W*i) over the coefficients a_i, W = 8*width: each field
+    is written as a_i + 2^(W-1) into one byte string, and the offsets are
+    subtracted once, as an int."""
     zero = bytes(width - 1) + b"\x80"  # 2^(W-1), little-endian
     half = 1 << (8 * width - 1)
-    buf = bytearray(zero * n)
-    for e, c in terms:
-        at = (e - low) * width
-        buf[at:at + width] = (c + half).to_bytes(width, "little")
-    return int.from_bytes(buf, "little") - int.from_bytes(zero * n, "little")
+    data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return (int.from_bytes(data, "little")
+            - int.from_bytes(zero * len(coeffs), "little"))
 
 
-def _unpack(packed, low, n, width):
-    """(terms, negated exponents) of a packed power of n fields of width
-    bytes, field i at exponent low + i.  Read as two's complement, a field
-    of packed borrows 1 from the field above it whenever the fields below
-    sum to a negative int.  Adding 2^(W-1) to every field, one big-int
-    addition, carries all those borrows at once: as |a_i| < 2^(W-1), the
-    sum has the base-2^W digits a_i + 2^(W-1), each in [0, 2^W).  So a
-    field is its bytes, read unsigned, minus 2^(W-1), and a field with no
-    term reads as that offset."""
+def _unpack(packed, n, width):
+    """The n fields of width bytes of a packed power, as a tuple of ints.
+    Read as two's complement, a field of packed borrows 1 from the field
+    above it whenever the fields below sum to a negative int.  Adding
+    2^(W-1) to every field, one big-int addition, carries all those
+    borrows at once: as |a_i| < 2^(W-1), the sum has the base-2^W digits
+    a_i + 2^(W-1), each in [0, 2^W).  So a field is its bytes, read
+    unsigned, minus 2^(W-1)."""
     zero = bytes(width - 1) + b"\x80"  # 2^(W-1), little-endian
     half = 1 << (8 * width - 1)
     data = (packed + int.from_bytes(zero * n, "little")).to_bytes(
         n * width, "little")
-    terms = [(e, int.from_bytes(c, "little") - half) for e, (c,) in zip(
-        count(low), iter_unpack(f"{width}s", data)) if c != zero]
-    terms.reverse()
-    return tuple(terms), tuple(-e for e, _ in terms)
+    return tuple([int.from_bytes(c, "little") - half
+                  for (c,) in iter_unpack(f"{width}s", data)])
 
 
 def _prepare(f, zp, D):
@@ -493,72 +510,75 @@ def _prepare(f, zp, D):
     return work, f._den * d ** D
 
 
-def _scan(work, zp, cutoff, ceiling=None):
-    """Accumulate the evaluation over scaled exponents >= cutoff (None: all)
-    and < ceiling (None: no bound).
+def _monomial_top(work, zp):
+    """The highest scaled exponent any monomial of the work list reaches."""
+    return max(shift + b * zp.lead for shift, b, _ in work)
 
-    Exponents of each z-power are descending, so the band becomes one
-    bisected slice per monomial and the inner loop runs without
-    comparisons.
+
+def _scan(work, zp, lo, hi):
+    """The evaluation at scaled exponents in [lo, hi) as one list of int
+    numerators, entry i at exponent lo + i (empty when hi <= lo).
+
+    A monomial adds its weight times the power (d*z_N)^b, whose entry i
+    lies at exponent shift + b*low + i, so the window meets it in one
+    slice, located by index arithmetic and added as one slice of the list.
     """
-    acc = defaultdict(int)
+    n = hi - lo
+    acc = [0] * n
     for shift, b, coeff in work:
-        terms, neg = zp.pow(b)
-        start = 0 if ceiling is None else bisect_right(neg, shift - ceiling)
-        end = len(terms) if cutoff is None else bisect_right(
-            neg, shift - cutoff)
-        for e, c in terms[start:end]:
-            acc[e + shift] += coeff * c
-    return {e: v for e, v in acc.items() if v}
+        row = zp.pow(b)
+        at = shift + b * zp.low - lo
+        i = -at if at < 0 else 0
+        j = len(row) if at + len(row) < n else n - at
+        if i < j:
+            acc[at + i:at + j] = map(add, acc[at + i:at + j],
+                                     map(coeff.__mul__, row[i:j]))
+    return acc
+
+
+def _strip(coeffs):
+    """coeffs without its trailing zeros, so that the top term is last."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return coeffs[:n]
 
 
 def _leading_scan(work, zp, ceiling=None):
-    """The evaluation at scaled exponents >= cutoff, and the cutoff: the
-    first of a descending run of windows that leaves a nonzero term (None:
-    every exponent, and {} when the evaluation vanishes).
+    """(floor, coefficients): the evaluation from floor up, floor being the
+    first of a descending run of windows that leaves a nonzero term (0:
+    every exponent, and no coefficients when the evaluation vanishes).
 
     Windows widen geometrically, and each scan covers only the band below
     the last one, whose terms all cancelled, so cancellation near the top
     costs one pass over the cancelled range.  ceiling is an exclusive
     scaled exponent at and above which the evaluation is known to vanish;
-    below the monomial top, the first window starts just under it, and the
+    below the monomial top, the first window ends just under it, and the
     result holds no term at or above it.
     """
-    top = max(shift + b * zp.lead for shift, b, _ in work)
+    top = _monomial_top(work, zp)
+    hi = top + 1
     if ceiling is not None and ceiling <= top:
-        top = ceiling
-    else:
-        ceiling = None
+        top = hi = ceiling
     window = max(zp.scale, zp.lead)
     while True:
-        cutoff = top - window
-        if cutoff <= 0:
-            cutoff = None
-        got = _scan(work, zp, cutoff, ceiling)
-        if got or cutoff is None:
-            return got, cutoff
-        ceiling = cutoff
+        lo = max(top - window, 0)
+        got = _scan(work, zp, lo, hi)
+        if not lo or any(got):
+            return lo, _strip(got)
+        hi = lo
         window *= 2
 
 
 def _exact_truncation(spec, degy):
     """Terms of z_N for the least N >= 1 with r_N > degy, or every term of
     a finite spec that runs out first.  Terms are pulled under derive's
-    no-jump guard."""
+    no-jump guard (seqderive._pull_terms)."""
     terms = []
-    r = 1
-    last_jump = 0
-    while not terms or r <= degy:
-        if len(terms) - last_jump >= _MAX_PULL_GAP:
-            raise InsufficientPrecision(
-                f"no ramification jump within {_MAX_PULL_GAP} terms")
-        t = spec.term(len(terms) + 1)
-        if t is None:
+    for term, r in _pull_terms(spec):
+        terms.append(term)
+        if r > degy:
             break
-        terms.append(t)
-        r_next = lcm(r, t[1].denominator)
-        if r_next > r:
-            r, last_jump = r_next, len(terms)
     return terms
 
 
@@ -576,9 +596,10 @@ def _power_table(ctx, degy):
 
 
 class Image:
-    """The evaluation f(t, z_N) of a polynomial f at scaled exponents
-    >= floor (None: every exponent), as int numerators {exponent: int}
-    over den = den_f * d^(deg_y f), the denominator _prepare gives.
+    """The evaluation f(t, z_N) of a polynomial f from scaled exponent floor
+    up (0: every exponent), as a list num of int numerators, entry i at
+    exponent floor + i, with the top term last, over
+    den = den_f * d^(deg_y f), the denominator _prepare gives.
 
     Evaluation at z_N is a ring map, so the image of f - g*h is the image
     of f minus the product of the images of g and h, exactly and at any
@@ -608,7 +629,7 @@ class Image:
         zp = _power_table(ctx, degy)
         work, den = _prepare(f, zp, degy)
         ceiling = None if below is None else ceil(below * zp.scale)
-        num, floor = _leading_scan(work, zp, ceiling)
+        floor, num = _leading_scan(work, zp, ceiling)
         return cls(zp, floor, num, den, degy)
 
     def _top(self):
@@ -618,8 +639,7 @@ class Image:
         if not self.num:
             raise InsufficientPrecision(
                 "polynomial image vanishes on the exhausted finite series")
-        e = max(self.num)
-        return e, self.num[e]
+        return self.floor + len(self.num) - 1, self.num[-1]
 
     def lead(self):
         """Leading data of the top term."""
@@ -632,41 +652,37 @@ class Image:
         f's, for the step factor (n, d) given as ints with d > 0: g is a
         full image at the same depth and p a preimage_image that covers the
         exponents >= floor - shift - (top exponent of g).  Only the
-        products that reach the floor are formed."""
-        (gterms, gden), (pterms, pden, _) = g, p
-        shift *= self.zp.scale
-        lo = (self.floor or 0) - shift
-        prod = {}
-        for e1, c1 in gterms:
-            lim = lo - e1
-            if not pterms or pterms[0][0] < lim:
-                break
-            for e2, c2 in pterms:
-                if e2 < lim:
-                    break
-                k = e1 + e2
-                prod[k] = prod.get(k, 0) + c1 * c2
+        products that reach the floor are formed: each nonzero entry of g
+        adds its multiples of the entries of p that reach the floor."""
+        (_, gnum, gden), (pfloor, pnum, pden) = g, p
         n, d = factor
         pden *= gden * d
         den = lcm(self.den, pden)
         m1 = den // self.den
         m2 = n * (den // pden)
-        num = {e: v * m1 for e, v in self.num.items()}
-        for e, v in prod.items():
-            e += shift
-            num[e] = num.get(e, 0) - v * m2
+        # index, in the result, of the product of g's and p's first entries
+        at = shift * self.zp.scale + pfloor - self.floor
+        acc = [v * m1 for v in self.num]
+        acc += [0] * (at + len(gnum) + len(pnum) - 1 - len(acc))
+        for i in range(max(0, 1 - at - len(pnum)), len(gnum)):
+            c = -m2 * gnum[i]
+            if c:
+                k = at + i
+                for j in range(-k if k < 0 else 0, len(pnum)):
+                    acc[k + j] += c * pnum[j]
         # back to the denominator of result's own evaluation, over which
         # every exponent of the exact image has an int numerator
         degy = result.deg_y()
         new_den = result._den * self.zp.den ** degy
-        num = {e: v * new_den // den for e, v in num.items() if v}
+        num = _strip([v * new_den // den for v in acc])
         return Image(self.zp, self.floor, num, new_den, degy)
 
 
 def full_image(f, zp):
-    """f(t, z_N) in full: descending ((scaled exponent, int), ...) and den."""
+    """(0, coefficients, den): f(t, z_N) in full, in Image's layout."""
     work, den = _prepare(f, zp, f.deg_y())
-    return tuple(sorted(_scan(work, zp, None).items(), reverse=True)), den
+    hi = _monomial_top(work, zp) + 1
+    return 0, tuple(_strip(_scan(work, zp, 0, hi))), den
 
 
 def eval_leading(f, ctx, below=None):
@@ -816,28 +832,26 @@ def preimage_of_rep(rep, ctx):
     return poly
 
 
-def preimage_image(digits, zp, ctx, lowest=None):
-    """(terms, den, floor): the image of prod p_j^(d_j) on the table zp at
-    scaled exponents >= floor (None: every exponent), as in full_image,
-    with floor <= lowest (None, or <= 0: the complete image).
+def preimage_image(digits, zp, ctx, lowest=0):
+    """(floor, coefficients, den): the image of prod p_j^(d_j) on the table
+    zp from scaled exponent floor up, in Image's layout, with
+    floor <= max(lowest, 0) (0: the complete image).
 
     Entries are cached per context under (digits, N), bounded by the monoid
     and the depth.  A lower lowest extends an entry by the band between the
     two floors, published as a new tuple the way _ZPow.pow publishes its
-    powers, so a reader never sees a partial entry."""
-    if lowest is not None and lowest <= 0:
-        lowest = None
+    powers, so a reader never sees a partial entry and a published entry
+    never changes."""
+    lowest = max(lowest, 0)
     key = ("image", digits, zp.depth)
     hit = ctx.cache.get(key)
-    if hit is not None and (hit[2] is None or (
-            lowest is not None and hit[2] <= lowest)):
+    if hit is not None and hit[0] <= lowest:
         return hit
     p = preimage_of_rep(MonoidRep(0, digits), ctx)
     work, den = _prepare(p, zp, p.deg_y())
-    terms, floor = ((), None) if hit is None else (hit[0], hit[2])
+    floor, num = (_monomial_top(work, zp) + 1, ()) if hit is None else hit[:2]
     band = _scan(work, zp, lowest, floor)
-    hit = ctx.cache[key] = (
-        terms + tuple(sorted(band.items(), reverse=True)), den, lowest)
+    hit = ctx.cache[key] = (lowest, _strip((*band, *num)), den)
     return hit
 
 

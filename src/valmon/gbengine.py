@@ -175,12 +175,11 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
             gkey = (idx, zp.depth)
             if gkey not in basis_images:
                 basis_images[gkey] = full_image(basis[idx], zp)
-            gterms = basis_images[gkey][0]
-            lowest = (None if image.floor is None or not gterms else
-                      image.floor - rep.n * zp.scale - gterms[0][0])
+            g_image = basis_images[gkey]
+            # the floor less x^n's shift and the top exponent of g's image
+            lowest = image.floor - rep.n * zp.scale - len(g_image[1]) + 1
             image = image.minus_product(
-                basis_images[gkey],
-                preimage_image(rep.digits, zp, ctx, lowest),
+                g_image, preimage_image(rep.digits, zp, ctx, lowest),
                 rep.n, factor, cur)
     return ReductionTrace(tuple(steps), cur)
 

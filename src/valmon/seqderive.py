@@ -115,6 +115,27 @@ class DerivedSequences:
         }
 
 
+def _pull_terms(spec):
+    """Yield each term (coeff, exponent) of the spec in order, with the
+    ramification index r_i after it, until a finite spec runs out.  Raises
+    InsufficientPrecision once _MAX_PULL_GAP terms in a row pass without a
+    ramification jump, before pulling the next."""
+    r = 1
+    i = last_jump = 0
+    while True:
+        if i - last_jump >= _MAX_PULL_GAP:
+            raise InsufficientPrecision(
+                f"no ramification jump within {_MAX_PULL_GAP} terms")
+        t = spec.term(i + 1)
+        if t is None:
+            return
+        i += 1
+        r_next = lcm(r, t[1].denominator)
+        if r_next > r:
+            r, last_jump = r_next, i
+        yield t, r
+
+
 def derive(spec, depth):
     """Populate all sequences of a spec down to `depth` rho terms."""
     if depth < 1:
@@ -122,24 +143,17 @@ def derive(spec, depth):
     e = []
     r = [1]
     jumps = [0]  # l(0) = 0
-    i = 0
-    last_jump = 0
+    pulled = _pull_terms(spec)
     while len(jumps) <= depth:
-        i += 1
-        if i - last_jump > _MAX_PULL_GAP:
-            raise InsufficientPrecision(
-                f"no ramification jump within {_MAX_PULL_GAP} terms; "
-                f"cannot reach depth {depth}")
-        t = spec.term(i)
+        t = next(pulled, None)
         if t is None:
             raise InsufficientPrecision(
-                f"spec exhausted at term {i - 1}, depth {depth} needs more")
-        _, ei = t
+                f"spec exhausted at term {len(e)}, depth {depth} needs more")
+        (_, ei), ri = t
         e.append(ei)
-        r.append(lcm(r[-1], ei.denominator))
+        r.append(ri)
         if r[-1] > r[-2]:
-            jumps.append(i)
-            last_jump = i
+            jumps.append(len(e))
     K = jumps[depth]
     e = e[:K]
     r = r[:K + 1]

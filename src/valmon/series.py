@@ -245,10 +245,16 @@ class SimpleSeriesSpec:
             if kind == "none":
                 tail = TailRule()
             elif kind == "geometric":
-                tail = GeometricTail(int(tail_data["base"]))
+                base = Fraction(tail_data["base"])
+                if base.denominator != 1:
+                    raise ValueError(
+                        f"geometric tail base {tail_data['base']!r} is not "
+                        f"an integer")
+                tail = GeometricTail(base.numerator)
             else:
                 raise InvalidSpec(f"unknown tail kind {kind!r}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise InvalidSpec(f"malformed spec JSON: {exc}")
         return cls(prefix, tail)
 

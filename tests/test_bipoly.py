@@ -91,6 +91,29 @@ def test_parse_within_output_bound():
     assert len(parse("(1+x+y)^80").coeffs) == 3321
 
 
+def test_parse_coefficient_bound(monkeypatch):
+    seen = [0]
+    mul = BivarPoly.__mul__
+
+    def spy(a, b):
+        # the largest coefficient bit length of any product that ran
+        out = mul(a, b)
+        seen[0] = max(seen[0], out._den.bit_length(),
+                      *(v.bit_length() for v in out._num.values()))
+        return out
+    monkeypatch.setattr(BivarPoly, "__mul__", spy)
+    # (2^9999)^9999 would have a 99,980,002-bit coefficient
+    with pytest.raises(PolyParseError) as err:
+        parse("(2^9999)^9999")
+    assert err.value.pos == 9  # the outer exponent
+    assert seen[0] == 10 ** 4  # only 2^9999 itself was built
+    # each factor is within the bound, their product is not
+    with pytest.raises(PolyParseError) as err:
+        parse("(2^9999)^60 * (2^9999)^60")
+    assert err.value.pos == 12  # the "*"
+    assert seen[0] == 599941  # only the in-bound powers ran
+
+
 def test_to_string_round_trip():
     samples = ["y^2 - x", "x*y", "-x", "1/2*x^3*y - 7/3", "0", "3",
                "(x+y)^3 - y^2"]
@@ -251,12 +274,18 @@ def _oracle_spec(name):
         # power tables decode to both signs
         prefix = [(-1, F(1, 2)), (F(3, 2), F(1, 4))]
         return SimpleSeriesSpec(prefix, GeometricTail(2)), 6, None
+    if name == "wide-gap":
+        # scaled exponents 15 and 1 at N = 2: most fields of the power
+        # tables are zero
+        prefix = [(1, F(1, 2)), (3, F(1, 30))]
+        return SimpleSeriesSpec(prefix, GeometricTail(2)), 4, None
     exps = [F(2), F(3, 2), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)]
     return SimpleSeriesSpec([(1, e) for e in exps]), 4, len(exps)
 
 
 @pytest.mark.parametrize("name", ["dyadic", "triadic", "harmonic", "rational",
-                                  "finite7", "mixed-denominators", "signed"])
+                                  "finite7", "mixed-denominators", "signed",
+                                  "wide-gap"])
 def test_eval_leading_against_series_oracle(name):
     # random sparse polynomials of y-degree up to 20; every other one is a
     # multiple of some p_j plus terms of lower y-degree, so deg_y f =
@@ -457,25 +486,27 @@ def test_preimage_leading_composition(ctx):
 
 
 def _convolved_powers(zterms, b_max):
-    """(terms, negated exponents) of (d*z_N)^b for b <= b_max, each power
-    convolved with z_N's terms one pair at a time: the dict construction
-    that _ZPow.pow's packed shifted adds replaced."""
-    terms = ((0, 1),)
-    pows = [(terms, (0,))]
-    for _ in range(b_max):
+    """The coefficients of (d*z_N)^b for b <= b_max at every scaled exponent
+    from b*e_min to b*e_max, each power convolved with z_N's terms one pair
+    at a time: the dict construction that _ZPow.pow's packed shifted adds
+    replaced."""
+    low, lead = zterms[-1][0], zterms[0][0]
+    terms = {0: 1}
+    pows = [(1,)]
+    for b in range(1, b_max + 1):
         acc = {}
-        for e1, c1 in terms:
+        for e1, c1 in terms.items():
             for e2, c2 in zterms:
                 acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        terms = tuple(sorted(((e, c) for e, c in acc.items() if c),
-                             reverse=True))
-        pows.append((terms, tuple(-e for e, _ in terms)))
+        terms = {e: c for e, c in acc.items() if c}
+        pows.append(tuple(terms.get(e, 0)
+                          for e in range(b * low, b * lead + 1)))
     return pows
 
 
 @pytest.mark.parametrize("name, b_max", [
     ("dyadic", 64), ("triadic", 80), ("harmonic", 59), ("rational", 63),
-    ("mixed-denominators", 63), ("signed", 63)])
+    ("mixed-denominators", 63), ("signed", 63), ("wide-gap", 29)])
 def test_packed_power_tables_match_convolution(name, b_max):
     # each stage extends the table at a wider field than the last, since
     # |d*z_N|_1^b grows with b; powers are read back from the top down
@@ -487,6 +518,8 @@ def test_packed_power_tables_match_convolution(name, b_max):
         assert zp.den == 6
     if name == "signed":
         assert any(c < 0 for _, c in zp.zterms)
+    if name == "wide-gap":
+        assert sum(map(bool, zp.pow(b_max))) == b_max + 1
     for b in (3, 10, b_max):
         zp.pow(b)
     want = _convolved_powers(zp.zterms, b_max)

@@ -233,8 +233,11 @@ def test_spec_with_a_zero_denominator_is_a_usage_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("tail", [{"kind": "geometric"},
                                   {"kind": "geometric", "base": None},
+                                  {"kind": "geometric", "base": 2.5},
+                                  {"kind": "geometric", "base": float("inf")},
                                   "none"],
-                         ids=["no-base", "null-base", "string-tail"])
+                         ids=["no-base", "null-base", "fractional-base",
+                              "infinite-base", "string-tail"])
 def test_malformed_spec_tail_is_a_usage_error(tmp_path, capsys, tail):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"prefix": [{"c": "1", "e": "1/2"}],

@@ -37,8 +37,15 @@ def mixed_spec():
                             GeometricTail(2))
 
 
+def wide_gap_spec():
+    # exponents 1/2, 1/30, 1/60, ...: most fields of the power tables are
+    # zero
+    return SimpleSeriesSpec([(1, F(1, 2)), (3, F(1, 30))], GeometricTail(2))
+
+
 SPECS = {"dyadic": (dyadic_spec, 8), "harmonic": (harmonic_spec, 6),
-         "mixed-denominators": (mixed_spec, 6)}
+         "mixed-denominators": (mixed_spec, 6),
+         "wide-gap": (wide_gap_spec, 4)}
 
 
 def leading_uncached(f, ctx):

@@ -74,9 +74,11 @@ def check_bounded_scans(elements, ctx):
         bounded += 1
         fractional += (elt.value * zp.scale).denominator != 1
         # the bounded image is the exact image on [floor, ceiling)
-        assert got.num and max(got.num) < ceiling
-        assert got.num == {e: v for e, v in full_image(f, zp)[0]
-                           if e >= (got.floor or 0) and e < ceiling}
+        end = got.floor + len(got.num)
+        assert got.num and end <= ceiling
+        full = full_image(f, zp)[1]
+        assert tuple(got.num) == full[got.floor:end]
+        assert not any(full[end:ceiling])
     return bounded, fractional
 
 
@@ -166,17 +168,16 @@ def digit_vectors(ctx, k):
 def check_floored(ctx, zp, digits, lowests):
     """preimage_image under a sequence of floors against the full image."""
     p = preimage_of_rep(MonoidRep(0, digits), ctx)
-    full, den = full_image(p, zp)
+    _, full, den = full_image(p, zp)
     for lowest in lowests:
-        terms, got_den, floor = preimage_image(digits, zp, ctx, lowest)
+        floor, coeffs, got_den = preimage_image(digits, zp, ctx, lowest)
         assert got_den == den
-        if lowest is None or lowest <= 0:
-            assert floor is None
-            assert terms == full
+        if lowest <= 0:
+            assert floor == 0
+            assert coeffs == full
         else:
-            assert floor is None or floor <= lowest
-            assert terms == tuple(t for t in full
-                                  if floor is None or t[0] >= floor)
+            assert 0 <= floor <= lowest
+            assert coeffs == full[floor:]
 
 
 # (spec, number of digit indices, y-degree fixing the table)
@@ -197,10 +198,10 @@ def test_floored_preimage_images(spec_name, k, degy):
     assert len(vectors) > 5
     for digits in vectors:
         p = preimage_of_rep(MonoidRep(0, digits), desc_ctx)
-        top = full_image(p, desc_zp)[0][0][0]
+        top = len(full_image(p, desc_zp)[1]) - 1
         step = max(1, top // 6)
         check_floored(desc_ctx, desc_zp, digits,
                       list(range(top + 2, -step, -step)) + [0])
         draws = [rng.randint(-2, top + 2) for _ in range(8)]
         check_floored(rand_ctx, rand_zp, digits,
-                      draws + [None, rng.randint(1, top + 2), -1])
+                      draws + [0, rng.randint(1, top + 2), -1])
