@@ -26,11 +26,16 @@ carries (Image) and the full and floored images (full_image,
 preimage_image) all use it, so a band is located by index arithmetic and
 nothing is sorted.  The powers are built by shifted adds on one packed int
 whose fields are those coefficients (Kronecker substitution).
+
+Kronecker substitution serves polynomial products too: a large product
+whose terms fill a small dense box, such as an S-polynomial's a*f, is one
+big-int multiply of the two packed factors (_accumulate).
 """
 
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import ceil, gcd, lcm
 from operator import add
 from struct import iter_unpack
@@ -53,11 +58,12 @@ class BivarPoly:
     """Sparse exact polynomial in x and y over Q: integer numerators
     {(xdeg, ydeg): int} over one positive denominator, in lowest terms, so
     equal polynomials have equal representations; the zero polynomial is
-    {} over 1.  Arithmetic has one kernel, the fused accumulation
-    self + sign*q*r on ints (_add_product): a sum or difference is a
-    product with the constant 1, a product accumulates into zero, and the
-    result is normalised once, in _make.  scale and negation multiply the
-    numerators by an int pair.
+    {} over 1.  Arithmetic has one entry point, the fused accumulation
+    self + sign*q*r on ints (_add_product, over the in-place kernel
+    _accumulate): a sum or difference is a product with the constant 1, a
+    product accumulates into zero, and the result is normalised once, in
+    _make.  scale and negation multiply the numerators by an int pair.
+    The hash and deg_y are computed on first use and kept.
 
     The constructor takes a dict or (key, coeff) pairs with non-negative
     int exponents and int, Fraction or "p/q" coefficients; any other
@@ -66,7 +72,7 @@ class BivarPoly:
     order, purely for determinism.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_hash", "_degy")
 
     def __new__(cls, coeffs=()):
         fr = {}
@@ -93,6 +99,8 @@ class BivarPoly:
         poly = object.__new__(cls)
         object.__setattr__(poly, "_num", num)
         object.__setattr__(poly, "_den", den)
+        object.__setattr__(poly, "_hash", None)
+        object.__setattr__(poly, "_degy", None)
         return poly
 
     def __setattr__(self, name, value):
@@ -142,7 +150,10 @@ class BivarPoly:
         return max((a for a, _ in self._num), default=0)
 
     def deg_y(self):
-        return max((b for _, b in self._num), default=0)
+        if self._degy is None:
+            object.__setattr__(self, "_degy",
+                               max((b for _, b in self._num), default=0))
+        return self._degy
 
     def __eq__(self, other):
         if not isinstance(other, BivarPoly):
@@ -150,7 +161,10 @@ class BivarPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._num.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self._den, frozenset(self._num.items()))))
+        return self._hash
 
     def __add__(self, other):
         return self._add_product(1, other, _ONE)
@@ -169,23 +183,12 @@ class BivarPoly:
         return self._add_product(-1, q, r)
 
     def _add_product(self, sign, q, r):
-        """self + sign*q*r for sign = +-1: the arithmetic kernel behind +,
-        -, * and _minus_product.  The terms of q*r are accumulated straight
-        into self's numerators over the lcm of the denominators, and the
-        result is normalised once, in _make."""
-        qr_den = q._den * r._den
-        den = lcm(self._den, qr_den)
-        m1, m2 = den // self._den, sign * (den // qr_den)
-        acc = {k: v * m1 for k, v in self._num.items()}
-        right = r._num.items()
-        for (a1, b1), v1 in q._num.items():
-            v1 *= m2
-            for (a2, b2), v2 in right:
-                k = (a1 + a2, b1 + b2)
-                if k in acc:
-                    acc[k] += v1 * v2
-                else:
-                    acc[k] = v1 * v2
+        """self + sign*q*r for sign = +-1: the arithmetic entry point behind
+        +, -, * and _minus_product.  The terms of q*r are accumulated into a
+        copy of self's numerators (_accumulate), and the result is
+        normalised once, in _make."""
+        acc = dict(self._num)
+        den = _accumulate(acc, self._den, sign, q, r)
         return BivarPoly._make(acc, den)
 
     def scale(self, q):
@@ -242,6 +245,83 @@ class BivarPoly:
 
     def __repr__(self):
         return f"BivarPoly({self.to_string()!r})"
+
+
+# q*r is multiplied packed above this many term pairs, when they are at
+# least _PACK_DENSITY per entry of its dense box (_accumulate)
+_PACK_PAIRS = 1024
+_PACK_DENSITY = 4
+
+
+def _accumulate(acc, den, sign, q, r):
+    """acc / den += sign*q*r in place, for acc a dict of int numerators
+    over den (zeros allowed) and sign = +-1, returning the new denominator,
+    the lcm of den and q's and r's; acc is rescaled only when it grows.
+    This is BivarPoly's one arithmetic loop: _add_product runs it on a copy
+    of self's numerators, and reduce on the numerators it carries.
+
+    The product m*q*r, m = sign * new_den / (den_q * den_r), is formed by
+    one of two strategies with the same result.  Term by term, each pair of
+    terms adds its product to acc.  Packed, when q and r have more than
+    _PACK_PAIRS term pairs and at least _PACK_DENSITY of them per entry of
+    the dense box X*Y of the product's exponents, by Kronecker substitution
+    as in _ZPow: term x^a y^b of a factor goes to field (a - a0)*Y + b - b0
+    of one int, a0 and b0 being the factor's least exponents and Y the
+    product's y range, so no row of the product spills into the next.  m
+    times the product of the two ints then holds the coefficient of x^a y^b
+    of m*q*r in field (a - a0)*Y + b - b0, a0 and b0 now the product's
+    least exponents; its X*Y fields are read back once (_unpack) and the
+    nonzero ones added to acc.  Width: the triangle inequality bounds every
+    coefficient of m*q*r, and every field of either factor, by
+    L = |m| |q|_1 |r|_1, so fields of W = bit_length(L) + 2 bits, rounded
+    up to whole bytes, decode by _ZPow's proof.
+    """
+    qr_den = q._den * r._den
+    new = lcm(den, qr_den)
+    if new != den:
+        m1 = new // den
+        for k in acc:
+            acc[k] *= m1
+    m = sign * (new // qr_den)
+    qn, rn = q._num, r._num
+    if len(qn) * len(rn) > _PACK_PAIRS:
+        (qx, qy), (rx, ry) = zip(*qn), zip(*rn)
+        x0, y0 = min(qx) + min(rx), min(qy) + min(ry)
+        ncols = max(qy) + max(ry) - y0 + 1
+        nfields = (max(qx) + max(rx) - x0 + 1) * ncols
+        if _PACK_DENSITY * nfields <= len(qn) * len(rn):
+            bound = (abs(m) * sum(map(abs, qn.values()))
+                     * sum(map(abs, rn.values())))
+            width = (bound.bit_length() + 9) // 8
+            packed = (m * _pack(_dense(qn, qx, qy, ncols), width)
+                      * _pack(_dense(rn, rx, ry, ncols), width))
+            fields = _unpack(packed, nfields, width)
+            for i in compress(range(nfields), fields):
+                a, b = divmod(i, ncols)
+                k = (x0 + a, y0 + b)
+                acc[k] = acc.get(k, 0) + fields[i]
+            return new
+    right = rn.items()
+    for (a1, b1), v1 in qn.items():
+        v1 *= m
+        for (a2, b2), v2 in right:
+            k = (a1 + a2, b1 + b2)
+            if k in acc:
+                acc[k] += v1 * v2
+            else:
+                acc[k] = v1 * v2
+    return new
+
+
+def _dense(num, xs, ys, ncols):
+    """The coefficients of num as a list, x^a y^b at entry
+    (a - min xs)*ncols + (b - min ys), zeros included; xs and ys are the
+    x- and y-exponents of num's terms."""
+    a0, b0 = min(xs), min(ys)
+    out = [0] * ((max(xs) - a0) * ncols + max(ys) - b0 + 1)
+    for (a, b), v in num.items():
+        out[(a - a0) * ncols + b - b0] = v
+    return out
 
 
 _ZERO = BivarPoly.zero()
@@ -380,7 +460,7 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # Exact evaluation of LE_z / LC_z
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeadingData:
     """Leading exponent and coefficient of f(t, z).
 
@@ -597,27 +677,27 @@ def _power_table(ctx, degy):
 
 class Image:
     """The evaluation f(t, z_N) of a polynomial f from scaled exponent floor
-    up (0: every exponent), as a list num of int numerators, entry i at
-    exponent floor + i, with the top term last, over
-    den = den_f * d^(deg_y f), the denominator _prepare gives.
+    up (0: every exponent), as a list num of int numerators over den, entry
+    i at exponent floor + i, with the top term last.  A scan gives it over
+    den_f * d^(deg_y f), the denominator _prepare gives; subtract keeps it
+    over the lcm of the denominators it meets.
 
     Evaluation at z_N is a ring map, so the image of f - g*h is the image
     of f minus the product of the images of g and h, exactly and at any
     N, and truncation at the floor commutes with subtraction.  That is how
-    reduce carries an image from one step to the next instead of
-    evaluating every intermediate afresh.  exact says r_N > deg_y f, so
-    that by eval_leading's theorem the top term is the leading term of
-    f(t, z).
+    reduce carries an image from one step to the next, subtracting in
+    place, instead of evaluating every intermediate afresh.  By
+    eval_leading's theorem the top term is the leading term of f(t, z)
+    while r_N > deg_y f, which reduce tracks.
     """
 
-    __slots__ = ("zp", "floor", "num", "den", "exact")
+    __slots__ = ("zp", "floor", "num", "den")
 
-    def __init__(self, zp, floor, num, den, degy):
+    def __init__(self, zp, floor, num, den):
         self.zp = zp
         self.floor = floor
         self.num = num
         self.den = den
-        self.exact = degy < zp.scale
 
     @classmethod
     def scan(cls, f, ctx, below=None):
@@ -630,7 +710,7 @@ class Image:
         work, den = _prepare(f, zp, degy)
         ceiling = None if below is None else ceil(below * zp.scale)
         floor, num = _leading_scan(work, zp, ceiling)
-        return cls(zp, floor, num, den, degy)
+        return cls(zp, floor, num, den)
 
     def _top(self):
         """(scaled exponent, numerator) of the top term.  A scan leaves no
@@ -647,42 +727,60 @@ class Image:
         return LeadingData(Fraction(e, self.zp.scale), Fraction(n, self.den),
                            self.zp.depth)
 
-    def minus_product(self, g, p, shift, factor, result):
-        """The image of result = f - (n/d) * x^shift * g * p, self being
-        f's, for the step factor (n, d) given as ints with d > 0: g is a
-        full image at the same depth and p a preimage_image that covers the
-        exponents >= floor - shift - (top exponent of g).  Only the
-        products that reach the floor are formed: each nonzero entry of g
-        adds its multiples of the entries of p that reach the floor."""
-        (_, gnum, gden), (pfloor, pnum, pden) = g, p
+    def subtract(self, g, p, shift, factor):
+        """Subtract (n/d) * x^shift * g * p in place, for the step factor
+        (n, d) given as ints with d > 0: g and p are images at the same
+        depth in this layout, (floor, coefficients, den), each covering
+        the exponents >= floor - shift*r_N - (top exponent of the other).
+        Only the products that reach the floor are formed: each nonzero
+        entry of g adds its multiples of the entries of p that reach the
+        floor.  num is rescaled only when the lcm of the denominators
+        grows."""
+        (gfloor, gnum, gden), (pfloor, pnum, pden) = g, p
         n, d = factor
         pden *= gden * d
         den = lcm(self.den, pden)
-        m1 = den // self.den
+        num = self.num
+        if den != self.den:
+            m1 = den // self.den
+            num[:] = [v * m1 for v in num]
+            self.den = den
         m2 = n * (den // pden)
-        # index, in the result, of the product of g's and p's first entries
-        at = shift * self.zp.scale + pfloor - self.floor
-        acc = [v * m1 for v in self.num]
-        acc += [0] * (at + len(gnum) + len(pnum) - 1 - len(acc))
+        # index, in num, of the product of g's and p's first entries
+        at = shift * self.zp.scale + gfloor + pfloor - self.floor
+        num += [0] * (at + len(gnum) + len(pnum) - 1 - len(num))
         for i in range(max(0, 1 - at - len(pnum)), len(gnum)):
             c = -m2 * gnum[i]
             if c:
                 k = at + i
                 for j in range(-k if k < 0 else 0, len(pnum)):
-                    acc[k + j] += c * pnum[j]
-        # back to the denominator of result's own evaluation, over which
-        # every exponent of the exact image has an int numerator
-        degy = result.deg_y()
-        new_den = result._den * self.zp.den ** degy
-        num = _strip([v * new_den // den for v in acc])
-        return Image(self.zp, self.floor, num, new_den, degy)
+                    num[k + j] += c * pnum[j]
+        while num and not num[-1]:
+            num.pop()
+
+
+def _image_down_to(f, zp, lowest, entry=None):
+    """(floor, coefficients, den): f(t, z_N) on the table zp from scaled
+    exponent floor up, in Image's layout, with floor <= max(lowest, 0)
+    (0: the complete image).  entry, an earlier result for the same f and
+    zp, is returned as it is when its floor is that low, and otherwise
+    extended by a scan of the band between the two floors into a new
+    tuple, so a published entry never changes; without an entry the band
+    starts at the monomial top."""
+    lowest = max(lowest, 0)
+    if entry is not None and entry[0] <= lowest:
+        return entry
+    work, den = _prepare(f, zp, f.deg_y())
+    if entry is None:
+        floor, num = _monomial_top(work, zp) + 1, ()
+    else:
+        floor, num = entry[:2]
+    return lowest, _strip((*_scan(work, zp, lowest, floor), *num)), den
 
 
 def full_image(f, zp):
     """(0, coefficients, den): f(t, z_N) in full, in Image's layout."""
-    work, den = _prepare(f, zp, f.deg_y())
-    hi = _monomial_top(work, zp) + 1
-    return 0, tuple(_strip(_scan(work, zp, 0, hi))), den
+    return _image_down_to(f, zp, 0)
 
 
 def eval_leading(f, ctx, below=None):
@@ -839,19 +937,14 @@ def preimage_image(digits, zp, ctx, lowest=0):
 
     Entries are cached per context under (digits, N), bounded by the monoid
     and the depth.  A lower lowest extends an entry by the band between the
-    two floors, published as a new tuple the way _ZPow.pow publishes its
-    powers, so a reader never sees a partial entry and a published entry
-    never changes."""
-    lowest = max(lowest, 0)
+    two floors (_image_down_to), published as a new tuple the way
+    _ZPow.pow publishes its powers, so a reader never sees a partial entry
+    and a published entry never changes."""
     key = ("image", digits, zp.depth)
     hit = ctx.cache.get(key)
-    if hit is not None and hit[0] <= lowest:
-        return hit
-    p = preimage_of_rep(MonoidRep(0, digits), ctx)
-    work, den = _prepare(p, zp, p.deg_y())
-    floor, num = (_monomial_top(work, zp) + 1, ()) if hit is None else hit[:2]
-    band = _scan(work, zp, lowest, floor)
-    hit = ctx.cache[key] = (lowest, _strip((*band, *num)), den)
+    if hit is None or hit[0] > max(lowest, 0):
+        p = preimage_of_rep(MonoidRep(0, digits), ctx)
+        hit = ctx.cache[key] = _image_down_to(p, zp, lowest, hit)
     return hit
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bipoly import (BivarPoly, Image, eval_leading, full_image,
-                     preimage_image, preimage_leading, preimage_of_rep)
+from .bipoly import (BivarPoly, Image, _accumulate, _image_down_to,
+                     eval_leading, preimage_image, preimage_leading,
+                     preimage_of_rep)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
 from .valmonoid import (apery_set, decompose, decompose_point,
@@ -58,6 +59,16 @@ def _int_lead(lead, ctx):
     the lattice point le * R (None off the lattice) and lc = n / d."""
     lc = lead.lc
     return lead.le, lattice_point(lead.le, ctx), lc.numerator, lc.denominator
+
+
+def _int_lead_of(f, ctx):
+    """_int_lead of f's leading data, memoised per context under
+    ("int-lead", f), next to eval_leading's ("lead", f)."""
+    key = ("int-lead", f)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        hit = ctx.cache[key] = _int_lead(eval_leading(f, ctx), ctx)
+    return hit
 
 
 def _image_lead(image, ctx):
@@ -109,8 +120,7 @@ def approx_quotient(f, g, ctx):
     """h with f = g*h or LE_z(f - g*h) < LE_z(f), when the values divide."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("approximate quotient needs nonzero inputs")
-    q = _quotient_for(_int_lead(eval_leading(f, ctx), ctx),
-                      _int_lead(eval_leading(g, ctx), ctx), ctx)
+    q = _quotient_for(_int_lead_of(f, ctx), _int_lead_of(g, ctx), ctx)
     return None if q is None else q[0]
 
 
@@ -122,37 +132,54 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     values along the trace strictly descend in a well-ordered monoid.
 
     f's leading data comes from the memo.  The intermediates never recur,
-    so their leading terms come from one exact image f(t, z_N), carried
-    from step to step above a floor: a step subtracts the image of g*h,
-    which is image(g) times c*t^n*image(prod p_j^(d_j)).  image(g) is
-    evaluated once per basis element and depth in a call, and the images
-    of the products of p_j are cached per context, down to the lowest
-    exponent from which a step's product reaches the floor.  cur is
-    evaluated afresh when nothing survives above the floor, or when
-    deg_y(cur) reaches r_N, where eval_leading's theorem no longer fixes
-    the leading term.
+    so they are not built as polynomials at each step: cur is one live
+    dict of int numerators over a running denominator, and a step adds
+    -g*h into it in place (bipoly._accumulate).  Their leading terms come
+    from one exact image f(t, z_N), carried from step to step above a
+    floor: a step subtracts, in place, the image of g*h, which is image(g)
+    times c*t^n*image(prod p_j^(d_j)).  The images of g and of the
+    products of p_j are kept down to the lowest exponent from which a step's
+    product reaches the floor, image(g) per basis element and depth in a
+    call, the products per context.
+
+    cur is built as a BivarPoly (_make) only where one is needed: when
+    nothing survives above the floor, so that it is zero or is evaluated
+    afresh, when its y-degree reaches r_N, where eval_leading's theorem no
+    longer fixes the leading term and it is evaluated afresh at a deeper
+    N, and for the remainder.  The y-degree is tracked as a bound: the true
+    deg_y once cur is built, raised to deg_y(g) + deg_y(h) by a step.  The
+    bound is exact when it first reaches r_N, since cur's own terms stay
+    below r_N in y and cannot cancel g*h's top row.  While it stays below
+    r_N, g and h have y-degree below r_N too, so the tops of their images
+    are their leading exponents, which fixes the floors of both.
 
     The step arithmetic runs on ints.  The basis leads are read once per
-    call as lattice points and int coefficients (_int_lead), every step
-    after the first reads cur's lead off the image's top term as ints
-    (_image_lead), each step's value difference is a difference of lattice
-    ints, its factor is a coprime pair (n, d) formed with one gcd
-    (_quotient_for), and cur - g*h is formed in one accumulation
-    (BivarPoly._minus_product).  Fractions remain only in the trace: the
-    quotient's coefficients and value_before, one Fraction per step.
+    call as lattice points and int coefficients (_int_lead, memoised per
+    polynomial), every step after the first reads cur's lead off the
+    image's top term as ints (_image_lead), each step's value difference
+    is a difference of lattice ints, and its factor is a coprime pair
+    (n, d) formed with one gcd (_quotient_for).  Fractions remain only in
+    the trace: the quotient's coefficients and value_before, one Fraction
+    per step.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
-    lead_basis = [_int_lead(eval_leading(g, ctx), ctx) for g in basis]
+    lead_basis = [_int_lead_of(g, ctx) for g in basis]
     basis_images = {}
     steps = []
-    cur = f
-    image = None
-    while not cur.is_zero():
+    cur, image = f, None
+    acc, den, degy = dict(f._num), f._den, f.deg_y()
+    while True:
         if not steps:
-            lead = _int_lead(eval_leading(cur, ctx), ctx)
+            if f.is_zero():
+                break
+            lead = _int_lead_of(f, ctx)
         else:
-            if image is None or not image.exact or not image.num:
+            if image is None or not image.num:
+                cur = BivarPoly._make(acc, den)
+                if cur.is_zero():
+                    break
+                acc, den, degy = dict(cur._num), cur._den, cur.deg_y()
                 image = Image.scan(cur, ctx)
             lead = _image_lead(image, ctx)
             if lead[0] >= steps[-1].value_before:
@@ -169,18 +196,27 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
         steps.append(ReductionStep(idx, h, lead[0]))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
-        cur = cur._minus_product(basis[idx], h)
-        if image is not None:
-            zp = image.zp
-            gkey = (idx, zp.depth)
-            if gkey not in basis_images:
-                basis_images[gkey] = full_image(basis[idx], zp)
-            g_image = basis_images[gkey]
-            # the floor less x^n's shift and the top exponent of g's image
-            lowest = image.floor - rep.n * zp.scale - len(g_image[1]) + 1
-            image = image.minus_product(
-                g_image, preimage_image(rep.digits, zp, ctx, lowest),
-                rep.n, factor, cur)
+        g = basis[idx]
+        den = _accumulate(acc, den, -1, g, h)
+        cur = None
+        degy = max(degy, g.deg_y() + preimage_of_rep(rep, ctx).deg_y())
+        if image is not None and degy >= image.zp.scale:
+            image = None
+        if image is None:
+            continue
+        zp = image.zp
+        # scaled tops of image(g) and of image(x^n * prod p_j^(d_j)): the
+        # leading exponents, which add up to cur's
+        gtop = lg[0].numerator * zp.scale // lg[0].denominator
+        htop = image.floor + len(image.num) - 1 - gtop
+        key = (idx, zp.depth)
+        basis_images[key] = _image_down_to(
+            g, zp, image.floor - htop, basis_images.get(key))
+        image.subtract(basis_images[key], preimage_image(
+            rep.digits, zp, ctx, image.floor - rep.n * zp.scale - gtop),
+            rep.n, factor)
+    if cur is None:
+        cur = BivarPoly._make(acc, den)
     return ReductionTrace(tuple(steps), cur)
 
 
@@ -238,8 +274,8 @@ def syzygy_family(f, g, ctx, minimal=False):
     with b scaled so the leading terms of a*f and b*g cancel."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("syzygy family needs nonzero inputs")
-    values, lead_f, lead_g = syzygy_values(f, g, ctx, minimal)
-    lead_f, lead_g = _int_lead(lead_f, ctx), _int_lead(lead_g, ctx)
+    values = syzygy_values(f, g, ctx, minimal)[0]
+    lead_f, lead_g = _int_lead_of(f, ctx), _int_lead_of(g, ctx)
     return [_syzygy_element(v, f, g, lead_f, lead_g, ctx) for v in values]
 
 

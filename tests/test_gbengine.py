@@ -9,7 +9,7 @@ from valmon.bipoly import BivarPoly, eval_leading, parse
 from valmon.errors import (IncompleteBasis, StepLimitExceeded, ZeroPolynomial)
 from valmon.gbengine import (approx_quotient, buchberger, is_member, reduce,
                              syzygy_family, syzygy_values)
-from valmon.series import dyadic_spec
+from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
 from valmon.valmonoid import MonoidContext, decompose
 
 F = Fraction
@@ -262,6 +262,23 @@ def test_round_capped_bases_are_pinned():
         assert res.complete == case["complete"]
         assert res.iterations == case["iterations"]
         assert [g.to_string() for g in res.basis] == case["basis"]
+
+
+def test_harmonic_round_capped_basis_is_pinned():
+    # on the harmonic spec (exponents 1/2, 1/3, 1/4, ...) the tables reach
+    # depth 6, where reduce reads each basis element's image only down to
+    # the floor of the carried image; the basis must not change with it
+    here = Path(__file__).resolve().parent
+    with open(here / "harmonic_round_capped_basis.json") as fh:
+        case = json.load(fh)
+    spec = SimpleSeriesSpec([(1, F(1, 2))],
+                            CallbackTail(lambda i: (1, F(1, i + 2))))
+    res = buchberger([parse(g) for g in case["gens"]],
+                     MonoidContext(spec, case["depth"]),
+                     max_rounds=case["max_rounds"])
+    assert res.complete == case["complete"]
+    assert res.iterations == case["iterations"]
+    assert [g.to_string() for g in res.basis] == case["basis"]
 
 
 @pytest.mark.parametrize("f,gs", [

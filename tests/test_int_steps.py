@@ -2,7 +2,9 @@
 
 BivarPoly forms p - q*r with one fused accumulation (_minus_product),
 subtracts without negating first, and scales by an int or a Fraction's
-numerator and denominator directly.  gbengine forms its step factors from
+numerator and denominator directly.  Its kernel multiplies large dense
+products packed into big ints and the rest term by term; both must give
+the term-by-term result.  gbengine forms its step factors from
 the int numerators and denominators of the leading coefficients, and its
 value differences as lattice ints.  The references below are copies of
 the Fraction code these replaced; results must be identical,
@@ -15,7 +17,7 @@ from math import lcm
 
 import pytest
 
-from valmon import gbengine
+from valmon import bipoly, gbengine
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
                            preimage_leading, preimage_of_rep,
                            truncation_min_poly)
@@ -79,6 +81,75 @@ def test_fused_minus_product_matches_the_operators():
         assert_same(got, p - q * r)
         cancelled += got.is_zero() and not p.is_zero()
     assert cancelled > 20
+
+
+def reference_product_sum(p, sign, q, r):
+    """p + sign*q*r, term by term over Fractions."""
+    acc = p.coeffs
+    for (a1, b1), v1 in q.coeffs.items():
+        for (a2, b2), v2 in r.coeffs.items():
+            k = (a1 + a2, b1 + b2)
+            acc[k] = acc.get(k, 0) + sign * v1 * v2
+    return BivarPoly(acc)
+
+
+def box_poly(rng, n, xs, ys, bits, dens=(1,)):
+    """n distinct terms in the box xs x ys, coefficients of either sign up
+    to 2^bits over a denominator drawn from dens."""
+    keys = rng.sample([(a, b) for a in xs for b in ys], n)
+    return BivarPoly({k: F(rng.choice((-1, 1)) * rng.randint(1, 2 ** bits),
+                           rng.choice(dens)) for k in keys})
+
+
+def test_packed_accumulation_matches_the_dict_loop(monkeypatch):
+    """Both strategies of the kernel give the dict loop's result,
+    representation and all, on each side of the size and density cutoffs;
+    a box sparser than the cutoff takes the dict loop."""
+    packed = []
+    dense = bipoly._dense
+
+    def spy(*args):
+        packed.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(bipoly, "_dense", spy)
+    rng = random.Random(13)
+    box, wide = (range(3, 9), range(2, 10)), (range(0, 90), range(0, 90))
+    default = bipoly._PACK_PAIRS
+    cases = [
+        # (q, r, whether the dense box is small enough to pack)
+        # 1,200 pairs in a box of 11 * 15, small and 2^200-size coefficients
+        (box_poly(rng, 40, *box, 8), box_poly(rng, 30, *box, 8), True),
+        (box_poly(rng, 40, *box, 200, (1, 3, 10**30)),
+         box_poly(rng, 30, *box, 200, (7, 2**90)), True),
+        # 1,024 pairs: the dict loop at the default cutoff
+        (box_poly(rng, 32, *box, 8), box_poly(rng, 32, *box, 8), True),
+        # a box of 173 * 175, above the pair count
+        (box_poly(rng, 40, *wide, 8), box_poly(rng, 30, *wide, 8), False),
+        # 1,350 pairs in a box of 13 * 35: under the pair count, over a
+        # quarter of it
+        (box_poly(rng, 45, range(7), range(18), 8),
+         box_poly(rng, 30, range(7), range(18), 8), False),
+    ]
+    taken = []
+    for q, r, small_box in cases:
+        pairs = len(q.coeffs) * len(r.coeffs)
+        p = box_poly(rng, 20, range(4, 12), range(4, 14), 60, (1, 5))
+        product = reference_product_sum(BivarPoly.zero(), 1, q, r)
+        for self_, sign in ((p, -1), (p, 1), (BivarPoly.zero(), 1),
+                            (product, -1), (reference_add(product, p), -1)):
+            want = reference_product_sum(self_, sign, q, r)
+            for cutoff in (default, 0, 10**9):
+                monkeypatch.setattr(bipoly, "_PACK_PAIRS", cutoff)
+                del packed[:]
+                assert_same(self_._add_product(sign, q, r), want)
+                assert bool(packed) == (pairs > cutoff and small_box)
+                taken.append(bool(packed))
+        monkeypatch.setattr(bipoly, "_PACK_PAIRS", default)
+        assert_same(product._minus_product(q, r), BivarPoly.zero())
+        assert_same(q * r, product)
+    # at the default cutoff the first two cases pack, the others do not
+    assert taken[::3] == [True] * 10 + [False] * 15
 
 
 def test_sub_and_neg_match_the_reference():

@@ -1,13 +1,16 @@
 """reduce against the reduction loop it replaced.
 
-reduce carries one exact image of the current polynomial from step to step.
-The reference below is the loop it replaced: every intermediate is
-evaluated afresh at its own exact depth, and the quotient is composed from
-the public monoid and preimage functions.  The traces (divisor, quotient
-and value of every step, and the remainder) must be identical, on every
-reduction that buchberger runs for the gb inputs of this suite, on the
-satellite ideals, on criterion 9's pairs, and on the dyadic, harmonic and
-mixed-denominators specs.
+reduce carries one exact image of the current polynomial from step to step,
+and the current polynomial itself as live numerators, built only where a
+step needs it.  The reference below is the loop it replaced: every
+intermediate is evaluated afresh at its own exact depth, and the quotient
+is composed from the public monoid and preimage functions.  The traces
+(divisor, quotient and value of every step, and the remainder) must be
+identical, on every reduction that buchberger runs for the gb inputs of
+this suite, on the satellite ideals, on criterion 9's pairs, on the
+dyadic, harmonic and mixed-denominators specs, and on reductions whose
+y-degree passes r_N mid-trace, that reach zero between two scans, or that
+run on an exhausted finite spec.
 """
 
 import random
@@ -16,8 +19,9 @@ from fractions import Fraction
 import pytest
 
 from valmon import gbengine
-from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
-                           preimage_leading, preimage_of_rep)
+from valmon.bipoly import (BivarPoly, Image, _power_table, eval_leading,
+                           parse, preimage_leading, preimage_of_rep)
+from valmon.errors import InsufficientPrecision
 from valmon.gbengine import ReductionStep, ReductionTrace, buchberger, reduce
 from valmon.series import (CallbackTail, GeometricTail, SimpleSeriesSpec,
                            dyadic_spec)
@@ -165,3 +169,93 @@ def test_criterion_9_pairs_match_reference(spec_name):
         calls.append((f, [g], reduce(f, [g], ctx)))
     assert sum(len(trace.steps) > 1 for _, _, trace in calls) > 20
     check_against_reference(calls, spec_name)
+
+
+# --- the carried state: y-degree bound, zero between rescans, exhaustion ---
+
+def replay(f, basis, trace):
+    """f and every intermediate of its trace, the remainder last."""
+    curs = [f]
+    for step in trace.steps:
+        curs.append(curs[-1] - basis[step.divisor] * step.quotient)
+    assert curs[-1] == trace.remainder
+    return curs
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Every polynomial Image.scan evaluates, in order."""
+    seen = []
+    scan = Image.scan.__func__
+
+    def spy(cls, f, ctx, below=None):
+        seen.append(f)
+        return scan(cls, f, ctx, below)
+
+    monkeypatch.setattr(Image, "scan", classmethod(spy))
+    return seen
+
+
+def test_degree_bound_passing_r_N_mid_trace(scanned):
+    # a step's g*h lifts cur's y-degree to r_N of the carried image's table
+    # or past it, so the next lead comes from a fresh scan at a deeper N
+    ctx = MonoidContext(dyadic_spec(), 8)
+    cases = [("2*x^8", ["3*x*y"]), ("3*y^3 + x^8", ["3*x^2*y^2 + x^4"]),
+             ("2*x^5*y^3 + 2*x^4*y^2 + 5*x^8", ["y^2"])]
+    calls = []
+    for f, basis in cases:
+        f, basis = parse(f), [parse(g) for g in basis]
+        del scanned[:]
+        trace = reduce(f, basis, ctx)
+        curs = replay(f, basis, trace)
+        depth = [_power_table(ctx, c.deg_y()).depth for c in curs]
+        assert any(depth[k + 1] > depth[k] and curs[k + 1] in scanned
+                   for k in range(1, len(curs) - 1) if curs[k + 1])
+        calls.append((f, basis, trace))
+    check_against_reference(calls, "dyadic")
+
+
+def test_zero_reached_between_rescans(scanned):
+    # the last step empties the carried image: the last nonzero
+    # intermediate was never scanned, its lead came off the image
+    ctx = MonoidContext(dyadic_spec(), 8)
+    cases = [("-3*x^4*y^3 + 4*x^8 - x^7", ["-3*x^3"]),
+             ("x^3*y^4 + 3*x*y^4 - x^6", ["x"]),
+             ("-x*y^7 + 4*x^6", ["3*x"])]
+    calls = []
+    for f, basis in cases:
+        f, basis = parse(f), [parse(g) for g in basis]
+        del scanned[:]
+        trace = reduce(f, basis, ctx)
+        curs = replay(f, basis, trace)
+        assert trace.remainder.is_zero() and len(trace.steps) >= 2
+        assert curs[-2] not in scanned
+        calls.append((f, basis, trace))
+    check_against_reference(calls, "dyadic")
+
+
+def test_exhausted_finite_spec_matches_reference():
+    # z = t^(1/2) + t^(1/4) has r = 4: intermediates of y-degree >= 4 are
+    # evaluated at z itself, and one that z's minimal polynomial divides
+    # raises, in reduce as in the reference
+    spec = SimpleSeriesSpec([(1, F(1, 2)), (1, F(1, 4))])
+    rng = random.Random(3)
+    outcomes = []
+    exhausted = 0
+    while len(outcomes) < 150:
+        f, g = random_poly(rng, 8), random_poly(rng, 5)
+        if f.is_zero() or g.is_zero():
+            continue
+        results = []
+        for run in (reduce, reference_reduce):
+            try:
+                results.append(run(f, [g], MonoidContext(spec, 2)))
+            except InsufficientPrecision as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        outcomes.append(results[0])
+        if isinstance(results[0], ReductionTrace):
+            curs = replay(f, [g], results[0])
+            exhausted += sum(c.deg_y() >= 4 for c in curs[1:-1]) >= 2
+    assert exhausted > 20
+    assert any(isinstance(out, str) for out in outcomes)
