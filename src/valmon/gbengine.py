@@ -142,16 +142,17 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     product reaches the floor, image(g) per basis element and depth in a
     call, the products per context.
 
-    cur is built as a BivarPoly (_make) only where one is needed: when
-    nothing survives above the floor, so that it is zero or is evaluated
-    afresh, when its y-degree reaches r_N, where eval_leading's theorem no
-    longer fixes the leading term and it is evaluated afresh at a deeper
-    N, and for the remainder.  The y-degree is tracked as a bound: the true
-    deg_y once cur is built, raised to deg_y(g) + deg_y(h) by a step.  The
-    bound is exact when it first reaches r_N, since cur's own terms stay
-    below r_N in y and cannot cancel g*h's top row.  While it stays below
-    r_N, g and h have y-degree below r_N too, so the tops of their images
-    are their leading exponents, which fixes the floors of both.
+    cur is built as a BivarPoly (_make) only where one is needed: for the
+    remainder; when nothing survives above the floor, where cur is zero or
+    is evaluated afresh; and when its y-degree reaches r_N, where
+    eval_leading's theorem no longer fixes the leading term, so cur is
+    evaluated afresh at a deeper N.  The y-degree is tracked as a bound:
+    the true deg_y once cur is built, raised to deg_y(g) + deg_y(h) by a
+    step.  The bound is exact when it first reaches r_N, since cur's own
+    terms stay below r_N in y and cannot cancel g*h's top row.  While it
+    stays below r_N, g and h have y-degree below r_N too, so the tops of
+    their images are their leading exponents, which fixes the floors of
+    both.
 
     The step arithmetic runs on ints.  The basis leads are read once per
     call as lattice points and int coefficients (_int_lead, memoised per
