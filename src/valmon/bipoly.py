@@ -45,13 +45,22 @@ from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
 from .exactnum import rat_str
 from .seqderive import _pull_terms
 from .series import FinitePuiseux, truncate
-from .valmonoid import MonoidRep, decompose, rep_value
+from .valmonoid import MonoidRep, decompose, lattice_point, rep_value
 
 _EXPONENT_CAP = 10 ** 4
 # caps on the dense size (deg_x + 1) * (deg_y + 1) and on the coefficient
 # bit length of any parsed product or power, checked before it is computed
 _DENSE_CAP = 10 ** 5
 _COEFF_BITS_CAP = 10 ** 6
+# cap on the int fields of one scan window (_scan) or of the new powers of
+# one power-table extension (_ZPow.pow), checked before they are allocated
+_FIELDS_CAP = 10 ** 7
+
+
+def _check_fields(n, what):
+    if n > _FIELDS_CAP:
+        raise ValueError(f"{what} needs {n} fields, over the cap of "
+                         f"{_FIELDS_CAP}")
 
 
 class BivarPoly:
@@ -105,6 +114,10 @@ class BivarPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _make, not slot by slot
+        return BivarPoly._make, (self._num, self._den)
 
     @classmethod
     def zero(cls):
@@ -466,12 +479,14 @@ class LeadingData:
 
     certified_at is the truncation depth N at which the evaluation was
     exact (see eval_leading); leading data composed without an evaluation,
-    as preimage_leading does, carries 0.
+    as preimage_leading does, carries 0.  point is the int le * R on the
+    context's lattice (1/R)Z, or None off it (lattice_point).
     """
 
     le: Fraction
     lc: Fraction
     certified_at: int
+    point: int | None
 
 
 class _ZPow:
@@ -533,6 +548,8 @@ class _ZPow:
             k = len(ext) - 1
             if k < b:
                 span = self.lead - self.low
+                _check_fields(b - k + span * (b * (b + 1) - k * (k + 1)) // 2,
+                              f"power table of z_{self.depth} up to power {b}")
                 norm = sum(abs(c) for _, c in self.zterms)
                 width = ((norm ** b).bit_length() + 9) // 8
                 shifts = tuple((8 * width * (e - self.low), c)
@@ -604,6 +621,7 @@ def _scan(work, zp, lo, hi):
     slice, located by index arithmetic and added as one slice of the list.
     """
     n = hi - lo
+    _check_fields(n, "scan window")
     acc = [0] * n
     for shift, b, coeff in work:
         row = zp.pow(b)
@@ -691,13 +709,14 @@ class Image:
     while r_N > deg_y f, which reduce tracks.
     """
 
-    __slots__ = ("zp", "floor", "num", "den")
+    __slots__ = ("zp", "floor", "num", "den", "lattice_den")
 
-    def __init__(self, zp, floor, num, den):
+    def __init__(self, zp, floor, num, den, lattice_den):
         self.zp = zp
         self.floor = floor
         self.num = num
         self.den = den
+        self.lattice_den = lattice_den
 
     @classmethod
     def scan(cls, f, ctx, below=None):
@@ -710,7 +729,7 @@ class Image:
         work, den = _prepare(f, zp, degy)
         ceiling = None if below is None else ceil(below * zp.scale)
         floor, num = _leading_scan(work, zp, ceiling)
-        return cls(zp, floor, num, den)
+        return cls(zp, floor, num, den, ctx.lattice_den)
 
     def _top(self):
         """(scaled exponent, numerator) of the top term.  A scan leaves no
@@ -722,10 +741,12 @@ class Image:
         return self.floor + len(self.num) - 1, self.num[-1]
 
     def lead(self):
-        """Leading data of the top term."""
+        """Leading data of the top term, its lattice point e * R / r_N read
+        off the scaled exponent e."""
         e, n = self._top()
+        k, rest = divmod(e * self.lattice_den, self.zp.scale)
         return LeadingData(Fraction(e, self.zp.scale), Fraction(n, self.den),
-                           self.zp.depth)
+                           self.zp.depth, None if rest else k)
 
     def subtract(self, g, p, shift, factor):
         """Subtract (n/d) * x^shift * g * p in place, for the step factor
@@ -958,7 +979,8 @@ def preimage_leading(rep, ctx):
         for j, d in enumerate(rep.digits, start=1):
             if d:
                 lc *= eval_leading(truncation_min_poly(ctx, j), ctx).lc ** d
-        hit = ctx.cache[key] = LeadingData(rep_value(rep, ctx), lc, 0)
+        le = rep_value(rep, ctx)
+        hit = ctx.cache[key] = LeadingData(le, lc, 0, lattice_point(le, ctx))
     return hit
 
 

@@ -131,6 +131,10 @@ class CyclotomicElement:
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not slot by slot
+        return CyclotomicElement, (self.order, self.coeffs)
+
     @classmethod
     def _raw(cls, order, coeffs):
         # internal: trusts coeffs to be a well-sized tuple of Fractions

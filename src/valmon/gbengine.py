@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from .bipoly import (BivarPoly, Image, _accumulate, _image_down_to,
-                     eval_leading, preimage_image, preimage_leading,
-                     preimage_of_rep)
+                     _power_table, eval_leading, preimage_image,
+                     preimage_leading, preimage_of_rep)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
 from .valmonoid import (apery_set, decompose, decompose_point,
@@ -54,34 +54,6 @@ class GbResult:
     iterations: int
 
 
-def _int_lead(lead, ctx):
-    """Leading data as the step arithmetic reads it: (le, k, n, d) with k
-    the lattice point le * R (None off the lattice) and lc = n / d."""
-    lc = lead.lc
-    return lead.le, lattice_point(lead.le, ctx), lc.numerator, lc.denominator
-
-
-def _int_lead_of(f, ctx):
-    """_int_lead of f's leading data, memoised per context under
-    ("int-lead", f), next to eval_leading's ("lead", f)."""
-    key = ("int-lead", f)
-    hit = ctx.cache.get(key)
-    if hit is None:
-        hit = ctx.cache[key] = _int_lead(eval_leading(f, ctx), ctx)
-    return hit
-
-
-def _image_lead(image, ctx):
-    """_int_lead of an image's top term, read off its ints: the exponent
-    e / r_N is the one Fraction built, the lattice point is e * R / r_N
-    (None when r_N does not divide e * R), and the coefficient stays the
-    unreduced pair (numerator, den), which _step_factor reduces."""
-    e, n = image._top()
-    r = image.zp.scale
-    k, rest = divmod(e * ctx.lattice_den, r)
-    return Fraction(e, r), None if rest else k, n, image.den
-
-
 def _step_factor(n, d):
     """n / d as coprime ints (n, d) with d > 0."""
     if d < 0:
@@ -93,26 +65,26 @@ def _step_factor(n, d):
 def _quotient_for(lead_f, lead_g, ctx):
     """(h, rep, factor) with h = factor * preimage(rep) lowering the leading
     term lead_f against lead_g, or None when the value of g does not divide
-    the value of f.  The leads are _int_lead tuples; the factor
-    LC(f) / (LC(g) * LC(preimage)) is formed from their int numerators and
-    denominators with one gcd and returned as (n, d), d > 0.
+    the value of f.  The leads are LeadingData; the factor
+    LC(f) / (LC(g) * LC(preimage)) is formed from the numerators and
+    denominators of the three leading coefficients with one gcd and
+    returned as (n, d), d > 0.
 
-    The value difference is the difference of lattice ints.  A leading
-    exponent off the lattice (deg_y >= r_l(depth)), which reduce and
-    approx_quotient can meet, falls back to the Fraction difference: a
+    The value difference is the difference of the leads' lattice points.
+    A leading exponent off the lattice (deg_y >= r_l(depth)), which reduce
+    and approx_quotient can meet, falls back to the Fraction difference: a
     difference landing on the lattice is decomposed, any other raises
     decompose's InsufficientPrecision.  This is the only off-lattice path:
     syzygy_values decomposes both leading exponents first."""
-    le_f, kf, nf, df = lead_f
-    le_g, kg, ng, dg = lead_g
-    if kf is None or kg is None:
-        rep = decompose(le_f - le_g, ctx)
+    if lead_f.point is None or lead_g.point is None:
+        rep = decompose(lead_f.le - lead_g.le, ctx)
     else:
-        rep = decompose_point(kf - kg, ctx)
+        rep = decompose_point(lead_f.point - lead_g.point, ctx)
     if rep is None:
         return None
-    lc = preimage_leading(rep, ctx).lc
-    factor = _step_factor(nf * dg * lc.denominator, df * ng * lc.numerator)
+    lf, lg, lc = lead_f.lc, lead_g.lc, preimage_leading(rep, ctx).lc
+    factor = _step_factor(lf.numerator * lg.denominator * lc.denominator,
+                          lf.denominator * lg.numerator * lc.numerator)
     return preimage_of_rep(rep, ctx)._scaled(*factor), rep, factor
 
 
@@ -120,7 +92,7 @@ def approx_quotient(f, g, ctx):
     """h with f = g*h or LE_z(f - g*h) < LE_z(f), when the values divide."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("approximate quotient needs nonzero inputs")
-    q = _quotient_for(_int_lead_of(f, ctx), _int_lead_of(g, ctx), ctx)
+    q = _quotient_for(eval_leading(f, ctx), eval_leading(g, ctx), ctx)
     return None if q is None else q[0]
 
 
@@ -144,28 +116,28 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
 
     cur is built as a BivarPoly (_make) only where one is needed: for the
     remainder; when nothing survives above the floor, where cur is zero or
-    is evaluated afresh; and when its y-degree reaches r_N, where
-    eval_leading's theorem no longer fixes the leading term, so cur is
-    evaluated afresh at a deeper N.  The y-degree is tracked as a bound:
-    the true deg_y once cur is built, raised to deg_y(g) + deg_y(h) by a
-    step.  The bound is exact when it first reaches r_N, since cur's own
-    terms stay below r_N in y and cannot cancel g*h's top row.  While it
-    stays below r_N, g and h have y-degree below r_N too, so the tops of
-    their images are their leading exponents, which fixes the floors of
-    both.
+    is evaluated afresh; and when the exact power table for its y-degree
+    is no longer the image's, where eval_leading's theorem no longer fixes
+    the leading term, so cur is evaluated afresh at a deeper N.  That
+    happens when the y-degree reaches r_N, except on an exhausted finite
+    spec, where the table is z itself at every y-degree.  The y-degree is
+    tracked as a bound: the true deg_y once cur is built, raised to
+    deg_y(g) + deg_y(h) by a step.  The bound is exact when it first
+    reaches r_N, since cur's own terms stay below r_N in y and cannot
+    cancel g*h's top row.  While the image is kept, the tops of the images
+    of g and h are their leading exponents, which fixes the floors of
+    both: below r_N by eval_leading's theorem, g and h having y-degree
+    below r_N too, and on an exhausted spec because z_N = z.
 
-    The step arithmetic runs on ints.  The basis leads are read once per
-    call as lattice points and int coefficients (_int_lead, memoised per
-    polynomial), every step after the first reads cur's lead off the
-    image's top term as ints (_image_lead), each step's value difference
-    is a difference of lattice ints, and its factor is a coprime pair
-    (n, d) formed with one gcd (_quotient_for).  Fractions remain only in
-    the trace: the quotient's coefficients and value_before, one Fraction
-    per step.
+    The step arithmetic runs on ints: every lead is a LeadingData, the
+    basis elements' and f's from the memo and every later one off the
+    image's top term (Image.lead), each step's value difference is a
+    difference of their lattice points, and its factor is a coprime pair
+    (n, d) formed with one gcd (_quotient_for).
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
-    lead_basis = [_int_lead_of(g, ctx) for g in basis]
+    lead_basis = [eval_leading(g, ctx) for g in basis]
     basis_images = {}
     steps = []
     cur, image = f, None
@@ -174,7 +146,7 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
         if not steps:
             if f.is_zero():
                 break
-            lead = _int_lead_of(f, ctx)
+            lead = eval_leading(f, ctx)
         else:
             if image is None or not image.num:
                 cur = BivarPoly._make(acc, den)
@@ -182,8 +154,8 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
                     break
                 acc, den, degy = dict(cur._num), cur._den, cur.deg_y()
                 image = Image.scan(cur, ctx)
-            lead = _image_lead(image, ctx)
-            if lead[0] >= steps[-1].value_before:
+            lead = image.lead()
+            if lead.le >= steps[-1].value_before:
                 raise InternalError(
                     f"reduction failed to lower the value at step "
                     f"{len(steps)}")
@@ -194,21 +166,24 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
         else:
             break
         h, rep, factor = q
-        steps.append(ReductionStep(idx, h, lead[0]))
+        steps.append(ReductionStep(idx, h, lead.le))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
         g = basis[idx]
         den = _accumulate(acc, den, -1, g, h)
         cur = None
         degy = max(degy, g.deg_y() + preimage_of_rep(rep, ctx).deg_y())
-        if image is not None and degy >= image.zp.scale:
+        # below r_N the exact table is the image's own, so look it up only
+        # from there
+        if (image is not None and degy >= image.zp.scale
+                and _power_table(ctx, degy) is not image.zp):
             image = None
         if image is None:
             continue
         zp = image.zp
         # scaled tops of image(g) and of image(x^n * prod p_j^(d_j)): the
         # leading exponents, which add up to cur's
-        gtop = lg[0].numerator * zp.scale // lg[0].denominator
+        gtop = lg.le.numerator * zp.scale // lg.le.denominator
         htop = image.floor + len(image.num) - 1 - gtop
         key = (idx, zp.depth)
         basis_images[key] = _image_down_to(
@@ -235,7 +210,7 @@ def syzygy_values(f, g, ctx, minimal=False):
     rep_f = decompose(lead_f.le, ctx)
     rep_g = decompose(lead_g.le, ctx)
     depth = max(len(rep_f.digits), len(rep_g.digits))
-    targets = (lattice_point(lead_f.le, ctx), lattice_point(lead_g.le, ctx))
+    targets = (lead_f.point, lead_g.point)
     R = ctx.lattice_den
     points = sorted(k + min_eta(k, targets, ctx) * R
                     for k in apery_set(depth, ctx))
@@ -249,23 +224,21 @@ def syzygy_values(f, g, ctx, minimal=False):
 
 
 def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
-    """The element of the pair at value; lead_f and lead_g are _int_lead
-    tuples.  syzygy_values has decomposed both leading exponents, so they
-    lie on the lattice, as every value sigma + eta does, and the value
-    differences are lattice ints.  b's factor LC(a) LC(f) / (LC(pb) LC(g))
-    is formed on ints, and the S-polynomial a*f - b*g with the fused
-    _minus_product."""
-    _, kf, nf, df = lead_f
-    _, kg, ng, dg = lead_g
+    """The element of the pair at value, for the LeadingData lead_f and
+    lead_g that syzygy_values returns.  It has decomposed both leading
+    exponents, so their points lie on the lattice, as every value
+    sigma + eta does, and the value differences are lattice ints.  b's
+    factor LC(a) LC(f) / (LC(pb) LC(g)) is formed on ints, and the
+    S-polynomial a*f - b*g with the fused _minus_product."""
     kv = lattice_point(value, ctx)
-    ra = decompose_point(kv - kf, ctx)
-    rb = decompose_point(kv - kg, ctx)
+    ra = decompose_point(kv - lead_f.point, ctx)
+    rb = decompose_point(kv - lead_g.point, ctx)
     a = preimage_of_rep(ra, ctx)
-    la = preimage_leading(ra, ctx).lc
-    lb = preimage_leading(rb, ctx).lc
+    la, lf = preimage_leading(ra, ctx).lc, lead_f.lc
+    lb, lg = preimage_leading(rb, ctx).lc, lead_g.lc
     b = preimage_of_rep(rb, ctx)._scaled(*_step_factor(
-        la.numerator * nf * lb.denominator * dg,
-        la.denominator * df * lb.numerator * ng))
+        la.numerator * lf.numerator * lb.denominator * lg.denominator,
+        la.denominator * lf.denominator * lb.numerator * lg.numerator))
     return SyzygyElement(value, a, b, (a * f)._minus_product(b, g))
 
 
@@ -275,8 +248,7 @@ def syzygy_family(f, g, ctx, minimal=False):
     with b scaled so the leading terms of a*f and b*g cancel."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("syzygy family needs nonzero inputs")
-    values = syzygy_values(f, g, ctx, minimal)[0]
-    lead_f, lead_g = _int_lead_of(f, ctx), _int_lead_of(g, ctx)
+    values, lead_f, lead_g = syzygy_values(f, g, ctx, minimal)
     return [_syzygy_element(v, f, g, lead_f, lead_g, ctx) for v in values]
 
 

@@ -37,6 +37,10 @@ class NoetherianSeries:
     def __setattr__(self, name, value):
         raise AttributeError("NoetherianSeries is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not slot by slot
+        return NoetherianSeries, (self.terms,)
+
     @classmethod
     def zero(cls):
         return cls()

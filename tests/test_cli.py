@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +250,35 @@ def test_malformed_spec_tail_is_a_usage_error(tmp_path, capsys, tail):
     code, out, err = run(capsys, "--spec", str(path), "sequences")
     assert_usage_error(code, out, err)
     assert "malformed spec JSON" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _limit_address_space():
+    # a run that allocates past the cap fails here instead of exhausting
+    # the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("exponents, poly, what", [
+    (["1/10000019"], "x", "scan window"),
+    (["1/1000000007"], "x", "scan window"),
+    (["1/2", "1/1000000007"], "y^2", "power table"),
+], ids=["window-over-cap", "window-far-over-cap", "table-over-cap"])
+def test_oversized_dense_images_are_usage_errors(tmp_path, exponents, poly,
+                                                 what):
+    """A spec whose scan window or power table would hold more than the
+    cap of int fields is refused before anything that size is allocated,
+    with a message naming the size and the cap."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "prefix": [{"c": "1", "e": e} for e in exponents],
+        "tail": {"kind": "geometric", "base": "2"}}))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "valmon.cli", "--spec", str(path), "leadexp",
+         poly], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+    assert what in proc.stderr and "over the cap of 10000000" in proc.stderr

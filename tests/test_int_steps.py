@@ -26,7 +26,7 @@ from valmon.gbengine import (ReductionStep, ReductionTrace, SyzygyElement,
                              approx_quotient, reduce, syzygy_family,
                              syzygy_values)
 from valmon.series import dyadic_spec
-from valmon.valmonoid import MonoidContext, decompose
+from valmon.valmonoid import MonoidContext, decompose, lattice_point
 
 F = Fraction
 
@@ -335,11 +335,9 @@ def test_step_factors_on_criterion_9_pairs():
         assert reduce(f, [g], ctx) == reference_reduce(f, [g], ctx)
         assert (syzygy_family(f, g, ctx)
                 == reference_syzygy_family(f, g, ctx))
-        lf = gbengine._int_lead(eval_leading(f, ctx), ctx)
-        lg = gbengine._int_lead(eval_leading(g, ctx), ctx)
+        lf, lg = eval_leading(f, ctx), eval_leading(g, ctx)
         q, ref = (gbengine._quotient_for(lf, lg, ctx),
-                  reference_quotient_for(eval_leading(f, ctx),
-                                         eval_leading(g, ctx), ctx))
+                  reference_quotient_for(lf, lg, ctx))
         assert (q is None) == (ref is None)
         if q is not None:
             n, d = q[2]
@@ -348,9 +346,8 @@ def test_step_factors_on_criterion_9_pairs():
 
 
 def test_image_lead_reads_the_int_lead(shallow):
-    """reduce's step leads read off the image top equal _int_lead of the
-    image's leading data, on and off the lattice; the coefficient pair is
-    left unreduced."""
+    """The lattice point that Image.lead reads off the image top equals
+    lattice_point of its leading exponent, on and off the lattice."""
     shallow_ctx, p4, p5 = shallow
     deep = MonoidContext(dyadic_spec(), 8)
     rng = random.Random(61)
@@ -361,10 +358,52 @@ def test_image_lead_reads_the_int_lead(shallow):
         for f in polys:
             if f.is_zero():
                 continue
-            image = Image.scan(f, ctx)
-            le, k, n, d = gbengine._image_lead(image, ctx)
-            want = gbengine._int_lead(image.lead(), ctx)
-            assert (le, k) == want[:2] and d > 0
-            assert F(n, d) == F(want[2], want[3])
-            kinds.add(k is None)
+            lead = Image.scan(f, ctx).lead()
+            assert lead.point == lattice_point(lead.le, ctx)
+            kinds.add(lead.point is None)
     assert kinds == {True, False}
+
+
+def criterion_9_poly(rng, max_total_deg=4):
+    """Criterion 9's generator (tests/test_acceptance.py)."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(0, max_total_deg)
+        b = rng.randint(0, max_total_deg - a)
+        c = rng.randint(-5, 5)
+        if c:
+            terms[(a, b)] = c
+    return BivarPoly(terms)
+
+
+def test_memo_holds_one_lead_per_polynomial(monkeypatch):
+    """After criterion 9's 200 pairs on one context, the only memo entries
+    keyed by a polynomial are its leading data, ("lead", f), one for each
+    polynomial whose leading data was read."""
+    evaluated = set()
+    real_eval = bipoly.eval_leading
+
+    def recording_eval(f, ctx, below=None):
+        evaluated.add(f)
+        return real_eval(f, ctx, below)
+
+    for module in (bipoly, gbengine):
+        monkeypatch.setattr(module, "eval_leading", recording_eval)
+    ctx = MonoidContext(dyadic_spec(), 8)
+    rng = random.Random(97)
+    pairs = 0
+    while pairs < 200:
+        f, g = criterion_9_poly(rng), criterion_9_poly(rng)
+        if f.is_zero() or g.is_zero():
+            continue
+        pairs += 1
+        approx_quotient(f, g, ctx)
+        syzygy_family(f, g, ctx)
+        reduce(f, [g], ctx)
+    keyed = [key for key in ctx.cache
+             if any(isinstance(part, BivarPoly) for part in key)]
+    assert {key[0] for key in keyed} == {"lead"}
+    assert len(keyed) == len(evaluated)
+    assert {key[1] for key in keyed} == evaluated
+    assert all(isinstance(ctx.cache[key], bipoly.LeadingData)
+               for key in keyed)
