@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,24 @@ def test_harmonic_round_capped_basis_is_pinned():
     assert res.complete == case["complete"]
     assert res.iterations == case["iterations"]
     assert [g.to_string() for g in res.basis] == case["basis"]
+
+
+def test_x_y_seven_round_basis_is_pinned():
+    # at 7 rounds the preimage products reach y-degree 127 and the tables
+    # depth 8; each element is pinned by its value, y-degree, term count
+    # and a digest of its text, the last element having 3,972 terms
+    here = Path(__file__).resolve().parent
+    with open(here / "x_y_seven_rounds.json") as fh:
+        case = json.load(fh)
+    ctx = MonoidContext(dyadic_spec(), case["depth"])
+    res = buchberger([parse(g) for g in case["gens"]], ctx,
+                     max_rounds=case["max_rounds"])
+    assert res.complete == case["complete"]
+    assert res.iterations == case["iterations"]
+    assert [{"value": str(eval_leading(g, ctx).le), "deg_y": g.deg_y(),
+             "terms": len(g.monomials()),
+             "sha256": sha256(g.to_string().encode()).hexdigest()}
+            for g in res.basis] == case["basis"]
 
 
 @pytest.mark.parametrize("f,gs", [

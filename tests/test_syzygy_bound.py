@@ -181,8 +181,9 @@ def check_floored(ctx, zp, digits, lowests):
 
 
 # (spec, number of digit indices, y-degree fixing the table)
-FLOOR_CASES = [("dyadic", 4, 15), ("dyadic", 3, 31),
-               ("harmonic", 3, 11), ("harmonic", 2, 59)]
+FLOOR_CASES = [("dyadic", 4, 15), ("dyadic", 3, 31), ("dyadic", 6, 63),
+               ("harmonic", 3, 11), ("harmonic", 2, 59),
+               ("mixed-denominators", 4, 15)]
 
 
 @pytest.mark.parametrize("spec_name,k,degy", FLOOR_CASES)
