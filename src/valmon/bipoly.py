@@ -29,7 +29,10 @@ whose fields are those coefficients (Kronecker substitution).
 
 Kronecker substitution serves polynomial products too: a large product
 whose terms fill a small dense box, such as an S-polynomial's a*f, is one
-big-int multiply of the two packed factors (_accumulate).
+big-int multiply of the two packed factors (_accumulate).  So it does
+products of images: the image of a monoid preimage prod p_j^(d_j) is the
+product of the images of the p_j, one packed multiply of their top bands
+per factor (preimage_image).
 """
 
 import threading
@@ -575,7 +578,9 @@ def _pack(coeffs, width):
 
 
 def _unpack(packed, n, width):
-    """The n fields of width bytes of a packed power, as a tuple of ints.
+    """The n fields of width bytes of a packed int, such as a power of
+    _ZPow, a product of _accumulate or of _truncated_product, as a tuple of
+    ints, for fields a_i with |a_i| < 2^(W-1), W = 8*width.
     Read as two's complement, a field of packed borrows 1 from the field
     above it whenever the fields below sum to a negative int.  Adding
     2^(W-1) to every field, one big-int addition, carries all those
@@ -588,6 +593,36 @@ def _unpack(packed, n, width):
         n * width, "little")
     return tuple([int.from_bytes(c, "little") - half
                   for (c,) in iter_unpack(f"{width}s", data)])
+
+
+def _truncated_product(a, b, skip):
+    """The product of the coefficient lists a and b without its first skip
+    entries: the tuple of c_k = sum over i + j = k of a_i * b_j for
+    skip <= k < len(a) + len(b) - 1, empty when a or b is.
+
+    One packed multiply, as in _ZPow: with L = |a|_1 |b|_1, every c_k and,
+    when neither list is all zeros, every entry of either list has absolute
+    value at most L by the triangle inequality, so fields of
+    W = bit_length(L) + 2 bits, rounded up to whole bytes, hold them all
+    with |c_k| <= L < 2^(W-2).  The product of the packed lists is
+    P = sum c_k * 2^(W*k).  Its low part, the sum over k < skip, has
+    absolute value below L * 2^(W*skip) / (2^W - 1) <= 2^(W*skip - 1), so
+    floor((P + 2^(W*skip - 1)) / 2^(W*skip)) is exactly
+    sum over k >= skip of c_k * 2^(W*(k - skip)), and only those fields
+    are read back (_unpack).
+    """
+    n = len(a) + len(b) - 1 - skip
+    if not a or not b or n <= 0:
+        return ()
+    bound = sum(map(abs, a)) * sum(map(abs, b))
+    if not bound:
+        return (0,) * n
+    width = (bound.bit_length() + 9) // 8
+    packed = _pack(a, width) * _pack(b, width)
+    if skip:
+        shift = 8 * width * skip
+        packed = (packed + (1 << (shift - 1))) >> shift
+    return _unpack(packed, n, width)
 
 
 def _prepare(f, zp, D):
@@ -932,8 +967,11 @@ def truncation_min_poly(ctx, j):
 
 def preimage_of_rep(rep, ctx):
     """x^n * product p_j^(d_j) for a canonical representation.  The product
-    is multiplied out once per digit vector, under the entry for n = 0 that
-    preimage_image reads, and x^n shifts its x-exponents."""
+    is multiplied out once per digit vector and cached under the entry for
+    n = 0, whose x-exponents x^n shifts.  It is built for the polynomials
+    themselves, the step quotients h of reduce and the elements a and b of
+    a syzygy family; images of products are formed from images of the p_j
+    (preimage_image)."""
     key = ("preimage", rep)
     hit = ctx.cache.get(key)
     if hit is not None:
@@ -952,20 +990,91 @@ def preimage_of_rep(rep, ctx):
 
 
 def preimage_image(digits, zp, ctx, lowest=0):
-    """(floor, coefficients, den): the image of prod p_j^(d_j) on the table
-    zp from scaled exponent floor up, in Image's layout, with
-    floor <= max(lowest, 0) (0: the complete image).
+    """(floor, coefficients, den): the image of p = prod p_j^(d_j) on the
+    table zp from scaled exponent floor up, in Image's layout, with
+    floor <= max(lowest, 0) (0: the complete image), and den = p's reduced
+    denominator times d^D, d = zp.den and D = deg_y p, the denominator
+    _prepare gives p.
 
-    Entries are cached per context under (digits, N), bounded by the monoid
-    and the depth.  A lower lowest extends an entry by the band between the
-    two floors (_image_down_to), published as a new tuple the way
-    _ZPow.pow publishes its powers, so a reader never sees a partial entry
-    and a published entry never changes."""
+    Evaluation at z_N is a ring map, so image(p) = prod image(p_j)^(d_j),
+    and the product is never multiplied out.  The images of the p_j are
+    cached per context under (j, N) and extended by bands
+    (_image_down_to); the product is a chain of packed multiplies of top
+    bands (_truncated_product), each factor p_j cut at
+    lowest - (the sum of the other factors' tops), and each partial
+    product kept from lowest - (the tops still to multiply in).
+
+    The tops are the scaled rho_j.  Every caller's table is exact for D,
+    or is z itself on an exhausted finite spec, and then r_N >= r_l(w) > D
+    for w = len(digits): with deg_y p_j = r_l(j-1) and d_j < s_j,
+    D <= sum (s_j - 1) r_l(j-1) = r_l(w) - 1.  Either way r_N > deg_y p_j,
+    so by eval_leading's theorem the top term of image(p_j) is the leading
+    term of p_j(t, z), at the scaled exponent rho_j * r_N.  A top found
+    elsewhere raises InternalError.
+
+    The truncation is exact.  Let A and B have no terms above their tops
+    T_A and T_B.  A term of A*B at exponent e >= L is a sum of products of
+    terms of A and B at exponents e_A + e_B = e, where e_A = e - e_B >=
+    L - T_B and likewise e_B >= L - T_A: it uses only terms of A at or
+    above L - T_B and of B at or above L - T_A.  In the chain, with T the
+    sum of all tops and Q the partial product before a factor F of top
+    T_F, the product must be exact from L' = lowest - T + top(Q) + T_F up;
+    by the above that needs Q from L' - T_F = lowest - T + top(Q) up,
+    which is how Q was kept, and F from L' - top(Q) = lowest - T + T_F up,
+    which is F's cut.  At the end L' = lowest.  When lowest exceeds T the
+    image has no term from lowest up.
+
+    The denominator is the product of the factors'.  image(p_j) is over
+    den_j * d^(deg_y p_j), den_j being p_j's reduced denominator.  p_j is
+    monic in y, so its numerator polynomial has the coefficient den_j at
+    y^(deg_y p_j) and its content divides den_j; in lowest terms the
+    content is also coprime to den_j, so it is 1: the numerator is
+    primitive.  By Gauss's lemma the product of primitive polynomials is
+    primitive, so p's reduced denominator is prod den_j^(d_j), and the
+    product of the factors' denominators is p's times d^D.
+
+    Entries are cached per context under (digits, N), bounded by the
+    monoid and the depth.  A lower lowest rebuilds an entry, published as a
+    new tuple the way _ZPow.pow publishes its powers, so a reader never
+    sees a partial entry and a published entry never changes."""
+    lowest = max(lowest, 0)
     key = ("image", digits, zp.depth)
     hit = ctx.cache.get(key)
-    if hit is None or hit[0] > max(lowest, 0):
-        p = preimage_of_rep(MonoidRep(0, digits), ctx)
-        hit = ctx.cache[key] = _image_down_to(p, zp, lowest, hit)
+    if hit is not None and hit[0] <= lowest:
+        return hit
+    powers = []
+    den, degy, total = 1, 0, 0
+    for j, d in enumerate(digits, start=1):
+        if d:
+            p, rho = truncation_min_poly(ctx, j), ctx.seqs.rho(j)
+            top = rho.numerator * zp.scale // rho.denominator
+            powers.append((j, d, p, top))
+            den *= p._den ** d
+            degy += d * p.deg_y()
+            total += d * top
+    den *= zp.den ** degy
+    if total < lowest:
+        hit = ctx.cache[key] = lowest, (), den
+        return hit
+    # one (floor, coefficients, top) per factor, multiplicities included
+    factors = []
+    for j, d, p, top in powers:
+        cut = max(lowest - total + top, 0)
+        fkey = ("minpoly-image", j, zp.depth)
+        ffloor, fnum, _ = ctx.cache[fkey] = _image_down_to(
+            p, zp, cut, ctx.cache.get(fkey))
+        if ffloor + len(fnum) - 1 != top:
+            raise InternalError(f"image of p_{j} at depth {zp.depth} does "
+                                f"not top at rho_{j}")
+        factors += [(cut, fnum[cut - ffloor:], top)] * d
+    floor, num, top = factors[0] if factors else (0, (1,), 0)
+    for ffloor, fnum, ftop in factors[1:]:
+        top += ftop
+        at = floor + ffloor
+        skip = max(lowest - total + top - at, 0)
+        num = _truncated_product(num, fnum, skip)
+        floor = at + skip
+    hit = ctx.cache[key] = floor, num, den
     return hit
 
 

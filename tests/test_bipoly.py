@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from valmon.bipoly import (BivarPoly, _exact_truncation, _ZPow, eval_leading,
-                           min_poly_finite_puiseux, parse, preimage,
-                           preimage_leading, preimage_of_rep,
-                           truncation_min_poly)
+from valmon.bipoly import (BivarPoly, _exact_truncation, _truncated_product,
+                           _ZPow, eval_leading, min_poly_finite_puiseux,
+                           parse, preimage, preimage_leading,
+                           preimage_of_rep, truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
 from valmon.exactnum import as_rational
@@ -525,6 +525,46 @@ def test_packed_power_tables_match_convolution(name, b_max):
     want = _convolved_powers(zp.zterms, b_max)
     for b in range(b_max, -1, -1):
         assert zp.pow(b) == want[b]
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _product_cases():
+    rng = random.Random(53)
+    for _ in range(300):
+        bits = rng.choice((3, 8, 40, 200))
+        yield tuple([rng.randint(-2 ** bits, 2 ** bits)
+                     for _ in range(rng.randint(0, 12))]
+                    for _ in range(2))
+    # |a|_1 |b|_1 exactly a power of two, on either side of a whole byte
+    # (bit_length + 2 = 8, 9, 16, 17, 64, 65 bits), attained by one-entry
+    # lists and spread over longer ones, with every sign pattern
+    for k in (5, 6, 13, 14, 61, 62):
+        for sa in (1, -1):
+            for sb in (1, -1):
+                yield [sa * 2 ** (k - 2)], [sb * 4]
+                yield [sa * 2 ** (k - 3), sb * 2 ** (k - 3)], [2, sa * 2]
+                yield [-sb * 2 ** (k - 4)] * 4, [sa] * 2 + [-sa] * 2
+    yield [], []
+    yield [], [3]
+    yield [5], []
+    yield [7], [-11]
+    yield [0], [4, 0, -4]
+    yield [0, 0], [0]
+    yield [-1], [2 ** 70, -3, 0]
+
+
+def test_truncated_product_matches_schoolbook():
+    for a, b in _product_cases():
+        full = _schoolbook(a, b)
+        for skip in range(len(full) + 2):
+            assert _truncated_product(a, b, skip) == tuple(full[skip:])
 
 
 @pytest.mark.parametrize("spec, depth, top", [

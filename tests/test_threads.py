@@ -10,7 +10,7 @@ import threading
 import time
 from fractions import Fraction
 
-from valmon.bipoly import eval_leading, parse
+from valmon.bipoly import _power_table, eval_leading, parse, preimage_image
 from valmon.gbengine import buchberger, reduce
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
 from valmon.valmonoid import MonoidContext
@@ -112,3 +112,36 @@ def test_shared_context_power_tables_across_threads():
         assert list(tables) == [("zpow", 4)]
         by_degy = {ctx.cache[("zpow-degy", d)] for d in range(8, 16)}
         assert by_degy == {tables[("zpow", 4)]}
+
+
+def test_shared_context_preimage_images_across_threads():
+    # every thread extends the same cached images of p_1..p_6 and of their
+    # products, each at a sequence of descending floors, starting from a
+    # different digit vector; an entry a race leaves lower than asked is
+    # read from the asked floor up
+    vectors = [(1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 1, 1), (0, 1, 1, 0, 0, 1),
+               (0, 0, 0, 1, 1), (1, 1)]
+
+    def job(ctx, start):
+        zp = _power_table(ctx, 63)
+        out = []
+        for digits in vectors[start:] + vectors[:start]:
+            top = int(sum(d * ctx.seqs.rho(j) * zp.scale
+                          for j, d in enumerate(digits, start=1)))
+            for lowest in (top + 1, top - 3, top // 2, top // 5, 7, -1):
+                floor, coeffs, den = preimage_image(digits, zp, ctx, lowest)
+                assert floor <= max(lowest, 0)
+                out.append((digits, lowest, den,
+                            coeffs[max(lowest, 0) - floor:]))
+        return sorted(out)
+
+    want = job(MonoidContext(dyadic_spec(), 8), 0)
+    for _ in range(5):
+        ctx = MonoidContext(dyadic_spec(), 8)
+        got = run_threads([lambda k=k: job(ctx, k % len(vectors))
+                           for k in range(THREADS)])
+        assert got == [want] * THREADS
+        entries = sorted(key for key in ctx.cache
+                         if key[0] == "minpoly-image")
+        # one entry per p_j at the table's depth, 6 (r_6 = 64 > 63)
+        assert entries == [("minpoly-image", j, 6) for j in range(1, 7)]
