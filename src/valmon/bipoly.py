@@ -30,9 +30,14 @@ whose fields are those coefficients (Kronecker substitution).
 Kronecker substitution serves polynomial products too: a large product
 whose terms fill a small dense box, such as an S-polynomial's a*f, is one
 big-int multiply of the two packed factors (_accumulate).  So it does
-products of images: the image of a monoid preimage prod p_j^(d_j) is the
-product of the images of the p_j, one packed multiply of their top bands
-per factor (preimage_image).
+products of images, cut to the band they are needed in (_product_band,
+truncated and middle products): the image of a monoid preimage
+prod p_j^(d_j) is the image of the product with one p_j fewer times the
+image of that p_j, both cached, and a lower floor adds only the band
+between the floors (preimage_image).  The image of an S-polynomial
+a*f - b*g is formed the same way from the images of a, f, b and g, below
+its syzygy value, where the two products' top terms cancel
+(syzygy_image), so buchberger never scans an S-polynomial.
 """
 
 import threading
@@ -595,10 +600,13 @@ def _unpack(packed, n, width):
                   for (c,) in iter_unpack(f"{width}s", data)])
 
 
-def _truncated_product(a, b, skip):
-    """The product of the coefficient lists a and b without its first skip
-    entries: the tuple of c_k = sum over i + j = k of a_i * b_j for
-    skip <= k < len(a) + len(b) - 1, empty when a or b is.
+def _truncated_product(a, b, skip, n=None):
+    """The product of the coefficient lists a and b from entry skip up, n
+    entries of it when n is given: the tuple of
+    c_k = sum over i + j = k of a_i * b_j for skip <= k < skip + n and
+    k < len(a) + len(b) - 1, empty when a or b is.  With n given it is a
+    middle product (Hanrot-Quercia-Zimmermann, AAECC 14, 2004), whose
+    entries above skip + n are computed but not read.
 
     One packed multiply, as in _ZPow: with L = |a|_1 |b|_1, every c_k and,
     when neither list is all zeros, every entry of either list has absolute
@@ -608,10 +616,15 @@ def _truncated_product(a, b, skip):
     P = sum c_k * 2^(W*k).  Its low part, the sum over k < skip, has
     absolute value below L * 2^(W*skip) / (2^W - 1) <= 2^(W*skip - 1), so
     floor((P + 2^(W*skip - 1)) / 2^(W*skip)) is exactly
-    sum over k >= skip of c_k * 2^(W*(k - skip)), and only those fields
-    are read back (_unpack).
+    sum over k >= skip of c_k * 2^(W*(k - skip)).  The same bound on the
+    sum over skip <= k < skip + n lets that shifted P lose every field from
+    n up: with Q = floor((P' + 2^(W*n - 1)) / 2^(W*n)) for the shifted P',
+    P' - Q * 2^(W*n) is exactly that sum.  Only its fields are read back
+    (_unpack).
     """
-    n = len(a) + len(b) - 1 - skip
+    full = len(a) + len(b) - 1 - skip
+    if n is None or n > full:
+        n = full
     if not a or not b or n <= 0:
         return ()
     bound = sum(map(abs, a)) * sum(map(abs, b))
@@ -622,7 +635,28 @@ def _truncated_product(a, b, skip):
     if skip:
         shift = 8 * width * skip
         packed = (packed + (1 << (shift - 1))) >> shift
+    if n < full:
+        shift = 8 * width * n
+        packed -= (packed + (1 << (shift - 1))) >> shift << shift
     return _unpack(packed, n, width)
+
+
+def _product_band(p, q, lo, hi):
+    """Entries lo <= e < hi of the product of two images in Image's layout,
+    p and q given as (floor, coefficients, ...) with their top terms last
+    and each holding every term of its image at or above lo minus the
+    other's top.  A term of the product at e >= lo is a sum of products of
+    terms of p and q at exponents e_p + e_q = e with e_p <= top(p) and
+    e_q <= top(q), so e_p >= lo - top(q) and e_q >= lo - top(p): only those
+    terms are multiplied (_truncated_product), and entries below the two
+    floors' sum are zero.  The band holds hi - lo entries when
+    lo <= hi <= top(p) + top(q) + 1."""
+    (pf, pn), (qf, qn) = p[:2], q[:2]
+    i = max(lo - qf - len(qn) + 1, pf)
+    j = max(lo - pf - len(pn) + 1, qf)
+    pad = min(max(i + j - lo, 0), hi - lo)
+    return (0,) * pad + _truncated_product(
+        pn[i - pf:], qn[j - qf:], max(lo - i - j, 0), hi - lo - pad)
 
 
 def _prepare(f, zp, D):
@@ -678,25 +712,35 @@ def _strip(coeffs):
 
 
 def _leading_scan(work, zp, ceiling=None):
-    """(floor, coefficients): the evaluation from floor up, floor being the
-    first of a descending run of windows that leaves a nonzero term (0:
-    every exponent, and no coefficients when the evaluation vanishes).
-
-    Windows widen geometrically, and each scan covers only the band below
-    the last one, whose terms all cancelled, so cancellation near the top
-    costs one pass over the cancelled range.  ceiling is an exclusive
-    scaled exponent at and above which the evaluation is known to vanish;
-    below the monomial top, the first window ends just under it, and the
-    result holds no term at or above it.
+    """(floor, coefficients): the evaluation from floor up, found by
+    _descend from the monomial top, each band one _scan.  ceiling is an
+    exclusive scaled exponent at and above which the evaluation is known
+    to vanish; below the monomial top, the first window ends just under
+    it, and the result holds no term at or above it.
     """
     top = _monomial_top(work, zp)
     hi = top + 1
     if ceiling is not None and ceiling <= top:
         top = hi = ceiling
+    return _descend(top, hi, zp, lambda lo, hi: _scan(work, zp, lo, hi))
+
+
+def _descend(top, hi, zp, band):
+    """(floor, coefficients): an image from floor up, given its entries
+    at exponents [lo, hi) as the list band(lo, hi), and known to have no
+    term from hi up.  floor is the first of a descending run of windows
+    [top - w, hi) that leaves a nonzero term (0: every exponent, and no
+    coefficients when the image vanishes).
+
+    The width w starts at max(r_N, scaled leading exponent of z_N) and
+    doubles, and each band covers only the exponents below the last one,
+    whose terms all cancelled, so cancellation near the top costs one pass
+    over the cancelled range.
+    """
     window = max(zp.scale, zp.lead)
     while True:
         lo = max(top - window, 0)
-        got = _scan(work, zp, lo, hi)
+        got = band(lo, hi)
         if not lo or any(got):
             return lo, _strip(got)
         hi = lo
@@ -783,6 +827,13 @@ class Image:
         return LeadingData(Fraction(e, self.zp.scale), Fraction(n, self.den),
                            self.zp.depth, None if rest else k)
 
+    def entry(self, f):
+        """This image of f as an _image_down_to entry (floor, coefficients,
+        den), over the denominator _prepare gives f on this table."""
+        den = f._den * self.zp.den ** f.deg_y()
+        return (self.floor, tuple([v * den // self.den for v in self.num]),
+                den)
+
     def subtract(self, g, p, shift, factor):
         """Subtract (n/d) * x^shift * g * p in place, for the step factor
         (n, d) given as ints with d > 0: g and p are images at the same
@@ -815,23 +866,31 @@ class Image:
             num.pop()
 
 
-def _image_down_to(f, zp, lowest, entry=None):
+def _image_down_to(f, zp, lowest, entry=None, top=None):
     """(floor, coefficients, den): f(t, z_N) on the table zp from scaled
     exponent floor up, in Image's layout, with floor <= max(lowest, 0)
     (0: the complete image).  entry, an earlier result for the same f and
     zp, is returned as it is when its floor is that low, and otherwise
     extended by a scan of the band between the two floors into a new
-    tuple, so a published entry never changes; without an entry the band
-    starts at the monomial top."""
+    tuple, so a published entry never changes.  Without an entry the band
+    starts at top, the scaled exponent of f's top term when the caller
+    knows it, such as LE_z(f) * r_N by eval_leading's theorem, and
+    otherwise at the monomial top.  A known top that is not where the
+    result's top term lies raises InternalError."""
     lowest = max(lowest, 0)
-    if entry is not None and entry[0] <= lowest:
-        return entry
-    work, den = _prepare(f, zp, f.deg_y())
-    if entry is None:
-        floor, num = _monomial_top(work, zp) + 1, ()
-    else:
-        floor, num = entry[:2]
-    return lowest, _strip((*_scan(work, zp, lowest, floor), *num)), den
+    if entry is None or entry[0] > lowest:
+        work, den = _prepare(f, zp, f.deg_y())
+        if entry is None:
+            floor = 1 + (_monomial_top(work, zp) if top is None else top)
+            num = ()
+        else:
+            floor, num = entry[:2]
+        entry = (lowest, _strip((*_scan(work, zp, lowest, floor), *num)),
+                 den)
+    if top is not None and entry[0] + len(entry[1]) - 1 != top:
+        raise InternalError(f"image at depth {zp.depth} does not top at "
+                            f"scaled exponent {top}")
+    return entry
 
 
 def full_image(f, zp):
@@ -864,11 +923,12 @@ def eval_leading(f, ctx, below=None):
     spec, which raises InsufficientPrecision.
 
     below, when given, is a value known to exceed LE_z(f), such as the
-    syzygy value of an S-polynomial (see buchberger).  By the theorem,
-    f(t, z_N) has no term above LE_z(f) (on an exhausted spec z_N = z), so
-    its band at scaled exponents >= below * r_N is zero and the scan starts
-    under it.  The leading data, and hence the memo, are the same as
-    without the bound.
+    syzygy value of an S-polynomial when one is scanned (buchberger forms
+    their images from their factors' instead, syzygy_image).  By the
+    theorem, f(t, z_N) has no term above LE_z(f) (on an exhausted spec
+    z_N = z), so its band at scaled exponents >= below * r_N is zero and
+    the scan starts under it.  The leading data, and hence the memo, are
+    the same as without the bound.
     """
     key = ("lead", f)
     hit = ctx.cache.get(key)
@@ -994,35 +1054,30 @@ def preimage_image(digits, zp, ctx, lowest=0):
     table zp from scaled exponent floor up, in Image's layout, with
     floor <= max(lowest, 0) (0: the complete image), and den = p's reduced
     denominator times d^D, d = zp.den and D = deg_y p, the denominator
-    _prepare gives p.
+    _prepare gives p.  The image always holds its top term: a lowest above
+    it is lowered to it.
 
     Evaluation at z_N is a ring map, so image(p) = prod image(p_j)^(d_j),
-    and the product is never multiplied out.  The images of the p_j are
-    cached per context under (j, N) and extended by bands
-    (_image_down_to); the product is a chain of packed multiplies of top
-    bands (_truncated_product), each factor p_j cut at
-    lowest - (the sum of the other factors' tops), and each partial
-    product kept from lowest - (the tops still to multiply in).
+    and the product is never multiplied out.  With w the last index of the
+    digits, p = p' * p_w, p' having d_w lowered by one, so image(p) is the
+    product of two cached images: image(p'), built the same way and cached
+    per context under (digits', N), and image(p_w), cached under (w, N) and
+    extended by bands from its known top (_image_down_to).  A lone p_w is
+    its own image, published under both keys.  A term of the product at or
+    above lowest uses no term of either factor below lowest - (the other's
+    top), so each factor is kept from there up and multiplied by one packed
+    multiply (_product_band).  A cached product asked for below its floor
+    gains only the band from lowest up to its old floor: a middle product
+    of the two factors, each first extended to its new cut.
 
     The tops are the scaled rho_j.  Every caller's table is exact for D,
     or is z itself on an exhausted finite spec, and then r_N >= r_l(w) > D
     for w = len(digits): with deg_y p_j = r_l(j-1) and d_j < s_j,
     D <= sum (s_j - 1) r_l(j-1) = r_l(w) - 1.  Either way r_N > deg_y p_j,
     so by eval_leading's theorem the top term of image(p_j) is the leading
-    term of p_j(t, z), at the scaled exponent rho_j * r_N.  A top found
-    elsewhere raises InternalError.
-
-    The truncation is exact.  Let A and B have no terms above their tops
-    T_A and T_B.  A term of A*B at exponent e >= L is a sum of products of
-    terms of A and B at exponents e_A + e_B = e, where e_A = e - e_B >=
-    L - T_B and likewise e_B >= L - T_A: it uses only terms of A at or
-    above L - T_B and of B at or above L - T_A.  In the chain, with T the
-    sum of all tops and Q the partial product before a factor F of top
-    T_F, the product must be exact from L' = lowest - T + top(Q) + T_F up;
-    by the above that needs Q from L' - T_F = lowest - T + top(Q) up,
-    which is how Q was kept, and F from L' - top(Q) = lowest - T + T_F up,
-    which is F's cut.  At the end L' = lowest.  When lowest exceeds T the
-    image has no term from lowest up.
+    term of p_j(t, z), at the scaled exponent rho_j * r_N; a top found
+    elsewhere raises InternalError.  The top term of a product is the
+    product of the factors' top terms, so the tops add up.
 
     The denominator is the product of the factors'.  image(p_j) is over
     den_j * d^(deg_y p_j), den_j being p_j's reduced denominator.  p_j is
@@ -1034,48 +1089,92 @@ def preimage_image(digits, zp, ctx, lowest=0):
     product of the factors' denominators is p's times d^D.
 
     Entries are cached per context under (digits, N), bounded by the
-    monoid and the depth.  A lower lowest rebuilds an entry, published as a
-    new tuple the way _ZPow.pow publishes its powers, so a reader never
-    sees a partial entry and a published entry never changes."""
+    monoid and the depth.  An extension is published as a new tuple, the
+    way _ZPow.pow publishes its powers, so a reader never sees a partial
+    entry and a published entry never changes."""
     lowest = max(lowest, 0)
+    if not digits:
+        return 0, (1,), 1
     key = ("image", digits, zp.depth)
     hit = ctx.cache.get(key)
     if hit is not None and hit[0] <= lowest:
         return hit
-    powers = []
-    den, degy, total = 1, 0, 0
-    for j, d in enumerate(digits, start=1):
-        if d:
-            p, rho = truncation_min_poly(ctx, j), ctx.seqs.rho(j)
-            top = rho.numerator * zp.scale // rho.denominator
-            powers.append((j, d, p, top))
-            den *= p._den ** d
-            degy += d * p.deg_y()
-            total += d * top
-    den *= zp.den ** degy
-    if total < lowest:
-        hit = ctx.cache[key] = lowest, (), den
+    w = len(digits)
+    rho = ctx.seqs.rho(w)
+    ftop = rho.numerator * zp.scale // rho.denominator
+    fkey = ("minpoly-image", w, zp.depth)
+    prefix = MonoidRep(0, digits[:-1] + (digits[-1] - 1,)).digits
+    if not prefix:
+        hit = ctx.cache[key] = ctx.cache[fkey] = _image_down_to(
+            truncation_min_poly(ctx, w), zp, min(lowest, ftop),
+            ctx.cache.get(fkey), ftop)
         return hit
-    # one (floor, coefficients, top) per factor, multiplicities included
-    factors = []
-    for j, d, p, top in powers:
-        cut = max(lowest - total + top, 0)
-        fkey = ("minpoly-image", j, zp.depth)
-        ffloor, fnum, _ = ctx.cache[fkey] = _image_down_to(
-            p, zp, cut, ctx.cache.get(fkey))
-        if ffloor + len(fnum) - 1 != top:
-            raise InternalError(f"image of p_{j} at depth {zp.depth} does "
-                                f"not top at rho_{j}")
-        factors += [(cut, fnum[cut - ffloor:], top)] * d
-    floor, num, top = factors[0] if factors else (0, (1,), 0)
-    for ffloor, fnum, ftop in factors[1:]:
-        top += ftop
-        at = floor + ffloor
-        skip = max(lowest - total + top - at, 0)
-        num = _truncated_product(num, fnum, skip)
-        floor = at + skip
-    hit = ctx.cache[key] = floor, num, den
+    head = preimage_image(prefix, zp, ctx, lowest - ftop)
+    htop = head[0] + len(head[1]) - 1
+    lowest = min(lowest, htop + ftop)
+    tail = ctx.cache[fkey] = _image_down_to(
+        truncation_min_poly(ctx, w), zp, lowest - htop, ctx.cache.get(fkey),
+        ftop)
+    floor, num = (htop + ftop + 1, ()) if hit is None else hit[:2]
+    hit = ctx.cache[key] = (lowest,
+                            _product_band(head, tail, lowest, floor) + num,
+                            head[2] * tail[2])
     return hit
+
+
+def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
+    """The image of the S-polynomial s = a*f - (n/d)*b*g as an Image below
+    its syzygy value m, from the highest floor that keeps a nonzero term,
+    for a and b the preimages of the representations ra and rb and
+    (n, d) = factor.  It is image(a) image(f) - (n/d) image(b) image(g) on
+    the table exact for the y-degree of s and of each of a, f, b and g,
+    formed band by band the way _leading_scan forms a scan (_descend),
+    each band two products of images (_product_band); the proof is in
+    gbengine.buchberger.  images is the caller's dict of the images of f
+    and g, keyed by (polynomial, N), which this extends.  Top terms of the
+    two products that do not cancel at m * r_N raise InternalError.  s's
+    leading data are memoised as a scan gives them, certified at s's own
+    exact depth; an image that vanishes, on an exhausted finite spec,
+    raises InsufficientPrecision, as a scan does.
+    """
+    a, pb = preimage_of_rep(ra, ctx), preimage_of_rep(rb, ctx)
+    zp = _power_table(ctx, max(s.deg_y(), a.deg_y(), f.deg_y(),
+                               pb.deg_y(), g.deg_y()))
+    top, rest = divmod(value.numerator * zp.scale, value.denominator)
+    if rest:
+        raise InternalError(f"syzygy value {value} is off the table of "
+                            f"depth {zp.depth}")
+    sides = []
+    for rep, h in ((ra, f), (rb, g)):
+        le = eval_leading(h, ctx).le
+        sides.append((rep, h, le.numerator * zp.scale // le.denominator))
+    # each image is over the denominator _prepare gives its polynomial
+    n, d = factor
+    da = a._den * f._den * zp.den ** (a.deg_y() + f.deg_y())
+    db = pb._den * g._den * zp.den ** (pb.deg_y() + g.deg_y()) * d
+    den = lcm(da, db)
+    ca, cb = den // da, n * (den // db)
+
+    def band(lo, hi):
+        products = []
+        for rep, h, htop in sides:
+            shift = rep.n * zp.scale
+            p = preimage_image(rep.digits, zp, ctx, lo - shift - htop)
+            key = (h, zp.depth)
+            q = images[key] = _image_down_to(
+                h, zp, lo - top + htop, images.get(key), htop)
+            products.append(_product_band(p, q, lo - shift, hi - shift))
+        num = [ca * u - cb * v for u, v in zip(*products)]
+        if hi > top and num.pop():
+            raise InternalError(f"the syzygy at {value} does not cancel")
+        return num
+
+    floor, num = _descend(top, top + 1, zp, band)
+    image = Image(zp, floor, num, den, ctx.lattice_den)
+    lead = image.lead()
+    ctx.cache.setdefault(("lead", s), LeadingData(
+        lead.le, lead.lc, _power_table(ctx, s.deg_y()).depth, lead.point))
+    return image
 
 
 def preimage_leading(rep, ctx):

@@ -16,7 +16,7 @@ from math import gcd
 
 from .bipoly import (BivarPoly, Image, _accumulate, _image_down_to,
                      _power_table, eval_leading, preimage_image,
-                     preimage_leading, preimage_of_rep)
+                     preimage_leading, preimage_of_rep, syzygy_image)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
 from .valmonoid import (apery_set, decompose, decompose_point,
@@ -109,10 +109,16 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     -g*h into it in place (bipoly._accumulate).  Their leading terms come
     from one exact image f(t, z_N), carried from step to step above a
     floor: a step subtracts, in place, the image of g*h, which is image(g)
-    times c*t^n*image(prod p_j^(d_j)).  The images of g and of the
-    products of p_j are kept down to the lowest exponent from which a step's
-    product reaches the floor, image(g) per basis element and depth in a
-    call, the products per context.
+    times c*t^n*image(prod p_j^(d_j)).  The loop (_reduce) takes f's image
+    from its caller when there is one: buchberger hands it each
+    S-polynomial's image, formed from its factors' images, which is then
+    carried from the first step.  Called here, f has none, and the first
+    step leaves the image to be evaluated afresh, as below.  The images of
+    g and of the products of p_j are kept down to the lowest exponent from
+    which a step's product reaches the floor: image(g) per basis element
+    and depth, for one call here and for a whole run under buchberger,
+    each started at its known top LE(g) * r_N (below) instead of its
+    monomial top; the products per context.
 
     cur is built as a BivarPoly (_make) only where one is needed: for the
     remainder; when nothing survives above the floor, where cur is zero or
@@ -124,10 +130,13 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     tracked as a bound: the true deg_y once cur is built, raised to
     deg_y(g) + deg_y(h) by a step.  The bound is exact when it first
     reaches r_N, since cur's own terms stay below r_N in y and cannot
-    cancel g*h's top row.  While the image is kept, the tops of the images
-    of g and h are their leading exponents, which fixes the floors of
-    both: below r_N by eval_leading's theorem, g and h having y-degree
-    below r_N too, and on an exhausted spec because z_N = z.
+    cancel g*h's top row.  A handed-in image may lie on a deeper table
+    than f's own exact one; the theorem holds at every N with r_N above
+    the y-degree, so the same bound decides.  While the image is kept, the
+    tops of the images of g and h are their leading exponents, which fixes
+    the floors of both: below r_N by eval_leading's theorem, g and h
+    having y-degree below r_N too, and on an exhausted spec because
+    z_N = z.
 
     The step arithmetic runs on ints: every lead is a LeadingData, the
     basis elements' and f's from the memo and every later one off the
@@ -135,12 +144,19 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     difference of their lattice points, and its factor is a coprime pair
     (n, d) formed with one gcd (_quotient_for).
     """
+    return _reduce(f, basis, ctx, step_limit, None, {})
+
+
+def _reduce(f, basis, ctx, step_limit, image, images):
+    """reduce, carrying image, f's image from its floor up on a table exact
+    for deg_y f, from the first step on (None: the first step evaluates
+    afresh), and reading and extending the images of the basis elements
+    in images, keyed by (polynomial, N)."""
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
-    basis_images = {}
     steps = []
-    cur, image = f, None
+    cur = f
     acc, den, degy = dict(f._num), f._den, f.deg_y()
     while True:
         if not steps:
@@ -185,10 +201,10 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
         # leading exponents, which add up to cur's
         gtop = lg.le.numerator * zp.scale // lg.le.denominator
         htop = image.floor + len(image.num) - 1 - gtop
-        key = (idx, zp.depth)
-        basis_images[key] = _image_down_to(
-            g, zp, image.floor - htop, basis_images.get(key))
-        image.subtract(basis_images[key], preimage_image(
+        key = (g, zp.depth)
+        gimage = images[key] = _image_down_to(
+            g, zp, image.floor - htop, images.get(key), gtop)
+        image.subtract(gimage, preimage_image(
             rep.digits, zp, ctx, image.floor - rep.n * zp.scale - gtop),
             rep.n, factor)
     if cur is None:
@@ -223,22 +239,30 @@ def syzygy_values(f, g, ctx, minimal=False):
     return [Fraction(v, R) for v in points], lead_f, lead_g
 
 
-def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
-    """The element of the pair at value, for the LeadingData lead_f and
-    lead_g that syzygy_values returns.  It has decomposed both leading
-    exponents, so their points lie on the lattice, as every value
-    sigma + eta does, and the value differences are lattice ints.  b's
-    factor LC(a) LC(f) / (LC(pb) LC(g)) is formed on ints, and the
-    S-polynomial a*f - b*g with the fused _minus_product."""
+def _syzygy_reps(value, lead_f, lead_g, ctx):
+    """(ra, rb, factor): the representations of the preimages a and b of
+    the pair's element at value, and b's factor
+    LC(a) LC(f) / (LC(pb) LC(g)) as a coprime pair (n, d), for the
+    LeadingData lead_f and lead_g that syzygy_values returns.  It has
+    decomposed both leading exponents, so their points lie on the lattice,
+    as every value sigma + eta does, and the value differences are lattice
+    ints; the factor is formed on ints."""
     kv = lattice_point(value, ctx)
     ra = decompose_point(kv - lead_f.point, ctx)
     rb = decompose_point(kv - lead_g.point, ctx)
-    a = preimage_of_rep(ra, ctx)
     la, lf = preimage_leading(ra, ctx).lc, lead_f.lc
     lb, lg = preimage_leading(rb, ctx).lc, lead_g.lc
-    b = preimage_of_rep(rb, ctx)._scaled(*_step_factor(
+    return ra, rb, _step_factor(
         la.numerator * lf.numerator * lb.denominator * lg.denominator,
-        la.denominator * lf.denominator * lb.numerator * lg.numerator))
+        la.denominator * lf.denominator * lb.numerator * lg.numerator)
+
+
+def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
+    """The element of the pair at value (_syzygy_reps), with the
+    S-polynomial a*f - b*g formed by the fused _minus_product."""
+    ra, rb, factor = _syzygy_reps(value, lead_f, lead_g, ctx)
+    a = preimage_of_rep(ra, ctx)
+    b = preimage_of_rep(rb, ctx)._scaled(*factor)
     return SyzygyElement(value, a, b, (a * f)._minus_product(b, g))
 
 
@@ -267,12 +291,33 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     adjoined earlier in a round serve as divisors for the elements reduced
     after them (pending elements are taken in ascending value order).
 
-    Each pending element's S-polynomial a*f - b*g is first evaluated below
-    its syzygy value m, priming the memo that reduce reads its input's
-    leading data from.  LE(a) + LE(f) = LE(b) + LE(g) = m, and b is scaled
-    so that the leading coefficients of a*f and b*g match, so they cancel
-    and LE(a*f - b*g) < m: by eval_leading's theorem the band of the exact
-    image at scaled exponents >= m * r_N is zero.
+    No S-polynomial s = a*f - b*g is scanned against the power table.
+    Evaluation at z_N is a ring map, so image(s) = image(a) image(f) -
+    image(b) image(g), and those four images are at hand
+    (bipoly.syzygy_image): image(a) and image(b) are images of products of
+    p_j shifted by x^n (preimage_image, cached per context; b's scaled by
+    its step factor), and image(f) and image(g) are basis images, kept once
+    per run in one dict keyed by polynomial and depth, which reduce reads
+    and extends too, each started at its known top.  The image is taken on
+    the table exact for the y-degree of s and of each of a, f, b and g.  So
+    each factor's image tops at its leading exponent, by eval_leading's
+    theorem, and preimage_image's truncation proof applies to both
+    products: a product term at or above a floor L uses no term of image(a)
+    below L - LE(f) r_N, nor of image(f) below L - LE(a) r_N.
+    LE(a) + LE(f) = LE(b) + LE(g) = m, and b is scaled so that the leading
+    coefficients of a*f and b*g match, so the products' top terms at m r_N
+    cancel and the image has no term from m r_N up.  Below it the image is
+    formed band by band, widening geometrically while the band cancels.
+    Its top term is s's leading term, by the theorem again, and goes to the
+    memo as a scan of s would write it, certified at s's own exact depth.
+    The table can be deeper than that one, as it must be where m r_N is not
+    an int on s's own table.  On an exhausted finite spec the table is z
+    itself, and the tops are the leading exponents because z_N = z.  The
+    image is over the lcm of the two products' denominators, each the
+    product of its factors'.  reduce carries the image from its first step.
+    A remainder adjoined with no steps is s itself, so its basis image is
+    seeded from the image, over the denominator _prepare gives it
+    (Image.entry).
     """
     gens = list(gens)
     if not gens:
@@ -286,24 +331,31 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     pending = []
     for j in range(len(basis)):
         for k in range(j + 1, len(basis)):
-            pending.extend(
-                syzygy_family(basis[j], basis[k], ctx, minimal=True))
+            pending += _family(basis[j], basis[k], ctx)
+    images = {}
     rounds = 0
     complete = False
     while True:
         if rounds >= max_rounds:
             break
         rounds += 1
-        pending.sort(key=lambda elt: elt.value)
+        pending.sort(key=lambda item: item[0].value)
         seen = set()
         first_new = len(basis)
-        for elt in pending:
-            if elt.spoly.is_zero() or elt.spoly in seen:
+        for elt, f, g in pending:
+            s = elt.spoly
+            if s.is_zero() or s in seen:
                 continue
-            seen.add(elt.spoly)
-            eval_leading(elt.spoly, ctx, below=elt.value)
-            rem = reduce(elt.spoly, basis, ctx, step_limit).remainder
+            seen.add(s)
+            ra, rb, factor = _syzygy_reps(
+                elt.value, eval_leading(f, ctx), eval_leading(g, ctx), ctx)
+            image = syzygy_image(s, elt.value, ra, f, rb, g, factor, ctx,
+                                 images)
+            trace = _reduce(s, basis, ctx, step_limit, image, images)
+            rem = trace.remainder
             if not rem.is_zero() and rem not in basis:
+                if not trace.steps:
+                    images[(rem, image.zp.depth)] = image.entry(rem)
                 basis.append(rem)
         if len(basis) == first_new:
             complete = True
@@ -313,9 +365,13 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
         pending = []
         for k in range(first_new, len(basis)):
             for j in range(k):
-                pending.extend(
-                    syzygy_family(basis[j], basis[k], ctx, minimal=True))
+                pending += _family(basis[j], basis[k], ctx)
     return GbResult(tuple(basis), complete, rounds)
+
+
+def _family(f, g, ctx):
+    """The pair's minimal syzygy family, each element with f and g."""
+    return [(elt, f, g) for elt in syzygy_family(f, g, ctx, minimal=True)]
 
 
 def is_member(f, gb, ctx, step_limit=DEFAULT_STEP_LIMIT):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from valmon.bipoly import (BivarPoly, _exact_truncation, _truncated_product,
-                           _ZPow, eval_leading, min_poly_finite_puiseux,
+from valmon.bipoly import (BivarPoly, _exact_truncation, _product_band,
+                           _truncated_product, _ZPow, eval_leading, min_poly_finite_puiseux,
                            parse, preimage, preimage_leading,
                            preimage_of_rep, truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
@@ -565,6 +565,34 @@ def test_truncated_product_matches_schoolbook():
         full = _schoolbook(a, b)
         for skip in range(len(full) + 2):
             assert _truncated_product(a, b, skip) == tuple(full[skip:])
+
+
+def test_middle_product_matches_schoolbook():
+    # every window [skip, skip + n) of the product, n running past its end
+    for a, b in _product_cases():
+        full = _schoolbook(a, b)
+        for skip in range(len(full) + 2):
+            for n in range(len(full) - skip + 3):
+                assert (_truncated_product(a, b, skip, n)
+                        == tuple(full[skip:skip + n]))
+
+
+def test_product_band_matches_schoolbook():
+    # two images complete from their floors, top terms last: every band
+    # [lo, hi) up to the product's top, lo below zero and below the two
+    # floors' sum included
+    rng = random.Random(59)
+    for a, b in _product_cases():
+        if not a or not b or not a[-1] or not b[-1]:
+            continue
+        pf, qf = rng.randint(0, 5), rng.randint(0, 5)
+        full = _schoolbook(a, b)
+        start, top = pf + qf, pf + qf + len(full) - 1
+        for lo in range(-2, top + 2):
+            for hi in range(lo, top + 2):
+                want = tuple(full[e - start] if e >= start else 0
+                             for e in range(lo, hi))
+                assert _product_band((pf, a), (qf, b), lo, hi) == want
 
 
 @pytest.mark.parametrize("spec, depth, top", [

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from valmon.bipoly import BivarPoly, eval_leading, parse
+from valmon import gbengine
+from valmon.bipoly import BivarPoly, Image, eval_leading, parse
 from valmon.errors import (IncompleteBasis, StepLimitExceeded, ZeroPolynomial)
 from valmon.gbengine import (approx_quotient, buchberger, is_member, reduce,
                              syzygy_family, syzygy_values)
@@ -298,6 +299,57 @@ def test_x_y_seven_round_basis_is_pinned():
              "terms": len(g.monomials()),
              "sha256": sha256(g.to_string().encode()).hexdigest()}
             for g in res.basis] == case["basis"]
+
+
+def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
+    # buchberger forms each S-polynomial's image from the images of its
+    # factors and reduce carries it from the first step, so no
+    # S-polynomial is scanned for its own reduction, bounded or not.  What
+    # is left: 7 scans for the leading data of the generators and of
+    # remainders, and 119 rescans of intermediates inside reduce, where
+    # nothing survives above the floor or the y-degree outgrows the table.
+    # An intermediate may happen to equal another S-polynomial.  The last
+    # element, of y-degree 64, is adjoined with no steps, so its basis
+    # image is its S-polynomial's image, and the depth-7 table is built
+    # only up to the power 32 that the factors' images need.
+    reducing = []
+    outside = inside = 0
+    scan = Image.scan.__func__
+    loop = gbengine._reduce
+    spolys = set()
+
+    def spy(cls, f, ctx, below=None):
+        nonlocal outside, inside
+        assert below is None
+        if reducing:
+            inside += 1
+            assert f != reducing[-1]
+        else:
+            outside += 1
+            assert f not in spolys
+        return scan(cls, f, ctx, below)
+
+    def reducing_loop(f, *rest):
+        reducing.append(f)
+        try:
+            return loop(f, *rest)
+        finally:
+            reducing.pop()
+
+    def recording(f, g, ctx, minimal=False):
+        family = syzygy_family(f, g, ctx, minimal)
+        spolys.update(elt.spoly for elt in family)
+        return family
+
+    monkeypatch.setattr(Image, "scan", classmethod(spy))
+    monkeypatch.setattr(gbengine, "_reduce", reducing_loop)
+    monkeypatch.setattr(gbengine, "syzygy_family", recording)
+    ctx = MonoidContext(dyadic_spec(), 8)
+    res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
+    assert res.iterations == 6 and len(spolys) > 30
+    assert (outside, inside) == (7, 119)
+    assert res.basis[-1].deg_y() == 64
+    assert len(ctx.cache[("zpow", 7)].pows) == 33
 
 
 @pytest.mark.parametrize("f,gs", [

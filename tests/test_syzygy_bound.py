@@ -1,11 +1,13 @@
-"""Bounded scans and floored images against their unbounded forms.
+"""Product images, bounded scans and floored images against their
+unbounded forms.
 
-buchberger evaluates each S-polynomial a*f - b*g below its syzygy value m,
-which exceeds its leading exponent, so the scan starts under
-ceil(m * r_N) instead of at the monomial top.  reduce takes the images of
-the products of p_j only down to the exponent a step's product reaches
-the floor from.  Both must give exactly what the unbounded forms give:
-the same leading data, and the same terms wherever they cover.
+buchberger forms the image of each S-polynomial a*f - b*g from the images
+of a, f, b and g, below its syzygy value m, which exceeds its leading
+exponent; a bounded scan (Image.scan and eval_leading with below=m) starts
+under ceil(m * r_N) instead of at the monomial top.  reduce takes the
+images of the products of p_j only down to the exponent a step's product
+reaches the floor from.  All must give exactly what the unbounded forms
+give: the same leading data, and the same terms wherever they cover.
 """
 
 import random
@@ -16,8 +18,9 @@ from math import ceil
 import pytest
 
 from valmon import gbengine
-from valmon.bipoly import (BivarPoly, Image, _power_table, eval_leading,
-                           full_image, parse, preimage_image, preimage_of_rep)
+from valmon.bipoly import (BivarPoly, Image, _image_down_to, _power_table,
+                           eval_leading, full_image, parse, preimage_image,
+                           preimage_of_rep, syzygy_image)
 from valmon.gbengine import buchberger, syzygy_family
 from valmon.series import (CallbackTail, GeometricTail, SimpleSeriesSpec,
                            dyadic_spec)
@@ -82,18 +85,25 @@ def check_bounded_scans(elements, ctx):
     return bounded, fractional
 
 
-def recorded_families(monkeypatch, gens, ctx, max_rounds):
-    """Every syzygy element buchberger builds for gens."""
-    elements = []
+def recorded_syzygies(monkeypatch, gens, ctx, max_rounds):
+    """Every syzygy element buchberger builds for gens, as (element, f, g)
+    for the pair (f, g) it belongs to."""
+    syzygies = []
 
     def recording(f, g, ctx, minimal=False):
         family = syzygy_family(f, g, ctx, minimal)
-        elements.extend(family)
+        syzygies.extend((elt, f, g) for elt in family)
         return family
 
     monkeypatch.setattr(gbengine, "syzygy_family", recording)
     buchberger([parse(g) for g in gens], ctx, max_rounds=max_rounds)
-    return elements
+    return syzygies
+
+
+def recorded_families(monkeypatch, gens, ctx, max_rounds):
+    """Every syzygy element buchberger builds for gens."""
+    return [elt for elt, _, _ in
+            recorded_syzygies(monkeypatch, gens, ctx, max_rounds)]
 
 
 # the dyadic gb inputs of this suite: x,y up to 5 rounds, the four ideals
@@ -157,6 +167,98 @@ def test_bound_above_the_monomial_top():
         assert Image.scan(f, ctx, below=below).lead() == free.lead()
         fresh = MonoidContext(dyadic_spec(), 8)
         assert eval_leading(f, fresh, below=below) == eval_leading(f, ctx)
+
+
+def product_image(elt, f, g, ctx, images):
+    """The image of elt's S-polynomial as buchberger forms it, from the
+    images of a, f, b and g."""
+    ra, rb, factor = gbengine._syzygy_reps(
+        elt.value, eval_leading(f, ctx), eval_leading(g, ctx), ctx)
+    return syzygy_image(elt.spoly, elt.value, ra, f, rb, g, factor, ctx,
+                        images)
+
+
+def check_product_images(syzygies, ctx):
+    """Check the product image of every nonzero S-polynomial against its
+    full image and against the bounded scan; return how many there were,
+    and how many have a non-integer m * r_N on the S-polynomial's own
+    table, where the product image needs a deeper one."""
+    images = {}
+    checked = fractional = 0
+    for elt, f, g in syzygies:
+        s = elt.spoly
+        if s.is_zero():
+            continue
+        checked += 1
+        image = product_image(elt, f, g, ctx, images)
+        zp = image.zp
+        own = _power_table(ctx, s.deg_y())
+        if (elt.value * own.scale).denominator != 1:
+            fractional += 1
+            assert zp.depth > own.depth
+        # no term at or above m * r_N, in the product image or the full one
+        top = elt.value * zp.scale
+        assert top.denominator == 1
+        end = image.floor + len(image.num)
+        assert image.num and image.num[-1] and end <= top
+        _, full, den = full_image(s, zp)
+        assert not any(full[end:])
+        # the full image on every entry the product image covers
+        assert ([v * den for v in image.num]
+                == [w * image.den for w in full[image.floor:end]])
+        # as a basis image, over the denominator _prepare gives s
+        assert image.entry(s) == _image_down_to(s, zp, image.floor)
+        # the same leading data as the bounded scan, and the memo entry
+        # exactly as the scan writes it, certified_at included
+        scanned = Image.scan(s, ctx, below=elt.value).lead()
+        got = image.lead()
+        assert (got.le, got.lc, got.point) == (scanned.le, scanned.lc,
+                                               scanned.point)
+        assert ctx.cache[("lead", s)] == scanned
+    return checked, fractional
+
+
+# buchberger inputs on the other two specs
+OTHER_GB_CASES = [
+    ("harmonic", ("x", "y"), 3),
+    ("harmonic", ("y^2 - x", "x*y"), 2),
+    ("mixed-denominators", ("x", "y"), 5),
+    ("mixed-denominators", ("y^2 - x", "x*y"), 4),
+]
+
+
+def test_product_images_of_buchberger_syzygies(monkeypatch):
+    checked = fractional = 0
+    cases = [("dyadic", gens, rounds) for gens, rounds in DYADIC_GB_CASES]
+    for spec_name, gens, rounds in cases + OTHER_GB_CASES:
+        make_spec, depth = SPECS[spec_name]
+        ctx = MonoidContext(make_spec(), depth)
+        syzygies = recorded_syzygies(monkeypatch, gens, ctx, rounds)
+        got = check_product_images(syzygies, MonoidContext(make_spec(),
+                                                           depth))
+        assert got[0] > 0
+        checked += got[0]
+        fractional += got[1]
+    assert checked > 150
+    assert fractional > 0
+
+
+@pytest.mark.parametrize("spec_name", list(SPECS))
+def test_product_images_of_criterion_9_families(spec_name):
+    # the families of criterion 9's 200 pairs (seed 97)
+    make_spec, depth = SPECS[spec_name]
+    ctx = MonoidContext(make_spec(), depth)
+    rng = random.Random(97)
+    syzygies = []
+    pairs = 0
+    while pairs < 200:
+        f, g = random_poly(rng), random_poly(rng)
+        if f.is_zero() or g.is_zero():
+            continue
+        pairs += 1
+        syzygies.extend((elt, f, g) for elt in syzygy_family(f, g, ctx))
+    checked, _ = check_product_images(syzygies, ctx)
+    assert checked > 100
 
 
 def digit_vectors(ctx, k):

@@ -88,8 +88,9 @@ def test_shared_context_reduce_across_threads():
 
 
 def test_shared_context_buchberger_across_threads():
-    # every thread primes the memo with bounded scans of the same
-    # S-polynomials and extends the same cached images of products of p_j
+    # every thread forms the images of the same S-polynomials from the
+    # same cached images of products of p_j, writes their leading data to
+    # the memo and keeps its own basis images for its run
     gens = [parse("x"), parse("y")]
     want = buchberger(gens, MonoidContext(dyadic_spec(), 8), 4)
     for _ in range(5):
