@@ -22,10 +22,11 @@ Every image at z_N has one layout: int coefficients at consecutive scaled
 exponents from an int floor up, zeros included, with the top term last and
 floor 0 meaning complete, since no scaled exponent is negative.  The table
 powers of z_N (_ZPow), the windows of a scan (_scan), the image reduce
-carries (Image) and the full and floored images (full_image,
-preimage_image) all use it, so a band is located by index arithmetic and
-nothing is sorted.  The powers are built by shifted adds on one packed int
-whose fields are those coefficients (Kronecker substitution).
+carries (Image) and the floored images of basis elements and preimages
+(_image_down_to, preimage_image) all use it, so a band is located by index
+arithmetic and nothing is sorted.  The powers are built by shifted adds on
+one packed int whose fields are those coefficients (Kronecker
+substitution).
 
 Kronecker substitution serves polynomial products too: a large product
 whose terms fill a small dense box, such as an S-polynomial's a*f, is one
@@ -866,36 +867,26 @@ class Image:
             num.pop()
 
 
-def _image_down_to(f, zp, lowest, entry=None, top=None):
+def _image_down_to(f, zp, lowest, entry, top):
     """(floor, coefficients, den): f(t, z_N) on the table zp from scaled
     exponent floor up, in Image's layout, with floor <= max(lowest, 0)
-    (0: the complete image).  entry, an earlier result for the same f and
-    zp, is returned as it is when its floor is that low, and otherwise
-    extended by a scan of the band between the two floors into a new
-    tuple, so a published entry never changes.  Without an entry the band
-    starts at top, the scaled exponent of f's top term when the caller
-    knows it, such as LE_z(f) * r_N by eval_leading's theorem, and
-    otherwise at the monomial top.  A known top that is not where the
-    result's top term lies raises InternalError."""
+    (0: the complete image).  top is the scaled exponent of f's top term,
+    which every caller knows, such as LE_z(f) * r_N by eval_leading's
+    theorem; a result whose top term lies elsewhere raises InternalError.
+    entry, an earlier result for the same f and zp or None, is returned as
+    it is when its floor is that low, and otherwise extended by a scan of
+    the band between the two floors into a new tuple, so a published entry
+    never changes; without an entry the band starts at top."""
     lowest = max(lowest, 0)
     if entry is None or entry[0] > lowest:
         work, den = _prepare(f, zp, f.deg_y())
-        if entry is None:
-            floor = 1 + (_monomial_top(work, zp) if top is None else top)
-            num = ()
-        else:
-            floor, num = entry[:2]
+        floor, num = (top + 1, ()) if entry is None else entry[:2]
         entry = (lowest, _strip((*_scan(work, zp, lowest, floor), *num)),
                  den)
-    if top is not None and entry[0] + len(entry[1]) - 1 != top:
+    if entry[0] + len(entry[1]) - 1 != top:
         raise InternalError(f"image at depth {zp.depth} does not top at "
                             f"scaled exponent {top}")
     return entry
-
-
-def full_image(f, zp):
-    """(0, coefficients, den): f(t, z_N) in full, in Image's layout."""
-    return _image_down_to(f, zp, 0)
 
 
 def eval_leading(f, ctx, below=None):
@@ -923,12 +914,13 @@ def eval_leading(f, ctx, below=None):
     spec, which raises InsufficientPrecision.
 
     below, when given, is a value known to exceed LE_z(f), such as the
-    syzygy value of an S-polynomial when one is scanned (buchberger forms
-    their images from their factors' instead, syzygy_image).  By the
-    theorem, f(t, z_N) has no term above LE_z(f) (on an exhausted spec
-    z_N = z), so its band at scaled exponents >= below * r_N is zero and
-    the scan starts under it.  The leading data, and hence the memo, are
-    the same as without the bound.
+    syzygy value of an S-polynomial.  By the theorem, f(t, z_N) has no
+    term above LE_z(f) (on an exhausted spec z_N = z), so its band at
+    scaled exponents >= below * r_N is zero and the scan starts under it.
+    The leading data, and hence the memo, are the same as without the
+    bound.  The argument is public interface; valmon itself no longer
+    passes it, since buchberger forms the images of S-polynomials from
+    their factors' instead of scanning them (syzygy_image).
     """
     key = ("lead", f)
     hit = ctx.cache.get(key)
@@ -1063,12 +1055,16 @@ def preimage_image(digits, zp, ctx, lowest=0):
     product of two cached images: image(p'), built the same way and cached
     per context under (digits', N), and image(p_w), cached under (w, N) and
     extended by bands from its known top (_image_down_to).  A lone p_w is
-    its own image, published under both keys.  A term of the product at or
-    above lowest uses no term of either factor below lowest - (the other's
-    top), so each factor is kept from there up and multiplied by one packed
-    multiply (_product_band).  A cached product asked for below its floor
-    gains only the band from lowest up to its old floor: a middle product
-    of the two factors, each first extended to its new cut.
+    its own image, published under both keys.  The prefixes are walked
+    down in a loop to the first one cached low enough, or to a lone p_w,
+    and the products are formed on the way back up, so a digit vector of
+    large sum (a high ramification index) needs no deep recursion.  A term
+    of the product at or above lowest uses no term of either factor below
+    lowest - (the other's top), so each factor is kept from there up and
+    multiplied by one packed multiply (_product_band).  A cached product
+    asked for below its floor gains only the band from lowest up to its
+    old floor: a middle product of the two factors, each first extended to
+    its new cut.
 
     The tops are the scaled rho_j.  Every caller's table is exact for D,
     or is z itself on an exhausted finite spec, and then r_N >= r_l(w) > D
@@ -1092,34 +1088,41 @@ def preimage_image(digits, zp, ctx, lowest=0):
     monoid and the depth.  An extension is published as a new tuple, the
     way _ZPow.pow publishes its powers, so a reader never sees a partial
     entry and a published entry never changes."""
-    lowest = max(lowest, 0)
     if not digits:
         return 0, (1,), 1
-    key = ("image", digits, zp.depth)
-    hit = ctx.cache.get(key)
-    if hit is not None and hit[0] <= lowest:
-        return hit
-    w = len(digits)
-    rho = ctx.seqs.rho(w)
-    ftop = rho.numerator * zp.scale // rho.denominator
-    fkey = ("minpoly-image", w, zp.depth)
-    prefix = MonoidRep(0, digits[:-1] + (digits[-1] - 1,)).digits
-    if not prefix:
-        hit = ctx.cache[key] = ctx.cache[fkey] = _image_down_to(
-            truncation_min_poly(ctx, w), zp, min(lowest, ftop),
+    # down the prefixes to one cached low enough, or to a lone p_w
+    chain = []
+    while True:
+        lowest = max(lowest, 0)
+        key = ("image", digits, zp.depth)
+        hit = ctx.cache.get(key)
+        if hit is not None and hit[0] <= lowest:
+            image = hit
+            break
+        w = len(digits)
+        rho = ctx.seqs.rho(w)
+        ftop = rho.numerator * zp.scale // rho.denominator
+        fkey = ("minpoly-image", w, zp.depth)
+        prefix = MonoidRep(0, digits[:-1] + (digits[-1] - 1,)).digits
+        if not prefix:
+            image = ctx.cache[key] = ctx.cache[fkey] = _image_down_to(
+                truncation_min_poly(ctx, w), zp, min(lowest, ftop),
+                ctx.cache.get(fkey), ftop)
+            break
+        chain.append((key, hit, w, ftop, fkey, lowest))
+        digits, lowest = prefix, lowest - ftop
+    # and back up, one product of a prefix's image and a p_w's per step
+    for key, hit, w, ftop, fkey, lowest in reversed(chain):
+        htop = image[0] + len(image[1]) - 1
+        lowest = min(lowest, htop + ftop)
+        tail = ctx.cache[fkey] = _image_down_to(
+            truncation_min_poly(ctx, w), zp, lowest - htop,
             ctx.cache.get(fkey), ftop)
-        return hit
-    head = preimage_image(prefix, zp, ctx, lowest - ftop)
-    htop = head[0] + len(head[1]) - 1
-    lowest = min(lowest, htop + ftop)
-    tail = ctx.cache[fkey] = _image_down_to(
-        truncation_min_poly(ctx, w), zp, lowest - htop, ctx.cache.get(fkey),
-        ftop)
-    floor, num = (htop + ftop + 1, ()) if hit is None else hit[:2]
-    hit = ctx.cache[key] = (lowest,
-                            _product_band(head, tail, lowest, floor) + num,
-                            head[2] * tail[2])
-    return hit
+        floor, num = (htop + ftop + 1, ()) if hit is None else hit[:2]
+        image = ctx.cache[key] = (
+            lowest, _product_band(image, tail, lowest, floor) + num,
+            image[2] * tail[2])
+    return image
 
 
 def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):

@@ -96,7 +96,8 @@ def approx_quotient(f, g, ctx):
     return None if q is None else q[0]
 
 
-def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
+def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
+           _images=None):
     """Reduce f over the basis, always taking the lowest-index divisor.
 
     Stops at zero or at a remainder whose value no basis value divides.
@@ -109,16 +110,18 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     -g*h into it in place (bipoly._accumulate).  Their leading terms come
     from one exact image f(t, z_N), carried from step to step above a
     floor: a step subtracts, in place, the image of g*h, which is image(g)
-    times c*t^n*image(prod p_j^(d_j)).  The loop (_reduce) takes f's image
-    from its caller when there is one: buchberger hands it each
-    S-polynomial's image, formed from its factors' images, which is then
-    carried from the first step.  Called here, f has none, and the first
-    step leaves the image to be evaluated afresh, as below.  The images of
-    g and of the products of p_j are kept down to the lowest exponent from
-    which a step's product reaches the floor: image(g) per basis element
-    and depth, for one call here and for a whole run under buchberger,
-    each started at its known top LE(g) * r_N (below) instead of its
-    monomial top; the products per context.
+    times c*t^n*image(prod p_j^(d_j)).  buchberger hands reduce each
+    S-polynomial's image, formed from its factors' images, as _image (f's
+    image from its floor up on a table exact for deg_y f), which is then
+    carried from the first step; without one, the first step leaves the
+    image to be evaluated afresh, as below.  The images of g and of the
+    products of p_j are kept down to the lowest exponent from which a
+    step's product reaches the floor: image(g) per basis element and depth
+    in _images, a dict keyed by (polynomial, N) that buchberger keeps for
+    its whole run and that is fresh for each call otherwise, each image
+    started at its known top LE(g) * r_N (below) instead of its monomial
+    top; the products per context.  _image and _images are buchberger's
+    and not part of the public interface.
 
     cur is built as a BivarPoly (_make) only where one is needed: for the
     remainder; when nothing survives above the floor, where cur is zero or
@@ -144,17 +147,10 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT):
     difference of their lattice points, and its factor is a coprime pair
     (n, d) formed with one gcd (_quotient_for).
     """
-    return _reduce(f, basis, ctx, step_limit, None, {})
-
-
-def _reduce(f, basis, ctx, step_limit, image, images):
-    """reduce, carrying image, f's image from its floor up on a table exact
-    for deg_y f, from the first step on (None: the first step evaluates
-    afresh), and reading and extending the images of the basis elements
-    in images, keyed by (polynomial, N)."""
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
+    image, images = _image, {} if _images is None else _images
     steps = []
     cur = f
     acc, den, degy = dict(f._num), f._den, f.deg_y()
@@ -314,7 +310,8 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     an int on s's own table.  On an exhausted finite spec the table is z
     itself, and the tops are the leading exponents because z_N = z.  The
     image is over the lcm of the two products' denominators, each the
-    product of its factors'.  reduce carries the image from its first step.
+    product of its factors'.  buchberger hands the image and its basis
+    images to reduce, which carries the image from its first step.
     A remainder adjoined with no steps is s itself, so its basis image is
     seeded from the image, over the denominator _prepare gives it
     (Image.entry).
@@ -347,11 +344,15 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
             if s.is_zero() or s in seen:
                 continue
             seen.add(s)
+            # syzygy_family's elements hold a and b, not their reps; the
+            # reps and b's factor come back from memoised leads and
+            # decompositions
             ra, rb, factor = _syzygy_reps(
                 elt.value, eval_leading(f, ctx), eval_leading(g, ctx), ctx)
             image = syzygy_image(s, elt.value, ra, f, rb, g, factor, ctx,
                                  images)
-            trace = _reduce(s, basis, ctx, step_limit, image, images)
+            trace = reduce(s, basis, ctx, step_limit, _image=image,
+                           _images=images)
             rem = trace.remainder
             if not rem.is_zero() and rem not in basis:
                 if not trace.steps:

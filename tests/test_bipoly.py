@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from valmon.bipoly import (BivarPoly, _exact_truncation, _product_band,
-                           _truncated_product, _ZPow, eval_leading, min_poly_finite_puiseux,
-                           parse, preimage, preimage_leading,
-                           preimage_of_rep, truncation_min_poly)
+                           _truncated_product, _ZPow, eval_leading,
+                           min_poly_finite_puiseux, parse, preimage,
+                           preimage_leading, preimage_of_rep,
+                           truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
 from valmon.exactnum import as_rational

@@ -311,11 +311,11 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     # An intermediate may happen to equal another S-polynomial.  The last
     # element, of y-degree 64, is adjoined with no steps, so its basis
     # image is its S-polynomial's image, and the depth-7 table is built
-    # only up to the power 32 that the factors' images need.
+    # only up to the power 32 that the factors' images need.  All 38
+    # reductions go through the public gbengine.reduce.
     reducing = []
-    outside = inside = 0
+    outside = inside = calls = 0
     scan = Image.scan.__func__
-    loop = gbengine._reduce
     spolys = set()
 
     def spy(cls, f, ctx, below=None):
@@ -329,10 +329,12 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
             assert f not in spolys
         return scan(cls, f, ctx, below)
 
-    def reducing_loop(f, *rest):
+    def reducing_call(f, *args, **kwargs):
+        nonlocal calls
+        calls += 1
         reducing.append(f)
         try:
-            return loop(f, *rest)
+            return reduce(f, *args, **kwargs)
         finally:
             reducing.pop()
 
@@ -342,12 +344,12 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
         return family
 
     monkeypatch.setattr(Image, "scan", classmethod(spy))
-    monkeypatch.setattr(gbengine, "_reduce", reducing_loop)
+    monkeypatch.setattr(gbengine, "reduce", reducing_call)
     monkeypatch.setattr(gbengine, "syzygy_family", recording)
     ctx = MonoidContext(dyadic_spec(), 8)
     res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
     assert res.iterations == 6 and len(spolys) > 30
-    assert (outside, inside) == (7, 119)
+    assert (outside, inside, calls) == (7, 119, 38)
     assert res.basis[-1].deg_y() == 64
     assert len(ctx.cache[("zpow", 7)].pows) == 33
 

@@ -85,21 +85,21 @@ def check_against_reference(calls, spec_name):
 
 
 def recorded_buchberger(monkeypatch, gens, spec_name, max_rounds):
-    """Run buchberger in a fresh context; return every reduction it made
-    with its trace.  buchberger reduces through the loop behind reduce,
-    gbengine._reduce, handing it each S-polynomial's image, so that is
-    where the calls are recorded."""
+    """Run buchberger in a fresh context; return every reduce call it made
+    with its trace.  buchberger hands reduce each S-polynomial's image and
+    its run's basis images as private keyword arguments, which are passed
+    through."""
     make_spec, depth = SPECS[spec_name]
     ctx = MonoidContext(make_spec(), depth)
     calls = []
-    loop = gbengine._reduce
 
-    def recording(f, basis, ctx, *rest):
-        trace = loop(f, basis, ctx, *rest)
+    def recording(f, basis, ctx, step_limit=gbengine.DEFAULT_STEP_LIMIT,
+                  **private):
+        trace = reduce(f, basis, ctx, step_limit, **private)
         calls.append((f, list(basis), trace))
         return trace
 
-    monkeypatch.setattr(gbengine, "_reduce", recording)
+    monkeypatch.setattr(gbengine, "reduce", recording)
     res = buchberger([parse(g) for g in gens], ctx, max_rounds=max_rounds)
     return res, calls
 

@@ -7,7 +7,8 @@ exponent; a bounded scan (Image.scan and eval_leading with below=m) starts
 under ceil(m * r_N) instead of at the monomial top.  reduce takes the
 images of the products of p_j only down to the exponent a step's product
 reaches the floor from.  All must give exactly what the unbounded forms
-give: the same leading data, and the same terms wherever they cover.
+give: the same leading data, and the same terms wherever they cover.  The
+unbounded image is full_image below, one scan of every exponent.
 """
 
 import random
@@ -18,15 +19,24 @@ from math import ceil
 import pytest
 
 from valmon import gbengine
-from valmon.bipoly import (BivarPoly, Image, _image_down_to, _power_table,
-                           eval_leading, full_image, parse, preimage_image,
+from valmon.bipoly import (BivarPoly, Image, _image_down_to, _monomial_top,
+                           _power_table, _prepare, _scan, _strip,
+                           eval_leading, parse, preimage_image,
                            preimage_of_rep, syzygy_image)
-from valmon.gbengine import buchberger, syzygy_family
+from valmon.gbengine import buchberger, reduce, syzygy_family
 from valmon.series import (CallbackTail, GeometricTail, SimpleSeriesSpec,
                            dyadic_spec)
 from valmon.valmonoid import MonoidContext, MonoidRep
 
 F = Fraction
+
+
+def full_image(f, zp):
+    """(0, coefficients, den): f(t, z_N) in full, in Image's layout, by one
+    scan of every exponent up to the monomial top."""
+    work, den = _prepare(f, zp, f.deg_y())
+    top = _monomial_top(work, zp)
+    return 0, _strip(tuple(_scan(work, zp, 0, top + 1))), den
 
 
 def harmonic_spec():
@@ -207,10 +217,13 @@ def check_product_images(syzygies, ctx):
         assert ([v * den for v in image.num]
                 == [w * image.den for w in full[image.floor:end]])
         # as a basis image, over the denominator _prepare gives s
-        assert image.entry(s) == _image_down_to(s, zp, image.floor)
-        # the same leading data as the bounded scan, and the memo entry
-        # exactly as the scan writes it, certified_at included
-        scanned = Image.scan(s, ctx, below=elt.value).lead()
+        assert image.entry(s) == _image_down_to(s, zp, image.floor, None,
+                                                end - 1)
+        # the same leading data as a scan of s, unbounded or bounded by the
+        # syzygy value, and the memo entry exactly as the scan writes it,
+        # certified_at included
+        scanned = Image.scan(s, ctx).lead()
+        assert Image.scan(s, ctx, below=elt.value).lead() == scanned
         got = image.lead()
         assert (got.le, got.lc, got.point) == (scanned.le, scanned.lc,
                                                scanned.point)
@@ -308,3 +321,15 @@ def test_floored_preimage_images(spec_name, k, degy):
         draws = [rng.randint(-2, top + 2) for _ in range(8)]
         check_floored(rand_ctx, rand_zp, digits,
                       draws + [0, rng.randint(1, top + 2), -1])
+
+
+def test_preimage_images_at_a_high_ramification_index():
+    # z = t^(1/1000): s_1 = 1000 and p_1 = y, so the digit vector (d,) is a
+    # chain of d factors p_1, walked in a loop, not by recursion
+    ctx = MonoidContext(SimpleSeriesSpec([(1, F(1, 1000))]), 1)
+    zp = _power_table(ctx, 999)
+    assert zp.scale == 1000
+    for d in (997, 999):
+        check_floored(ctx, zp, (d,), [d + 1, d, d // 2, 0])
+    trace = reduce(parse("y^999 + y^998"), [parse("y")], ctx)
+    assert trace.remainder.is_zero() and len(trace.steps) == 2
