@@ -6,16 +6,15 @@ from .bipoly import (BivarPoly, LeadingData, eval_leading,
 from .errors import (IdentityViolation, IncompleteBasis, InsufficientPrecision,
                      InternalError, InvalidSpec, NotInMonoid, PolyParseError,
                      StepLimitExceeded, ValmonError, ZeroPolynomial)
-from .exactnum import (CyclotomicElement, cyclo_arith, cyclotomic_modulus,
-                       rat, rat_str)
+from .exactnum import rat, rat_str
 from .gbengine import (GbResult, ReductionTrace, SyzygyElement,
                        approx_quotient, buchberger, is_member, reduce,
                        syzygy_family)
 from .seqderive import DerivedSequences, derive, self_check
 from .series import (FinitePuiseux, GeometricTail, NoetherianSeries,
                      SimpleSeriesSpec, TailRule, CallbackTail, agreement_order,
-                     conjugate, dyadic_spec, leading_data, series_add,
-                     series_mul, truncate)
+                     dyadic_spec, leading_data, series_add, series_mul,
+                     truncate)
 from .valmonoid import (MonoidContext, MonoidRep, base_digits, canonical_min,
                         decompose, divides, enumerate_omega, lambda_d,
                         rep_value)
@@ -26,12 +25,12 @@ __all__ = [
     "IdentityViolation", "IncompleteBasis", "InsufficientPrecision",
     "InternalError", "InvalidSpec", "NotInMonoid", "PolyParseError",
     "StepLimitExceeded", "ValmonError", "ZeroPolynomial",
-    "CyclotomicElement", "cyclo_arith", "cyclotomic_modulus", "rat", "rat_str",
+    "rat", "rat_str",
     "GbResult", "ReductionTrace", "SyzygyElement", "approx_quotient",
     "buchberger", "is_member", "reduce", "syzygy_family",
     "DerivedSequences", "derive", "self_check",
     "FinitePuiseux", "GeometricTail", "NoetherianSeries", "SimpleSeriesSpec",
-    "TailRule", "CallbackTail", "agreement_order", "conjugate", "dyadic_spec",
+    "TailRule", "CallbackTail", "agreement_order", "dyadic_spec",
     "leading_data", "series_add", "series_mul", "truncate",
     "MonoidContext", "MonoidRep", "base_digits", "canonical_min", "decompose",
     "divides", "enumerate_omega", "lambda_d", "rep_value",

@@ -45,7 +45,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from operator import add
 from struct import iter_unpack
 
@@ -53,7 +53,7 @@ from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
 from .exactnum import rat_str
 from .seqderive import _pull_terms
-from .series import FinitePuiseux, truncate
+from .series import FinitePuiseux, _exact, truncate
 from .valmonoid import MonoidRep, decompose, lattice_point, rep_value
 
 _EXPONENT_CAP = 10 ** 4
@@ -85,9 +85,9 @@ class BivarPoly:
 
     The constructor takes a dict or (key, coeff) pairs with non-negative
     int exponents and int, Fraction or "p/q" coefficients; any other
-    exponent raises ValueError.  coeffs and monomials() return Fractions.
-    Monomials iterate and print in (y-degree, x-degree) lexicographic
-    order, purely for determinism.
+    exponent, or a float coefficient, raises ValueError.  coeffs and
+    monomials() return Fractions.  Monomials iterate and print in
+    (y-degree, x-degree) lexicographic order, purely for determinism.
     """
 
     __slots__ = ("_num", "_den", "_hash", "_degy")
@@ -100,7 +100,7 @@ class BivarPoly:
                     and a >= 0 and b >= 0):
                 raise ValueError(
                     f"exponents must be non-negative ints, got {(a, b)!r}")
-            fr[a, b] = fr.get((a, b), 0) + Fraction(v)
+            fr[a, b] = fr.get((a, b), 0) + _exact(v, ValueError)
         den = lcm(*(v.denominator for v in fr.values()))
         return cls._make({k: v.numerator * (den // v.denominator)
                           for k, v in fr.items()}, den)
@@ -214,11 +214,11 @@ class BivarPoly:
         return BivarPoly._make(acc, den)
 
     def scale(self, q):
-        """q * self for an int, a Fraction, or anything Fraction takes."""
+        """q * self for any q Fraction takes but a float (ValueError)."""
         if isinstance(q, int):
             return self._scaled(q, 1)
         if not isinstance(q, Fraction):
-            q = Fraction(q)
+            q = _exact(q, ValueError)
         return self._scaled(q.numerator, q.denominator)
 
     def _scaled(self, n, d):
@@ -712,20 +712,6 @@ def _strip(coeffs):
     return coeffs[:n]
 
 
-def _leading_scan(work, zp, ceiling=None):
-    """(floor, coefficients): the evaluation from floor up, found by
-    _descend from the monomial top, each band one _scan.  ceiling is an
-    exclusive scaled exponent at and above which the evaluation is known
-    to vanish; below the monomial top, the first window ends just under
-    it, and the result holds no term at or above it.
-    """
-    top = _monomial_top(work, zp)
-    hi = top + 1
-    if ceiling is not None and ceiling <= top:
-        top = hi = ceiling
-    return _descend(top, hi, zp, lambda lo, hi: _scan(work, zp, lo, hi))
-
-
 def _descend(top, hi, zp, band):
     """(floor, coefficients): an image from floor up, given its entries
     at exponents [lo, hi) as the list band(lo, hi), and known to have no
@@ -799,16 +785,16 @@ class Image:
         self.lattice_den = lattice_den
 
     @classmethod
-    def scan(cls, f, ctx, below=None):
+    def scan(cls, f, ctx):
         """f's image at its exact depth, above the highest window that keeps
-        a nonzero term.  below, when given, is a value known to exceed
-        LE_z(f); the scan then starts under ceil(below * r_N), and the image
-        holds no term at or above it."""
+        a nonzero term: _descend from the monomial top, each band one
+        _scan."""
         degy = f.deg_y()
         zp = _power_table(ctx, degy)
         work, den = _prepare(f, zp, degy)
-        ceiling = None if below is None else ceil(below * zp.scale)
-        floor, num = _leading_scan(work, zp, ceiling)
+        top = _monomial_top(work, zp)
+        floor, num = _descend(top, top + 1, zp,
+                              lambda lo, hi: _scan(work, zp, lo, hi))
         return cls(zp, floor, num, den, ctx.lattice_den)
 
     def _top(self):
@@ -889,7 +875,7 @@ def _image_down_to(f, zp, lowest, entry, top):
     return entry
 
 
-def eval_leading(f, ctx, below=None):
+def eval_leading(f, ctx):
     """LE_z(f) and LC_z(f), read off one exact evaluation f(t, z_N).
 
     N is the least n with r_n = lcm(den e_1, ..., den e_n) > deg_y f; when
@@ -912,22 +898,13 @@ def eval_leading(f, ctx, below=None):
     f(t, z_N) = 0 would make the minimal polynomial of z_N, of y-degree
     r_N > D, divide f; so the image vanishes only on an exhausted finite
     spec, which raises InsufficientPrecision.
-
-    below, when given, is a value known to exceed LE_z(f), such as the
-    syzygy value of an S-polynomial.  By the theorem, f(t, z_N) has no
-    term above LE_z(f) (on an exhausted spec z_N = z), so its band at
-    scaled exponents >= below * r_N is zero and the scan starts under it.
-    The leading data, and hence the memo, are the same as without the
-    bound.  The argument is public interface; valmon itself no longer
-    passes it, since buchberger forms the images of S-polynomials from
-    their factors' instead of scanning them (syzygy_image).
     """
     key = ("lead", f)
     hit = ctx.cache.get(key)
     if hit is None:
         if f.is_zero():
             raise ZeroPolynomial("the zero polynomial has no leading data")
-        hit = ctx.cache[key] = Image.scan(f, ctx, below).lead()
+        hit = ctx.cache[key] = Image.scan(f, ctx).lead()
     return hit
 
 
@@ -1131,7 +1108,7 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     for a and b the preimages of the representations ra and rb and
     (n, d) = factor.  It is image(a) image(f) - (n/d) image(b) image(g) on
     the table exact for the y-degree of s and of each of a, f, b and g,
-    formed band by band the way _leading_scan forms a scan (_descend),
+    formed band by band the way Image.scan forms a scan (_descend),
     each band two products of images (_product_band); the proof is in
     gbengine.buchberger.  images is the caller's dict of the images of f
     and g, keyed by (polynomial, N), which this extends.  Top terms of the

@@ -280,7 +280,7 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     each round reduces the outstanding family elements over the current
     basis, adjoins the nonzero remainders, and schedules families for every
     pair touching a new element.  complete is False when the round cap is
-    hit; some ideals genuinely have no finite basis here.
+    hit; only principal ideals have finite bases (proof: README).
 
     Two economies keep this tractable without changing the fixed point:
     families carry only a minimal generating value set, and remainders

@@ -3,9 +3,8 @@
 A series is a finite list of (exponent, coefficient) terms in strictly
 descending exponent order; the infinite objects of interest exist only as a
 SimpleSeriesSpec (finite prefix plus a tail rule) together with on-demand
-truncation.  Coefficients are Fraction, or CyclotomicElement in the
-conjugates of ``conjugate``, the reference for the norm tower; both compare
-equal to 0 exactly when they vanish.
+truncation.  Coefficients are Fraction; the arithmetic needs only that a
+coefficient compares equal to 0 exactly when it vanishes.
 """
 
 import threading
@@ -13,7 +12,14 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InsufficientPrecision, InvalidSpec, ValmonError
-from .exactnum import CyclotomicElement, as_rational, rat, rat_str
+from .exactnum import rat, rat_str
+
+
+def _exact(v, error=InvalidSpec):
+    """Fraction(v); a float, never the rational it was typed as, raises."""
+    if isinstance(v, float):
+        raise error(f"{v!r} is a float, not an exact rational")
+    return Fraction(v)
 
 
 class NoetherianSeries:
@@ -102,8 +108,7 @@ class NoetherianSeries:
             return "NoetherianSeries(0)"
         bits = []
         for e, c in self.terms:
-            cc = as_rational(c)
-            cs = rat_str(cc) if cc is not None else repr(c)
+            cs = rat_str(c) if isinstance(c, (int, Fraction)) else repr(c)
             bits.append(f"({cs})*t^({rat_str(e)})")
         return "NoetherianSeries(" + " + ".join(bits) + ")"
 
@@ -173,7 +178,7 @@ class CallbackTail(TailRule):
         if got is None:
             return None
         c, e = got
-        return (Fraction(c), Fraction(e))
+        return (_exact(c), _exact(e))
 
     def to_json(self):
         raise InvalidSpec("callback tails have no JSON form")
@@ -191,7 +196,7 @@ class SimpleSeriesSpec:
         tail = tail if tail is not None else TailRule()
         terms = []
         for c, e in prefix:
-            c, e = Fraction(c), Fraction(e)
+            c, e = _exact(c), _exact(e)
             if c == 0:
                 raise InvalidSpec("zero coefficient in prefix")
             if e <= 0:
@@ -290,7 +295,7 @@ class FinitePuiseux:
 
     def __init__(self, terms):
         cleaned = NoetherianSeries(
-            (Fraction(e), Fraction(c)) for e, c in terms)
+            (_exact(e), _exact(c)) for e, c in terms)
         for e, c in cleaned.terms:
             if e <= 0:
                 raise InvalidSpec(f"nonpositive exponent {e} in Puiseux series")
@@ -307,26 +312,3 @@ class FinitePuiseux:
 
     def is_zero(self):
         return self.series.is_zero()
-
-
-def conjugate(w, j):
-    """The j-th conjugate of a finite Puiseux series.
-
-    Each coefficient c at exponent m/R (common denominator R = w.ram_index)
-    becomes c * zeta_R^(j*m).  Coefficients that land back in Q are demoted
-    to Fraction.
-    """
-    R = w.ram_index
-    if not 0 <= j < R:
-        raise ValueError(f"conjugate index {j} out of range [0, {R})")
-    if j == 0 or R == 1:
-        return NoetherianSeries(w.terms)
-    out = []
-    for e, c in w.terms:
-        m = e * R
-        assert m.denominator == 1
-        root = CyclotomicElement.zeta(R, (j * m.numerator) % R)
-        coeff = root * c
-        q = coeff.as_rational()
-        out.append((e, q if q is not None else coeff))
-    return NoetherianSeries(out)

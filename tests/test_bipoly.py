@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclotomic import as_rational, conjugate
 from valmon.bipoly import (BivarPoly, _exact_truncation, _product_band,
                            _truncated_product, _ZPow, eval_leading,
                            min_poly_finite_puiseux, parse, preimage,
@@ -10,10 +11,8 @@ from valmon.bipoly import (BivarPoly, _exact_truncation, _product_band,
                            truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
-from valmon.exactnum import as_rational
 from valmon.series import (FinitePuiseux, NoetherianSeries, SimpleSeriesSpec,
-                           conjugate, dyadic_spec, leading_data, series_mul,
-                           truncate)
+                           dyadic_spec, leading_data, series_mul, truncate)
 from valmon.valmonoid import MonoidContext, MonoidRep, enumerate_omega
 
 F = Fraction
@@ -203,6 +202,20 @@ def test_invalid_exponents_raise(key):
         BivarPoly({key: 1})
     with pytest.raises(ValueError, match="non-negative ints"):
         BivarPoly([((0, 0), 1), (key, 1)])
+
+
+def test_float_coefficient_raises():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="float"):
+        BivarPoly({(0, 0): 0.1})
+    with pytest.raises(ValueError, match="float"):
+        BivarPoly([((1, 0), 1), ((0, 1), 2.0)])
+
+
+def test_float_scale_raises():
+    with pytest.raises(ValueError, match="float"):
+        parse("y").scale(0.1)
+    assert parse("y").scale("1/10") == parse("1/10*y")
 
 
 # --- certified evaluation ---------------------------------------------------

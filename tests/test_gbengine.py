@@ -304,7 +304,7 @@ def test_x_y_seven_round_basis_is_pinned():
 def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     # buchberger forms each S-polynomial's image from the images of its
     # factors and reduce carries it from the first step, so no
-    # S-polynomial is scanned for its own reduction, bounded or not.  What
+    # S-polynomial is scanned for its own reduction at all.  What
     # is left: 7 scans for the leading data of the generators and of
     # remainders, and 119 rescans of intermediates inside reduce, where
     # nothing survives above the floor or the y-degree outgrows the table.
@@ -318,16 +318,15 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     scan = Image.scan.__func__
     spolys = set()
 
-    def spy(cls, f, ctx, below=None):
+    def spy(cls, f, ctx):
         nonlocal outside, inside
-        assert below is None
         if reducing:
             inside += 1
             assert f != reducing[-1]
         else:
             outside += 1
             assert f not in spolys
-        return scan(cls, f, ctx, below)
+        return scan(cls, f, ctx)
 
     def reducing_call(f, *args, **kwargs):
         nonlocal calls
@@ -370,3 +369,25 @@ def test_principal_inputs_complete(f, gs):
     assert is_member(parse(f), res, ctx)
     assert eval_leading(parse(f), ctx).le in {
         eval_leading(g, ctx).le for g in res.basis}
+
+
+@pytest.mark.parametrize("gens", [
+    ("x^2", "y^3"), ("y^2 - x - x*y", "x^2"), ("y^2", "x"), ("x", "y"),
+])
+def test_non_principal_inputs_grow_one_rho_per_round(gens):
+    # a non-principal ideal has no finite basis (README): from round 3 on,
+    # each round keeps the basis so far and adjoins one element, of value
+    # the next rho_j
+    ctx = MonoidContext(dyadic_spec(), 8)
+    bases = [buchberger([parse(g) for g in gens], ctx, max_rounds=k)
+             for k in range(1, 6)]
+    for k in range(1, 5):
+        shorter, longer = bases[k - 1].basis, bases[k].basis
+        assert longer[:len(shorter)] == shorter
+        assert not bases[k].complete
+        if k >= 2:
+            added = longer[len(shorter):]
+            assert [eval_leading(g, ctx).le for g in added] == [
+                ctx.seqs.rho(k + 2)]
+    assert [ctx.seqs.rho(j) for j in (4, 5, 6)] == [
+        F(43, 16), F(171, 32), F(683, 64)]

@@ -383,9 +383,9 @@ def test_memo_holds_one_lead_per_polynomial(monkeypatch):
     evaluated = set()
     real_eval = bipoly.eval_leading
 
-    def recording_eval(f, ctx, below=None):
+    def recording_eval(f, ctx):
         evaluated.add(f)
-        return real_eval(f, ctx, below)
+        return real_eval(f, ctx)
 
     for module in (bipoly, gbengine):
         monkeypatch.setattr(module, "eval_leading", recording_eval)

@@ -1,9 +1,9 @@
 """Pickle, copy and deepcopy of the immutable value types and of results.
 
-BivarPoly, NoetherianSeries and CyclotomicElement refuse attribute
-assignment, so they rebuild through their constructors (__reduce__); a
-FinitePuiseux holds a NoetherianSeries, and the gbengine results hold
-BivarPolys.
+BivarPoly, NoetherianSeries and the test oracle's CyclotomicElement
+(tests/cyclotomic.py) refuse attribute assignment, so they rebuild through
+their constructors (__reduce__); a FinitePuiseux holds a NoetherianSeries,
+and the gbengine results hold BivarPolys.
 """
 
 import copy
@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from cyclotomic import CyclotomicElement
 from valmon.bipoly import parse
-from valmon.exactnum import CyclotomicElement
 from valmon.gbengine import buchberger, reduce
 from valmon.series import FinitePuiseux, NoetherianSeries, dyadic_spec
 from valmon.valmonoid import MonoidContext

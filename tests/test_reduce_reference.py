@@ -191,9 +191,9 @@ def scanned(monkeypatch):
     seen = []
     scan = Image.scan.__func__
 
-    def spy(cls, f, ctx, below=None):
+    def spy(cls, f, ctx):
         seen.append(f)
-        return scan(cls, f, ctx, below)
+        return scan(cls, f, ctx)
 
     monkeypatch.setattr(Image, "scan", classmethod(spy))
     return seen
@@ -245,9 +245,9 @@ def test_exhausted_finite_spec_matches_reference(monkeypatch):
     real_scan = Image.scan
     scans = [0]
 
-    def counting_scan(f, ctx, below=None):
+    def counting_scan(f, ctx):
         scans[0] += 1
-        return real_scan(f, ctx, below)
+        return real_scan(f, ctx)
 
     monkeypatch.setattr(Image, "scan", staticmethod(counting_scan))
     rng = random.Random(3)

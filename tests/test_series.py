@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from cyclotomic import as_rational, conjugate
 from valmon.errors import InsufficientPrecision, InvalidSpec
-from valmon.exactnum import as_rational
 from valmon.series import (FinitePuiseux, GeometricTail, NoetherianSeries,
-                           SimpleSeriesSpec, agreement_order, conjugate,
-                           dyadic_spec, leading_data, series_add, series_mul,
-                           truncate)
+                           SimpleSeriesSpec, agreement_order, dyadic_spec,
+                           leading_data, series_add, series_mul, truncate)
 
 F = Fraction
 
@@ -124,6 +123,14 @@ def test_spec_validation():
         SimpleSeriesSpec([(1, 1)], GeometricTail(1))
 
 
+def test_float_in_spec_prefix_raises():
+    # Fraction(0.1) would give an exponent with denominator 2^55
+    with pytest.raises(InvalidSpec, match="float"):
+        SimpleSeriesSpec([(1, 0.1)])
+    with pytest.raises(InvalidSpec, match="float"):
+        SimpleSeriesSpec([(0.5, F(1, 2))])
+
+
 def test_spec_json_round_trip():
     spec = dyadic_spec()
     data = spec.to_json()
@@ -172,6 +179,11 @@ def test_finite_puiseux_validation():
     assert FinitePuiseux([]).is_zero()
 
 
+def test_float_in_finite_puiseux_raises():
+    with pytest.raises(InvalidSpec, match="float"):
+        FinitePuiseux([(0.5, 1)])
+
+
 def test_callback_tail():
     from valmon.series import CallbackTail
     spec = SimpleSeriesSpec(
@@ -191,3 +203,12 @@ def test_callback_tail_must_stay_valid():
                               CallbackTail(lambda i: (0, F(1, 4))))
     with pytest.raises(InvalidSpec):
         truncate(zeroes, 2)
+
+
+def test_float_in_callback_tail_raises():
+    from valmon.series import CallbackTail
+    for term in ((1, 1 / 4), (0.5, F(1, 4))):
+        spec = SimpleSeriesSpec([(1, F(1, 2))],
+                                CallbackTail(lambda i, term=term: term))
+        with pytest.raises(InvalidSpec, match="float"):
+            truncate(spec, 2)

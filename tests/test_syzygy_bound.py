@@ -1,20 +1,18 @@
-"""Product images, bounded scans and floored images against their
-unbounded forms.
+"""Scans, product images and floored images against full images.
 
-buchberger forms the image of each S-polynomial a*f - b*g from the images
-of a, f, b and g, below its syzygy value m, which exceeds its leading
-exponent; a bounded scan (Image.scan and eval_leading with below=m) starts
-under ceil(m * r_N) instead of at the monomial top.  reduce takes the
+Image.scan descends from the monomial top in widening windows and stops
+at the first that keeps a nonzero term.  buchberger forms the image of
+each S-polynomial a*f - b*g from the images of a, f, b and g, below its
+syzygy value m, which exceeds its leading exponent.  reduce takes the
 images of the products of p_j only down to the exponent a step's product
-reaches the floor from.  All must give exactly what the unbounded forms
-give: the same leading data, and the same terms wherever they cover.  The
-unbounded image is full_image below, one scan of every exponent.
+reaches the floor from.  All must give exactly what the full image gives:
+the same leading data, and the same terms wherever they cover.  The full
+image is full_image below, one scan of every exponent.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
-from math import ceil
 
 import pytest
 
@@ -66,33 +64,22 @@ def random_poly(rng, max_total_deg=4):
     return BivarPoly(terms)
 
 
-def check_bounded_scans(elements, ctx):
-    """Scan every nonzero S-polynomial with and without its syzygy value as
-    the bound; return how many scans the bound started under the monomial
-    top, and how many of those had a non-integer scaled bound."""
-    bounded = fractional = 0
+def check_scans(elements, ctx):
+    """Scan every nonzero S-polynomial and check the image against its
+    full image: the exact entries from the scan's floor up to the full
+    image's top.  Return how many were scanned."""
+    scanned = 0
     for elt in elements:
         f = elt.spoly
         if f.is_zero():
             continue
-        free = Image.scan(f, ctx)
-        got = Image.scan(f, ctx, below=elt.value)
-        assert got.lead() == free.lead()
-        zp = got.zp
-        ceiling = ceil(elt.value * zp.scale)
-        top = max(a * zp.scale + b * zp.lead for a, b, _ in f.monomials())
-        if ceiling > top:
-            assert (got.floor, got.num) == (free.floor, free.num)
-            continue
-        bounded += 1
-        fractional += (elt.value * zp.scale).denominator != 1
-        # the bounded image is the exact image on [floor, ceiling)
+        scanned += 1
+        got = Image.scan(f, ctx)
+        _, full, den = full_image(f, got.zp)
         end = got.floor + len(got.num)
-        assert got.num and end <= ceiling
-        full = full_image(f, zp)[1]
+        assert got.num and end == len(full) and got.den == den
         assert tuple(got.num) == full[got.floor:end]
-        assert not any(full[end:ceiling])
-    return bounded, fractional
+    return scanned
 
 
 def recorded_syzygies(monkeypatch, gens, ctx, max_rounds):
@@ -129,16 +116,12 @@ DYADIC_GB_CASES = [
 
 
 def test_bounded_scans_of_dyadic_gb_inputs(monkeypatch):
-    bounded = fractional = 0
+    scanned = 0
     for gens, rounds in DYADIC_GB_CASES:
         ctx = MonoidContext(dyadic_spec(), 8)
         elements = recorded_families(monkeypatch, gens, ctx, rounds)
-        got = check_bounded_scans(elements, ctx)
-        bounded += got[0]
-        fractional += got[1]
-    # the ceiling is rounded up when m * r_N is not an integer
-    assert bounded > 100
-    assert fractional > 0
+        scanned += check_scans(elements, ctx)
+    assert scanned > 100
 
 
 @pytest.mark.parametrize("spec_name", list(SPECS))
@@ -155,11 +138,10 @@ def test_bounded_scans_of_criterion_9_families(spec_name):
             continue
         pairs += 1
         elements.extend(syzygy_family(f, g, ctx))
-    bounded, _ = check_bounded_scans(elements, ctx)
-    assert bounded > 0
+    assert check_scans(elements, ctx) > 0
 
 
-def test_bound_above_the_monomial_top():
+def test_scan_through_a_cancelled_monomial_top():
     # y^2 and x cancel at the monomial top, scaled exponent 4 at N = 2
     # (r_2 = 4); LE = rho_2 = 3/4
     ctx = MonoidContext(dyadic_spec(), 8)
@@ -167,16 +149,6 @@ def test_bound_above_the_monomial_top():
     free = Image.scan(f, ctx)
     assert free.lead().le == F(3, 4)
     assert free.zp.scale == 4
-    # bounds whose ceiling lies above the top fall back to the plain scan
-    for below in (F(5, 4), F(100)):
-        got = Image.scan(f, ctx, below=below)
-        assert (got.floor, got.num, got.den) == (free.floor, free.num,
-                                                  free.den)
-    # ceiling 4, the top itself
-    for below in (F(4, 5), F(1)):
-        assert Image.scan(f, ctx, below=below).lead() == free.lead()
-        fresh = MonoidContext(dyadic_spec(), 8)
-        assert eval_leading(f, fresh, below=below) == eval_leading(f, ctx)
 
 
 def product_image(elt, f, g, ctx, images):
@@ -190,9 +162,9 @@ def product_image(elt, f, g, ctx, images):
 
 def check_product_images(syzygies, ctx):
     """Check the product image of every nonzero S-polynomial against its
-    full image and against the bounded scan; return how many there were,
-    and how many have a non-integer m * r_N on the S-polynomial's own
-    table, where the product image needs a deeper one."""
+    full image and against a scan; return how many there were, and how
+    many have a non-integer m * r_N on the S-polynomial's own table, where
+    the product image needs a deeper one."""
     images = {}
     checked = fractional = 0
     for elt, f, g in syzygies:
@@ -219,11 +191,9 @@ def check_product_images(syzygies, ctx):
         # as a basis image, over the denominator _prepare gives s
         assert image.entry(s) == _image_down_to(s, zp, image.floor, None,
                                                 end - 1)
-        # the same leading data as a scan of s, unbounded or bounded by the
-        # syzygy value, and the memo entry exactly as the scan writes it,
-        # certified_at included
+        # the same leading data as a scan of s, and the memo entry exactly
+        # as the scan writes it, certified_at included
         scanned = Image.scan(s, ctx).lead()
-        assert Image.scan(s, ctx, below=elt.value).lead() == scanned
         got = image.lead()
         assert (got.le, got.lc, got.point) == (scanned.le, scanned.lc,
                                                scanned.point)
