@@ -21,12 +21,12 @@ only at the boundary (constructor, coeffs, monomials, leading data).
 Every image at z_N has one layout: int coefficients at consecutive scaled
 exponents from an int floor up, zeros included, with the top term last and
 floor 0 meaning complete, since no scaled exponent is negative.  The table
-powers of z_N (_ZPow), the windows of a scan (_scan), the image reduce
-carries (Image) and the floored images of basis elements and preimages
-(_image_down_to, preimage_image) all use it, so a band is located by index
-arithmetic and nothing is sorted.  The powers are built by shifted adds on
-one packed int whose fields are those coefficients (Kronecker
-substitution).
+powers of z_N (_ZPow), the windows of a scan (_scan), the image a reduction
+carries (Image, inside Remainder) and the floored images of basis elements
+and preimages (_image_down_to, preimage_image) all use it, so a band is
+located by index arithmetic and nothing is sorted.  The powers are built by
+shifted adds on one packed int whose fields are those coefficients
+(Kronecker substitution).
 
 Kronecker substitution serves polynomial products too: a large product
 whose terms fill a small dense box, such as an S-polynomial's a*f, is one
@@ -106,9 +106,9 @@ class BivarPoly:
                           for k, v in fr.items()}, den)
 
     @classmethod
-    def _make(cls, num, den):
+    def _make(cls, num, den, degy=None):
         """num / den for int numerators (zeros allowed) and a positive int
-        denominator, reduced to lowest terms."""
+        denominator, reduced to lowest terms; degy is its deg_y, if known."""
         num = {k: v for k, v in num.items() if v}
         g = gcd(den, *num.values())
         if g > 1:
@@ -118,7 +118,7 @@ class BivarPoly:
         object.__setattr__(poly, "_num", num)
         object.__setattr__(poly, "_den", den)
         object.__setattr__(poly, "_hash", None)
-        object.__setattr__(poly, "_degy", None)
+        object.__setattr__(poly, "_degy", degy)
         return poly
 
     def __setattr__(self, name, value):
@@ -224,7 +224,7 @@ class BivarPoly:
     def _scaled(self, n, d):
         """(n / d) * self for ints n and d > 0, not necessarily coprime."""
         return BivarPoly._make({k: v * n for k, v in self._num.items()},
-                               self._den * d)
+                               self._den * d, n and self.deg_y())
 
     def __pow__(self, n):
         if n < 0:
@@ -280,23 +280,20 @@ def _accumulate(acc, den, sign, q, r):
     over den (zeros allowed) and sign = +-1, returning the new denominator,
     the lcm of den and q's and r's; acc is rescaled only when it grows.
     This is BivarPoly's one arithmetic loop: _add_product runs it on a copy
-    of self's numerators, and reduce on the numerators it carries.
+    of self's numerators, and Remainder on the numerators it carries.
 
     The product m*q*r, m = sign * new_den / (den_q * den_r), is formed by
     one of two strategies with the same result.  Term by term, each pair of
     terms adds its product to acc.  Packed, when q and r have more than
     _PACK_PAIRS term pairs and at least _PACK_DENSITY of them per entry of
-    the dense box X*Y of the product's exponents, by Kronecker substitution
-    as in _ZPow: term x^a y^b of a factor goes to field (a - a0)*Y + b - b0
-    of one int, a0 and b0 being the factor's least exponents and Y the
-    product's y range, so no row of the product spills into the next.  m
-    times the product of the two ints then holds the coefficient of x^a y^b
-    of m*q*r in field (a - a0)*Y + b - b0, a0 and b0 now the product's
-    least exponents; its X*Y fields are read back once (_unpack) and the
-    nonzero ones added to acc.  Width: the triangle inequality bounds every
-    coefficient of m*q*r, and every field of either factor, by
-    L = |m| |q|_1 |r|_1, so fields of W = bit_length(L) + 2 bits, rounded
-    up to whole bytes, decode by _ZPow's proof.
+    the dense box X*Y of the product's exponents, by Kronecker substitution:
+    term x^a y^b of a factor goes to entry (a - a0)*Y + b - b0 of a list,
+    a0 and b0 being the factor's least exponents and Y the product's y
+    range, so no row of the product spills into the next.  The product of
+    the two lists (_truncated_product) then holds the coefficient of
+    x^a y^b of q*r at entry (a - a0)*Y + b - b0, a0 and b0 now the
+    product's least exponents, and m times each nonzero entry is added to
+    acc.
     """
     qr_den = q._den * r._den
     new = lcm(den, qr_den)
@@ -312,16 +309,12 @@ def _accumulate(acc, den, sign, q, r):
         ncols = max(qy) + max(ry) - y0 + 1
         nfields = (max(qx) + max(rx) - x0 + 1) * ncols
         if _PACK_DENSITY * nfields <= len(qn) * len(rn):
-            bound = (abs(m) * sum(map(abs, qn.values()))
-                     * sum(map(abs, rn.values())))
-            width = (bound.bit_length() + 9) // 8
-            packed = (m * _pack(_dense(qn, qx, qy, ncols), width)
-                      * _pack(_dense(rn, rx, ry, ncols), width))
-            fields = _unpack(packed, nfields, width)
-            for i in compress(range(nfields), fields):
+            fields = _truncated_product(_dense(qn, qx, qy, ncols),
+                                        _dense(rn, rx, ry, ncols), 0)
+            for i in compress(range(len(fields)), fields):
                 a, b = divmod(i, ncols)
                 k = (x0 + a, y0 + b)
-                acc[k] = acc.get(k, 0) + fields[i]
+                acc[k] = acc.get(k, 0) + m * fields[i]
             return new
     right = rn.items()
     for (a1, b1), v1 in qn.items():
@@ -585,8 +578,8 @@ def _pack(coeffs, width):
 
 def _unpack(packed, n, width):
     """The n fields of width bytes of a packed int, such as a power of
-    _ZPow, a product of _accumulate or of _truncated_product, as a tuple of
-    ints, for fields a_i with |a_i| < 2^(W-1), W = 8*width.
+    _ZPow or a product of _truncated_product, as a tuple of ints, for
+    fields a_i with |a_i| < 2^(W-1), W = 8*width.
     Read as two's complement, a field of packed borrows 1 from the field
     above it whenever the fields below sum to a negative int.  Adding
     2^(W-1) to every field, one big-int addition, carries all those
@@ -769,10 +762,10 @@ class Image:
     Evaluation at z_N is a ring map, so the image of f - g*h is the image
     of f minus the product of the images of g and h, exactly and at any
     N, and truncation at the floor commutes with subtraction.  That is how
-    reduce carries an image from one step to the next, subtracting in
+    Remainder carries an image from one step to the next, subtracting in
     place, instead of evaluating every intermediate afresh.  By
     eval_leading's theorem the top term is the leading term of f(t, z)
-    while r_N > deg_y f, which reduce tracks.
+    while r_N > deg_y f, which Remainder tracks.
     """
 
     __slots__ = ("zp", "floor", "num", "den", "lattice_den")
@@ -820,6 +813,10 @@ class Image:
         den = f._den * self.zp.den ** f.deg_y()
         return (self.floor, tuple([v * den // self.den for v in self.num]),
                 den)
+
+    def seed(self, f, images):
+        """Publish this image of f in images as its entry, under (f, N)."""
+        images[(f, self.zp.depth)] = self.entry(f)
 
     def subtract(self, g, p, shift, factor):
         """Subtract (n/d) * x^shift * g * p in place, for the step factor
@@ -984,8 +981,7 @@ def truncation_min_poly(ctx, j):
     if k == 0:
         poly = BivarPoly.y()
     else:
-        poly = min_poly_finite_puiseux(
-            FinitePuiseux.from_series(truncate(ctx.spec, k)))
+        poly = min_poly_finite_puiseux(truncate(ctx.spec, k))
     expected = ctx.seqs.r(ctx.seqs.l(j) - 1)
     if poly.deg_y() != expected:
         raise InternalError(
@@ -1029,14 +1025,14 @@ def preimage_image(digits, zp, ctx, lowest=0):
     Evaluation at z_N is a ring map, so image(p) = prod image(p_j)^(d_j),
     and the product is never multiplied out.  With w the last index of the
     digits, p = p' * p_w, p' having d_w lowered by one, so image(p) is the
-    product of two cached images: image(p'), built the same way and cached
-    per context under (digits', N), and image(p_w), cached under (w, N) and
-    extended by bands from its known top (_image_down_to).  A lone p_w is
-    its own image, published under both keys.  The prefixes are walked
-    down in a loop to the first one cached low enough, or to a lone p_w,
-    and the products are formed on the way back up, so a digit vector of
-    large sum (a high ramification index) needs no deep recursion.  A term
-    of the product at or above lowest uses no term of either factor below
+    product of two cached images: image(p'), built the same way, and
+    image(p_w), a lone p_w, whose image is scanned by bands from its known
+    top (_image_down_to).  Each is cached per context under (digits, N),
+    p_w's under its one-hot digit vector.  The prefixes are walked down in
+    a loop to the first one cached low enough, or to a lone p_w, and the
+    products are formed on the way back up, so a digit vector of large sum
+    (a high ramification index) needs no deep recursion.  A term of the
+    product at or above lowest uses no term of either factor below
     lowest - (the other's top), so each factor is kept from there up and
     multiplied by one packed multiply (_product_band).  A cached product
     asked for below its floor gains only the band from lowest up to its
@@ -1079,22 +1075,18 @@ def preimage_image(digits, zp, ctx, lowest=0):
         w = len(digits)
         rho = ctx.seqs.rho(w)
         ftop = rho.numerator * zp.scale // rho.denominator
-        fkey = ("minpoly-image", w, zp.depth)
         prefix = MonoidRep(0, digits[:-1] + (digits[-1] - 1,)).digits
         if not prefix:
-            image = ctx.cache[key] = ctx.cache[fkey] = _image_down_to(
-                truncation_min_poly(ctx, w), zp, min(lowest, ftop),
-                ctx.cache.get(fkey), ftop)
+            image = ctx.cache[key] = _image_down_to(
+                truncation_min_poly(ctx, w), zp, min(lowest, ftop), hit, ftop)
             break
-        chain.append((key, hit, w, ftop, fkey, lowest))
+        chain.append((key, hit, w, ftop, lowest))
         digits, lowest = prefix, lowest - ftop
     # and back up, one product of a prefix's image and a p_w's per step
-    for key, hit, w, ftop, fkey, lowest in reversed(chain):
+    for key, hit, w, ftop, lowest in reversed(chain):
         htop = image[0] + len(image[1]) - 1
         lowest = min(lowest, htop + ftop)
-        tail = ctx.cache[fkey] = _image_down_to(
-            truncation_min_poly(ctx, w), zp, lowest - htop,
-            ctx.cache.get(fkey), ftop)
+        tail = preimage_image((0,) * (w - 1) + (1,), zp, ctx, lowest - htop)
         floor, num = (htop + ftop + 1, ()) if hit is None else hit[:2]
         image = ctx.cache[key] = (
             lowest, _product_band(image, tail, lowest, floor) + num,
@@ -1102,20 +1094,46 @@ def preimage_image(digits, zp, ctx, lowest=0):
     return image
 
 
+def _factor_images(g, le, rep, zp, lo, top, ctx, images):
+    """(image(g), image(p)) on the table zp, in Image's layout, for
+    p = prod p_j^(d_j) and rep = n + sum d_j rho_j, cut for the terms of
+    x^n * g * p from scaled exponent lo up, that product's image topping at
+    top and image(g) at its leading exponent le * r_N.  A product term at
+    or above lo uses no term of either factor below lo minus the other's
+    top: image(g) is kept from lo - top + le * r_N up, in images under
+    (g, N), and image(p) from lo - n r_N - le * r_N up (preimage_image)."""
+    gtop = le.numerator * zp.scale // le.denominator
+    key = (g, zp.depth)
+    gimage = images[key] = _image_down_to(g, zp, lo - top + gtop,
+                                          images.get(key), gtop)
+    return gimage, preimage_image(rep.digits, zp, ctx,
+                                  lo - rep.n * zp.scale - gtop)
+
+
 def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     """The image of the S-polynomial s = a*f - (n/d)*b*g as an Image below
     its syzygy value m, from the highest floor that keeps a nonzero term,
     for a and b the preimages of the representations ra and rb and
-    (n, d) = factor.  It is image(a) image(f) - (n/d) image(b) image(g) on
-    the table exact for the y-degree of s and of each of a, f, b and g,
-    formed band by band the way Image.scan forms a scan (_descend),
-    each band two products of images (_product_band); the proof is in
-    gbengine.buchberger.  images is the caller's dict of the images of f
-    and g, keyed by (polynomial, N), which this extends.  Top terms of the
-    two products that do not cancel at m * r_N raise InternalError.  s's
-    leading data are memoised as a scan gives them, certified at s's own
-    exact depth; an image that vanishes, on an exhausted finite spec,
-    raises InsufficientPrecision, as a scan does.
+    (n, d) = factor, so that buchberger never scans an S-polynomial;
+    images holds the images of f and g, keyed by (polynomial, N).
+
+    Evaluation at z_N is a ring map, so image(s) is
+    image(a) image(f) - (n/d) image(b) image(g), on the table exact for the
+    y-degree of s and of each of a, f, b and g: each factor's image tops at
+    its leading exponent, by eval_leading's theorem, and each product is
+    formed from factors cut for it (_factor_images).
+    LE(a) + LE(f) = LE(b) + LE(g) = m, and the factor makes the leading
+    coefficients of a*f and b*g match, so the products' top terms at m r_N
+    cancel (else InternalError) and the image has no term from m r_N up.
+    Below it the image is formed band by band, widening while the band
+    cancels, as Image.scan forms a scan (_descend).  Its top term is s's
+    leading term, by the theorem again, and goes to the memo as a scan of s
+    would write it, certified at s's own exact depth; the table can be
+    deeper, as it must be where m r_N is not an int on s's own table.  On
+    an exhausted finite spec the table is z itself, and the tops are the
+    leading exponents because z_N = z; an image that vanishes there raises
+    InsufficientPrecision, as a scan does.  The image is over the lcm of
+    the two products' denominators, each the product of its factors'.
     """
     a, pb = preimage_of_rep(ra, ctx), preimage_of_rep(rb, ctx)
     zp = _power_table(ctx, max(s.deg_y(), a.deg_y(), f.deg_y(),
@@ -1124,10 +1142,8 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     if rest:
         raise InternalError(f"syzygy value {value} is off the table of "
                             f"depth {zp.depth}")
-    sides = []
-    for rep, h in ((ra, f), (rb, g)):
-        le = eval_leading(h, ctx).le
-        sides.append((rep, h, le.numerator * zp.scale // le.denominator))
+    sides = ((ra, f, eval_leading(f, ctx).le),
+             (rb, g, eval_leading(g, ctx).le))
     # each image is over the denominator _prepare gives its polynomial
     n, d = factor
     da = a._den * f._den * zp.den ** (a.deg_y() + f.deg_y())
@@ -1137,12 +1153,9 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
 
     def band(lo, hi):
         products = []
-        for rep, h, htop in sides:
+        for rep, h, le in sides:
+            q, p = _factor_images(h, le, rep, zp, lo, top, ctx, images)
             shift = rep.n * zp.scale
-            p = preimage_image(rep.digits, zp, ctx, lo - shift - htop)
-            key = (h, zp.depth)
-            q = images[key] = _image_down_to(
-                h, zp, lo - top + htop, images.get(key), htop)
             products.append(_product_band(p, q, lo - shift, hi - shift))
         num = [ca * u - cb * v for u, v in zip(*products)]
         if hi > top and num.pop():
@@ -1155,6 +1168,85 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     ctx.cache.setdefault(("lead", s), LeadingData(
         lead.le, lead.lc, _power_table(ctx, s.deg_y()).depth, lead.point))
     return image
+
+
+class Remainder:
+    """The polynomial a reduction carries, f minus the steps g*h so far:
+    one live dict of int numerators over a running denominator, to which a
+    step adds -g*h in place (_accumulate), and one exact image on a table
+    z_N above a floor, from which a step subtracts image(g) times
+    c*t^n*image(prod p_j^(d_j)) in place (Image.subtract).  A handed-in
+    image of f (syzygy_image) is carried from the first step; without one,
+    the first step leaves the image to be evaluated afresh (Image.scan).
+
+    The polynomial is built (poly) for the remainder, when nothing survives
+    above the floor, and when the exact table for its y-degree is no longer
+    the image's, where eval_leading's theorem no longer fixes the leading
+    term: the y-degree has reached r_N, except on an exhausted finite spec,
+    whose table is z at every y-degree.  The last two evaluate it afresh.
+    The y-degree is a bound, the true deg_y once built, raised to
+    deg_y(g) + deg_y(h) by a step, and exact when it first reaches r_N: the
+    polynomial's own terms lie below r_N in y and cannot cancel g*h's top
+    row.  The theorem holds at every N with r_N above the y-degree, so the
+    bound decides for a handed-in image on a deeper table too.
+
+    While the image is kept, the images of g and h top at their leading
+    exponents, by the theorem (g and h lie below r_N in y too) or as
+    z_N = z, which fixes their cuts (_factor_images).  image(g) is kept in
+    images, keyed by (polynomial, N), which a caller may keep across
+    reductions; the products of p_j per context (preimage_image).
+    """
+
+    __slots__ = ("ctx", "images", "image", "_poly", "_fresh", "_num",
+                 "_den", "_degy")
+
+    def __init__(self, f, ctx, image, images):
+        self.ctx, self.image = ctx, image
+        self.images = {} if images is None else images
+        self._poly, self._fresh = f, True
+        self._num, self._den, self._degy = dict(f._num), f._den, f.deg_y()
+
+    def lead(self):
+        """The current LeadingData, or None at zero: f's from the memo,
+        every later one off the image's top term, the image evaluated
+        afresh first when it is gone or empty above its floor."""
+        if self._fresh:
+            f = self._poly
+            return None if f.is_zero() else eval_leading(f, self.ctx)
+        if self.image is None or not self.image.num:
+            cur = self.poly()
+            if cur.is_zero():
+                return None
+            self._num, self._den = dict(cur._num), cur._den
+            self._degy = cur.deg_y()
+            self.image = Image.scan(cur, self.ctx)
+        return self.image.lead()
+
+    def subtract(self, g, lead_g, h, rep, factor):
+        """Subtract one step g*h, for g of LeadingData lead_g and
+        h = (n/d) * x^n * prod p_j^(d_j), rep = n + sum d_j rho_j and
+        (n, d) = factor."""
+        self._den = _accumulate(self._num, self._den, -1, g, h)
+        self._poly, self._fresh = None, False
+        self._degy = max(self._degy, g.deg_y() + h.deg_y())
+        image = self.image
+        if image is None:
+            return
+        zp = image.zp
+        # below r_N the exact table is the image's own, so look it up only
+        # from there
+        if self._degy < zp.scale or _power_table(self.ctx, self._degy) is zp:
+            image.subtract(*_factor_images(g, lead_g.le, rep, zp, image.floor,
+                                           image._top()[0], self.ctx,
+                                           self.images), rep.n, factor)
+        else:
+            self.image = None
+
+    def poly(self):
+        """The current polynomial as a BivarPoly."""
+        if self._poly is None:
+            self._poly = BivarPoly._make(self._num, self._den)
+        return self._poly
 
 
 def preimage_leading(rep, ctx):

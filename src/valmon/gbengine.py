@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bipoly import (BivarPoly, Image, _accumulate, _image_down_to,
-                     _power_table, eval_leading, preimage_image,
-                     preimage_leading, preimage_of_rep, syzygy_image)
+from .bipoly import (BivarPoly, Remainder, eval_leading, preimage_leading,
+                     preimage_of_rep, syzygy_image)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
 from .valmonoid import (apery_set, decompose, decompose_point,
@@ -104,73 +103,25 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
     The cap is a safety net; termination itself is guaranteed because the
     values along the trace strictly descend in a well-ordered monoid.
 
-    f's leading data comes from the memo.  The intermediates never recur,
-    so they are not built as polynomials at each step: cur is one live
-    dict of int numerators over a running denominator, and a step adds
-    -g*h into it in place (bipoly._accumulate).  Their leading terms come
-    from one exact image f(t, z_N), carried from step to step above a
-    floor: a step subtracts, in place, the image of g*h, which is image(g)
-    times c*t^n*image(prod p_j^(d_j)).  buchberger hands reduce each
-    S-polynomial's image, formed from its factors' images, as _image (f's
-    image from its floor up on a table exact for deg_y f), which is then
-    carried from the first step; without one, the first step leaves the
-    image to be evaluated afresh, as below.  The images of g and of the
-    products of p_j are kept down to the lowest exponent from which a
-    step's product reaches the floor: image(g) per basis element and depth
-    in _images, a dict keyed by (polynomial, N) that buchberger keeps for
-    its whole run and that is fresh for each call otherwise, each image
-    started at its known top LE(g) * r_N (below) instead of its monomial
-    top; the products per context.  _image and _images are buchberger's
-    and not part of the public interface.
+    The intermediates never recur, so none is built as a polynomial at each
+    step: a bipoly.Remainder carries the current one with its image and
+    gives each lead (f's from the memo).  _image, f's image as syzygy_image
+    gives it, and _images, the basis images keyed by (polynomial, N), kept
+    for a whole run, are buchberger's and not part of the public interface.
 
-    cur is built as a BivarPoly (_make) only where one is needed: for the
-    remainder; when nothing survives above the floor, where cur is zero or
-    is evaluated afresh; and when the exact power table for its y-degree
-    is no longer the image's, where eval_leading's theorem no longer fixes
-    the leading term, so cur is evaluated afresh at a deeper N.  That
-    happens when the y-degree reaches r_N, except on an exhausted finite
-    spec, where the table is z itself at every y-degree.  The y-degree is
-    tracked as a bound: the true deg_y once cur is built, raised to
-    deg_y(g) + deg_y(h) by a step.  The bound is exact when it first
-    reaches r_N, since cur's own terms stay below r_N in y and cannot
-    cancel g*h's top row.  A handed-in image may lie on a deeper table
-    than f's own exact one; the theorem holds at every N with r_N above
-    the y-degree, so the same bound decides.  While the image is kept, the
-    tops of the images of g and h are their leading exponents, which fixes
-    the floors of both: below r_N by eval_leading's theorem, g and h
-    having y-degree below r_N too, and on an exhausted spec because
-    z_N = z.
-
-    The step arithmetic runs on ints: every lead is a LeadingData, the
-    basis elements' and f's from the memo and every later one off the
-    image's top term (Image.lead), each step's value difference is a
-    difference of their lattice points, and its factor is a coprime pair
-    (n, d) formed with one gcd (_quotient_for).
+    The step arithmetic runs on ints: every lead is a LeadingData, each
+    step's value difference is a difference of lattice points, and its
+    factor is a coprime pair (n, d) formed with one gcd (_quotient_for).
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
-    image, images = _image, {} if _images is None else _images
+    cur = Remainder(f, ctx, _image, _images)
     steps = []
-    cur = f
-    acc, den, degy = dict(f._num), f._den, f.deg_y()
-    while True:
-        if not steps:
-            if f.is_zero():
-                break
-            lead = eval_leading(f, ctx)
-        else:
-            if image is None or not image.num:
-                cur = BivarPoly._make(acc, den)
-                if cur.is_zero():
-                    break
-                acc, den, degy = dict(cur._num), cur._den, cur.deg_y()
-                image = Image.scan(cur, ctx)
-            lead = image.lead()
-            if lead.le >= steps[-1].value_before:
-                raise InternalError(
-                    f"reduction failed to lower the value at step "
-                    f"{len(steps)}")
+    while (lead := cur.lead()) is not None:
+        if steps and lead.le >= steps[-1].value_before:
+            raise InternalError(
+                f"reduction failed to lower the value at step {len(steps)}")
         for idx, lg in enumerate(lead_basis):
             q = _quotient_for(lead, lg, ctx)
             if q is not None:
@@ -181,31 +132,8 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
         steps.append(ReductionStep(idx, h, lead.le))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
-        g = basis[idx]
-        den = _accumulate(acc, den, -1, g, h)
-        cur = None
-        degy = max(degy, g.deg_y() + preimage_of_rep(rep, ctx).deg_y())
-        # below r_N the exact table is the image's own, so look it up only
-        # from there
-        if (image is not None and degy >= image.zp.scale
-                and _power_table(ctx, degy) is not image.zp):
-            image = None
-        if image is None:
-            continue
-        zp = image.zp
-        # scaled tops of image(g) and of image(x^n * prod p_j^(d_j)): the
-        # leading exponents, which add up to cur's
-        gtop = lg.le.numerator * zp.scale // lg.le.denominator
-        htop = image.floor + len(image.num) - 1 - gtop
-        key = (g, zp.depth)
-        gimage = images[key] = _image_down_to(
-            g, zp, image.floor - htop, images.get(key), gtop)
-        image.subtract(gimage, preimage_image(
-            rep.digits, zp, ctx, image.floor - rep.n * zp.scale - gtop),
-            rep.n, factor)
-    if cur is None:
-        cur = BivarPoly._make(acc, den)
-    return ReductionTrace(tuple(steps), cur)
+        cur.subtract(basis[idx], lg, h, rep, factor)
+    return ReductionTrace(tuple(steps), cur.poly())
 
 
 def syzygy_values(f, g, ctx, minimal=False):
@@ -287,34 +215,12 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     adjoined earlier in a round serve as divisors for the elements reduced
     after them (pending elements are taken in ascending value order).
 
-    No S-polynomial s = a*f - b*g is scanned against the power table.
-    Evaluation at z_N is a ring map, so image(s) = image(a) image(f) -
-    image(b) image(g), and those four images are at hand
-    (bipoly.syzygy_image): image(a) and image(b) are images of products of
-    p_j shifted by x^n (preimage_image, cached per context; b's scaled by
-    its step factor), and image(f) and image(g) are basis images, kept once
-    per run in one dict keyed by polynomial and depth, which reduce reads
-    and extends too, each started at its known top.  The image is taken on
-    the table exact for the y-degree of s and of each of a, f, b and g.  So
-    each factor's image tops at its leading exponent, by eval_leading's
-    theorem, and preimage_image's truncation proof applies to both
-    products: a product term at or above a floor L uses no term of image(a)
-    below L - LE(f) r_N, nor of image(f) below L - LE(a) r_N.
-    LE(a) + LE(f) = LE(b) + LE(g) = m, and b is scaled so that the leading
-    coefficients of a*f and b*g match, so the products' top terms at m r_N
-    cancel and the image has no term from m r_N up.  Below it the image is
-    formed band by band, widening geometrically while the band cancels.
-    Its top term is s's leading term, by the theorem again, and goes to the
-    memo as a scan of s would write it, certified at s's own exact depth.
-    The table can be deeper than that one, as it must be where m r_N is not
-    an int on s's own table.  On an exhausted finite spec the table is z
-    itself, and the tops are the leading exponents because z_N = z.  The
-    image is over the lcm of the two products' denominators, each the
-    product of its factors'.  buchberger hands the image and its basis
-    images to reduce, which carries the image from its first step.
-    A remainder adjoined with no steps is s itself, so its basis image is
-    seeded from the image, over the denominator _prepare gives it
-    (Image.entry).
+    No S-polynomial s = a*f - b*g is scanned: its image is formed from the
+    images of a, f, b and g (bipoly.syzygy_image, which has the proof), and
+    reduce carries it from its first step.  The basis images are kept once
+    per run, in one dict that reduce reads and extends too.  A remainder
+    adjoined with no steps is s itself, so its basis image is seeded from
+    s's image.
     """
     gens = list(gens)
     if not gens:
@@ -356,7 +262,7 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
             rem = trace.remainder
             if not rem.is_zero() and rem not in basis:
                 if not trace.steps:
-                    images[(rem, image.zp.depth)] = image.entry(rem)
+                    image.seed(rem, images)
                 basis.append(rem)
         if len(basis) == first_new:
             complete = True

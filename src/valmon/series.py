@@ -23,14 +23,16 @@ def _exact(v, error=InvalidSpec):
 
 
 class NoetherianSeries:
-    """Finite-support series, terms strictly descending, no zero coefficients."""
+    """Finite-support series, terms strictly descending, no zero coefficients.
+    Exponents are read exactly (a float raises ValueError); coefficients
+    are duck-typed."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         merged = {}
         for e, c in terms:
-            e = Fraction(e)
+            e = _exact(e, ValueError)
             if e in merged:
                 merged[e] = merged[e] + c
             else:
@@ -55,7 +57,7 @@ class NoetherianSeries:
     def monomial(cls, coeff, exponent):
         if coeff == 0:
             return cls()
-        return cls(((Fraction(exponent), coeff),))
+        return cls(((exponent, coeff),))
 
     def is_zero(self):
         return not self.terms

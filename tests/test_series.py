@@ -212,3 +212,13 @@ def test_float_in_callback_tail_raises():
                                 CallbackTail(lambda i, term=term: term))
         with pytest.raises(InvalidSpec, match="float"):
             truncate(spec, 2)
+
+
+def test_float_exponent_in_series_raises():
+    # 0.1 is not 1/10 but 3602879701896397/36028797018963968; the exponent
+    # is refused rather than read as that binary fraction
+    for make in (lambda: NoetherianSeries([(0.1, 1)]),
+                 lambda: NoetherianSeries.monomial(1, 0.5)):
+        with pytest.raises(ValueError, match="float"):
+            make()
+    assert NoetherianSeries([("1/10", 1)]).terms == ((F(1, 10), 1),)

@@ -143,6 +143,8 @@ def test_shared_context_preimage_images_across_threads():
                            for k in range(THREADS)])
         assert got == [want] * THREADS
         entries = sorted(key for key in ctx.cache
-                         if key[0] == "minpoly-image")
-        # one entry per p_j at the table's depth, 6 (r_6 = 64 > 63)
-        assert entries == [("minpoly-image", j, 6) for j in range(1, 7)]
+                         if key[0] == "image" and sum(key[1]) == 1)
+        # one entry per p_j, under its one-hot digit vector, at the table's
+        # depth, 6 (r_6 = 64 > 63)
+        assert entries == sorted(("image", (0,) * (j - 1) + (1,), 6)
+                                 for j in range(1, 7))
