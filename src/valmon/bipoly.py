@@ -35,9 +35,10 @@ products of images, cut to the band they are needed in (_product_band,
 truncated and middle products): the image of a monoid preimage
 prod p_j^(d_j) is the image of the product with one p_j fewer times the
 image of that p_j, both cached, and a lower floor adds only the band
-between the floors (preimage_image).  The image of an S-polynomial
-a*f - b*g is formed the same way from the images of a, f, b and g, below
-its syzygy value, where the two products' top terms cancel
+between the floors (preimage_image).  Every other product of images is
+one step of a reduction, subtracted in place from an image above its floor
+(Image.subtract).  An S-polynomial a*f - b*g is two such steps from a zero
+image, below its syzygy value, where the two products' top terms cancel
 (syzygy_image), so buchberger never scans an S-polynomial.
 """
 
@@ -57,6 +58,7 @@ from .series import FinitePuiseux, _exact, truncate
 from .valmonoid import MonoidRep, decompose, lattice_point, rep_value
 
 _EXPONENT_CAP = 10 ** 4
+_NESTING_CAP = 100  # checked at each "(", so parsing recursion is bounded
 # caps on the dense size (deg_x + 1) * (deg_y + 1) and on the coefficient
 # bit length of any parsed product or power, checked before it is computed
 _DENSE_CAP = 10 ** 5
@@ -373,6 +375,7 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -445,9 +448,14 @@ class _Parser:
             self.take("y")
             return BivarPoly.y()
         if ch == "(":
+            if self.depth == _NESTING_CAP:
+                raise PolyParseError(
+                    f"parentheses nested deeper than {_NESTING_CAP}", self.pos)
             self.take("(")
+            self.depth += 1
             node = self.expr()
             self.take(")")
+            self.depth -= 1
             return node
         if ch.isdigit():
             num = self.natural()
@@ -705,11 +713,11 @@ def _strip(coeffs):
     return coeffs[:n]
 
 
-def _descend(top, hi, zp, band):
+def _descend(top, zp, band):
     """(floor, coefficients): an image from floor up, given its entries
-    at exponents [lo, hi) as the list band(lo, hi), and known to have no
-    term from hi up.  floor is the first of a descending run of windows
-    [top - w, hi) that leaves a nonzero term (0: every exponent, and no
+    at exponents [lo, hi) as the list band(lo, hi), whose trailing zeros
+    may be left off, and known to have no term above top.  floor is the first of a descending run of windows
+    [top - w, top] that leaves a nonzero term (0: every exponent, and no
     coefficients when the image vanishes).
 
     The width w starts at max(r_N, scaled leading exponent of z_N) and
@@ -718,6 +726,7 @@ def _descend(top, hi, zp, band):
     over the cancelled range.
     """
     window = max(zp.scale, zp.lead)
+    hi = top + 1
     while True:
         lo = max(top - window, 0)
         got = band(lo, hi)
@@ -761,10 +770,10 @@ class Image:
 
     Evaluation at z_N is a ring map, so the image of f - g*h is the image
     of f minus the product of the images of g and h, exactly and at any
-    N, and truncation at the floor commutes with subtraction.  That is how
-    Remainder carries an image from one step to the next, subtracting in
-    place, instead of evaluating every intermediate afresh.  By
-    eval_leading's theorem the top term is the leading term of f(t, z)
+    N, and truncation at the floor commutes with subtraction.  So
+    Remainder carries an image from step to step, and syzygy_image forms
+    one from zero, subtracting steps in place (subtract proves the cuts).
+    By eval_leading's theorem the top term is the leading term of f(t, z)
     while r_N > deg_y f, which Remainder tracks.
     """
 
@@ -786,8 +795,7 @@ class Image:
         zp = _power_table(ctx, degy)
         work, den = _prepare(f, zp, degy)
         top = _monomial_top(work, zp)
-        floor, num = _descend(top, top + 1, zp,
-                              lambda lo, hi: _scan(work, zp, lo, hi))
+        floor, num = _descend(top, zp, lambda lo, hi: _scan(work, zp, lo, hi))
         return cls(zp, floor, num, den, ctx.lattice_den)
 
     def _top(self):
@@ -818,16 +826,30 @@ class Image:
         """Publish this image of f in images as its entry, under (f, N)."""
         images[(f, self.zp.depth)] = self.entry(f)
 
-    def subtract(self, g, p, shift, factor):
-        """Subtract (n/d) * x^shift * g * p in place, for the step factor
-        (n, d) given as ints with d > 0: g and p are images at the same
-        depth in this layout, (floor, coefficients, den), each covering
-        the exponents >= floor - shift*r_N - (top exponent of the other).
-        Only the products that reach the floor are formed: each nonzero
-        entry of g adds its multiples of the entries of p that reach the
-        floor.  num is rescaled only when the lcm of the denominators
+    def subtract(self, g, le, rep, factor, ctx, images):
+        """Subtract the step (n/d) * x^n * g * p in place: g has leading
+        exponent le, p = prod p_j^(d_j), rep = n + sum d_j rho_j and
+        factor = (n, d), ints with d > 0.  The product's image tops at or
+        below this image's top and each factor's at its leading exponent,
+        by eval_leading's theorem while r_N > deg_y (or as z_N = z).
+
+        Cuts.  The tops of a product add up, so its terms at or above the
+        floor use no term of either factor below the floor minus the other
+        factor's top: image(g) is cut at floor - top + le*r_N, kept in
+        images under (g, N), and image(p) at floor - n*r_N - le*r_N
+        (preimage_image).  Only products that reach the floor are formed,
+        each nonzero entry of image(g) times the entries of image(p) that
+        reach it; num is rescaled only when the lcm of the denominators
         grows."""
-        (gfloor, gnum, gden), (pfloor, pnum, pden) = g, p
+        zp, lo = self.zp, self.floor
+        top = lo + len(self.num) - 1
+        gtop = le.numerator * zp.scale // le.denominator
+        shift = rep.n * zp.scale
+        key = (g, zp.depth)
+        gfloor, gnum, gden = images[key] = _image_down_to(
+            g, zp, lo - top + gtop, images.get(key), gtop)
+        pfloor, pnum, pden = preimage_image(rep.digits, zp, ctx,
+                                            lo - shift - gtop)
         n, d = factor
         pden *= gden * d
         den = lcm(self.den, pden)
@@ -838,7 +860,7 @@ class Image:
             self.den = den
         m2 = n * (den // pden)
         # index, in num, of the product of g's and p's first entries
-        at = shift * self.zp.scale + gfloor + pfloor - self.floor
+        at = shift + gfloor + pfloor - lo
         num += [0] * (at + len(gnum) + len(pnum) - 1 - len(num))
         for i in range(max(0, 1 - at - len(pnum)), len(gnum)):
             c = -m2 * gnum[i]
@@ -1094,22 +1116,6 @@ def preimage_image(digits, zp, ctx, lowest=0):
     return image
 
 
-def _factor_images(g, le, rep, zp, lo, top, ctx, images):
-    """(image(g), image(p)) on the table zp, in Image's layout, for
-    p = prod p_j^(d_j) and rep = n + sum d_j rho_j, cut for the terms of
-    x^n * g * p from scaled exponent lo up, that product's image topping at
-    top and image(g) at its leading exponent le * r_N.  A product term at
-    or above lo uses no term of either factor below lo minus the other's
-    top: image(g) is kept from lo - top + le * r_N up, in images under
-    (g, N), and image(p) from lo - n r_N - le * r_N up (preimage_image)."""
-    gtop = le.numerator * zp.scale // le.denominator
-    key = (g, zp.depth)
-    gimage = images[key] = _image_down_to(g, zp, lo - top + gtop,
-                                          images.get(key), gtop)
-    return gimage, preimage_image(rep.digits, zp, ctx,
-                                  lo - rep.n * zp.scale - gtop)
-
-
 def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     """The image of the S-polynomial s = a*f - (n/d)*b*g as an Image below
     its syzygy value m, from the highest floor that keeps a nonzero term,
@@ -1120,20 +1126,20 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     Evaluation at z_N is a ring map, so image(s) is
     image(a) image(f) - (n/d) image(b) image(g), on the table exact for the
     y-degree of s and of each of a, f, b and g: each factor's image tops at
-    its leading exponent, by eval_leading's theorem, and each product is
-    formed from factors cut for it (_factor_images).
-    LE(a) + LE(f) = LE(b) + LE(g) = m, and the factor makes the leading
-    coefficients of a*f and b*g match, so the products' top terms at m r_N
-    cancel (else InternalError) and the image has no term from m r_N up.
-    Below it the image is formed band by band, widening while the band
-    cancels, as Image.scan forms a scan (_descend).  Its top term is s's
-    leading term, by the theorem again, and goes to the memo as a scan of s
-    would write it, certified at s's own exact depth; the table can be
-    deeper, as it must be where m r_N is not an int on s's own table.  On
-    an exhausted finite spec the table is z itself, and the tops are the
-    leading exponents because z_N = z; an image that vanishes there raises
-    InsufficientPrecision, as a scan does.  The image is over the lcm of
-    the two products' denominators, each the product of its factors'.
+    its leading exponent, by eval_leading's theorem, so each product is
+    one reduction step, cut as Image.subtract proves.  LE(a) + LE(f) =
+    LE(b) + LE(g) = m, and the factor makes the leading coefficients of a*f
+    and b*g match, so the products' top terms at m r_N cancel (else
+    InternalError) and the image has no term from m r_N up.  Each window
+    of the descent below it, widening while it cancels as Image.scan's
+    windows do (_descend), is a zero image from its floor up to m r_N less
+    two steps: -1 * x^n * f * p for a = x^n * p, then (n/d) * b * g.  Its
+    top term is s's leading term, by the theorem again, and goes to the
+    memo as a scan of s would write it, certified at s's own exact depth;
+    the table can be deeper, as it must be where m r_N is not an int on
+    s's own table.  On an exhausted finite spec the table is z itself, and
+    the tops are the leading exponents because z_N = z; an image that
+    vanishes there raises InsufficientPrecision, as a scan does.
     """
     a, pb = preimage_of_rep(ra, ctx), preimage_of_rep(rb, ctx)
     zp = _power_table(ctx, max(s.deg_y(), a.deg_y(), f.deg_y(),
@@ -1142,28 +1148,18 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     if rest:
         raise InternalError(f"syzygy value {value} is off the table of "
                             f"depth {zp.depth}")
-    sides = ((ra, f, eval_leading(f, ctx).le),
-             (rb, g, eval_leading(g, ctx).le))
-    # each image is over the denominator _prepare gives its polynomial
-    n, d = factor
-    da = a._den * f._den * zp.den ** (a.deg_y() + f.deg_y())
-    db = pb._den * g._den * zp.den ** (pb.deg_y() + g.deg_y()) * d
-    den = lcm(da, db)
-    ca, cb = den // da, n * (den // db)
+    image = None
 
     def band(lo, hi):
-        products = []
-        for rep, h, le in sides:
-            q, p = _factor_images(h, le, rep, zp, lo, top, ctx, images)
-            shift = rep.n * zp.scale
-            products.append(_product_band(p, q, lo - shift, hi - shift))
-        num = [ca * u - cb * v for u, v in zip(*products)]
-        if hi > top and num.pop():
+        nonlocal image
+        image = Image(zp, lo, [0] * (top + 1 - lo), 1, ctx.lattice_den)
+        image.subtract(f, eval_leading(f, ctx).le, ra, (-1, 1), ctx, images)
+        image.subtract(g, eval_leading(g, ctx).le, rb, factor, ctx, images)
+        if len(image.num) > top - lo:
             raise InternalError(f"the syzygy at {value} does not cancel")
-        return num
+        return image.num
 
-    floor, num = _descend(top, top + 1, zp, band)
-    image = Image(zp, floor, num, den, ctx.lattice_den)
+    _descend(top, zp, band)
     lead = image.lead()
     ctx.cache.setdefault(("lead", s), LeadingData(
         lead.le, lead.lc, _power_table(ctx, s.deg_y()).depth, lead.point))
@@ -1192,7 +1188,7 @@ class Remainder:
 
     While the image is kept, the images of g and h top at their leading
     exponents, by the theorem (g and h lie below r_N in y too) or as
-    z_N = z, which fixes their cuts (_factor_images).  image(g) is kept in
+    z_N = z, which fixes their cuts (Image.subtract).  image(g) is kept in
     images, keyed by (polynomial, N), which a caller may keep across
     reductions; the products of p_j per context (preimage_image).
     """
@@ -1236,9 +1232,7 @@ class Remainder:
         # below r_N the exact table is the image's own, so look it up only
         # from there
         if self._degy < zp.scale or _power_table(self.ctx, self._degy) is zp:
-            image.subtract(*_factor_images(g, lead_g.le, rep, zp, image.floor,
-                                           image._top()[0], self.ctx,
-                                           self.images), rep.n, factor)
+            image.subtract(g, lead_g.le, rep, factor, self.ctx, self.images)
         else:
             self.image = None
 

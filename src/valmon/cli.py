@@ -45,7 +45,7 @@ def load_spec(name_or_path):
             data = json.load(fh)
     except OSError as exc:
         raise InvalidSpec(f"cannot read spec {name_or_path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise PolyParseError(f"spec JSON malformed: {exc}", 0)
     return SimpleSeriesSpec.from_json(data)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from valmon import cli, seqderive, valmonoid
+from valmon import bipoly, cli, seqderive, valmonoid
 from valmon.bipoly import parse
 from valmon.cli import main
 from valmon.errors import IdentityViolation, InternalError
@@ -116,6 +117,47 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def nested(depth, inner="x", opener="("):
+    return opener * depth + inner + ")" * depth
+
+
+def test_nesting_at_the_cap_parses():
+    assert parse(nested(bipoly._NESTING_CAP)) == parse("x")
+    assert parse(nested(bipoly._NESTING_CAP, opener="-(")) == parse("x")
+
+
+@pytest.mark.parametrize("opener", ["(", "-("], ids=["parens", "minus"])
+def test_nesting_past_the_cap_is_a_parse_error(capsys, opener):
+    code, out, err = run(capsys, "leadexp", "--", nested(10_000, "x", opener))
+    assert code == cli.EXIT_PARSE == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parse error: parentheses nested deeper than 100")
+    at = bipoly._NESTING_CAP * len(opener) + len(opener) - 1
+    assert err.rstrip().endswith(f"(at position {at})")
+
+
+def test_hostile_input_never_escapes_main(capsys):
+    """Hostile polynomial text, each at a seeded size, through every
+    command that parses it: each call returns a documented exit code."""
+    rng = random.Random(20)
+    depth = rng.randrange(101, 10_001)
+    hostile = [
+        nested(depth), nested(depth, "y", "-("), "(" * depth,
+        ")" * depth, "-" * rng.randrange(2, 5_000) + "x",
+        f"x^{10 ** rng.randrange(5, 60)}", "y^" + "9" * 5_000,
+        "y^10000", "(x^100*y)^100", "x" + "+x" * rng.randrange(500, 2_000),
+        "1" + "-x" * rng.randrange(500, 2_000),
+    ]
+    for text in hostile:
+        for argv in (["leadexp", "--", text],
+                     ["reduce", f"--basis={text}", "x"],
+                     ["reduce", "--basis=y^2-x", "--", text],
+                     ["gb", "--", "x," + text]):
+            code, _, _ = run(capsys, *argv)
+            assert code in range(6), (argv[0], text[:20])
+
+
 def test_precision_error_exit_code(capsys):
     code, _, err = run(capsys, "member", "1/1024")
     assert code == 3
@@ -177,6 +219,15 @@ def test_spec_file_loading(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     got = run_json(capsys, "--spec", str(path), "--depth", "4", "sequences")
     assert got["r"] == ["1", "2", "6", "12", "60"]
+
+
+def test_deeply_nested_spec_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "--spec", str(path), "sequences")
+    assert code == cli.EXIT_PARSE == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("parse error: spec JSON")
 
 
 def test_missing_spec_file(capsys):
