@@ -9,10 +9,9 @@ expansion keeps its leading term, and canonical representations keep the
 terms' values distinct, so no tail can cancel the top (proof at
 eval_leading).
 
-The truncation minimal polynomials p_j behind every preimage are norms of
-y - z_k, built as a tower of prime-degree norms (Abhyankar-Moh's
-approximate-root tower): each step needs only the p-th roots of unity for
-one prime p dividing the ramification index, never all of Q(zeta_R).
+The p_j behind every preimage are norms of y - z_k, built as a tower of
+prime-degree norms (Abhyankar-Moh's approximate-root tower), each step
+with the p-th roots of unity of one prime p | R, never all of Q(zeta_R).
 
 Polynomials are integer numerators over one common denominator, so
 arithmetic, evaluation and the norm tower all run on ints; Fractions appear
@@ -24,22 +23,14 @@ floor 0 meaning complete, since no scaled exponent is negative.  The table
 powers of z_N (_ZPow), the windows of a scan (_scan), the image a reduction
 carries (Image, inside Remainder) and the floored images of basis elements
 and preimages (_image_down_to, preimage_image) all use it, so a band is
-located by index arithmetic and nothing is sorted.  The powers are built by
-shifted adds on one packed int whose fields are those coefficients
-(Kronecker substitution).
+located by index arithmetic and nothing is sorted.
 
-Kronecker substitution serves polynomial products too: a large product
-whose terms fill a small dense box, such as an S-polynomial's a*f, is one
-big-int multiply of the two packed factors (_accumulate).  So it does
-products of images, cut to the band they are needed in (_product_band,
-truncated and middle products): the image of a monoid preimage
-prod p_j^(d_j) is the image of the product with one p_j fewer times the
-image of that p_j, both cached, and a lower floor adds only the band
-between the floors (preimage_image).  Every other product of images is
-one step of a reduction, subtracted in place from an image above its floor
-(Image.subtract).  An S-polynomial a*f - b*g is two such steps from a zero
-image, below its syzygy value, where the two products' top terms cancel
-(syzygy_image), so buchberger never scans an S-polynomial.
+Packed ints whose fields are coefficients (Kronecker substitution) build
+the powers, large polynomial products (_accumulate) and products of images
+cut to a band (_product_band, preimage_image).  Every other product of
+images is one reduction step (n/d) * x^n * g * p, subtracted in place from
+an image above its floor (Image.subtract); an S-polynomial is two such
+steps from a zero image (syzygy_image), so buchberger never scans one.
 """
 
 import threading
@@ -58,6 +49,7 @@ from .series import FinitePuiseux, _exact, truncate
 from .valmonoid import MonoidRep, decompose, lattice_point, rep_value
 
 _EXPONENT_CAP = 10 ** 4
+_DIGITS_CAP = 4300  # int()'s default limit on a decimal string
 _NESTING_CAP = 100  # checked at each "(", so parsing recursion is bounded
 # caps on the dense size (deg_x + 1) * (deg_y + 1) and on the coefficient
 # bit length of any parsed product or power, checked before it is computed
@@ -212,7 +204,7 @@ class BivarPoly:
         copy of self's numerators (_accumulate), and the result is
         normalised once, in _make."""
         acc = dict(self._num)
-        den = _accumulate(acc, self._den, sign, q, r)
+        den = _accumulate(acc, self._den, q, r, sign)
         return BivarPoly._make(acc, den)
 
     def scale(self, q):
@@ -223,10 +215,11 @@ class BivarPoly:
             q = _exact(q, ValueError)
         return self._scaled(q.numerator, q.denominator)
 
-    def _scaled(self, n, d):
-        """(n / d) * self for ints n and d > 0, not necessarily coprime."""
-        return BivarPoly._make({k: v * n for k, v in self._num.items()},
-                               self._den * d, n and self.deg_y())
+    def _scaled(self, n, d, shift=0):
+        """(n / d) * x^shift * self for ints n, d, shift with d > 0."""
+        return BivarPoly._make(
+            {(a + shift, b): v * n for (a, b), v in self._num.items()},
+            self._den * d, n and self.deg_y())
 
     def __pow__(self, n):
         if n < 0:
@@ -277,37 +270,34 @@ _PACK_PAIRS = 1024
 _PACK_DENSITY = 4
 
 
-def _accumulate(acc, den, sign, q, r):
-    """acc / den += sign*q*r in place, for acc a dict of int numerators
-    over den (zeros allowed) and sign = +-1, returning the new denominator,
-    the lcm of den and q's and r's; acc is rescaled only when it grows.
-    This is BivarPoly's one arithmetic loop: _add_product runs it on a copy
-    of self's numerators, and Remainder on the numerators it carries.
+def _accumulate(acc, den, q, r, n, d=1, shift=0):
+    """acc / den += (n/d) * x^shift * q*r in place, for acc a dict of int
+    numerators over den (zeros allowed) and ints n, d, shift with d > 0,
+    returning the new denominator, the lcm of den and d*den_q*den_r; acc
+    is rescaled only when it grows.  This is BivarPoly's one arithmetic
+    loop: _add_product runs it on a copy of self's numerators, and
+    Remainder on the numerators it carries.
 
-    The product m*q*r, m = sign * new_den / (den_q * den_r), is formed by
+    The product m*q*r, m = n * new_den / (d * den_q * den_r), is formed by
     one of two strategies with the same result.  Term by term, each pair of
     terms adds its product to acc.  Packed, when q and r have more than
     _PACK_PAIRS term pairs and at least _PACK_DENSITY of them per entry of
     the dense box X*Y of the product's exponents, by Kronecker substitution:
-    term x^a y^b of a factor goes to entry (a - a0)*Y + b - b0 of a list,
-    a0 and b0 being the factor's least exponents and Y the product's y
-    range, so no row of the product spills into the next.  The product of
-    the two lists (_truncated_product) then holds the coefficient of
-    x^a y^b of q*r at entry (a - a0)*Y + b - b0, a0 and b0 now the
-    product's least exponents, and m times each nonzero entry is added to
-    acc.
+    each factor is a list in rows of the product's y range Y (_dense), so
+    no row of the product spills into the next, and the product of the two
+    lists (_truncated_product) holds q*r in the same layout.
     """
-    qr_den = q._den * r._den
+    qr_den = q._den * r._den * d
     new = lcm(den, qr_den)
     if new != den:
         m1 = new // den
         for k in acc:
             acc[k] *= m1
-    m = sign * (new // qr_den)
+    m = n * (new // qr_den)
     qn, rn = q._num, r._num
     if len(qn) * len(rn) > _PACK_PAIRS:
         (qx, qy), (rx, ry) = zip(*qn), zip(*rn)
-        x0, y0 = min(qx) + min(rx), min(qy) + min(ry)
+        x0, y0 = min(qx) + min(rx) + shift, min(qy) + min(ry)
         ncols = max(qy) + max(ry) - y0 + 1
         nfields = (max(qx) + max(rx) - x0 + 1) * ncols
         if _PACK_DENSITY * nfields <= len(qn) * len(rn):
@@ -321,6 +311,7 @@ def _accumulate(acc, den, sign, q, r):
     right = rn.items()
     for (a1, b1), v1 in qn.items():
         v1 *= m
+        a1 += shift
         for (a2, b2), v2 in right:
             k = (a1 + a2, b1 + b2)
             if k in acc:
@@ -393,10 +384,12 @@ class _Parser:
     def natural(self):
         self._skip()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected a number", start)
+        if self.pos - start > _DIGITS_CAP:
+            raise PolyParseError(f"more than {_DIGITS_CAP} digits", start)
         return int(self.text[start:self.pos])
 
     def expr(self):
@@ -457,7 +450,7 @@ class _Parser:
             self.take(")")
             self.depth -= 1
             return node
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.natural()
             if self.peek() == "/":
                 self.take("/")
@@ -768,12 +761,10 @@ class Image:
     den_f * d^(deg_y f), the denominator _prepare gives; subtract keeps it
     over the lcm of the denominators it meets.
 
-    Evaluation at z_N is a ring map, so the image of f - g*h is the image
-    of f minus the product of the images of g and h, exactly and at any
-    N, and truncation at the floor commutes with subtraction.  So
-    Remainder carries an image from step to step, and syzygy_image forms
-    one from zero, subtracting steps in place (subtract proves the cuts).
-    By eval_leading's theorem the top term is the leading term of f(t, z)
+    Evaluation at z_N is a ring map and truncation at the floor commutes
+    with subtraction, so Remainder carries an image from step to step and
+    syzygy_image forms one from zero, subtracting steps in place.  By
+    eval_leading's theorem the top term is the leading term of f(t, z)
     while r_N > deg_y f, which Remainder tracks.
     """
 
@@ -787,14 +778,17 @@ class Image:
         self.lattice_den = lattice_den
 
     @classmethod
-    def scan(cls, f, ctx):
+    def scan(cls, f, ctx, *, _below=None):
         """f's image at its exact depth, above the highest window that keeps
         a nonzero term: _descend from the monomial top, each band one
-        _scan."""
+        _scan, or from below ceil(floor * r_N' / r_N) on this table of
+        scale r_N' for _below = (floor, r_N) (Remainder.lead)."""
         degy = f.deg_y()
         zp = _power_table(ctx, degy)
         work, den = _prepare(f, zp, degy)
         top = _monomial_top(work, zp)
+        if _below is not None:
+            top = min(top, -(-_below[0] * zp.scale // _below[1]) - 1)
         floor, num = _descend(top, zp, lambda lo, hi: _scan(work, zp, lo, hi))
         return cls(zp, floor, num, den, ctx.lattice_den)
 
@@ -827,20 +821,17 @@ class Image:
         images[(f, self.zp.depth)] = self.entry(f)
 
     def subtract(self, g, le, rep, factor, ctx, images):
-        """Subtract the step (n/d) * x^n * g * p in place: g has leading
+        """Subtract the step (n/d) * x^n * g * p in place, for g of leading
         exponent le, p = prod p_j^(d_j), rep = n + sum d_j rho_j and
-        factor = (n, d), ints with d > 0.  The product's image tops at or
-        below this image's top and each factor's at its leading exponent,
-        by eval_leading's theorem while r_N > deg_y (or as z_N = z).
-
-        Cuts.  The tops of a product add up, so its terms at or above the
-        floor use no term of either factor below the floor minus the other
-        factor's top: image(g) is cut at floor - top + le*r_N, kept in
-        images under (g, N), and image(p) at floor - n*r_N - le*r_N
-        (preimage_image).  Only products that reach the floor are formed,
-        each nonzero entry of image(g) times the entries of image(p) that
-        reach it; num is rescaled only when the lcm of the denominators
-        grows."""
+        factor = (n, d).  By eval_leading's theorem while r_N > deg_y (or as
+        z_N = z) each factor's image tops at its leading exponent, and the
+        product, whose tops add up, at or below this image's top.  So its
+        terms at or above the floor use no term of either factor below the
+        floor minus the other's top: image(g) is cut at
+        floor - top + le*r_N, kept in images under (g, N), and image(p) at
+        floor - n*r_N - le*r_N (preimage_image).  Only products that reach
+        the floor are formed; num is rescaled only when the lcm of the
+        denominators grows."""
         zp, lo = self.zp, self.floor
         top = lo + len(self.num) - 1
         gtop = le.numerator * zp.scale // le.denominator
@@ -1014,25 +1005,19 @@ def truncation_min_poly(ctx, j):
 
 def preimage_of_rep(rep, ctx):
     """x^n * product p_j^(d_j) for a canonical representation.  The product
-    is multiplied out once per digit vector and cached under the entry for
-    n = 0, whose x-exponents x^n shifts.  It is built for the polynomials
-    themselves, the step quotients h of reduce and the elements a and b of
-    a syzygy family; images of products are formed from images of the p_j
-    (preimage_image)."""
-    key = ("preimage", rep)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
+    is multiplied out once per digit vector and cached under its rep with
+    n = 0; x^n shifts an uncached copy.  Its image: preimage_image."""
     if rep.n:
-        base = preimage_of_rep(MonoidRep(0, rep.digits), ctx)
-        poly = BivarPoly._make(
-            {(a + rep.n, b): v for (a, b), v in base._num.items()}, base._den)
-    else:
+        return preimage_of_rep(MonoidRep(0, rep.digits), ctx)._scaled(
+            1, 1, rep.n)
+    key = ("preimage", rep)
+    poly = ctx.cache.get(key)
+    if poly is None:
         poly = _ONE
         for j, d in enumerate(rep.digits, start=1):
             if d:
                 poly = poly * truncation_min_poly(ctx, j) ** d
-    ctx.cache[key] = poly
+        ctx.cache[key] = poly
     return poly
 
 
@@ -1079,10 +1064,9 @@ def preimage_image(digits, zp, ctx, lowest=0):
     primitive, so p's reduced denominator is prod den_j^(d_j), and the
     product of the factors' denominators is p's times d^D.
 
-    Entries are cached per context under (digits, N), bounded by the
-    monoid and the depth.  An extension is published as a new tuple, the
-    way _ZPow.pow publishes its powers, so a reader never sees a partial
-    entry and a published entry never changes."""
+    An extension is published as a new tuple, as _ZPow.pow publishes its
+    powers, so a reader never sees a partial entry and a published entry
+    never changes."""
     if not digits:
         return 0, (1,), 1
     # down the prefixes to one cached low enough, or to a lone p_w
@@ -1141,8 +1125,8 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     the tops are the leading exponents because z_N = z; an image that
     vanishes there raises InsufficientPrecision, as a scan does.
     """
-    a, pb = preimage_of_rep(ra, ctx), preimage_of_rep(rb, ctx)
-    zp = _power_table(ctx, max(s.deg_y(), a.deg_y(), f.deg_y(),
+    pa, pb = (preimage_of_rep(MonoidRep(0, r.digits), ctx) for r in (ra, rb))
+    zp = _power_table(ctx, max(s.deg_y(), pa.deg_y(), f.deg_y(),
                                pb.deg_y(), g.deg_y()))
     top, rest = divmod(value.numerator * zp.scale, value.denominator)
     if rest:
@@ -1167,30 +1151,21 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
 
 
 class Remainder:
-    """The polynomial a reduction carries, f minus the steps g*h so far:
-    one live dict of int numerators over a running denominator, to which a
-    step adds -g*h in place (_accumulate), and one exact image on a table
-    z_N above a floor, from which a step subtracts image(g) times
-    c*t^n*image(prod p_j^(d_j)) in place (Image.subtract).  A handed-in
-    image of f (syzygy_image) is carried from the first step; without one,
-    the first step leaves the image to be evaluated afresh (Image.scan).
+    """The polynomial a reduction carries, f minus the steps so far: int
+    numerators over a running denominator, from which each step
+    (n/d) * x^n * g * p, p = prod p_j^(d_j), is subtracted in place
+    (_accumulate), and an exact image on a table z_N above a floor, from
+    which the step's image is (Image.subtract).  A handed-in image of f
+    (syzygy_image) is carried from the first step, else scanned after it.
 
-    The polynomial is built (poly) for the remainder, when nothing survives
-    above the floor, and when the exact table for its y-degree is no longer
-    the image's, where eval_leading's theorem no longer fixes the leading
-    term: the y-degree has reached r_N, except on an exhausted finite spec,
-    whose table is z at every y-degree.  The last two evaluate it afresh.
-    The y-degree is a bound, the true deg_y once built, raised to
-    deg_y(g) + deg_y(h) by a step, and exact when it first reaches r_N: the
-    polynomial's own terms lie below r_N in y and cannot cancel g*h's top
-    row.  The theorem holds at every N with r_N above the y-degree, so the
-    bound decides for a handed-in image on a deeper table too.
-
-    While the image is kept, the images of g and h top at their leading
-    exponents, by the theorem (g and h lie below r_N in y too) or as
-    z_N = z, which fixes their cuts (Image.subtract).  image(g) is kept in
-    images, keyed by (polynomial, N), which a caller may keep across
-    reductions; the products of p_j per context (preimage_image).
+    The polynomial is built (poly) for the remainder and for a rescan
+    (Image.scan): when nothing survives above the floor, and when the
+    exact table for its y-degree is no longer the image's.  The y-degree is
+    a bound, the true deg_y once built, raised to deg_y(g) + deg_y(p) by a
+    step, and exact when it first reaches r_N: the polynomial's own terms
+    lie below r_N in y and cannot cancel g*p's top row.  eval_leading's
+    theorem holds at every N with r_N above the bound, on a handed-in
+    deeper table too.
     """
 
     __slots__ = ("ctx", "images", "image", "_poly", "_fresh", "_num",
@@ -1205,26 +1180,31 @@ class Remainder:
     def lead(self):
         """The current LeadingData, or None at zero: f's from the memo,
         every later one off the image's top term, the image evaluated
-        afresh first when it is gone or empty above its floor."""
+        afresh first when it is gone or empty above its floor F.  An image
+        emptied on a table of scale r_N was exact above F, so LE < F / r_N
+        by eval_leading's theorem; the rescan's table, of scale r_N' for the
+        true y-degree, tops at LE * r_N' < F * r_N' / r_N by it too."""
         if self._fresh:
             f = self._poly
             return None if f.is_zero() else eval_leading(f, self.ctx)
-        if self.image is None or not self.image.num:
+        image = self.image
+        if image is None or not image.num:
             cur = self.poly()
             if cur.is_zero():
                 return None
             self._num, self._den = dict(cur._num), cur._den
             self._degy = cur.deg_y()
-            self.image = Image.scan(cur, self.ctx)
+            below = None if image is None else (image.floor, image.zp.scale)
+            self.image = Image.scan(cur, self.ctx, _below=below)
         return self.image.lead()
 
-    def subtract(self, g, lead_g, h, rep, factor):
-        """Subtract one step g*h, for g of LeadingData lead_g and
-        h = (n/d) * x^n * prod p_j^(d_j), rep = n + sum d_j rho_j and
-        (n, d) = factor."""
-        self._den = _accumulate(self._num, self._den, -1, g, h)
+    def subtract(self, g, lead_g, p, rep, factor):
+        """Subtract the step (n/d) * x^n * g * p, for g of LeadingData
+        lead_g, rep = n + sum d_j rho_j and (n, d) = factor."""
+        self._den = _accumulate(self._num, self._den, g, p, -factor[0],
+                                factor[1], rep.n)
         self._poly, self._fresh = None, False
-        self._degy = max(self._degy, g.deg_y() + h.deg_y())
+        self._degy = max(self._degy, g.deg_y() + p.deg_y())
         image = self.image
         if image is None:
             return

@@ -18,7 +18,7 @@ from .bipoly import (BivarPoly, Remainder, eval_leading, preimage_leading,
                      preimage_of_rep, syzygy_image)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
-from .valmonoid import (apery_set, decompose, decompose_point,
+from .valmonoid import (MonoidRep, apery_set, decompose, decompose_point,
                         lattice_point, min_eta)
 
 DEFAULT_STEP_LIMIT = 10 ** 4
@@ -27,9 +27,30 @@ DEFAULT_MAX_ROUNDS = 16
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """One step of a trace.  reduce makes it with the quotient
+    h = (a/d) * x^n * p unbuilt, as parts (p, a, d, n), and __getattr__
+    builds h when first read, as equality, hash, repr and pickling do."""
+
     divisor: int            # index into the basis
     quotient: BivarPoly
     value_before: Fraction
+
+    @classmethod
+    def _unbuilt(cls, divisor, value_before, parts):
+        step = object.__new__(cls)
+        step.__dict__.update(divisor=divisor, value_before=value_before,
+                             _parts=parts)
+        return step
+
+    def __getattr__(self, name):
+        parts = self.__dict__.get("_parts") if name == "quotient" else None
+        if parts is None:
+            raise AttributeError(name)
+        quotient = self.__dict__["quotient"] = parts[0]._scaled(*parts[1:])
+        return quotient
+
+    def __reduce__(self):
+        return ReductionStep, (self.divisor, self.quotient, self.value_before)
 
 
 @dataclass(frozen=True)
@@ -62,19 +83,14 @@ def _step_factor(n, d):
 
 
 def _quotient_for(lead_f, lead_g, ctx):
-    """(h, rep, factor) with h = factor * preimage(rep) lowering the leading
-    term lead_f against lead_g, or None when the value of g does not divide
-    the value of f.  The leads are LeadingData; the factor
-    LC(f) / (LC(g) * LC(preimage)) is formed from the numerators and
-    denominators of the three leading coefficients with one gcd and
-    returned as (n, d), d > 0.
-
-    The value difference is the difference of the leads' lattice points.
-    A leading exponent off the lattice (deg_y >= r_l(depth)), which reduce
-    and approx_quotient can meet, falls back to the Fraction difference: a
-    difference landing on the lattice is decomposed, any other raises
-    decompose's InsufficientPrecision.  This is the only off-lattice path:
-    syzygy_values decomposes both leading exponents first."""
+    """(p, rep, factor) for the quotient h = (a/d) * x^n * p lowering
+    lead_f against lead_g, with rep = n + sum d_j rho_j, p the cached
+    preimage_of_rep with n = 0 and factor LC(f) / (LC(g) * LC(x^n * p)) as
+    coprime ints (a, d), d > 0; None when the value of g does not divide
+    the value of f.  The value difference is the difference of the leads'
+    lattice points, or of their Fractions when one is off the lattice
+    (deg_y >= r_l(depth)): that one is decomposed if it lands on the
+    lattice and raises decompose's InsufficientPrecision otherwise."""
     if lead_f.point is None or lead_g.point is None:
         rep = decompose(lead_f.le - lead_g.le, ctx)
     else:
@@ -84,7 +100,7 @@ def _quotient_for(lead_f, lead_g, ctx):
     lf, lg, lc = lead_f.lc, lead_g.lc, preimage_leading(rep, ctx).lc
     factor = _step_factor(lf.numerator * lg.denominator * lc.denominator,
                           lf.denominator * lg.numerator * lc.numerator)
-    return preimage_of_rep(rep, ctx)._scaled(*factor), rep, factor
+    return preimage_of_rep(MonoidRep(0, rep.digits), ctx), rep, factor
 
 
 def approx_quotient(f, g, ctx):
@@ -92,7 +108,10 @@ def approx_quotient(f, g, ctx):
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("approximate quotient needs nonzero inputs")
     q = _quotient_for(eval_leading(f, ctx), eval_leading(g, ctx), ctx)
-    return None if q is None else q[0]
+    if q is None:
+        return None
+    p, rep, factor = q
+    return p._scaled(*factor, rep.n)
 
 
 def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
@@ -103,15 +122,12 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
     The cap is a safety net; termination itself is guaranteed because the
     values along the trace strictly descend in a well-ordered monoid.
 
-    The intermediates never recur, so none is built as a polynomial at each
-    step: a bipoly.Remainder carries the current one with its image and
-    gives each lead (f's from the memo).  _image, f's image as syzygy_image
-    gives it, and _images, the basis images keyed by (polynomial, N), kept
-    for a whole run, are buchberger's and not part of the public interface.
-
-    The step arithmetic runs on ints: every lead is a LeadingData, each
-    step's value difference is a difference of lattice points, and its
-    factor is a coprime pair (n, d) formed with one gcd (_quotient_for).
+    No intermediate is built as a polynomial at each step, and no step's
+    quotient until it is read (ReductionStep): a bipoly.Remainder carries
+    the current one with its image and gives each lead.  _image, f's image
+    as syzygy_image gives it, and _images, the basis images keyed by
+    (polynomial, N), kept for a whole run, are buchberger's and not part of
+    the public interface.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
@@ -128,11 +144,11 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
                 break
         else:
             break
-        h, rep, factor = q
-        steps.append(ReductionStep(idx, h, lead.le))
+        p, rep, factor = q
+        steps.append(ReductionStep._unbuilt(idx, lead.le, (p, *factor, rep.n)))
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
-        cur.subtract(basis[idx], lg, h, rep, factor)
+        cur.subtract(basis[idx], lg, p, rep, factor)
     return ReductionTrace(tuple(steps), cur.poly())
 
 
@@ -183,9 +199,12 @@ def _syzygy_reps(value, lead_f, lead_g, ctx):
 
 def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
     """The element of the pair at value (_syzygy_reps), with the
-    S-polynomial a*f - b*g formed by the fused _minus_product."""
+    S-polynomial a*f - b*g formed by the fused _minus_product.  Elements
+    share a per context, under ("syzygy-a", ra)."""
     ra, rb, factor = _syzygy_reps(value, lead_f, lead_g, ctx)
-    a = preimage_of_rep(ra, ctx)
+    a = ctx.cache.get(("syzygy-a", ra))
+    if a is None:
+        a = ctx.cache.setdefault(("syzygy-a", ra), preimage_of_rep(ra, ctx))
     b = preimage_of_rep(rb, ctx)._scaled(*factor)
     return SyzygyElement(value, a, b, (a * f)._minus_product(b, g))
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cyclotomic import as_rational, conjugate
-from valmon.bipoly import (BivarPoly, _exact_truncation, _product_band,
-                           _truncated_product, _ZPow, eval_leading,
-                           min_poly_finite_puiseux, parse, preimage,
-                           preimage_leading, preimage_of_rep,
+from valmon.bipoly import (_DIGITS_CAP, BivarPoly, _exact_truncation,
+                           _product_band, _truncated_product, _ZPow,
+                           eval_leading, min_poly_finite_puiseux, parse,
+                           preimage, preimage_leading, preimage_of_rep,
                            truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
@@ -58,6 +58,19 @@ def test_parse_errors_carry_position():
 def test_parse_exponent_overflow():
     with pytest.raises(PolyParseError):
         parse("x^100000")
+
+
+def test_parse_numbers_are_decimal_digit_runs_up_to_the_cap():
+    # exactly what int() accepts: any decimal digit, up to its limit
+    assert parse("y^٣") == parse("y^3")
+    assert parse("٣/٤*x") == parse("3/4*x")
+    assert parse("y^" + "0" * (_DIGITS_CAP - 1) + "2") == parse("y^2")
+    for text, at in (("y^²", 2), ("²*x", 0),
+                     ("x^" + "0" * _DIGITS_CAP + "2", 2),
+                     ("1/" + "1" * 5_000, 2)):
+        with pytest.raises(PolyParseError) as err:
+            parse(text)
+        assert err.value.pos == at
 
 
 def _max_dense_product(monkeypatch):

@@ -306,7 +306,7 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     # factors and reduce carries it from the first step, so no
     # S-polynomial is scanned for its own reduction at all.  What
     # is left: 7 scans for the leading data of the generators and of
-    # remainders, and 119 rescans of intermediates inside reduce, where
+    # remainders, and 103 rescans of intermediates inside reduce, where
     # nothing survives above the floor or the y-degree outgrows the table.
     # An intermediate may happen to equal another S-polynomial.  The last
     # element, of y-degree 64, is adjoined with no steps, so its basis
@@ -318,7 +318,7 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     scan = Image.scan.__func__
     spolys = set()
 
-    def spy(cls, f, ctx):
+    def spy(cls, f, ctx, **kwargs):
         nonlocal outside, inside
         if reducing:
             inside += 1
@@ -326,7 +326,7 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
         else:
             outside += 1
             assert f not in spolys
-        return scan(cls, f, ctx)
+        return scan(cls, f, ctx, **kwargs)
 
     def reducing_call(f, *args, **kwargs):
         nonlocal calls
@@ -348,7 +348,7 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     ctx = MonoidContext(dyadic_spec(), 8)
     res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
     assert res.iterations == 6 and len(spolys) > 30
-    assert (outside, inside, calls) == (7, 119, 38)
+    assert (outside, inside, calls) == (7, 103, 38)
     assert res.basis[-1].deg_y() == 64
     assert len(ctx.cache[("zpow", 7)].pows) == 33
 
@@ -391,3 +391,15 @@ def test_non_principal_inputs_grow_one_rho_per_round(gens):
                 ctx.seqs.rho(k + 2)]
     assert [ctx.seqs.rho(j) for j in (4, 5, 6)] == [
         F(43, 16), F(171, 32), F(683, 64)]
+
+
+def test_x_y_six_rounds_cache_no_x_shifted_preimage():
+    # a product prod p_j^(d_j) is cached once, under its representation
+    # with n = 0; reduction steps shift it by x^n inside the arithmetic,
+    # and preimage_of_rep shifts an uncached copy
+    ctx = MonoidContext(dyadic_spec(), 8)
+    buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
+    reps = [key[1] for key in ctx.cache
+            if isinstance(key, tuple) and key[0] == "preimage"]
+    assert len(reps) > 10
+    assert all(rep.n == 0 for rep in reps)

@@ -3,7 +3,8 @@
 BivarPoly, NoetherianSeries and the test oracle's CyclotomicElement
 (tests/cyclotomic.py) refuse attribute assignment, so they rebuild through
 their constructors (__reduce__); a FinitePuiseux holds a NoetherianSeries,
-and the gbengine results hold BivarPolys.
+and the gbengine results hold BivarPolys.  A ReductionStep whose quotient
+reduce left unbuilt is pickled and copied with its quotient built.
 """
 
 import copy
@@ -14,7 +15,7 @@ import pytest
 
 from cyclotomic import CyclotomicElement
 from valmon.bipoly import parse
-from valmon.gbengine import buchberger, reduce
+from valmon.gbengine import ReductionStep, buchberger, reduce
 from valmon.series import FinitePuiseux, NoetherianSeries, dyadic_spec
 from valmon.valmonoid import MonoidContext
 
@@ -56,3 +57,30 @@ def test_results_round_trip():
     for result in (gb, trace):
         other = pickle.loads(pickle.dumps(result))
         assert other == result and hash(other) == hash(result)
+
+
+def test_unbuilt_reduction_steps_read_as_built_ones():
+    # reduce leaves each step's quotient unbuilt until it is read; read
+    # through equality, hash, repr, pickle or copy, an unbuilt step is the
+    # step built eagerly through the public constructor
+    ctx = MonoidContext(dyadic_spec(), 8)
+    f = parse("y^4 - 2*x*y^2 + x^2 + x^3*y")
+    basis = [parse("y^2 - x"), parse("x")]
+
+    def unbuilt_steps():
+        steps = reduce(f, basis, ctx).steps
+        assert all("quotient" not in vars(step) for step in steps)
+        return steps
+
+    eager = [ReductionStep(s.divisor, s.quotient, s.value_before)
+             for s in unbuilt_steps()]
+    assert len(eager) == 3
+    assert list(unbuilt_steps()) == eager
+    assert eager == list(unbuilt_steps())
+    assert [hash(s) for s in unbuilt_steps()] == [hash(s) for s in eager]
+    assert [repr(s) for s in unbuilt_steps()] == [repr(s) for s in eager]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert [pickle.loads(pickle.dumps(s, protocol))
+                for s in unbuilt_steps()] == eager
+    for clone in (copy.copy, copy.deepcopy):
+        assert [clone(s) for s in unbuilt_steps()] == eager

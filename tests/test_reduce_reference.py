@@ -20,11 +20,12 @@ import pytest
 
 from valmon import gbengine
 from valmon.bipoly import (BivarPoly, Image, _power_table, eval_leading,
-                           parse, preimage_leading, preimage_of_rep)
+                           min_poly_finite_puiseux, parse, preimage_leading,
+                           preimage_of_rep)
 from valmon.errors import InsufficientPrecision
 from valmon.gbengine import ReductionStep, ReductionTrace, buchberger, reduce
 from valmon.series import (CallbackTail, GeometricTail, SimpleSeriesSpec,
-                           dyadic_spec)
+                           dyadic_spec, truncate)
 from valmon.valmonoid import MonoidContext, decompose
 
 F = Fraction
@@ -191,9 +192,9 @@ def scanned(monkeypatch):
     seen = []
     scan = Image.scan.__func__
 
-    def spy(cls, f, ctx):
+    def spy(cls, f, ctx, **kwargs):
         seen.append(f)
-        return scan(cls, f, ctx)
+        return scan(cls, f, ctx, **kwargs)
 
     monkeypatch.setattr(Image, "scan", classmethod(spy))
     return seen
@@ -245,9 +246,9 @@ def test_exhausted_finite_spec_matches_reference(monkeypatch):
     real_scan = Image.scan
     scans = [0]
 
-    def counting_scan(f, ctx):
+    def counting_scan(f, ctx, **kwargs):
         scans[0] += 1
-        return real_scan(f, ctx)
+        return real_scan(f, ctx, **kwargs)
 
     monkeypatch.setattr(Image, "scan", staticmethod(counting_scan))
     rng = random.Random(3)
@@ -275,5 +276,71 @@ def test_exhausted_finite_spec_matches_reference(monkeypatch):
     assert any(isinstance(out, str) for out in outcomes)
     # the image at z is exact at every y-degree, so reduce rescans only
     # where nothing survives above the floor (it rescanned at every
-    # y-degree of 4 or more, 1,514 scans, while it took r_N for the test)
-    assert reduce_scans == 824
+    # y-degree of 4 or more, 1,514 scans, while it took r_N for the test);
+    # a rescan descends from the old floor, so its windows, and the floor
+    # it finds, align to that floor rather than to the monomial top (824
+    # scans when it descended from the monomial top)
+    assert reduce_scans == 827
+
+
+def test_floor_zero_rescan_raises_as_a_full_scan():
+    # a complete image emptied by a step leaves a rescan nothing to scan
+    # below floor 0; on an exhausted finite spec, where a multiple of z's
+    # minimal polynomial vanishes, it raises what the full scan raises
+    spec = SimpleSeriesSpec([(1, F(1, 2)), (1, F(1, 4))])
+    ctx = MonoidContext(spec, 2)
+    f = min_poly_finite_puiseux(truncate(spec, 2)) * parse("x + y")
+    errors = []
+    for below in (None, (0, 4), (0, 2)):
+        with pytest.raises(InsufficientPrecision) as err:
+            Image.scan(f, ctx, _below=below).lead()
+        errors.append(str(err.value))
+    assert len(set(errors)) == 1
+
+
+def y_heavy_poly(rng, max_x, max_y):
+    """2 to 5 terms of x-degree up to max_x and y-degree up to max_y."""
+    return BivarPoly({(rng.randint(0, max_x), rng.randint(0, max_y)):
+                      rng.choice((-3, -2, -1, 1, 2, 3))
+                      for _ in range(rng.randint(2, 5))})
+
+
+@pytest.mark.parametrize("spec_name", list(SPECS))
+def test_rescans_from_the_known_floor(monkeypatch, spec_name):
+    # an intermediate whose carried image emptied above its floor F, on a
+    # table of scale r, is rescanned from below ceil(F * r' / r) on its own
+    # table of scale r': the image's, or a shallower one where its true
+    # y-degree fell below the bound.  Each lead read off a rescan is what a
+    # fresh evaluation gives, and on a shallower table some lead lies
+    # right below that bound where F * r' / r is not an int
+    real_scan = Image.scan
+    rescans = []
+
+    def bounded_scan(f, ctx, **kwargs):
+        image = real_scan(f, ctx, **kwargs)
+        if kwargs.get("_below") is not None:
+            rescans.append((f, kwargs["_below"], image.zp.scale,
+                            image.lead()))
+        return image
+
+    monkeypatch.setattr(Image, "scan", staticmethod(bounded_scan))
+    make_spec, depth = SPECS[spec_name]
+    ctx = MonoidContext(make_spec(), depth)
+    rng = random.Random(5)
+    calls = []
+    while len(calls) < 60:
+        f = y_heavy_poly(rng, 3, 7)
+        basis = [y_heavy_poly(rng, 2, 3) for _ in range(2)]
+        if f and all(basis):
+            calls.append((f, basis, reduce(f, basis, ctx)))
+    assert len(rescans) > 50
+    assert any(scale < r and F * scale % r
+               and lead.le * scale == -(-F * scale // r) - 1
+               for _, (F, r), scale, lead in rescans)
+    intermediates = {c for f, basis, trace in calls
+                     for c in replay(f, basis, trace)}
+    fresh = MonoidContext(make_spec(), depth)
+    for f, _, _, lead in rescans:
+        assert f in intermediates
+        assert lead == eval_leading(f, fresh)
+    check_against_reference(calls, spec_name)
