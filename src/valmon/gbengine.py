@@ -205,7 +205,7 @@ def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
     a = ctx.cache.get(("syzygy-a", ra))
     if a is None:
         a = ctx.cache.setdefault(("syzygy-a", ra), preimage_of_rep(ra, ctx))
-    b = preimage_of_rep(rb, ctx)._scaled(*factor)
+    b = preimage_of_rep(MonoidRep(0, rb.digits), ctx)._scaled(*factor, rb.n)
     return SyzygyElement(value, a, b, (a * f)._minus_product(b, g))
 
 
