@@ -1064,9 +1064,10 @@ def preimage_image(digits, zp, ctx, lowest=0):
     primitive, so p's reduced denominator is prod den_j^(d_j), and the
     product of the factors' denominators is p's times d^D.
 
-    An extension is published as a new tuple, as _ZPow.pow publishes its
-    powers, so a reader never sees a partial entry and a published entry
-    never changes."""
+    Entries are cached per context under (digits, N), bounded by the
+    monoid and the depth.  An extension is published as a new tuple, the
+    way _ZPow.pow publishes its powers, so a reader never sees a partial
+    entry and a published entry never changes."""
     if not digits:
         return 0, (1,), 1
     # down the prefixes to one cached low enough, or to a lone p_w

@@ -85,12 +85,11 @@ def _step_factor(n, d):
 def _quotient_for(lead_f, lead_g, ctx):
     """(p, rep, factor) for the quotient h = (a/d) * x^n * p lowering
     lead_f against lead_g, with rep = n + sum d_j rho_j, p the cached
-    preimage_of_rep with n = 0 and factor LC(f) / (LC(g) * LC(x^n * p)) as
+    preimage_of_rep with n = 0 and factor LC(f) / (LC(g) * LC(p)) as
     coprime ints (a, d), d > 0; None when the value of g does not divide
-    the value of f.  The value difference is the difference of the leads'
-    lattice points, or of their Fractions when one is off the lattice
-    (deg_y >= r_l(depth)): that one is decomposed if it lands on the
-    lattice and raises decompose's InsufficientPrecision otherwise."""
+    the value of f.  The value difference is a difference of lattice
+    points, or of Fractions for a lead off the lattice (deg_y >=
+    r_l(depth)), which decompose may reject with InsufficientPrecision."""
     if lead_f.point is None or lead_g.point is None:
         rep = decompose(lead_f.le - lead_g.le, ctx)
     else:
