@@ -46,7 +46,7 @@ from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
 from .exactnum import rat_str
 from .seqderive import _pull_terms
 from .series import FinitePuiseux, _exact, truncate
-from .valmonoid import MonoidRep, decompose, lattice_point, rep_value
+from .valmonoid import MonoidRep, decompose
 
 _EXPONENT_CAP = 10 ** 4
 _DIGITS_CAP = 4300  # int()'s default limit on a decimal string
@@ -481,9 +481,8 @@ class LeadingData:
     """Leading exponent and coefficient of f(t, z).
 
     certified_at is the truncation depth N at which the evaluation was
-    exact (see eval_leading); leading data composed without an evaluation,
-    as preimage_leading does, carries 0.  point is the int le * R on the
-    context's lattice (1/R)Z, or None off it (lattice_point).
+    exact (see eval_leading).  point is the int le * R on the context's
+    lattice (1/R)Z, or None off it (valmonoid.lattice_point).
     """
 
     le: Fraction
@@ -1003,22 +1002,34 @@ def truncation_min_poly(ctx, j):
     return poly
 
 
-def preimage_of_rep(rep, ctx):
-    """x^n * product p_j^(d_j) for a canonical representation.  The product
-    is multiplied out once per digit vector and cached under its rep with
-    n = 0; x^n shifts an uncached copy.  Its image: preimage_image."""
-    if rep.n:
-        return preimage_of_rep(MonoidRep(0, rep.digits), ctx)._scaled(
-            1, 1, rep.n)
-    key = ("preimage", rep)
-    poly = ctx.cache.get(key)
-    if poly is None:
-        poly = _ONE
-        for j, d in enumerate(rep.digits, start=1):
+def preimage_product(digits, ctx):
+    """(p, LC_z(p)) for p = prod p_j^(d_j), one record per digit vector,
+    cached per context under ("preimage", digits): p multiplied out once and
+    LC_z(p) = prod LC_z(p_j)^(d_j), LC_z being multiplicative."""
+    key = ("preimage", digits)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        poly, lc = _ONE, Fraction(1)
+        for j, d in enumerate(digits, start=1):
             if d:
-                poly = poly * truncation_min_poly(ctx, j) ** d
-        ctx.cache[key] = poly
-    return poly
+                p_j = truncation_min_poly(ctx, j)
+                poly = poly * p_j ** d
+                lc *= eval_leading(p_j, ctx).lc ** d
+        hit = ctx.cache[key] = (poly, lc)
+    return hit
+
+
+def preimage_of_rep(rep, ctx):
+    """x^n * p for a canonical representation, p = preimage_product's
+    product; cached under ("preimage", digits, n) when n != 0."""
+    if not rep.n:
+        return preimage_product(rep.digits, ctx)[0]
+    key = ("preimage", rep.digits, rep.n)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        hit = ctx.cache.setdefault(key, preimage_product(rep.digits, ctx)[0]
+                                   ._scaled(1, 1, rep.n))
+    return hit
 
 
 def preimage_image(digits, zp, ctx, lowest=0):
@@ -1126,7 +1137,7 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     the tops are the leading exponents because z_N = z; an image that
     vanishes there raises InsufficientPrecision, as a scan does.
     """
-    pa, pb = (preimage_of_rep(MonoidRep(0, r.digits), ctx) for r in (ra, rb))
+    pa, pb = (preimage_product(r.digits, ctx)[0] for r in (ra, rb))
     zp = _power_table(ctx, max(s.deg_y(), pa.deg_y(), f.deg_y(),
                                pb.deg_y(), g.deg_y()))
     top, rest = divmod(value.numerator * zp.scale, value.denominator)
@@ -1222,21 +1233,6 @@ class Remainder:
         if self._poly is None:
             self._poly = BivarPoly._make(self._num, self._den)
         return self._poly
-
-
-def preimage_leading(rep, ctx):
-    """Leading data of the preimage, composed multiplicatively from its
-    factors; avoids evaluating the expanded product.  Cached per context."""
-    key = ("preimage-lead", rep)
-    hit = ctx.cache.get(key)
-    if hit is None:
-        lc = Fraction(1)
-        for j, d in enumerate(rep.digits, start=1):
-            if d:
-                lc *= eval_leading(truncation_min_poly(ctx, j), ctx).lc ** d
-        le = rep_value(rep, ctx)
-        hit = ctx.cache[key] = LeadingData(le, lc, 0, lattice_point(le, ctx))
-    return hit
 
 
 def preimage(m, ctx):

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bipoly import (BivarPoly, Remainder, eval_leading, preimage_leading,
-                     preimage_of_rep, syzygy_image)
+from .bipoly import (BivarPoly, Remainder, eval_leading, preimage_of_rep,
+                     preimage_product, syzygy_image)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
-from .valmonoid import (MonoidRep, apery_set, decompose, decompose_point,
-                        lattice_point, min_eta)
+from .valmonoid import (apery_set, decompose, decompose_point, lattice_point,
+                        min_eta)
 
 DEFAULT_STEP_LIMIT = 10 ** 4
 DEFAULT_MAX_ROUNDS = 16
@@ -84,8 +84,8 @@ def _step_factor(n, d):
 
 def _quotient_for(lead_f, lead_g, ctx):
     """(p, rep, factor) for the quotient h = (a/d) * x^n * p lowering
-    lead_f against lead_g, with rep = n + sum d_j rho_j, p the cached
-    preimage_of_rep with n = 0 and factor LC(f) / (LC(g) * LC(p)) as
+    lead_f against lead_g, with rep = n + sum d_j rho_j, (p, LC(p)) the
+    digit vector's preimage_product and factor LC(f) / (LC(g) * LC(p)) as
     coprime ints (a, d), d > 0; None when the value of g does not divide
     the value of f.  The value difference is a difference of lattice
     points, or of Fractions for a lead off the lattice (deg_y >=
@@ -96,10 +96,11 @@ def _quotient_for(lead_f, lead_g, ctx):
         rep = decompose_point(lead_f.point - lead_g.point, ctx)
     if rep is None:
         return None
-    lf, lg, lc = lead_f.lc, lead_g.lc, preimage_leading(rep, ctx).lc
+    p, lc = preimage_product(rep.digits, ctx)
+    lf, lg = lead_f.lc, lead_g.lc
     factor = _step_factor(lf.numerator * lg.denominator * lc.denominator,
                           lf.denominator * lg.numerator * lc.numerator)
-    return preimage_of_rep(MonoidRep(0, rep.digits), ctx), rep, factor
+    return p, rep, factor
 
 
 def approx_quotient(f, g, ctx):
@@ -189,8 +190,8 @@ def _syzygy_reps(value, lead_f, lead_g, ctx):
     kv = lattice_point(value, ctx)
     ra = decompose_point(kv - lead_f.point, ctx)
     rb = decompose_point(kv - lead_g.point, ctx)
-    la, lf = preimage_leading(ra, ctx).lc, lead_f.lc
-    lb, lg = preimage_leading(rb, ctx).lc, lead_g.lc
+    la, lf = preimage_product(ra.digits, ctx)[1], lead_f.lc
+    lb, lg = preimage_product(rb.digits, ctx)[1], lead_g.lc
     return ra, rb, _step_factor(
         la.numerator * lf.numerator * lb.denominator * lg.denominator,
         la.denominator * lf.denominator * lb.numerator * lg.numerator)
@@ -199,12 +200,10 @@ def _syzygy_reps(value, lead_f, lead_g, ctx):
 def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
     """The element of the pair at value (_syzygy_reps), with the
     S-polynomial a*f - b*g formed by the fused _minus_product.  Elements
-    share a per context, under ("syzygy-a", ra)."""
+    share a, a memoised preimage_of_rep; b is scaled in one copy."""
     ra, rb, factor = _syzygy_reps(value, lead_f, lead_g, ctx)
-    a = ctx.cache.get(("syzygy-a", ra))
-    if a is None:
-        a = ctx.cache.setdefault(("syzygy-a", ra), preimage_of_rep(ra, ctx))
-    b = preimage_of_rep(MonoidRep(0, rb.digits), ctx)._scaled(*factor, rb.n)
+    a = preimage_of_rep(ra, ctx)
+    b = preimage_product(rb.digits, ctx)[0]._scaled(*factor, rb.n)
     return SyzygyElement(value, a, b, (a * f)._minus_product(b, g))
 
 

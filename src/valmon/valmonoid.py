@@ -29,6 +29,7 @@ from itertools import product
 
 from .errors import InsufficientPrecision, InternalError, NotInMonoid
 from . import seqderive
+from .series import _exact
 
 
 @dataclass(frozen=True)
@@ -70,28 +71,28 @@ class MonoidContext:
 
 
 def rep_value(rep, ctx):
-    """Exact rational value of a canonical representation."""
+    """Exact rational value of a canonical representation of ints."""
     seqs = ctx.seqs
     if len(rep.digits) > seqs.depth:
         raise InsufficientPrecision(
             f"representation depth {len(rep.digits)} exceeds context depth "
             f"{seqs.depth}")
-    if rep.n < 0:
-        raise ValueError("n must be a natural number")
+    if not isinstance(rep.n, int) or rep.n < 0:
+        raise ValueError(f"n = {rep.n!r} is not a natural number")
     total = Fraction(rep.n)
     for j, d in enumerate(rep.digits, start=1):
-        if not 0 <= d < seqs.s(j):
-            raise ValueError(f"digit d_{j} = {d} outside [0, {seqs.s(j)})")
+        if not isinstance(d, int) or not 0 <= d < seqs.s(j):
+            raise ValueError(f"d_{j} = {d!r} not an int in [0, {seqs.s(j)})")
         if d:
             total += d * seqs.rho(j)
     return total
 
 
 def decompose(m, ctx):
-    """The canonical representation of m, or None when m is not a member.
-    Cached per context under the lattice point m * R (decompose_point)."""
+    """The canonical representation of m, or None for a non-member; a float
+    raises ValueError.  Cached per context under m * R (decompose_point)."""
     if not isinstance(m, Fraction):
-        m = Fraction(m)
+        m = _exact(m, ValueError)
     if m.numerator < 0:
         return None
     return decompose_point(_on_lattice(m, ctx), ctx)
@@ -154,10 +155,10 @@ def _chain(k, ctx):
 
 
 def base_digits(d, ctx):
-    """Mixed-radix digits of a natural d with place values r_l(j-1),
-    digit j bounded by s_j."""
-    if d < 0:
-        raise ValueError("d must be a natural number")
+    """Mixed-radix digits of a natural d (an int) with place values
+    r_l(j-1), digit j bounded by s_j."""
+    if not isinstance(d, int) or d < 0:
+        raise ValueError(f"d = {d!r} is not a natural number")
     seqs = ctx.seqs
     digits = []
     rem = d
@@ -181,8 +182,8 @@ def lambda_d(d, ctx):
 
 
 def divides(mg, mf, ctx):
-    """mf - mg when that difference is a member, else None."""
-    diff = Fraction(mf) - Fraction(mg)
+    """mf - mg when that difference is a member, else None (floats raise)."""
+    diff = _exact(mf, ValueError) - _exact(mg, ValueError)
     return diff if decompose(diff, ctx) is not None else None
 
 

@@ -7,13 +7,14 @@ from cyclotomic import as_rational, conjugate
 from valmon.bipoly import (_DIGITS_CAP, BivarPoly, _exact_truncation,
                            _product_band, _truncated_product, _ZPow,
                            eval_leading, min_poly_finite_puiseux, parse,
-                           preimage, preimage_leading, preimage_of_rep,
+                           preimage, preimage_of_rep, preimage_product,
                            truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
 from valmon.series import (FinitePuiseux, NoetherianSeries, SimpleSeriesSpec,
                            dyadic_spec, leading_data, series_mul, truncate)
-from valmon.valmonoid import MonoidContext, MonoidRep, enumerate_omega
+from valmon.valmonoid import (MonoidContext, MonoidRep, enumerate_omega,
+                              rep_value)
 
 F = Fraction
 
@@ -507,9 +508,10 @@ def test_preimage_leading_composition(ctx):
     for v, rep in enumerate_omega(3, ctx, 2):
         if v == 0:
             continue
-        composed = preimage_leading(rep, ctx)
+        # LE from the representation, LC from the digit vector's record
+        composed = (rep_value(rep, ctx), preimage_product(rep.digits, ctx)[1])
         direct = eval_leading(preimage_of_rep(rep, ctx), ctx)
-        assert (composed.le, composed.lc) == (direct.le, direct.lc)
+        assert composed == (direct.le, direct.lc)
 
 
 def _convolved_powers(zterms, b_max):
@@ -643,9 +645,10 @@ def test_preimage_products_per_digit_vector(spec, depth, top):
                     want = want * truncation_min_poly(fresh, j) ** d
                 got = preimage_of_rep(rep, fresh)
                 assert got == want
-                composed = preimage_leading(rep, fresh)
+                composed = (rep_value(rep, fresh),
+                            preimage_product(rep.digits, fresh)[1])
                 direct = eval_leading(got, fresh)
-                assert (composed.le, composed.lc) == (direct.le, direct.lc)
+                assert composed == (direct.le, direct.lc)
 
 
 def test_deg_y_definition():

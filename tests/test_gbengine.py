@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from valmon import gbengine
-from valmon.bipoly import BivarPoly, Image, eval_leading, parse
+from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
+                           preimage_of_rep)
 from valmon.errors import (IncompleteBasis, StepLimitExceeded, ZeroPolynomial)
 from valmon.gbengine import (approx_quotient, buchberger, is_member, reduce,
                              syzygy_family, syzygy_values)
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
-from valmon.valmonoid import MonoidContext, decompose
+from valmon.valmonoid import MonoidContext, MonoidRep, decompose
 
 F = Fraction
 
@@ -394,12 +395,32 @@ def test_non_principal_inputs_grow_one_rho_per_round(gens):
 
 
 def test_x_y_six_rounds_cache_no_x_shifted_preimage():
-    # a product prod p_j^(d_j) is cached once, under its representation
-    # with n = 0; reduction steps shift it by x^n inside the arithmetic,
-    # and preimage_of_rep shifts an uncached copy
+    # a product prod p_j^(d_j) is cached once, under its digit vector;
+    # reduction steps shift it by x^n inside the arithmetic, so the only
+    # x-shifted entries, under (digits, n), are the syzygy elements' a
+    # with n != 0, one copy each per context
     ctx = MonoidContext(dyadic_spec(), 8)
     buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
-    reps = [key[1] for key in ctx.cache
+    keys = [key for key in ctx.cache
             if isinstance(key, tuple) and key[0] == "preimage"]
-    assert len(reps) > 10
-    assert all(rep.n == 0 for rep in reps)
+    products = [key[1] for key in keys if len(key) == 2]
+    shifted = [key[1:] for key in keys if len(key) == 3]
+    assert len(products) > 10
+    assert all(isinstance(digits, tuple) for digits in products)
+    assert len(shifted) == 19
+    assert all(n > 0 and digits in products for digits, n in shifted)
+
+
+def test_reduction_steps_cache_no_x_shifted_product():
+    ctx = MonoidContext(dyadic_spec(), 8)
+    trace = reduce(parse("x^3*y + x^2"), [parse("y^2 - x")], ctx)
+    keys = [key for key in ctx.cache
+            if isinstance(key, tuple) and key[0] == "preimage"]
+    assert keys and all(len(key) == 2 for key in keys)
+    # each quotient is (a/d) * x^n * p with p monic in y, so n is its least
+    # x-exponent
+    assert [min(i for i, _ in step.quotient.coeffs)
+            for step in trace.steps] == [2, 0, 2]
+    rep = MonoidRep(2, (1, 1))
+    assert preimage_of_rep(rep, ctx) is preimage_of_rep(rep, ctx)
+    assert ("preimage", (1, 1), 2) in ctx.cache

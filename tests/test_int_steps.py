@@ -19,7 +19,7 @@ import pytest
 
 from valmon import bipoly, gbengine
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
-                           preimage_leading, preimage_of_rep,
+                           preimage_of_rep, preimage_product,
                            truncation_min_poly)
 from valmon.errors import InsufficientPrecision
 from valmon.gbengine import (ReductionStep, ReductionTrace, SyzygyElement,
@@ -190,8 +190,8 @@ def reference_quotient_for(lead_f, lead_g, ctx):
     if rep is None:
         return None
     p = preimage_of_rep(rep, ctx)
-    lp = preimage_leading(rep, ctx)
-    factor = lead_f.lc / (lead_g.lc * lp.lc)
+    lc = preimage_product(rep.digits, ctx)[1]
+    factor = lead_f.lc / (lead_g.lc * lc)
     return p.scale(factor), rep, factor
 
 
@@ -225,9 +225,9 @@ def reference_syzygy_element(value, f, g, lead_f, lead_g, ctx):
     rb = decompose(value - lead_g.le, ctx)
     a = preimage_of_rep(ra, ctx)
     pb = preimage_of_rep(rb, ctx)
-    la = preimage_leading(ra, ctx)
-    lb = preimage_leading(rb, ctx)
-    b = reference_scale(pb, (la.lc * lead_f.lc) / (lb.lc * lead_g.lc))
+    la = preimage_product(ra.digits, ctx)[1]
+    lb = preimage_product(rb.digits, ctx)[1]
+    b = reference_scale(pb, (la * lead_f.lc) / (lb * lead_g.lc))
     return SyzygyElement(value, a, b, reference_sub(a * f, b * g))
 
 

@@ -20,8 +20,8 @@ import pytest
 
 from valmon import gbengine
 from valmon.bipoly import (BivarPoly, Image, _power_table, eval_leading,
-                           min_poly_finite_puiseux, parse, preimage_leading,
-                           preimage_of_rep)
+                           min_poly_finite_puiseux, parse, preimage_of_rep,
+                           preimage_product)
 from valmon.errors import InsufficientPrecision
 from valmon.gbengine import ReductionStep, ReductionTrace, buchberger, reduce
 from valmon.series import (CallbackTail, GeometricTail, SimpleSeriesSpec,
@@ -70,8 +70,8 @@ def reference_reduce(f, basis, ctx):
                 break
         else:
             break
-        lp = preimage_leading(rep, ctx)
-        h = preimage_of_rep(rep, ctx).scale(lead.lc / (lg.lc * lp.lc))
+        lc = preimage_product(rep.digits, ctx)[1]
+        h = preimage_of_rep(rep, ctx).scale(lead.lc / (lg.lc * lc))
         steps.append(ReductionStep(idx, h, lead.le))
         cur = cur - basis[idx] * h
     return ReductionTrace(tuple(steps), cur)

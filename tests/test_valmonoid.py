@@ -5,7 +5,8 @@ from math import ceil
 
 import pytest
 
-from valmon.bipoly import BivarPoly, eval_leading, truncation_min_poly
+from valmon.bipoly import (BivarPoly, eval_leading, parse, preimage,
+                           truncation_min_poly)
 from valmon.errors import InsufficientPrecision, NotInMonoid
 from valmon.gbengine import syzygy_values
 from valmon.series import dyadic_spec
@@ -82,6 +83,42 @@ def test_canonical_min(ctx):
     assert canonical_min(F(3, 4), ctx) == F(3, 4)
     with pytest.raises(NotInMonoid):
         canonical_min(F(1, 4), ctx)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: decompose(0.75, ctx),
+    lambda ctx: decompose(0.1, ctx),
+    lambda ctx: divides(0.5, 1.25, ctx),
+    lambda ctx: divides(F(1, 2), 1.25, ctx),
+    lambda ctx: canonical_min(1.75, ctx),
+    lambda ctx: preimage(0.75, ctx),
+    lambda ctx: lambda_d(3.0, ctx),
+    lambda ctx: base_digits(2.5, ctx),
+    lambda ctx: base_digits(F(3), ctx),
+    lambda ctx: rep_value(MonoidRep(1.5, (1,)), ctx),
+    lambda ctx: rep_value(MonoidRep(0, (1.0, 1)), ctx),
+], ids=["decompose", "decompose-tenth", "divides", "divides-mf",
+        "canonical_min", "preimage", "lambda_d", "base_digits",
+        "base_digits-fraction", "rep_value-n", "rep_value-digit"])
+def test_floats_and_non_ints_are_refused(ctx, call):
+    # a float is never read as the binary fraction it holds, and n and the
+    # digits of a representation are ints
+    with pytest.raises(ValueError):
+        call(ctx)
+
+
+def test_exact_inputs_still_read(ctx):
+    for m in (F(3, 4), "3/4"):
+        assert decompose(m, ctx) == MonoidRep(0, (0, 1))
+        assert divides("1/2", m, ctx) is None
+        assert canonical_min(m, ctx) == F(3, 4)
+        assert preimage(m, ctx) == parse("y^2 - x")
+    assert decompose(5, ctx) == MonoidRep(5, ())
+    assert divides(1, 2, ctx) == 1
+    assert divides(F(1, 2), "5/4", ctx) == F(3, 4)
+    assert canonical_min(7, ctx) == 0
+    assert lambda_d(3, ctx) == (F(5, 4), MonoidRep(0, (1, 1)))
+    assert rep_value(MonoidRep(1, (1,)), ctx) == F(3, 2)
 
 
 def test_enumerate_omega(ctx):
