@@ -34,7 +34,7 @@ steps from a zero image (syzygy_image), so buchberger never scans one.
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -708,9 +708,10 @@ def _strip(coeffs):
 def _descend(top, zp, band):
     """(floor, coefficients): an image from floor up, given its entries
     at exponents [lo, hi) as the list band(lo, hi), whose trailing zeros
-    may be left off, and known to have no term above top.  floor is the first of a descending run of windows
-    [top - w, top] that leaves a nonzero term (0: every exponent, and no
-    coefficients when the image vanishes).
+    may be left off, and known to have no term above top.  floor is the
+    first of a descending run of windows [top - w, top] that leaves a
+    nonzero term (0: every exponent, and no coefficients when the image
+    vanishes).
 
     The width w starts at max(r_N, scaled leading exponent of z_N) and
     doubles, and each band covers only the exponents below the last one,
@@ -815,9 +816,13 @@ class Image:
         return (self.floor, tuple([v * den // self.den for v in self.num]),
                 den)
 
-    def seed(self, f, images):
-        """Publish this image of f in images as its entry, under (f, N)."""
+    def seed(self, f, ctx, images):
+        """Publish this image of f in images as its entry, under (f, N), and
+        its leading data in the memo as a scan of f writes them, certified
+        at f's own exact depth."""
         images[(f, self.zp.depth)] = self.entry(f)
+        ctx.cache.setdefault(("lead", f), replace(
+            self.lead(), certified_at=_power_table(ctx, f.deg_y()).depth))
 
     def subtract(self, g, le, rep, factor, ctx, images):
         """Subtract the step (n/d) * x^n * g * p in place, for g of leading
@@ -1130,12 +1135,12 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     of the descent below it, widening while it cancels as Image.scan's
     windows do (_descend), is a zero image from its floor up to m r_N less
     two steps: -1 * x^n * f * p for a = x^n * p, then (n/d) * b * g.  Its
-    top term is s's leading term, by the theorem again, and goes to the
-    memo as a scan of s would write it, certified at s's own exact depth;
-    the table can be deeper, as it must be where m r_N is not an int on
-    s's own table.  On an exhausted finite spec the table is z itself, and
-    the tops are the leading exponents because z_N = z; an image that
-    vanishes there raises InsufficientPrecision, as a scan does.
+    top term is s's leading term, by the theorem again, which Remainder
+    reads off it; nothing goes to the memo.  The table can be deeper than
+    s's own, as it must be where m r_N is not an int on s's own table.  On
+    an exhausted finite spec the table is z itself, and the tops are the
+    leading exponents because z_N = z; an image that vanishes there raises
+    InsufficientPrecision at once, as a scan does.
     """
     pa, pb = (preimage_product(r.digits, ctx)[0] for r in (ra, rb))
     zp = _power_table(ctx, max(s.deg_y(), pa.deg_y(), f.deg_y(),
@@ -1156,9 +1161,7 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
         return image.num
 
     _descend(top, zp, band)
-    lead = image.lead()
-    ctx.cache.setdefault(("lead", s), LeadingData(
-        lead.le, lead.lc, _power_table(ctx, s.deg_y()).depth, lead.point))
+    image._top()  # raises here when the image vanishes
     return image
 
 
@@ -1168,7 +1171,9 @@ class Remainder:
     (n/d) * x^n * g * p, p = prod p_j^(d_j), is subtracted in place
     (_accumulate), and an exact image on a table z_N above a floor, from
     which the step's image is (Image.subtract).  A handed-in image of f
-    (syzygy_image) is carried from the first step, else scanned after it.
+    (syzygy_image) gives the first lead and is carried from the first step;
+    without one, f's lead comes from eval_leading and the image is scanned
+    after the first step.
 
     The polynomial is built (poly) for the remainder and for a rescan
     (Image.scan): when nothing survives above the floor, and when the
@@ -1190,13 +1195,14 @@ class Remainder:
         self._num, self._den, self._degy = dict(f._num), f._den, f.deg_y()
 
     def lead(self):
-        """The current LeadingData, or None at zero: f's from the memo,
-        every later one off the image's top term, the image evaluated
+        """The current LeadingData, or None at zero: f's from eval_leading
+        when no image was handed in, every other one off the image's top
+        term (certified at the image's depth), the image evaluated
         afresh first when it is gone or empty above its floor F.  An image
         emptied on a table of scale r_N was exact above F, so LE < F / r_N
         by eval_leading's theorem; the rescan's table, of scale r_N' for the
         true y-degree, tops at LE * r_N' < F * r_N' / r_N by it too."""
-        if self._fresh:
+        if self._fresh and self.image is None:
             f = self._poly
             return None if f.is_zero() else eval_leading(f, self.ctx)
         image = self.image

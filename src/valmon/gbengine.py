@@ -236,8 +236,8 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     images of a, f, b and g (bipoly.syzygy_image, which has the proof), and
     reduce carries it from its first step.  The basis images are kept once
     per run, in one dict that reduce reads and extends too.  A remainder
-    adjoined with no steps is s itself, so its basis image is seeded from
-    s's image.
+    adjoined with no steps is s itself, so its basis image and its memo
+    entry of leading data are seeded from s's image.
     """
     gens = list(gens)
     if not gens:
@@ -279,7 +279,7 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
             rem = trace.remainder
             if not rem.is_zero() and rem not in basis:
                 if not trace.steps:
-                    image.seed(rem, images)
+                    image.seed(rem, ctx, images)
                 basis.append(rem)
         if len(basis) == first_new:
             complete = True

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from shared_inputs import criterion_9_poly
 from valmon import gbengine
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
-                           preimage_of_rep)
-from valmon.errors import (IncompleteBasis, StepLimitExceeded, ZeroPolynomial)
+                           preimage_of_rep, truncation_min_poly)
+from valmon.errors import (IncompleteBasis, InsufficientPrecision,
+                           StepLimitExceeded, ZeroPolynomial)
 from valmon.gbengine import (approx_quotient, buchberger, is_member, reduce,
                              syzygy_family, syzygy_values)
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
@@ -424,3 +426,76 @@ def test_reduction_steps_cache_no_x_shifted_product():
     rep = MonoidRep(2, (1, 1))
     assert preimage_of_rep(rep, ctx) is preimage_of_rep(rep, ctx)
     assert ("preimage", (1, 1), 2) in ctx.cache
+
+
+def lead_keys(ctx):
+    return {key for key in ctx.cache if key[0] == "lead"}
+
+
+def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
+    # syzygy_image hands each S-polynomial's image to reduce, which reads
+    # the first lead off its top term, so no S-polynomial's leading data
+    # go to the memo unless it is adjoined with no steps: Image.seed then
+    # publishes them as a scan of it writes them
+    spolys = []
+    form = gbengine.syzygy_image
+
+    def spy(s, *args):
+        before = lead_keys(args[-2])
+        image = form(s, *args)
+        assert lead_keys(args[-2]) == before
+        spolys.append(s)
+        return image
+
+    monkeypatch.setattr(gbengine, "syzygy_image", spy)
+    ctx = MonoidContext(dyadic_spec(), 8)
+    res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
+    assert len(spolys) == 38
+    leads = {key[1] for key in lead_keys(ctx)}
+    ps = {truncation_min_poly(ctx, j) for j in range(2, 7)}
+    assert len(leads) == 13 and len(ctx.cache) == 954
+    assert leads == set(res.basis) | ps and not ps & set(res.basis)
+    assert all(s in res.basis for s in leads.intersection(spolys))
+    fresh = MonoidContext(dyadic_spec(), 8)
+    for b in res.basis:
+        assert ctx.cache[("lead", b)] == Image.scan(b, fresh).lead()
+
+
+def test_pair_contract_pass_memo_size():
+    # the pair-contracts benchmark pass: 8,000 criterion-9 pairs of total
+    # degree cycling through 4, 8 and 12 (seed 97) on one context
+    degrees = (4, 8, 4, 4, 12, 4, 8, 4, 4, 8)
+    rng = random.Random(97)
+    ctx = MonoidContext(dyadic_spec(), 8)
+    pairs = 0
+    while pairs < 8000:
+        deg = degrees[pairs % len(degrees)]
+        f, g = criterion_9_poly(rng, deg), criterion_9_poly(rng, deg)
+        if f.is_zero() or g.is_zero():
+            continue
+        pairs += 1
+        eval_leading(f, ctx)
+        eval_leading(g, ctx)
+        approx_quotient(f, g, ctx)
+        syzygy_family(f, g, ctx)
+        reduce(f, [g], ctx)
+    assert len(ctx.cache) == 11304
+
+
+def test_vanishing_s_polynomial_image_raises(monkeypatch):
+    # on the finite spec z = t^(1/2) the S-polynomial y^2 - x of x and y
+    # vanishes at z: its image raises before reduce reads a lead off it,
+    # and only the generators are ever scanned
+    scanned = []
+    scan = Image.scan.__func__
+
+    def spy(cls, f, ctx, **kwargs):
+        scanned.append(f)
+        return scan(cls, f, ctx, **kwargs)
+
+    monkeypatch.setattr(Image, "scan", classmethod(spy))
+    ctx = MonoidContext(SimpleSeriesSpec([(1, F(1, 2))]), 1)
+    with pytest.raises(InsufficientPrecision, match="^polynomial image "
+                       "vanishes on the exhausted finite series$"):
+        buchberger([parse("x"), parse("y")], ctx, 3)
+    assert scanned == [parse("x"), parse("y")]

@@ -13,10 +13,12 @@ representation and all.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
 
+from shared_inputs import criterion_9_poly
 from valmon import bipoly, gbengine
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
                            preimage_of_rep, preimage_product,
@@ -150,6 +152,57 @@ def test_packed_accumulation_matches_the_dict_loop(monkeypatch):
         assert_same(q * r, product)
     # at the default cutoff the first two cases pack, the others do not
     assert taken[::3] == [True] * 10 + [False] * 15
+
+
+def reference_step(p, n, d, shift, q, r):
+    """p + (n/d) * x^shift * q*r, term by term over Fractions."""
+    acc = p.coeffs
+    for (a1, b1), v1 in q.coeffs.items():
+        for (a2, b2), v2 in r.coeffs.items():
+            k = (a1 + a2 + shift, b1 + b2)
+            acc[k] = acc.get(k, 0) + F(n, d) * v1 * v2
+    return BivarPoly(acc)
+
+
+def test_packed_accumulation_with_a_general_step(monkeypatch):
+    """The packed branch with n != +-1, d != 1 and shift != 0 gives the
+    dict loop's result, and both give the Fraction reference, on the
+    packing box_poly cases and accumulators with their own denominators."""
+    packed = []
+    dense = bipoly._dense
+
+    def spy(*args):
+        packed.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(bipoly, "_dense", spy)
+    rng = random.Random(14)
+    box = (range(3, 9), range(2, 10))
+    cases = [
+        (box_poly(rng, 40, *box, 8), box_poly(rng, 30, *box, 8)),
+        (box_poly(rng, 40, *box, 200, (1, 3, 10**30)),
+         box_poly(rng, 30, *box, 200, (7, 2**90))),
+        (box_poly(rng, 32, *box, 8), box_poly(rng, 32, *box, 8)),
+    ]
+    checked = 0
+    for q, r in cases:
+        for dens in ((5, 7), (4, 9, 10**20)):
+            p = box_poly(rng, 20, range(4, 12), range(4, 14), 60, dens)
+            assert p._den > 1
+            for n, d, shift in product((-3, 2), (1, 6), (0, 3)):
+                got = []
+                # packed, then the dict loop
+                for cutoff in (0, 10**12):
+                    monkeypatch.setattr(bipoly, "_PACK_PAIRS", cutoff)
+                    del packed[:]
+                    acc = dict(p._num)
+                    den = bipoly._accumulate(acc, p._den, q, r, n, d, shift)
+                    assert bool(packed) == (cutoff == 0)
+                    got.append(BivarPoly._make(acc, den))
+                assert_same(got[0], got[1])
+                assert_same(got[0], reference_step(p, n, d, shift, q, r))
+                checked += 1
+    assert checked == 48
 
 
 def test_sub_and_neg_match_the_reference():
@@ -362,18 +415,6 @@ def test_image_lead_reads_the_int_lead(shallow):
             assert lead.point == lattice_point(lead.le, ctx)
             kinds.add(lead.point is None)
     assert kinds == {True, False}
-
-
-def criterion_9_poly(rng, max_total_deg=4):
-    """Criterion 9's generator (tests/test_acceptance.py)."""
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        a = rng.randint(0, max_total_deg)
-        b = rng.randint(0, max_total_deg - a)
-        c = rng.randint(-5, 5)
-        if c:
-            terms[(a, b)] = c
-    return BivarPoly(terms)
 
 
 def test_memo_holds_one_lead_per_polynomial(monkeypatch):

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from valmon.bipoly import BivarPoly, eval_leading
+from shared_inputs import criterion_9_poly
+from valmon.bipoly import eval_leading
 from valmon.exactnum import rat_str
 from valmon.gbengine import approx_quotient, reduce, syzygy_family
 from valmon.series import dyadic_spec
@@ -29,18 +30,6 @@ from valmon.valmonoid import MonoidContext
 DIGESTS = Path(__file__).resolve().parent / "pair_contract_digests.json"
 SEEDS = (97, 1009)
 PAIRS = 1000
-
-
-def _random_poly(rng, max_total_deg=4):
-    """Criterion 9's generator (tests/test_acceptance.py)."""
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        a = rng.randint(0, max_total_deg)
-        b = rng.randint(0, max_total_deg - a)
-        c = rng.randint(-5, 5)
-        if c:
-            terms[(a, b)] = c
-    return BivarPoly(terms)
 
 
 def _render(f, g, ctx):
@@ -69,7 +58,7 @@ def pair_digests(seed, pairs=PAIRS):
     rng = random.Random(seed)
     out = []
     while len(out) < pairs:
-        f, g = _random_poly(rng), _random_poly(rng)
+        f, g = criterion_9_poly(rng), criterion_9_poly(rng)
         if f.is_zero() or g.is_zero():
             continue
         text = _render(f, g, ctx)

@@ -18,28 +18,18 @@ from fractions import Fraction
 
 import pytest
 
+from shared_inputs import criterion_9_poly, harmonic_spec, mixed_spec
 from valmon import gbengine
 from valmon.bipoly import (BivarPoly, Image, _power_table, eval_leading,
                            min_poly_finite_puiseux, parse, preimage_of_rep,
                            preimage_product)
 from valmon.errors import InsufficientPrecision
 from valmon.gbengine import ReductionStep, ReductionTrace, buchberger, reduce
-from valmon.series import (CallbackTail, GeometricTail, SimpleSeriesSpec,
-                           dyadic_spec, truncate)
+from valmon.series import (GeometricTail, SimpleSeriesSpec, dyadic_spec,
+                           truncate)
 from valmon.valmonoid import MonoidContext, decompose
 
 F = Fraction
-
-
-def harmonic_spec():
-    return SimpleSeriesSpec([(1, F(1, 2))],
-                            CallbackTail(lambda i: (1, F(1, i + 2))))
-
-
-def mixed_spec():
-    # coefficient denominators 3 and 2: z_N is tabulated as (6*z_N)^b
-    return SimpleSeriesSpec([(F(2, 3), F(1, 2)), (F(1, 2), F(1, 4))],
-                            GeometricTail(2))
 
 
 def wide_gap_spec():
@@ -147,18 +137,6 @@ def test_direct_reductions_match_reference():
     check_against_reference(calls, "dyadic")
 
 
-def random_poly(rng, max_total_deg=4):
-    """The criterion-9 generator."""
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        a = rng.randint(0, max_total_deg)
-        b = rng.randint(0, max_total_deg - a)
-        c = rng.randint(-5, 5)
-        if c:
-            terms[(a, b)] = c
-    return BivarPoly(terms)
-
-
 @pytest.mark.parametrize("spec_name", list(SPECS))
 def test_criterion_9_pairs_match_reference(spec_name):
     # the 200 pairs of criterion 9 (seed 97), reduced as it does: f by [g]
@@ -167,7 +145,7 @@ def test_criterion_9_pairs_match_reference(spec_name):
     rng = random.Random(97)
     calls = []
     while len(calls) < 200:
-        f, g = random_poly(rng), random_poly(rng)
+        f, g = criterion_9_poly(rng), criterion_9_poly(rng)
         if f.is_zero() or g.is_zero():
             continue
         calls.append((f, [g], reduce(f, [g], ctx)))
@@ -255,7 +233,7 @@ def test_exhausted_finite_spec_matches_reference(monkeypatch):
     outcomes = []
     exhausted = reduce_scans = 0
     while len(outcomes) < 150:
-        f, g = random_poly(rng, 8), random_poly(rng, 5)
+        f, g = criterion_9_poly(rng, 8), criterion_9_poly(rng, 5)
         if f.is_zero() or g.is_zero():
             continue
         results = []

@@ -4,18 +4,13 @@ from math import gcd
 
 import pytest
 
+from shared_inputs import harmonic_spec
 from valmon.errors import IdentityViolation, InsufficientPrecision
 from valmon.seqderive import (CHECKED_IDENTITIES, DerivedSequences, derive,
                               self_check)
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
 
 F = Fraction
-
-
-def harmonic_spec():
-    """Exponents 1/2, 1/3, 1/4, ..."""
-    return SimpleSeriesSpec([(1, F(1, 2))],
-                            CallbackTail(lambda i: (1, F(1, i + 2))))
 
 
 def seven_exponent_spec():

@@ -8,20 +8,14 @@ shows up within a few trials.
 import sys
 import threading
 import time
-from fractions import Fraction
 
+from shared_inputs import harmonic_spec
 from valmon.bipoly import _power_table, eval_leading, parse, preimage_image
 from valmon.gbengine import buchberger, reduce
-from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
+from valmon.series import dyadic_spec
 from valmon.valmonoid import MonoidContext
 
-F = Fraction
 THREADS = 6
-
-
-def harmonic_spec():
-    return SimpleSeriesSpec([(1, F(1, 2))],
-                            CallbackTail(lambda i: (1, F(1, i + 2))))
 
 
 def run_threads(jobs, timeout=30):
@@ -89,8 +83,9 @@ def test_shared_context_reduce_across_threads():
 
 def test_shared_context_buchberger_across_threads():
     # every thread forms the images of the same S-polynomials from the
-    # same cached images of products of p_j, writes their leading data to
-    # the memo and keeps its own basis images for its run
+    # same cached images of products of p_j, publishes the leading data of
+    # the remainders it adjoins to the memo and keeps its own basis images
+    # for its run
     gens = [parse("x"), parse("y")]
     want = buchberger(gens, MonoidContext(dyadic_spec(), 8), 4)
     for _ in range(5):

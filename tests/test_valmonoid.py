@@ -5,8 +5,8 @@ from math import ceil
 
 import pytest
 
-from valmon.bipoly import (BivarPoly, eval_leading, parse, preimage,
-                           truncation_min_poly)
+from shared_inputs import criterion_9_poly
+from valmon.bipoly import eval_leading, parse, preimage, truncation_min_poly
 from valmon.errors import InsufficientPrecision, NotInMonoid
 from valmon.gbengine import syzygy_values
 from valmon.series import dyadic_spec
@@ -385,23 +385,11 @@ def reference_syzygy_values(f, g, ctx, minimal=False):
     return kept
 
 
-def _random_poly(rng, max_total_deg=4):
-    """The criterion-9 generator."""
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        a = rng.randint(0, max_total_deg)
-        b = rng.randint(0, max_total_deg - a)
-        c = rng.randint(-5, 5)
-        if c:
-            terms[(a, b)] = c
-    return BivarPoly(terms)
-
-
 def _criterion_9_pairs():
     rng = random.Random(97)
     pairs = []
     while len(pairs) < 200:
-        f, g = _random_poly(rng), _random_poly(rng)
+        f, g = criterion_9_poly(rng), criterion_9_poly(rng)
         if not (f.is_zero() or g.is_zero()):
             pairs.append((f, g))
     return pairs
