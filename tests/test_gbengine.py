@@ -440,10 +440,10 @@ def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
     spolys = []
     form = gbengine.syzygy_image
 
-    def spy(s, *args):
-        before = lead_keys(args[-2])
-        image = form(s, *args)
-        assert lead_keys(args[-2]) == before
+    def spy(s, value, ra, f, rb, g, factor, ctx, images):
+        before = lead_keys(ctx)
+        image = form(s, value, ra, f, rb, g, factor, ctx, images)
+        assert lead_keys(ctx) == before
         spolys.append(s)
         return image
 
