@@ -11,7 +11,8 @@ eval_leading).
 
 The p_j behind every preimage are norms of y - z_k, built as a tower of
 prime-degree norms (Abhyankar-Moh's approximate-root tower), each step
-with the p-th roots of unity of one prime p | R, never all of Q(zeta_R).
+with the p-th roots of unity of one prime p | R, never all of Q(zeta_R):
+for p = 2 a difference of two squares of ordinary polynomials.
 
 Polynomials are integer numerators over one common denominator, so
 arithmetic, evaluation and the norm tower all run on ints; Fractions appear
@@ -930,18 +931,24 @@ def min_poly_finite_puiseux(w):
     exponents: the norm of y - w from Q(t^(1/R)) down to Q(t), R = ram_index,
     which is the product of y - w_j over all R conjugates.
 
-    The norm is taken one prime factor p of R at a time.  Writing F(v, y)
-    with v = t^(1/m), one step replaces F by the product of its p conjugates
+    The norm is taken one prime factor p of R at a time, largest first, so
+    that the costliest steps act on the smallest F.  Writing F(v, y) with
+    v = t^(1/m), one step replaces F by the product of its p conjugates
     F(zeta_p^i v, y) and m by m/p; norms are transitive, so the steps compose
-    to the full norm.  The power of zeta_p is carried as a residue mod p, so
-    a step computes in the group ring Z[C_p], where multiplying by zeta_p is
-    a rotation.  Mapping back to Q(zeta_p), a coefficient (a_0, ..., a_{p-1})
-    is rational exactly when a_1 = ... = a_{p-1}, with value a_0 - a_1.
-    The norm is taken of den*y - den*w, den the lcm of the coefficient
-    denominators, so it runs on ints; it is den^R times the norm of y - w.
+    to the full norm.  The norm is taken of den*y - den*w, den the lcm of the
+    coefficient denominators, so it runs on ints; it is den^R times the norm
+    of y - w.
 
-    The zero series is allowed and yields y.  Coefficients are certified to
-    land in Q and exponents in Z; a failure is a bug, hence InternalError.
+    For p = 2, zeta_2 = -1 is rational.  Splitting F(v, y) by the parity of
+    its v-exponents into E(v^2, y) + v * O(v^2, y), the step is
+    F(v, y) F(-v, y) = E^2 - v^2 O^2, two products of ordinary polynomials
+    in v^2 (_square_norm_step).  That is an identity in Z[v^2, y], so its
+    result is rational with integral exponents by construction and needs no
+    certificate.  An odd p computes in the group ring Z[C_p] instead
+    (_cyclic_norm_step), where the certificates are checked.
+
+    The zero series is allowed and yields y.  A failed certificate or a
+    result of y-degree other than R is a bug, hence InternalError.
     """
     if not isinstance(w, FinitePuiseux):
         w = FinitePuiseux.from_series(w)
@@ -957,34 +964,65 @@ def min_poly_finite_puiseux(w):
             primes.append(p)
             n //= p
         p += 1
-    # largest primes first: their p - 1 products then act on the smallest F
-    m = R
     for p in reversed(primes):
-        prod = {(k, d, 0): c for (k, d), c in poly.items()}
-        for i in range(1, p):
-            conj = [(k, d, i * k % p, c) for (k, d), c in poly.items()]
-            nxt = {}
-            for (k1, d1, g1), c1 in prod.items():
-                for k2, d2, g2, c2 in conj:
-                    key = (k1 + k2, d1 + d2, (g1 + g2) % p)
-                    nxt[key] = nxt.get(key, 0) + c1 * c2
-            prod = {key: c for key, c in nxt.items() if c}
-        coords = {}
-        for (k, d, g), c in prod.items():
-            coords.setdefault((k, d), [0] * p)[g] = c
-        poly = {}
-        for (k, d), a in coords.items():
-            if any(x != a[1] for x in a[2:]):
-                raise InternalError("norm coefficient not rational")
-            if a[0] != a[1]:
-                if k % p:
-                    raise InternalError(
-                        f"norm left exponent {k}/{m} non-integral")
-                poly[(k // p, d)] = a[0] - a[1]
-        m //= p
+        poly = (_square_norm_step(poly) if p == 2
+                else _cyclic_norm_step(poly, p))
     out = BivarPoly._make(poly, den ** R)
     if out.deg_y() != R:
         raise InternalError("norm degree mismatch")
+    return out
+
+
+def _square_norm_step(poly):
+    """F(v, y) F(-v, y) = E^2 - v^2 O^2 for F = E(v^2, y) + v * O(v^2, y),
+    F given as {(v-exponent, y-degree): int} and the result in the same
+    form over v^2.  E and O are BivarPolys in (v^2, y) over the denominator
+    1, and both squares accumulate into one dict (_accumulate), the second
+    shifted by one power of v^2, so a large dense square is one packed
+    multiply."""
+    even, odd = {}, {}
+    for (k, d), c in poly.items():
+        (odd if k & 1 else even)[k >> 1, d] = c
+    e, o = BivarPoly._make(even, 1), BivarPoly._make(odd, 1)
+    acc = {}
+    _accumulate(acc, 1, e, e, 1)
+    _accumulate(acc, 1, o, o, -1, 1, 1)
+    return {k: c for k, c in acc.items() if c}
+
+
+def _cyclic_norm_step(poly, p):
+    """prod F(zeta_p^i v, y) over 0 <= i < p for F given as
+    {(v-exponent, y-degree): int}, the result in the same form over v^p.
+
+    The power of zeta_p is carried as a residue mod p, so the product is
+    taken term by term in the group ring Z[C_p], where multiplying by
+    zeta_p is a rotation.  Mapping back to Q(zeta_p), a coefficient
+    (a_0, ..., a_{p-1}) is rational exactly when a_1 = ... = a_{p-1}, with
+    value a_0 - a_1, and a nonzero one must sit at a v-exponent divisible
+    by p; either certificate failing raises InternalError.  Any prime p is
+    accepted, 2 included, where it is the reference for
+    _square_norm_step."""
+    prod = {(k, d, 0): c for (k, d), c in poly.items()}
+    for i in range(1, p):
+        conj = [(k, d, i * k % p, c) for (k, d), c in poly.items()]
+        nxt = {}
+        for (k1, d1, g1), c1 in prod.items():
+            for k2, d2, g2, c2 in conj:
+                key = (k1 + k2, d1 + d2, (g1 + g2) % p)
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        prod = {key: c for key, c in nxt.items() if c}
+    coords = {}
+    for (k, d, g), c in prod.items():
+        coords.setdefault((k, d), [0] * p)[g] = c
+    out = {}
+    for (k, d), a in coords.items():
+        if any(x != a[1] for x in a[2:]):
+            raise InternalError("norm coefficient not rational")
+        if a[0] != a[1]:
+            if k % p:
+                raise InternalError(
+                    f"norm left v-exponent {k} off the multiples of {p}")
+            out[(k // p, d)] = a[0] - a[1]
     return out
 
 
@@ -1010,7 +1048,10 @@ def truncation_min_poly(ctx, j):
 def preimage_product(digits, ctx):
     """(p, LC_z(p)) for p = prod p_j^(d_j), one record per digit vector,
     cached per context under ("preimage", digits): p multiplied out once and
-    LC_z(p) = prod LC_z(p_j)^(d_j), LC_z being multiplicative."""
+    LC_z(p) = prod LC_z(p_j)^(d_j), LC_z being multiplicative.  LC_z(p_j) is
+    the top entry of p_j's image on its own exact table (preimage_image of
+    its one-hot digit vector, from its top up), which is the entry a scan
+    of p_j would read, so p_j itself is never scanned."""
     key = ("preimage", digits)
     hit = ctx.cache.get(key)
     if hit is None:
@@ -1019,7 +1060,12 @@ def preimage_product(digits, ctx):
             if d:
                 p_j = truncation_min_poly(ctx, j)
                 poly = poly * p_j ** d
-                lc *= eval_leading(p_j, ctx).lc ** d
+                zp = _power_table(ctx, p_j.deg_y())
+                rho = ctx.seqs.rho(j)
+                _, num, den = preimage_image(
+                    (0,) * (j - 1) + (1,), zp, ctx,
+                    rho.numerator * zp.scale // rho.denominator)
+                lc *= Fraction(num[-1], den) ** d
         hit = ctx.cache[key] = (poly, lc)
     return hit
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclotomic import as_rational, conjugate
+from valmon import bipoly
 from valmon.bipoly import (_DIGITS_CAP, BivarPoly, _exact_truncation,
                            _product_band, _truncated_product, _ZPow,
                            eval_leading, min_poly_finite_puiseux, parse,
@@ -468,6 +469,8 @@ def _conjugate_product(w):
     [(F(4, 3), F(2, 3)), (F(1, 9), -5)],                  # R = 9 = 3 * 3
     [(F(1, 2), F(2, 3)), (F(2, 5), -5), (F(1, 10), 1)],   # R = 10 = 2 * 5
     [(F(3, 2), -5), (F(2, 3), F(2, 3)), (F(1, 4), 1)],    # R = 12 = 2 * 2 * 3
+    [(F(3, 2), F(2, 3)), (F(3, 4), -5), (F(1, 8), F(3, 2))],          # R = 8
+    [(F(5, 4), F(2, 3)), (F(3, 8), -5), (F(1, 16), F(3, 2))],         # R = 16
 ])
 def test_min_poly_matches_conjugate_product(terms):
     w = FinitePuiseux(terms)
@@ -475,6 +478,41 @@ def test_min_poly_matches_conjugate_product(terms):
     assert p == _conjugate_product(w)
     assert p.deg_y() == w.ram_index
     assert p.coeffs[(0, w.ram_index)] == 1
+
+
+def test_square_norm_step_matches_cyclic_step(monkeypatch):
+    # every p = 2 step of the tower, E^2 - v^2 O^2, against the Z[C_2]
+    # product of F(v) and F(-v) on the same input: the dyadic truncations
+    # up to R = 64, whose squares are packed from R = 32 on, and R = 20 and
+    # R = 36, where p = 2 steps follow the odd steps on their output
+    square, cyclic = bipoly._square_norm_step, bipoly._cyclic_norm_step
+    primes = []
+
+    def checked_square(poly):
+        out = square(poly)
+        assert out == cyclic(poly, 2)
+        primes.append(2)
+        return out
+
+    def recorded_cyclic(poly, p):
+        primes.append(p)
+        return cyclic(poly, p)
+
+    monkeypatch.setattr(bipoly, "_square_norm_step", checked_square)
+    monkeypatch.setattr(bipoly, "_cyclic_norm_step", recorded_cyclic)
+    cases = [FinitePuiseux.from_series(truncate(dyadic_spec(), k))
+             for k in range(1, 7)]
+    cases += [FinitePuiseux([(F(1, 2), F(2, 3)), (F(3, 10), -5),
+                             (F(1, 20), F(3, 2))]),
+              FinitePuiseux([(F(2, 3), F(2, 3)), (F(1, 4), -5),
+                             (F(1, 36), F(3, 2))])]
+    towers = []
+    for w in cases:
+        del primes[:]
+        assert min_poly_finite_puiseux(w).deg_y() == w.ram_index
+        towers.append((w.ram_index, tuple(primes)))
+    assert towers == [(2 ** k, (2,) * k) for k in range(1, 7)] + [
+        (20, (5, 2, 2)), (36, (3, 3, 2, 2))]
 
 
 def test_dyadic_p7(ctx):

@@ -9,7 +9,7 @@ import pytest
 from shared_inputs import criterion_9_poly
 from valmon import gbengine
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
-                           preimage_of_rep, truncation_min_poly)
+                           preimage_of_rep)
 from valmon.errors import (IncompleteBasis, InsufficientPrecision,
                            StepLimitExceeded, ZeroPolynomial)
 from valmon.gbengine import (approx_quotient, buchberger, is_member, reduce,
@@ -308,8 +308,9 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     # buchberger forms each S-polynomial's image from the images of its
     # factors and reduce carries it from the first step, so no
     # S-polynomial is scanned for its own reduction at all.  What
-    # is left: 7 scans for the leading data of the generators and of
-    # remainders, and 103 rescans of intermediates inside reduce, where
+    # is left: 2 scans for the leading data of the generators, x and y
+    # (no p_j is scanned: preimage_product reads LC(p_j) off p_j's
+    # image), and 103 rescans of intermediates inside reduce, where
     # nothing survives above the floor or the y-degree outgrows the table.
     # An intermediate may happen to equal another S-polynomial.  The last
     # element, of y-degree 64, is adjoined with no steps, so its basis
@@ -351,7 +352,7 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     ctx = MonoidContext(dyadic_spec(), 8)
     res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
     assert res.iterations == 6 and len(spolys) > 30
-    assert (outside, inside, calls) == (7, 103, 38)
+    assert (outside, inside, calls) == (2, 103, 38)
     assert res.basis[-1].deg_y() == 64
     assert len(ctx.cache[("zpow", 7)].pows) == 33
 
@@ -452,9 +453,8 @@ def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
     res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
     assert len(spolys) == 38
     leads = {key[1] for key in lead_keys(ctx)}
-    ps = {truncation_min_poly(ctx, j) for j in range(2, 7)}
-    assert len(leads) == 13 and len(ctx.cache) == 954
-    assert leads == set(res.basis) | ps and not ps & set(res.basis)
+    assert len(leads) == 8 and len(ctx.cache) == 949
+    assert leads == set(res.basis)
     assert all(s in res.basis for s in leads.intersection(spolys))
     fresh = MonoidContext(dyadic_spec(), 8)
     for b in res.basis:
@@ -479,7 +479,7 @@ def test_pair_contract_pass_memo_size():
         approx_quotient(f, g, ctx)
         syzygy_family(f, g, ctx)
         reduce(f, [g], ctx)
-    assert len(ctx.cache) == 11304
+    assert len(ctx.cache) == 11300
 
 
 def test_vanishing_s_polynomial_image_raises(monkeypatch):

@@ -257,8 +257,10 @@ def test_exhausted_finite_spec_matches_reference(monkeypatch):
     # y-degree of 4 or more, 1,514 scans, while it took r_N for the test);
     # a rescan descends from the old floor, so its windows, and the floor
     # it finds, align to that floor rather than to the monomial top (824
-    # scans when it descended from the monomial top)
-    assert reduce_scans == 827
+    # scans when it descended from the monomial top).  Those counts include
+    # a scan of each p_j per fresh context for LC(p_j); read off p_j's
+    # image instead (preimage_product), 827 scans became 620
+    assert reduce_scans == 620
 
 
 def test_floor_zero_rescan_raises_as_a_full_scan():
