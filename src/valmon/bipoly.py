@@ -44,13 +44,12 @@ from struct import iter_unpack
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
-from .exactnum import rat_str
+from .exactnum import _DIGITS_CAP, rat_str
 from .seqderive import _pull_terms
 from .series import FinitePuiseux, _exact, truncate
 from .valmonoid import MonoidRep, decompose
 
 _EXPONENT_CAP = 10 ** 4
-_DIGITS_CAP = 4300  # int()'s default limit on a decimal string
 _NESTING_CAP = 100  # checked at each "(", so parsing recursion is bounded
 # caps on the dense size (deg_x + 1) * (deg_y + 1) and on the coefficient
 # bit length of any parsed product or power, checked before it is computed
@@ -195,13 +194,10 @@ class BivarPoly:
     def __mul__(self, other):
         return _ZERO._add_product(1, self, other)
 
-    def _minus_product(self, q, r):
-        """self - q*r, without building and reducing q*r on its own."""
-        return self._add_product(-1, q, r)
-
     def _add_product(self, sign, q, r):
-        """self + sign*q*r for sign = +-1: the arithmetic entry point behind
-        +, -, * and _minus_product.  The terms of q*r are accumulated into a
+        """self + sign*q*r for sign = +-1, without building and reducing q*r
+        on its own: the arithmetic entry point behind +, -, * and the
+        S-polynomials a*f - b*g.  The terms of q*r are accumulated into a
         copy of self's numerators (_accumulate), and the result is
         normalised once, in _make."""
         acc = dict(self._num)
@@ -817,14 +813,6 @@ class Image:
         return (self.floor, tuple([v * den // self.den for v in self.num]),
                 den)
 
-    def seed(self, f, ctx, images):
-        """Publish this image of f in images as its entry, under (f, N), and
-        its leading data in the memo as a scan of f writes them, certified
-        at f's own exact depth."""
-        images[(f, self.zp.depth)] = self.entry(f)
-        ctx.cache.setdefault(("lead", f), replace(
-            self.lead(), certified_at=_power_table(ctx, f.deg_y()).depth))
-
     def subtract(self, g, le, rep, factor, ctx, images):
         """Subtract the step (n/d) * x^n * g * p in place, for g of leading
         exponent le, p = prod p_j^(d_j), rep = n + sum d_j rho_j and
@@ -1216,10 +1204,12 @@ class Remainder:
     numerators over a running denominator, from which each step
     (n/d) * x^n * g * p, p = prod p_j^(d_j), is subtracted in place
     (_accumulate), and an exact image on a table z_N above a floor, from
-    which the step's image is (Image.subtract).  A handed-in image of f
-    (syzygy_image) gives the first lead and is carried from the first step;
-    without one, f's lead comes from eval_leading and the image is scanned
-    after the first step.
+    which the step's image is (Image.subtract).  For an S-polynomial f,
+    handed in as its representations syzygy = (value, ra, f', rb, g',
+    factor), the Remainder forms f's image (syzygy_image), reads the first
+    lead off it, carries it from the first step and publishes the
+    remainder it ends with (remainder).  For any other f, the first lead
+    comes from eval_leading and the image is scanned after the first step.
 
     The polynomial is built (poly) for the remainder and for a rescan
     (Image.scan): when nothing survives above the floor, and when the
@@ -1231,18 +1221,20 @@ class Remainder:
     deeper table too.
     """
 
-    __slots__ = ("ctx", "images", "image", "_poly", "_fresh", "_num",
-                 "_den", "_degy")
+    __slots__ = ("ctx", "images", "image", "_spoly", "_poly", "_fresh",
+                 "_num", "_den", "_degy")
 
-    def __init__(self, f, ctx, image, images):
-        self.ctx, self.image = ctx, image
+    def __init__(self, f, ctx, syzygy, images):
+        self.ctx, self._spoly = ctx, syzygy is not None
         self.images = {} if images is None else images
+        self.image = None if syzygy is None else syzygy_image(
+            f, *syzygy, ctx, self.images)
         self._poly, self._fresh = f, True
         self._num, self._den, self._degy = dict(f._num), f._den, f.deg_y()
 
     def lead(self):
         """The current LeadingData, or None at zero: f's from eval_leading
-        when no image was handed in, every other one off the image's top
+        unless f is an S-polynomial, every other one off the image's top
         term (certified at the image's depth), the image evaluated
         afresh first when it is gone or empty above its floor F.  An image
         emptied on a table of scale r_N was exact above F, so LE < F / r_N
@@ -1285,6 +1277,37 @@ class Remainder:
         if self._poly is None:
             self._poly = BivarPoly._make(self._num, self._den)
         return self._poly
+
+    def remainder(self):
+        """The remainder as a BivarPoly, once reduce has read its last
+        lead.  A nonzero remainder of an S-polynomial, with or without
+        steps, is published from the image that lead was read off: the
+        image's entry (Image.entry) in images under (remainder, N), and its
+        leading data in the memo under ("lead", remainder), certified at
+        the remainder's own exact depth, as a scan of it writes them
+        (setdefault keeps a record already there, which is the same).
+
+        Proof that both are the remainder's.  reduce stops at zero or at a
+        lead that no basis value divides, and lead read that lead off this
+        image's top term.  The image holds the remainder's evaluation at
+        z_N exactly from its floor up: syzygy_image forms it so, a rescan
+        (Image.scan) scans it so, and subtract carries it only while r_N is
+        above the y-degree bound, so that Image.subtract keeps it exact,
+        and drops it for a rescan otherwise.  So r_N > deg_y of the
+        remainder, or z_N = z on an exhausted finite spec, and by
+        eval_leading's theorem the top term is its leading term at z; the
+        lattice point e * R / r_N does not depend on the table.  The remainder is not a basis element: a basis element's
+        value divides itself, decompose_point(0) being the empty
+        representation, so reduce would have taken one more step.  images
+        keys basis elements only, so the entry is new, and no published
+        entry changes."""
+        rem, image = self.poly(), self.image
+        if self._spoly and not rem.is_zero():
+            self.images[(rem, image.zp.depth)] = image.entry(rem)
+            self.ctx.cache.setdefault(("lead", rem), replace(
+                image.lead(),
+                certified_at=_power_table(self.ctx, rem.deg_y()).depth))
+        return rem
 
 
 def preimage(m, ctx):

@@ -41,11 +41,13 @@ def load_spec(name_or_path):
     if name_or_path in BUILTIN_SPECS:
         return BUILTIN_SPECS[name_or_path]()
     try:
-        with open(name_or_path) as fh:
+        with open(name_or_path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidSpec(f"cannot read spec {name_or_path!r}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError (a file that is
+    # not UTF-8) and an int past int()'s digit limit
+    except (RecursionError, ValueError) as exc:
         raise PolyParseError(f"spec JSON malformed: {exc}", 0)
     return SimpleSeriesSpec.from_json(data)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bipoly import (BivarPoly, Remainder, eval_leading, preimage_of_rep,
-                     preimage_product, syzygy_image)
+                     preimage_product)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
 from .valmonoid import (apery_set, decompose, decompose_point, lattice_point,
@@ -114,7 +114,7 @@ def approx_quotient(f, g, ctx):
     return p._scaled(*factor, rep.n)
 
 
-def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
+def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _syzygy=None,
            _images=None):
     """Reduce f over the basis, always taking the lowest-index divisor.
 
@@ -124,15 +124,18 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
 
     No intermediate is built as a polynomial at each step, and no step's
     quotient until it is read (ReductionStep): a bipoly.Remainder carries
-    the current one with its image and gives each lead.  _image, f's image
-    as syzygy_image gives it, and _images, the basis images keyed by
-    (polynomial, N), kept for a whole run, are buchberger's and not part of
-    the public interface.
+    the current one with its image, and gives each lead and the
+    remainder.  _syzygy, for an S-polynomial f = a*f' - (n/d)*b*g' its
+    representations (value, ra, f', rb, g', factor), from which the
+    Remainder forms f's image and with which it publishes a nonzero
+    remainder, and _images, the basis images keyed by (polynomial, N),
+    kept for a whole run, are buchberger's and not part of the public
+    interface.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
-    cur = Remainder(f, ctx, _image, _images)
+    cur = Remainder(f, ctx, _syzygy, _images)
     steps = []
     while (lead := cur.lead()) is not None:
         if steps and lead.le >= steps[-1].value_before:
@@ -149,7 +152,7 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _image=None,
         if len(steps) > step_limit:
             raise StepLimitExceeded(f"reduction exceeded {step_limit} steps")
         cur.subtract(basis[idx], lg, p, rep, factor)
-    return ReductionTrace(tuple(steps), cur.poly())
+    return ReductionTrace(tuple(steps), cur.remainder())
 
 
 def syzygy_values(f, g, ctx, minimal=False):
@@ -199,12 +202,13 @@ def _syzygy_reps(value, lead_f, lead_g, ctx):
 
 def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
     """The element of the pair at value (_syzygy_reps), with the
-    S-polynomial a*f - b*g formed by the fused _minus_product.  Elements
-    share a, a memoised preimage_of_rep; b is scaled in one copy."""
+    S-polynomial a*f - b*g formed by one fused accumulation
+    (_add_product).  Elements share a, a memoised preimage_of_rep; b is
+    scaled in one copy."""
     ra, rb, factor = _syzygy_reps(value, lead_f, lead_g, ctx)
     a = preimage_of_rep(ra, ctx)
     b = preimage_product(rb.digits, ctx)[0]._scaled(*factor, rb.n)
-    return SyzygyElement(value, a, b, (a * f)._minus_product(b, g))
+    return SyzygyElement(value, a, b, (a * f)._add_product(-1, b, g))
 
 
 def syzygy_family(f, g, ctx, minimal=False):
@@ -232,12 +236,15 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     adjoined earlier in a round serve as divisors for the elements reduced
     after them (pending elements are taken in ascending value order).
 
-    No S-polynomial s = a*f - b*g is scanned: its image is formed from the
-    images of a, f, b and g (bipoly.syzygy_image, which has the proof), and
-    reduce carries it from its first step.  The basis images are kept once
-    per run, in one dict that reduce reads and extends too.  A remainder
-    adjoined with no steps is s itself, so its basis image and its memo
-    entry of leading data are seeded from s's image.
+    No S-polynomial s = a*f - b*g is scanned: reduce gets its
+    representations, from which its Remainder forms its image out of the
+    images of a, f, b and g (bipoly.syzygy_image, which has the proof) and
+    carries it from the first step.  The basis images are kept once per
+    run, in one dict that reduce reads and extends too.  A nonzero
+    remainder is never in the basis yet (bipoly.Remainder.remainder), and
+    is adjoined with its basis image and its memo entry of leading data
+    already published by its Remainder, so every later eval_leading of a
+    basis element is a memo hit.
     """
     gens = list(gens)
     if not gens:
@@ -272,14 +279,9 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
             # decompositions
             ra, rb, factor = _syzygy_reps(
                 elt.value, eval_leading(f, ctx), eval_leading(g, ctx), ctx)
-            image = syzygy_image(s, elt.value, ra, f, rb, g, factor, ctx,
-                                 images)
-            trace = reduce(s, basis, ctx, step_limit, _image=image,
-                           _images=images)
-            rem = trace.remainder
-            if not rem.is_zero() and rem not in basis:
-                if not trace.steps:
-                    image.seed(rem, ctx, images)
+            rem = reduce(s, basis, ctx, step_limit, _images=images,
+                         _syzygy=(elt.value, ra, f, rb, g, factor)).remainder
+            if not rem.is_zero():
                 basis.append(rem)
         if len(basis) == first_new:
             complete = True

@@ -256,7 +256,7 @@ class SimpleSeriesSpec:
             if kind == "none":
                 tail = TailRule()
             elif kind == "geometric":
-                base = Fraction(tail_data["base"])
+                base = rat(tail_data["base"])
                 if base.denominator != 1:
                     raise ValueError(
                         f"geometric tail base {tail_data['base']!r} is not "

@@ -137,12 +137,14 @@ def test_nesting_past_the_cap_is_a_parse_error(capsys, opener):
     assert err.rstrip().endswith(f"(at position {at})")
 
 
-def test_hostile_input_never_escapes_main(capsys):
+def test_hostile_input_never_escapes_main(capsys, tmp_path):
     """Hostile polynomial text, each at a seeded size, through every
     command that parses it: each call returns its documented exit code.
     A number past int()'s 4,300-digit limit and a non-decimal digit such
     as a superscript are parse errors; the power table's field cap on
-    y^10000 is a usage error."""
+    y^10000 is a usage error.  So are a rational past that limit and a
+    spec whose numbers are not exact, while a spec file that is not JSON,
+    not UTF-8 or holds an int past that limit is a parse error."""
     rng = random.Random(20)
     depth = rng.randrange(101, 10_001)
     parse_error, usage, ok = cli.EXIT_PARSE, cli.EXIT_USAGE, cli.EXIT_OK
@@ -163,6 +165,28 @@ def test_hostile_input_never_escapes_main(capsys):
                      ["gb", "--", "x," + text]):
             code, _, _ = run(capsys, *argv)
             assert code == expected, (argv[0], text[:20])
+    nines = "9" * 5_000
+    for argv in (["member", f"1/{nines}"], ["decompose", f"{nines}/2"],
+                 ["preimage", nines]):
+        code, out, err = run(capsys, *argv)
+        assert code == usage and out == "", argv[0]
+        assert "more than 4300 digits" in err and "sys." not in err
+    spec = '{"prefix": [{"c": %s, "e": "1/2"}], "tail": %s}'
+    none, geometric = '{"kind": "none"}', '{"kind": "geometric", "base": %s}'
+    spec_files = [
+        ((spec % (nines, none)).encode(), parse_error),
+        (b"\xff" + (spec % ("1", none)).encode(), parse_error),
+        ((spec % (f'"1/{nines}"', none)).encode(), usage),
+        ((spec % ("1", geometric % "2.0")).encode(), usage),
+        ((spec % ("1", geometric % '"1e1"')).encode(), usage),
+        ((spec % ("1", geometric % '"2"')).encode(), ok),
+    ]
+    path = tmp_path / "spec.json"
+    for data, expected in spec_files:
+        path.write_bytes(data)
+        code, _, _ = run(capsys, "--spec", str(path), "sequences",
+                         "--depth", "2")
+        assert code == expected, data[-40:]
 
 
 def test_precision_error_exit_code(capsys):

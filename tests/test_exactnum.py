@@ -23,6 +23,16 @@ def test_rat_zero_denominator_is_a_value_error(text):
         rat(text)
 
 
+def test_rat_digit_cap_holds_for_p_and_q_apart():
+    # int() reads at most 4,300 decimal digits; rat refuses more in p or
+    # in q with its own message, and counts digits only, not sign or space
+    cap = "9" * 4300
+    assert rat(f" -{cap}/{cap} ") == Fraction(-1)
+    for text in (cap + "9", f"1/{cap}9", f"{cap}9/1"):
+        with pytest.raises(ValueError, match="^more than 4300 digits"):
+            rat(text)
+
+
 def test_rat_str():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from shared_inputs import criterion_9_poly
-from valmon import gbengine
+from valmon import bipoly, gbengine
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
                            preimage_of_rep)
 from valmon.errors import (IncompleteBasis, InsufficientPrecision,
@@ -436,10 +436,10 @@ def lead_keys(ctx):
 def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
     # syzygy_image hands each S-polynomial's image to reduce, which reads
     # the first lead off its top term, so no S-polynomial's leading data
-    # go to the memo unless it is adjoined with no steps: Image.seed then
-    # publishes them as a scan of it writes them
+    # go to the memo unless it is adjoined: its Remainder then publishes
+    # them as a scan of it writes them
     spolys = []
-    form = gbengine.syzygy_image
+    form = bipoly.syzygy_image
 
     def spy(s, value, ra, f, rb, g, factor, ctx, images):
         before = lead_keys(ctx)
@@ -448,7 +448,7 @@ def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
         spolys.append(s)
         return image
 
-    monkeypatch.setattr(gbengine, "syzygy_image", spy)
+    monkeypatch.setattr(bipoly, "syzygy_image", spy)
     ctx = MonoidContext(dyadic_spec(), 8)
     res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
     assert len(spolys) == 38
@@ -456,6 +456,32 @@ def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
     assert len(leads) == 8 and len(ctx.cache) == 949
     assert leads == set(res.basis)
     assert all(s in res.basis for s in leads.intersection(spolys))
+    fresh = MonoidContext(dyadic_spec(), 8)
+    for b in res.basis:
+        assert ctx.cache[("lead", b)] == Image.scan(b, fresh).lead()
+
+
+@pytest.mark.parametrize("gens,rounds", [(("y + x^3", "3*x*y"), 3),
+                                         (("x^2", "y^3"), 5),
+                                         (("y^2 - x - x*y", "x^2"), 5)])
+def test_adjoined_remainders_are_memo_hits(monkeypatch, gens, rounds):
+    # every nonzero S-polynomial remainder, with or without steps, has its
+    # leading data published by its Remainder before it is adjoined, so no
+    # later eval_leading of it misses the memo and scans it again
+    calls = []
+    lead = gbengine.eval_leading
+
+    def spy(f, ctx):
+        calls.append((f, ("lead", f) in ctx.cache))
+        return lead(f, ctx)
+
+    monkeypatch.setattr(gbengine, "eval_leading", spy)
+    ctx = MonoidContext(dyadic_spec(), 8)
+    gens = [parse(g) for g in gens]
+    res = buchberger(gens, ctx, max_rounds=rounds)
+    adjoined = set(res.basis[len(gens):])
+    hits = [hit for f, hit in calls if f in adjoined]
+    assert hits and all(hits)
     fresh = MonoidContext(dyadic_spec(), 8)
     for b in res.basis:
         assert ctx.cache[("lead", b)] == Image.scan(b, fresh).lead()

@@ -1,6 +1,6 @@
 """Integer step arithmetic against the Fraction arithmetic it replaced.
 
-BivarPoly forms p - q*r with one fused accumulation (_minus_product),
+BivarPoly forms p - q*r with one fused accumulation (_add_product),
 subtracts without negating first, and scales by an int or a Fraction's
 numerator and denominator directly.  Its kernel multiplies large dense
 products packed into big ints and the rest term by term; both must give
@@ -78,7 +78,7 @@ def test_fused_minus_product_matches_the_operators():
             # p = q*r + small: the product cancels p, or all but a tail
             p = reference_add(q * r, random_poly(rng, terms=1)
                               if rng.random() < 0.5 else BivarPoly.zero())
-        got = p._minus_product(q, r)
+        got = p._add_product(-1, q, r)
         assert_same(got, reference_sub(p, q * r))
         assert_same(got, p - q * r)
         cancelled += got.is_zero() and not p.is_zero()
@@ -148,7 +148,7 @@ def test_packed_accumulation_matches_the_dict_loop(monkeypatch):
                 assert bool(packed) == (pairs > cutoff and small_box)
                 taken.append(bool(packed))
         monkeypatch.setattr(bipoly, "_PACK_PAIRS", default)
-        assert_same(product._minus_product(q, r), BivarPoly.zero())
+        assert_same(product._add_product(-1, q, r), BivarPoly.zero())
         assert_same(q * r, product)
     # at the default cutoff the first two cases pack, the others do not
     assert taken[::3] == [True] * 10 + [False] * 15

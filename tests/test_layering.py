@@ -4,7 +4,10 @@ boundary: gbengine imports no private name from bipoly, and touches no
 context memo, which bipoly and valmonoid own."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from valmon import gbengine
 
 GBENGINE = Path(__file__).resolve().parent.parent / "src/valmon/gbengine.py"
 
@@ -23,3 +26,19 @@ def test_gbengine_touches_no_context_memo():
     tree = ast.parse(GBENGINE.read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "cache"] == []
+
+
+def test_gbengine_hands_s_polynomials_to_the_remainder():
+    # reduce hands an S-polynomial's representations to bipoly.Remainder,
+    # which forms its image and publishes its remainder's: gbengine forms,
+    # passes and publishes no image
+    tree = ast.parse(GBENGINE.read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"syzygy_image", "Image"}
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "seed"] == []
+    params = inspect.signature(gbengine.reduce).parameters
+    assert "_image" not in params and "_syzygy" in params

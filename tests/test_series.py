@@ -143,6 +143,34 @@ def test_spec_json_round_trip():
     assert truncate(finite, 1) == S((1, 2))
 
 
+@pytest.mark.parametrize("base", [2.0, "1e1", "2.0", 2.5, None])
+def test_geometric_base_is_read_exactly(base):
+    # the base is a spec number, read by rat like the prefix: a float is
+    # refused, never read as the integer it equals, and so is "1e1"
+    data = {"prefix": [{"c": "1", "e": "1/2"}],
+            "tail": {"kind": "geometric", "base": base}}
+    with pytest.raises(InvalidSpec, match="^malformed spec JSON"):
+        SimpleSeriesSpec.from_json(data)
+
+
+@pytest.mark.parametrize("base,want", [(2, 2), ("2", 2), (" 3 ", 3),
+                                       ("4/2", 2)])
+def test_geometric_base_accepts_exact_integers(base, want):
+    spec = SimpleSeriesSpec.from_json(
+        {"prefix": [{"c": "1", "e": "1/2"}],
+         "tail": {"kind": "geometric", "base": base}})
+    assert spec.tail.base == want
+    assert spec.to_json()["tail"] == {"kind": "geometric", "base": want}
+    assert SimpleSeriesSpec.from_json(spec.to_json()).to_json() == \
+        spec.to_json()
+
+
+def test_spec_number_past_the_digit_cap_is_invalid():
+    data = {"prefix": [{"c": "1/" + "9" * 5_000, "e": "1/2"}]}
+    with pytest.raises(InvalidSpec, match="more than 4300 digits"):
+        SimpleSeriesSpec.from_json(data)
+
+
 def test_conjugate_half():
     w = FinitePuiseux([(F(1, 2), 1)])
     assert conjugate(w, 1) == S(("1/2", -1))
