@@ -1,7 +1,8 @@
 """gbengine works on polynomials, leading data and monoid representations;
 the images behind the leading data belong to bipoly.  This pins the
-boundary: gbengine imports no private name from bipoly, and touches no
-context memo, which bipoly and valmonoid own."""
+boundary: gbengine imports no private name from bipoly, touches no
+context memo, which bipoly and valmonoid own, and forms, hands on or
+publishes no image."""
 
 import ast
 import inspect
