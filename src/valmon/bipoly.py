@@ -813,7 +813,7 @@ class Image:
         return (self.floor, tuple([v * den // self.den for v in self.num]),
                 den)
 
-    def subtract(self, g, le, rep, factor, ctx, images):
+    def subtract(self, g, le, rep, factor, ctx):
         """Subtract the step (n/d) * x^n * g * p in place, for g of leading
         exponent le, p = prod p_j^(d_j), rep = n + sum d_j rho_j and
         factor = (n, d).  By eval_leading's theorem while r_N > deg_y (or as
@@ -821,17 +821,15 @@ class Image:
         product, whose tops add up, at or below this image's top.  So its
         terms at or above the floor use no term of either factor below the
         floor minus the other's top: image(g) is cut at
-        floor - top + le*r_N, kept in images under (g, N), and image(p) at
-        floor - n*r_N - le*r_N (preimage_image).  Only products that reach
-        the floor are formed; num is rescaled only when the lcm of the
-        denominators grows."""
+        floor - top + le*r_N (_image_down_to, from the memo), and image(p)
+        at floor - n*r_N - le*r_N (preimage_image).  Only products that
+        reach the floor are formed; num is rescaled only when the lcm of
+        the denominators grows."""
         zp, lo = self.zp, self.floor
         top = lo + len(self.num) - 1
         gtop = le.numerator * zp.scale // le.denominator
         shift = rep.n * zp.scale
-        key = (g, zp.depth)
-        gfloor, gnum, gden = images[key] = _image_down_to(
-            g, zp, lo - top + gtop, images.get(key), gtop)
+        gfloor, gnum, gden = _image_down_to(g, zp, ctx, lo - top + gtop, gtop)
         pfloor, pnum, pden = preimage_image(rep.digits, zp, ctx,
                                             lo - shift - gtop)
         n, d = factor
@@ -856,22 +854,32 @@ class Image:
             num.pop()
 
 
-def _image_down_to(f, zp, lowest, entry, top):
+def _image_down_to(f, zp, ctx, lowest, top):
     """(floor, coefficients, den): f(t, z_N) on the table zp from scaled
     exponent floor up, in Image's layout, with floor <= max(lowest, 0)
-    (0: the complete image).  top is the scaled exponent of f's top term,
-    which every caller knows, such as LE_z(f) * r_N by eval_leading's
-    theorem; a result whose top term lies elsewhere raises InternalError.
-    entry, an earlier result for the same f and zp or None, is returned as
-    it is when its floor is that low, and otherwise extended by a scan of
-    the band between the two floors into a new tuple, so a published entry
-    never changes; without an entry the band starts at top."""
+    (0: the complete image), over the denominator _prepare gives f.  top is
+    the scaled exponent of f's top term, which every caller knows, such as
+    LE_z(f) * r_N by eval_leading's theorem; a result whose top term lies
+    elsewhere raises InternalError.
+
+    The memo holds one entry per polynomial and depth, under
+    ("poly-image", f, N): basis elements that reduction steps subtract
+    (Image.subtract), remainders published by Remainder.remainder, and each
+    lone p_j (preimage_image, preimage_product).  An entry whose floor is
+    that low is returned as it is; otherwise the band between the two
+    floors (from top without an entry) is scanned, and the extension is
+    published as a new tuple, so a published entry never changes.  Threads
+    that race may each publish one, every one f's exact image from its
+    floor up.  Every read checks the top, so an entry that a failed check
+    left behind fails each later read too."""
     lowest = max(lowest, 0)
+    key = ("poly-image", f, zp.depth)
+    entry = ctx.cache.get(key)
     if entry is None or entry[0] > lowest:
         work, den = _prepare(f, zp, f.deg_y())
         floor, num = (top + 1, ()) if entry is None else entry[:2]
-        entry = (lowest, _strip((*_scan(work, zp, lowest, floor), *num)),
-                 den)
+        entry = ctx.cache[key] = (
+            lowest, _strip((*_scan(work, zp, lowest, floor), *num)), den)
     if entry[0] + len(entry[1]) - 1 != top:
         raise InternalError(f"image at depth {zp.depth} does not top at "
                             f"scaled exponent {top}")
@@ -1037,9 +1045,10 @@ def preimage_product(digits, ctx):
     """(p, LC_z(p)) for p = prod p_j^(d_j), one record per digit vector,
     cached per context under ("preimage", digits): p multiplied out once and
     LC_z(p) = prod LC_z(p_j)^(d_j), LC_z being multiplicative.  LC_z(p_j) is
-    the top entry of p_j's image on its own exact table (preimage_image of
-    its one-hot digit vector, from its top up), which is the entry a scan
-    of p_j would read, so p_j itself is never scanned."""
+    the top entry of p_j's image on its own exact table, from its top
+    rho_j * r_N up (_image_down_to, the memo entry preimage_image extends),
+    which is the entry a scan of p_j would read, so p_j itself is never
+    scanned."""
     key = ("preimage", digits)
     hit = ctx.cache.get(key)
     if hit is None:
@@ -1050,9 +1059,8 @@ def preimage_product(digits, ctx):
                 poly = poly * p_j ** d
                 zp = _power_table(ctx, p_j.deg_y())
                 rho = ctx.seqs.rho(j)
-                _, num, den = preimage_image(
-                    (0,) * (j - 1) + (1,), zp, ctx,
-                    rho.numerator * zp.scale // rho.denominator)
+                top = rho.numerator * zp.scale // rho.denominator
+                _, num, den = _image_down_to(p_j, zp, ctx, top, top)
                 lc *= Fraction(num[-1], den) ** d
         hit = ctx.cache[key] = (poly, lc)
     return hit
@@ -1083,12 +1091,13 @@ def preimage_image(digits, zp, ctx, lowest=0):
     and the product is never multiplied out.  With w the last index of the
     digits, p = p' * p_w, p' having d_w lowered by one, so image(p) is the
     product of two cached images: image(p'), built the same way, and
-    image(p_w), a lone p_w, whose image is scanned by bands from its known
-    top (_image_down_to).  Each is cached per context under (digits, N),
-    p_w's under its one-hot digit vector.  The prefixes are walked down in
-    a loop to the first one cached low enough, or to a lone p_w, and the
-    products are formed on the way back up, so a digit vector of large sum
-    (a high ramification index) needs no deep recursion.  A term of the
+    image(p_w).  A lone p_w is just a polynomial: its image is scanned by
+    bands from its known top and kept under ("poly-image", p_w, N)
+    (_image_down_to), a product's under ("image", digits, N).  The
+    prefixes are walked down in a loop to the first one cached low enough,
+    or to a lone p_w, and the products are formed on the way back up, so a
+    digit vector of large sum (a high ramification index) needs no deep
+    recursion.  A term of the
     product at or above lowest uses no term of either factor below
     lowest - (the other's top), so each factor is kept from there up and
     multiplied by one packed multiply (_product_band).  A cached product
@@ -1114,7 +1123,7 @@ def preimage_image(digits, zp, ctx, lowest=0):
     primitive, so p's reduced denominator is prod den_j^(d_j), and the
     product of the factors' denominators is p's times d^D.
 
-    Entries are cached per context under (digits, N), bounded by the
+    Products are cached per context under (digits, N), bounded by the
     monoid and the depth.  An extension is published as a new tuple, the
     way _ZPow.pow publishes its powers, so a reader never sees a partial
     entry and a published entry never changes."""
@@ -1124,26 +1133,26 @@ def preimage_image(digits, zp, ctx, lowest=0):
     chain = []
     while True:
         lowest = max(lowest, 0)
+        w = len(digits)
+        rho = ctx.seqs.rho(w)
+        ftop = rho.numerator * zp.scale // rho.denominator
+        p_w = truncation_min_poly(ctx, w)
+        if sum(digits) == 1:
+            image = _image_down_to(p_w, zp, ctx, min(lowest, ftop), ftop)
+            break
         key = ("image", digits, zp.depth)
         hit = ctx.cache.get(key)
         if hit is not None and hit[0] <= lowest:
             image = hit
             break
-        w = len(digits)
-        rho = ctx.seqs.rho(w)
-        ftop = rho.numerator * zp.scale // rho.denominator
-        prefix = MonoidRep(0, digits[:-1] + (digits[-1] - 1,)).digits
-        if not prefix:
-            image = ctx.cache[key] = _image_down_to(
-                truncation_min_poly(ctx, w), zp, min(lowest, ftop), hit, ftop)
-            break
-        chain.append((key, hit, w, ftop, lowest))
-        digits, lowest = prefix, lowest - ftop
+        chain.append((key, hit, p_w, ftop, lowest))
+        digits = MonoidRep(0, digits[:-1] + (digits[-1] - 1,)).digits
+        lowest -= ftop
     # and back up, one product of a prefix's image and a p_w's per step
-    for key, hit, w, ftop, lowest in reversed(chain):
+    for key, hit, p_w, ftop, lowest in reversed(chain):
         htop = image[0] + len(image[1]) - 1
         lowest = min(lowest, htop + ftop)
-        tail = preimage_image((0,) * (w - 1) + (1,), zp, ctx, lowest - htop)
+        tail = _image_down_to(p_w, zp, ctx, lowest - htop, ftop)
         floor, num = (htop + ftop + 1, ()) if hit is None else hit[:2]
         image = ctx.cache[key] = (
             lowest, _product_band(image, tail, lowest, floor) + num,
@@ -1151,12 +1160,12 @@ def preimage_image(digits, zp, ctx, lowest=0):
     return image
 
 
-def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
+def syzygy_image(s, value, ra, f, rb, g, factor, ctx):
     """The image of the S-polynomial s = a*f - (n/d)*b*g as an Image below
     its syzygy value m, from the highest floor that keeps a nonzero term,
     for a and b the preimages of the representations ra and rb and
-    (n, d) = factor, so that buchberger never scans an S-polynomial;
-    images holds the images of f and g, keyed by (polynomial, N).
+    (n, d) = factor, so that buchberger never scans an S-polynomial; the
+    images of f and g come from the memo (_image_down_to).
 
     Evaluation at z_N is a ring map, so image(s) is
     image(a) image(f) - (n/d) image(b) image(g), on the table exact for the
@@ -1170,11 +1179,11 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     windows do (_descend), is a zero image from its floor up to m r_N less
     two steps: -1 * x^n * f * p for a = x^n * p, then (n/d) * b * g.  Its
     top term is s's leading term, by the theorem again, which Remainder
-    reads off it; nothing goes to the memo.  The table can be deeper than
-    s's own, as it must be where m r_N is not an int on s's own table.  On
-    an exhausted finite spec the table is z itself, and the tops are the
-    leading exponents because z_N = z; an image that vanishes there raises
-    InsufficientPrecision at once, as a scan does.
+    reads off it; no entry of s goes to the memo.  The table can be deeper
+    than s's own, as it must be where m r_N is not an int on s's own
+    table.  On an exhausted finite spec the table is z itself, and the tops
+    are the leading exponents because z_N = z; an image that vanishes there
+    raises InsufficientPrecision at once, as a scan does.
     """
     pa, pb = (preimage_product(r.digits, ctx)[0] for r in (ra, rb))
     zp = _power_table(ctx, max(s.deg_y(), pa.deg_y(), f.deg_y(),
@@ -1188,8 +1197,8 @@ def syzygy_image(s, value, ra, f, rb, g, factor, ctx, images):
     def band(lo, hi):
         nonlocal image
         image = Image(zp, lo, [0] * (top + 1 - lo), 1, ctx.lattice_den)
-        image.subtract(f, eval_leading(f, ctx).le, ra, (-1, 1), ctx, images)
-        image.subtract(g, eval_leading(g, ctx).le, rb, factor, ctx, images)
+        image.subtract(f, eval_leading(f, ctx).le, ra, (-1, 1), ctx)
+        image.subtract(g, eval_leading(g, ctx).le, rb, factor, ctx)
         if len(image.num) > top - lo:
             raise InternalError(f"the syzygy at {value} does not cancel")
         return image.num
@@ -1204,8 +1213,9 @@ class Remainder:
     numerators over a running denominator, from which each step
     (n/d) * x^n * g * p, p = prod p_j^(d_j), is subtracted in place
     (_accumulate), and an exact image on a table z_N above a floor, from
-    which the step's image is (Image.subtract).  For an S-polynomial f,
-    handed in as its representations syzygy = (value, ra, f', rb, g',
+    which the step's image is (Image.subtract, which reads the images of g
+    and p from the memo; the Remainder holds none).  For an S-polynomial
+    f, handed in as its representations syzygy = (value, ra, f', rb, g',
     factor), the Remainder forms f's image (syzygy_image), reads the first
     lead off it, carries it from the first step and publishes the
     remainder it ends with (remainder).  For any other f, the first lead
@@ -1221,14 +1231,12 @@ class Remainder:
     deeper table too.
     """
 
-    __slots__ = ("ctx", "images", "image", "_spoly", "_poly", "_fresh",
-                 "_num", "_den", "_degy")
+    __slots__ = ("ctx", "image", "_spoly", "_poly", "_fresh", "_num", "_den",
+                 "_degy")
 
-    def __init__(self, f, ctx, syzygy, images):
+    def __init__(self, f, ctx, syzygy):
         self.ctx, self._spoly = ctx, syzygy is not None
-        self.images = {} if images is None else images
-        self.image = None if syzygy is None else syzygy_image(
-            f, *syzygy, ctx, self.images)
+        self.image = None if syzygy is None else syzygy_image(f, *syzygy, ctx)
         self._poly, self._fresh = f, True
         self._num, self._den, self._degy = dict(f._num), f._den, f.deg_y()
 
@@ -1268,7 +1276,7 @@ class Remainder:
         # below r_N the exact table is the image's own, so look it up only
         # from there
         if self._degy < zp.scale or _power_table(self.ctx, self._degy) is zp:
-            image.subtract(g, lead_g.le, rep, factor, self.ctx, self.images)
+            image.subtract(g, lead_g.le, rep, factor, self.ctx)
         else:
             self.image = None
 
@@ -1282,10 +1290,11 @@ class Remainder:
         """The remainder as a BivarPoly, once reduce has read its last
         lead.  A nonzero remainder of an S-polynomial, with or without
         steps, is published from the image that lead was read off: the
-        image's entry (Image.entry) in images under (remainder, N), and its
-        leading data in the memo under ("lead", remainder), certified at
-        the remainder's own exact depth, as a scan of it writes them
-        (setdefault keeps a record already there, which is the same).
+        image's entry (Image.entry) in the memo under
+        ("poly-image", remainder, N), where _image_down_to reads it when
+        the remainder is a basis element, and its leading data under
+        ("lead", remainder), certified at the remainder's own exact depth,
+        as a scan of it writes them.
 
         Proof that both are the remainder's.  reduce stops at zero or at a
         lead that no basis value divides, and lead read that lead off this
@@ -1296,14 +1305,17 @@ class Remainder:
         and drops it for a rescan otherwise.  So r_N > deg_y of the
         remainder, or z_N = z on an exhausted finite spec, and by
         eval_leading's theorem the top term is its leading term at z; the
-        lattice point e * R / r_N does not depend on the table.  The remainder is not a basis element: a basis element's
-        value divides itself, decompose_point(0) being the empty
-        representation, so reduce would have taken one more step.  images
-        keys basis elements only, so the entry is new, and no published
-        entry changes."""
+        lattice point e * R / r_N does not depend on the table.  The
+        remainder is not a basis element: a basis element's value divides
+        itself, decompose_point(0) being the empty representation, so
+        reduce would have taken one more step.  An entry already under
+        either key, such as the image of a p_j the remainder equals, is the
+        same image, possibly from a lower floor, and the same leading data,
+        so setdefault keeps it and no published entry changes."""
         rem, image = self.poly(), self.image
         if self._spoly and not rem.is_zero():
-            self.images[(rem, image.zp.depth)] = image.entry(rem)
+            self.ctx.cache.setdefault(("poly-image", rem, image.zp.depth),
+                                      image.entry(rem))
             self.ctx.cache.setdefault(("lead", rem), replace(
                 image.lead(),
                 certified_at=_power_table(self.ctx, rem.deg_y()).depth))

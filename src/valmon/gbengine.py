@@ -114,8 +114,7 @@ def approx_quotient(f, g, ctx):
     return p._scaled(*factor, rep.n)
 
 
-def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _syzygy=None,
-           _images=None):
+def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _syzygy=None):
     """Reduce f over the basis, always taking the lowest-index divisor.
 
     Stops at zero or at a remainder whose value no basis value divides.
@@ -125,17 +124,17 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _syzygy=None,
     No intermediate is built as a polynomial at each step, and no step's
     quotient until it is read (ReductionStep): a bipoly.Remainder carries
     the current one with its image, and gives each lead and the
-    remainder.  _syzygy, for an S-polynomial f = a*f' - (n/d)*b*g' its
-    representations (value, ra, f', rb, g', factor), from which the
-    Remainder forms f's image and with which it publishes a nonzero
-    remainder, and _images, the basis images keyed by (polynomial, N),
-    kept for a whole run, are buchberger's and not part of the public
-    interface.
+    remainder.  The basis images each step reads are the context's, kept
+    in its memo across calls.  _syzygy, for an S-polynomial
+    f = a*f' - (n/d)*b*g' its representations (value, ra, f', rb, g',
+    factor), from which the Remainder forms f's image and with which it
+    publishes a nonzero remainder, is buchberger's and not part of the
+    public interface.
     """
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
-    cur = Remainder(f, ctx, _syzygy, _images)
+    cur = Remainder(f, ctx, _syzygy)
     steps = []
     while (lead := cur.lead()) is not None:
         if steps and lead.le >= steps[-1].value_before:
@@ -239,12 +238,12 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     No S-polynomial s = a*f - b*g is scanned: reduce gets its
     representations, from which its Remainder forms its image out of the
     images of a, f, b and g (bipoly.syzygy_image, which has the proof) and
-    carries it from the first step.  The basis images are kept once per
-    run, in one dict that reduce reads and extends too.  A nonzero
-    remainder is never in the basis yet (bipoly.Remainder.remainder), and
-    is adjoined with its basis image and its memo entry of leading data
-    already published by its Remainder, so every later eval_leading of a
-    basis element is a memo hit.
+    carries it from the first step.  A nonzero remainder is never in the
+    basis yet (bipoly.Remainder.remainder), and is adjoined with its image
+    and its leading data already published to the memo by its Remainder,
+    so every later eval_leading of a basis element is a memo hit.  Its
+    image, like every basis image, is the context's, extended from its
+    floor when a later step needs more of it.
     """
     gens = list(gens)
     if not gens:
@@ -259,7 +258,6 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     for j in range(len(basis)):
         for k in range(j + 1, len(basis)):
             pending += _family(basis[j], basis[k], ctx)
-    images = {}
     rounds = 0
     complete = False
     while True:
@@ -279,7 +277,7 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
             # decompositions
             ra, rb, factor = _syzygy_reps(
                 elt.value, eval_leading(f, ctx), eval_leading(g, ctx), ctx)
-            rem = reduce(s, basis, ctx, step_limit, _images=images,
+            rem = reduce(s, basis, ctx, step_limit,
                          _syzygy=(elt.value, ra, f, rb, g, factor)).remainder
             if not rem.is_zero():
                 basis.append(rem)

@@ -144,7 +144,8 @@ def test_hostile_input_never_escapes_main(capsys, tmp_path):
     as a superscript are parse errors; the power table's field cap on
     y^10000 is a usage error.  So are a rational past that limit and a
     spec whose numbers are not exact, while a spec file that is not JSON,
-    not UTF-8 or holds an int past that limit is a parse error."""
+    not UTF-8 or holds an int past that limit is a parse error, the last
+    with valmon's own message."""
     rng = random.Random(20)
     depth = rng.randrange(101, 10_001)
     parse_error, usage, ok = cli.EXIT_PARSE, cli.EXIT_USAGE, cli.EXIT_OK
@@ -184,9 +185,12 @@ def test_hostile_input_never_escapes_main(capsys, tmp_path):
     path = tmp_path / "spec.json"
     for data, expected in spec_files:
         path.write_bytes(data)
-        code, _, _ = run(capsys, "--spec", str(path), "sequences",
-                         "--depth", "2")
+        code, _, err = run(capsys, "--spec", str(path), "sequences",
+                           "--depth", "2")
         assert code == expected, data[-40:]
+        assert "sys." not in err, data[-40:]
+        if nines.encode() in data and code == parse_error:
+            assert "more than 4300 digits in an int" in err
 
 
 def test_precision_error_exit_code(capsys):

@@ -441,9 +441,9 @@ def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
     spolys = []
     form = bipoly.syzygy_image
 
-    def spy(s, value, ra, f, rb, g, factor, ctx, images):
+    def spy(s, value, ra, f, rb, g, factor, ctx):
         before = lead_keys(ctx)
-        image = form(s, value, ra, f, rb, g, factor, ctx, images)
+        image = form(s, value, ra, f, rb, g, factor, ctx)
         assert lead_keys(ctx) == before
         spolys.append(s)
         return image
@@ -453,7 +453,7 @@ def test_x_y_six_rounds_publish_only_adjoined_leads(monkeypatch):
     res = buchberger([parse("x"), parse("y")], ctx, max_rounds=6)
     assert len(spolys) == 38
     leads = {key[1] for key in lead_keys(ctx)}
-    assert len(leads) == 8 and len(ctx.cache) == 949
+    assert len(leads) == 8 and len(ctx.cache) == 977
     assert leads == set(res.basis)
     assert all(s in res.basis for s in leads.intersection(spolys))
     fresh = MonoidContext(dyadic_spec(), 8)
@@ -487,6 +487,30 @@ def test_adjoined_remainders_are_memo_hits(monkeypatch, gens, rounds):
         assert ctx.cache[("lead", b)] == Image.scan(b, fresh).lead()
 
 
+def test_second_reduce_scans_no_basis_image(monkeypatch):
+    # the images of basis elements that reduction steps subtract are the
+    # context's, kept in its memo, so a second reduce over the same basis
+    # on the same context extends none of them: no basis element is
+    # evaluated again, only the intermediates that are rescanned
+    basis = buchberger([parse("x"), parse("y")],
+                       MonoidContext(dyadic_spec(), 8), 4).basis
+    f = parse("y^16 + x^5")
+    prepared = []
+    prepare = bipoly._prepare
+
+    def spy(g, zp, degy):
+        prepared.append(g)
+        return prepare(g, zp, degy)
+
+    monkeypatch.setattr(bipoly, "_prepare", spy)
+    ctx = MonoidContext(dyadic_spec(), 8)
+    first = reduce(f, list(basis), ctx)
+    assert len(first.steps) > 50 and set(prepared) & set(basis)
+    prepared.clear()
+    assert reduce(f, list(basis), ctx) == first
+    assert prepared and not set(prepared) & set(basis)
+
+
 def test_pair_contract_pass_memo_size():
     # the pair-contracts benchmark pass: 8,000 criterion-9 pairs of total
     # degree cycling through 4, 8 and 12 (seed 97) on one context
@@ -505,7 +529,7 @@ def test_pair_contract_pass_memo_size():
         approx_quotient(f, g, ctx)
         syzygy_family(f, g, ctx)
         reduce(f, [g], ctx)
-    assert len(ctx.cache) == 11300
+    assert len(ctx.cache) == 13365
 
 
 def test_vanishing_s_polynomial_image_raises(monkeypatch):

@@ -418,10 +418,12 @@ def test_image_lead_reads_the_int_lead(shallow):
 
 
 def test_memo_holds_one_lead_per_polynomial(monkeypatch):
-    """After criterion 9's 200 pairs on one context, the only memo entries
-    keyed by a polynomial are its leading data, ("lead", f), one for each
-    polynomial whose leading data was read."""
-    evaluated = set()
+    """After criterion 9's 200 pairs on one context, the memo entries keyed
+    by a polynomial are its leading data, ("lead", f), one for each
+    polynomial whose leading data was read, and floored images,
+    ("poly-image", h, N), each of a reduce basis element or a p_j and each
+    f's full image from its floor up."""
+    evaluated, bases = set(), set()
     real_eval = bipoly.eval_leading
 
     def recording_eval(f, ctx):
@@ -441,10 +443,23 @@ def test_memo_holds_one_lead_per_polynomial(monkeypatch):
         approx_quotient(f, g, ctx)
         syzygy_family(f, g, ctx)
         reduce(f, [g], ctx)
+        bases.add(g)
     keyed = [key for key in ctx.cache
              if any(isinstance(part, BivarPoly) for part in key)]
-    assert {key[0] for key in keyed} == {"lead"}
-    assert len(keyed) == len(evaluated)
-    assert {key[1] for key in keyed} == evaluated
+    leads = [key for key in keyed if key[0] == "lead"]
+    images = [key for key in keyed if key[0] == "poly-image"]
+    assert len(leads) + len(images) == len(keyed)
+    assert len(leads) == len(evaluated)
+    assert {key[1] for key in leads} == evaluated
     assert all(isinstance(ctx.cache[key], bipoly.LeadingData)
-               for key in keyed)
+               for key in leads)
+    p_js = {p for key, p in ctx.cache.items() if key[0] == "minpoly"}
+    assert images and {key[1] for key in images} <= bases | p_js
+    for key in images:
+        _, h, depth = key
+        zp = ctx.cache[("zpow", depth)]
+        floor, coeffs, den = ctx.cache[key]
+        work, full_den = bipoly._prepare(h, zp, h.deg_y())
+        full = bipoly._scan(work, zp, 0, bipoly._monomial_top(work, zp) + 1)
+        assert den == full_den
+        assert coeffs == tuple(bipoly._strip(full)[floor:])

@@ -1,8 +1,8 @@
 """gbengine works on polynomials, leading data and monoid representations;
 the images behind the leading data belong to bipoly.  This pins the
 boundary: gbengine imports no private name from bipoly, touches no
-context memo, which bipoly and valmonoid own, and forms, hands on or
-publishes no image."""
+context memo, which bipoly and valmonoid own, and forms, holds, hands on
+or publishes no image."""
 
 import ast
 import inspect
@@ -43,3 +43,22 @@ def test_gbengine_hands_s_polynomials_to_the_remainder():
             and node.func.attr == "seed"] == []
     params = inspect.signature(gbengine.reduce).parameters
     assert "_image" not in params and "_syzygy" in params
+
+
+def test_gbengine_holds_no_images():
+    # the basis images that reduction steps read are the context's, kept
+    # in its memo by bipoly: no gbengine name, argument or attribute
+    # holds them, and reduce takes only _syzygy as a private argument
+    tree = ast.parse(GBENGINE.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert {"basis", "ctx", "_syzygy"} <= names
+    assert not {name for name in names if name and "images" in name}
+    params = inspect.signature(gbengine.reduce).parameters
+    assert [name for name in params if name.startswith("_")] == ["_syzygy"]

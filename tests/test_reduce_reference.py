@@ -77,8 +77,8 @@ def check_against_reference(calls, spec_name):
 
 def recorded_buchberger(monkeypatch, gens, spec_name, max_rounds):
     """Run buchberger in a fresh context; return every reduce call it made
-    with its trace.  buchberger hands reduce each S-polynomial's image and
-    its run's basis images as private keyword arguments, which are passed
+    with its trace.  buchberger hands reduce each S-polynomial's
+    representations as a private keyword argument, which is passed
     through."""
     make_spec, depth = SPECS[spec_name]
     ctx = MonoidContext(make_spec(), depth)

@@ -18,9 +18,9 @@ import pytest
 
 from shared_inputs import criterion_9_poly, harmonic_spec, mixed_spec
 from valmon import gbengine
-from valmon.bipoly import (Image, _image_down_to, _monomial_top, _power_table,
-                           _prepare, _scan, _strip, eval_leading, parse,
-                           preimage_image, preimage_of_rep, syzygy_image)
+from valmon.bipoly import (Image, _monomial_top, _power_table, _prepare,
+                           _scan, _strip, eval_leading, parse, preimage_image,
+                           preimage_of_rep, syzygy_image)
 from valmon.gbengine import buchberger, reduce, syzygy_family
 from valmon.series import SimpleSeriesSpec, dyadic_spec
 from valmon.valmonoid import MonoidContext, MonoidRep
@@ -127,15 +127,14 @@ def test_scan_through_a_cancelled_monomial_top():
     assert free.zp.scale == 4
 
 
-def product_image(elt, f, g, ctx, images):
+def product_image(elt, f, g, ctx):
     """The image of elt's S-polynomial as buchberger forms it, from the
     images of a, f, b and g; checks that syzygy_image leaves the set of
     ("lead", ...) memo keys unchanged."""
     ra, rb, factor = gbengine._syzygy_reps(
         elt.value, eval_leading(f, ctx), eval_leading(g, ctx), ctx)
     leads = {key for key in ctx.cache if key[0] == "lead"}
-    image = syzygy_image(elt.spoly, elt.value, ra, f, rb, g, factor, ctx,
-                         images)
+    image = syzygy_image(elt.spoly, elt.value, ra, f, rb, g, factor, ctx)
     assert {key for key in ctx.cache if key[0] == "lead"} == leads
     return image
 
@@ -145,14 +144,13 @@ def check_product_images(syzygies, ctx):
     full image and against a scan; return how many there were, and how
     many have a non-integer m * r_N on the S-polynomial's own table, where
     the product image needs a deeper one."""
-    images = {}
     checked = fractional = 0
     for elt, f, g in syzygies:
         s = elt.spoly
         if s.is_zero():
             continue
         checked += 1
-        image = product_image(elt, f, g, ctx, images)
+        image = product_image(elt, f, g, ctx)
         zp = image.zp
         own = _power_table(ctx, s.deg_y())
         if (elt.value * own.scale).denominator != 1:
@@ -169,8 +167,7 @@ def check_product_images(syzygies, ctx):
         assert ([v * den for v in image.num]
                 == [w * image.den for w in full[image.floor:end]])
         # as a basis image, over the denominator _prepare gives s
-        assert image.entry(s) == _image_down_to(s, zp, image.floor, None,
-                                                end - 1)
+        assert image.entry(s) == (image.floor, full[image.floor:end], den)
         # the same leading data as a scan of s
         scanned = Image.scan(s, ctx).lead()
         got = image.lead()

@@ -10,7 +10,8 @@ import threading
 import time
 
 from shared_inputs import harmonic_spec
-from valmon.bipoly import _power_table, eval_leading, parse, preimage_image
+from valmon.bipoly import (_power_table, eval_leading, parse, preimage_image,
+                           truncation_min_poly)
 from valmon.gbengine import buchberger, reduce
 from valmon.series import dyadic_spec
 from valmon.valmonoid import MonoidContext
@@ -83,9 +84,9 @@ def test_shared_context_reduce_across_threads():
 
 def test_shared_context_buchberger_across_threads():
     # every thread forms the images of the same S-polynomials from the
-    # same cached images of products of p_j, publishes the leading data of
-    # the remainders it adjoins to the memo and keeps its own basis images
-    # for its run
+    # same cached images of products of p_j and of basis elements, and
+    # publishes the images and leading data of the remainders it adjoins
+    # to the memo
     gens = [parse("x"), parse("y")]
     want = buchberger(gens, MonoidContext(dyadic_spec(), 8), 4)
     for _ in range(5):
@@ -137,9 +138,11 @@ def test_shared_context_preimage_images_across_threads():
         got = run_threads([lambda k=k: job(ctx, k % len(vectors))
                            for k in range(THREADS)])
         assert got == [want] * THREADS
-        entries = sorted(key for key in ctx.cache
-                         if key[0] == "image" and sum(key[1]) == 1)
-        # one entry per p_j, under its one-hot digit vector, at the table's
-        # depth, 6 (r_6 = 64 > 63)
-        assert entries == sorted(("image", (0,) * (j - 1) + (1,), 6)
-                                 for j in range(1, 7))
+        entries = [key for key in ctx.cache if key[0] == "poly-image"]
+        # one entry per p_j, under p_j itself, at the table's depth, 6
+        # (r_6 = 64 > 63), and none under a one-hot digit vector
+        assert len(entries) == 6 and set(entries) == {
+            ("poly-image", truncation_min_poly(ctx, j), 6)
+            for j in range(1, 7)}
+        assert not [key for key in ctx.cache
+                    if key[0] == "image" and sum(key[1]) == 1]
