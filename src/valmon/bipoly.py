@@ -44,9 +44,9 @@ from struct import iter_unpack
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
-from .exactnum import _DIGITS_CAP, rat_str
+from .exactnum import _exact, _int, rat_str
 from .seqderive import _pull_terms
-from .series import FinitePuiseux, _exact, truncate
+from .series import FinitePuiseux
 from .valmonoid import MonoidRep, decompose
 
 _EXPONENT_CAP = 10 ** 4
@@ -79,9 +79,10 @@ class BivarPoly:
 
     The constructor takes a dict or (key, coeff) pairs with non-negative
     int exponents and int, Fraction or "p/q" coefficients; any other
-    exponent, or a float coefficient, raises ValueError.  coeffs and
-    monomials() return Fractions.  Monomials iterate and print in
-    (y-degree, x-degree) lexicographic order, purely for determinism.
+    exponent, or a float or bool coefficient (exactnum._exact), raises
+    ValueError.  coeffs and monomials() return Fractions.  Monomials
+    iterate and print in (y-degree, x-degree) lexicographic order, purely
+    for determinism.
     """
 
     __slots__ = ("_num", "_den", "_hash", "_degy")
@@ -385,9 +386,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected a number", start)
-        if self.pos - start > _DIGITS_CAP:
-            raise PolyParseError(f"more than {_DIGITS_CAP} digits", start)
-        return int(self.text[start:self.pos])
+        return _int(self.text[start:self.pos], "a number",
+                    lambda message: PolyParseError(message, start))
 
     def expr(self):
         negate = False
@@ -924,8 +924,19 @@ def eval_leading(f, ctx):
 
 def min_poly_finite_puiseux(w):
     """Minimal polynomial over Q(x) of a finite Puiseux series with positive
-    exponents: the norm of y - w from Q(t^(1/R)) down to Q(t), R = ram_index,
-    which is the product of y - w_j over all R conjugates.
+    exponents, a FinitePuiseux or any series whose terms FinitePuiseux
+    takes: the norm of y - w from Q(t^(1/R)) down to Q(t), R = ram_index,
+    which is the product of y - w_j over all R conjugates (_norm_tower).
+    The zero series is allowed and yields y."""
+    if not isinstance(w, FinitePuiseux):
+        w = FinitePuiseux.from_series(w)
+    return _norm_tower(w.terms, w.ram_index)
+
+
+def _norm_tower(terms, R):
+    """The norm of y - w for w = sum c * t^e over the (e, c) terms, exact
+    rationals with e > 0 and e * R an int, R the lcm of the exponent
+    denominators (1 for no terms, whose norm is y).
 
     The norm is taken one prime factor p of R at a time, largest first, so
     that the costliest steps act on the smallest F.  Writing F(v, y) with
@@ -943,16 +954,13 @@ def min_poly_finite_puiseux(w):
     certificate.  An odd p computes in the group ring Z[C_p] instead
     (_cyclic_norm_step), where the certificates are checked.
 
-    The zero series is allowed and yields y.  A failed certificate or a
-    result of y-degree other than R is a bug, hence InternalError.
+    A failed certificate or a result of y-degree other than R is a bug,
+    hence InternalError.
     """
-    if not isinstance(w, FinitePuiseux):
-        w = FinitePuiseux.from_series(w)
-    R = w.ram_index
     # F = den*y - den*w as {(v-exponent, y-degree): int}
-    den = lcm(*(c.denominator for _, c in w.terms))
+    den = lcm(*(c.denominator for _, c in terms))
     poly = {(0, 1): den}
-    for e, c in w.terms:
+    for e, c in terms:
         poly[(int(e * R), 0)] = -c.numerator * (den // c.denominator)
     primes, n, p = [], R, 2
     while n > 1:
@@ -965,7 +973,7 @@ def min_poly_finite_puiseux(w):
                 else _cyclic_norm_step(poly, p))
     out = BivarPoly._make(poly, den ** R)
     if out.deg_y() != R:
-        raise InternalError("norm degree mismatch")
+        raise InternalError(f"norm of y-degree {out.deg_y()}, expected {R}")
     return out
 
 
@@ -1023,22 +1031,19 @@ def _cyclic_norm_step(poly, p):
 
 
 def truncation_min_poly(ctx, j):
-    """Minimal polynomial p_j of z truncated to its first l(j)-1 terms."""
+    """Minimal polynomial p_j of z truncated to its first k = l(j)-1 terms,
+    cached per context under ("minpoly", j): the norm tower of those spec
+    terms, exact and checked when the spec took them, with R = r_k, their
+    lcm of exponent denominators by the definition of r (seqderive), which
+    is also p_j's y-degree (_norm_tower checks it).  p_1 is the norm of
+    no terms, y."""
     key = ("minpoly", j)
     hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
-    k = ctx.seqs.l(j) - 1
-    if k == 0:
-        poly = BivarPoly.y()
-    else:
-        poly = min_poly_finite_puiseux(truncate(ctx.spec, k))
-    expected = ctx.seqs.r(ctx.seqs.l(j) - 1)
-    if poly.deg_y() != expected:
-        raise InternalError(
-            f"p_{j} has y-degree {poly.deg_y()}, expected {expected}")
-    ctx.cache[key] = poly
-    return poly
+    if hit is None:
+        k = ctx.seqs.l(j) - 1
+        terms = [ctx.spec.term(i)[::-1] for i in range(1, k + 1)]
+        hit = ctx.cache[key] = _norm_tower(terms, ctx.seqs.r(k))
+    return hit
 
 
 def preimage_product(digits, ctx):
@@ -1231,13 +1236,12 @@ class Remainder:
     deeper table too.
     """
 
-    __slots__ = ("ctx", "image", "_spoly", "_poly", "_fresh", "_num", "_den",
-                 "_degy")
+    __slots__ = ("ctx", "image", "_spoly", "_poly", "_num", "_den", "_degy")
 
     def __init__(self, f, ctx, syzygy):
         self.ctx, self._spoly = ctx, syzygy is not None
         self.image = None if syzygy is None else syzygy_image(f, *syzygy, ctx)
-        self._poly, self._fresh = f, True
+        self._poly = f
         self._num, self._den, self._degy = dict(f._num), f._den, f.deg_y()
 
     def lead(self):
@@ -1247,8 +1251,12 @@ class Remainder:
         afresh first when it is gone or empty above its floor F.  An image
         emptied on a table of scale r_N was exact above F, so LE < F / r_N
         by eval_leading's theorem; the rescan's table, of scale r_N' for the
-        true y-degree, tops at LE * r_N' < F * r_N' / r_N by it too."""
-        if self._fresh and self.image is None:
+        true y-degree, tops at LE * r_N' < F * r_N' / r_N by it too.
+
+        A built polynomial with no image is f before any step, or the zero
+        a rescan found: a step drops the polynomial, and a rescan that
+        builds a nonzero one scans its image with it."""
+        if self.image is None and self._poly is not None:
             f = self._poly
             return None if f.is_zero() else eval_leading(f, self.ctx)
         image = self.image
@@ -1267,7 +1275,7 @@ class Remainder:
         lead_g, rep = n + sum d_j rho_j and (n, d) = factor."""
         self._den = _accumulate(self._num, self._den, g, p, -factor[0],
                                 factor[1], rep.n)
-        self._poly, self._fresh = None, False
+        self._poly = None
         self._degy = max(self._degy, g.deg_y() + p.deg_y())
         image = self.image
         if image is None:

@@ -14,7 +14,7 @@ from . import bipoly, gbengine, seqderive, valmonoid
 from .errors import (IdentityViolation, IncompleteBasis, InsufficientPrecision,
                      InternalError, InvalidSpec, NotInMonoid, PolyParseError,
                      ValmonError)
-from .exactnum import _DIGITS_CAP, rat, rat_str
+from .exactnum import _int, rat, rat_str
 from .series import BUILTIN_SPECS, SimpleSeriesSpec
 
 EXIT_OK = 0
@@ -37,20 +37,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _json_int(text):
-    """A JSON int, refused past the digit cap before int() reads it, whose
-    own message would point at an interpreter setting."""
-    if len(text.lstrip("-")) > _DIGITS_CAP:
-        raise ValueError(f"more than {_DIGITS_CAP} digits in an int")
-    return int(text)
-
-
 def load_spec(name_or_path):
     if name_or_path in BUILTIN_SPECS:
         return BUILTIN_SPECS[name_or_path]()
     try:
         with open(name_or_path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=_json_int)
+            data = json.load(fh, parse_int=lambda text: _int(text, "an int"))
     except OSError as exc:
         raise InvalidSpec(f"cannot read spec {name_or_path!r}: {exc}")
     # ValueError covers JSONDecodeError, UnicodeDecodeError (a file that is

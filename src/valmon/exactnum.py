@@ -1,28 +1,49 @@
-"""Exact rationals.
+"""Exact rationals, and the one gate for numbers that enter valmon.
 
 Rationals are ``fractions.Fraction`` throughout the package: arbitrary
 precision, always in lowest terms, positive denominator.  This module adds
-the "p/q" string convention used by every file format.
+the "p/q" string convention used by every file format, and owns the two
+rules every number from outside passes: a float or a bool is never read as
+a rational (_exact, rat), and no decimal string of more than _DIGITS_CAP
+digits reaches int() (_int, behind rat, the spec loader and the polynomial
+parser).
 """
 
 from fractions import Fraction
 
+from .errors import InvalidSpec
+
 _DIGITS_CAP = 4300  # int()'s default limit on a decimal string
+
+
+def _exact(v, error=InvalidSpec):
+    """Fraction(v); a float, never the rational it was typed as, raises
+    error, and so does a bool, which is an int to Python but no number in
+    any valmon input."""
+    if isinstance(v, (float, bool)):
+        raise error(f"{v!r} is a {type(v).__name__}, not an exact rational")
+    return Fraction(v)
+
+
+def _int(text, what, error=ValueError):
+    """int(text), refused with error "more than _DIGITS_CAP digits in
+    {what}" before int() reads it, whose own message would point at an
+    interpreter setting.  Digits are counted as int() reads them
+    (str.isdecimal), not signs or spaces."""
+    if sum(map(str.isdecimal, text)) > _DIGITS_CAP:
+        raise error(f"more than {_DIGITS_CAP} digits in {what}")
+    return int(text)
 
 
 def rat(text):
     """Parse a rational from an int, a Fraction, or a "p/q" string.
-    Malformed text, a zero denominator or a p or q of more than
-    _DIGITS_CAP decimal digits (str.isdecimal, what int() reads) included,
-    raises ValueError."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
+    A float or a bool (_exact), malformed text, a zero denominator or a p
+    or q of more than _DIGITS_CAP decimal digits (_int) raises
+    ValueError."""
+    if isinstance(text, (Fraction, int, float)):
+        return _exact(text, ValueError)
     num, sep, den = str(text).strip().partition("/")
-    if max(sum(map(str.isdecimal, s)) for s in (num, den)) > _DIGITS_CAP:
-        raise ValueError(f"more than {_DIGITS_CAP} digits in a rational")
-    num, den = int(num), int(den) if sep else 1
+    num, den = _int(num, "a rational"), _int(den, "a rational") if sep else 1
     if den == 0:
         raise ValueError("zero denominator")
     return Fraction(num, den)

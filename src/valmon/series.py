@@ -12,20 +12,13 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InsufficientPrecision, InvalidSpec, ValmonError
-from .exactnum import rat, rat_str
-
-
-def _exact(v, error=InvalidSpec):
-    """Fraction(v); a float, never the rational it was typed as, raises."""
-    if isinstance(v, float):
-        raise error(f"{v!r} is a float, not an exact rational")
-    return Fraction(v)
+from .exactnum import _exact, rat, rat_str
 
 
 class NoetherianSeries:
     """Finite-support series, terms strictly descending, no zero coefficients.
-    Exponents are read exactly (a float raises ValueError); coefficients
-    are duck-typed."""
+    Exponents are read exactly (a float or a bool raises ValueError,
+    exactnum._exact); coefficients are duck-typed."""
 
     __slots__ = ("terms",)
 

@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InsufficientPrecision, InternalError, NotInMonoid
+from .exactnum import _exact
 from . import seqderive
-from .series import _exact
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def rep_value(rep, ctx):
 
 def decompose(m, ctx):
     """The canonical representation of m, or None for a non-member; a float
-    raises ValueError.  Cached per context under m * R (decompose_point)."""
+    or a bool raises ValueError (exactnum._exact).  Cached per context
+    under m * R (decompose_point)."""
     if not isinstance(m, Fraction):
         m = _exact(m, ValueError)
     if m.numerator < 0:
@@ -182,7 +183,8 @@ def lambda_d(d, ctx):
 
 
 def divides(mg, mf, ctx):
-    """mf - mg when that difference is a member, else None (floats raise)."""
+    """mf - mg when that difference is a member, else None (floats and
+    bools raise)."""
     diff = _exact(mf, ValueError) - _exact(mg, ValueError)
     return diff if decompose(diff, ctx) is not None else None
 

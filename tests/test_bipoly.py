@@ -5,13 +5,14 @@ import pytest
 
 from cyclotomic import as_rational, conjugate
 from valmon import bipoly
-from valmon.bipoly import (_DIGITS_CAP, BivarPoly, _exact_truncation,
-                           _product_band, _truncated_product, _ZPow,
-                           eval_leading, min_poly_finite_puiseux, parse,
-                           preimage, preimage_of_rep, preimage_product,
+from valmon.bipoly import (BivarPoly, _exact_truncation, _product_band,
+                           _truncated_product, _ZPow, eval_leading,
+                           min_poly_finite_puiseux, parse, preimage,
+                           preimage_of_rep, preimage_product,
                            truncation_min_poly)
 from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
                            ZeroPolynomial)
+from valmon.exactnum import _DIGITS_CAP
 from valmon.series import (FinitePuiseux, NoetherianSeries, SimpleSeriesSpec,
                            dyadic_spec, leading_data, series_mul, truncate)
 from valmon.valmonoid import (MonoidContext, MonoidRep, enumerate_omega,
@@ -225,6 +226,14 @@ def test_float_coefficient_raises():
         BivarPoly({(0, 0): 0.1})
     with pytest.raises(ValueError, match="float"):
         BivarPoly([((1, 0), 1), ((0, 1), 2.0)])
+
+
+def test_bool_coefficient_raises():
+    # True is an int to Python; as a coefficient it is refused, not read as 1
+    with pytest.raises(ValueError, match="is a bool, not an exact rational"):
+        BivarPoly({(0, 0): True})
+    with pytest.raises(ValueError, match="is a bool, not an exact rational"):
+        BivarPoly([((1, 0), 1), ((0, 1), False)])
 
 
 def test_float_scale_raises():
@@ -519,6 +528,32 @@ def test_dyadic_p7(ctx):
     p7 = truncation_min_poly(ctx, 7)
     assert p7.deg_y() == 64
     assert eval_leading(p7, ctx).le == ctx.seqs.rho(7)
+
+
+@pytest.mark.parametrize("name,top", [("dyadic", 7), ("triadic", 4),
+                                      ("harmonic", 5),
+                                      ("mixed-denominators", 4)])
+def test_truncation_min_poly_matches_the_public_norm(monkeypatch, name, top):
+    # the oracle is the public path, min_poly_finite_puiseux of the spec
+    # truncated to l(j) - 1 terms; production hands the spec's own exact
+    # terms to the norm tower and builds no series on the way
+    spec, depth, _ = _oracle_spec(name)
+    built = []
+    init = NoetherianSeries.__init__
+
+    def spy(self, terms=()):
+        built.append(self)
+        init(self, terms)
+
+    monkeypatch.setattr(NoetherianSeries, "__init__", spy)
+    ctx = MonoidContext(spec, max(depth, top))
+    for j in range(1, top + 1):
+        del built[:]
+        got = truncation_min_poly(ctx, j)
+        assert built == [], (name, j)
+        want = min_poly_finite_puiseux(truncate(spec, ctx.seqs.l(j) - 1))
+        assert built, (name, j)
+        assert got == want, (name, j)
 
 
 def test_truncation_min_poly_lemma(ctx):

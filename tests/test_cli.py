@@ -143,9 +143,10 @@ def test_hostile_input_never_escapes_main(capsys, tmp_path):
     A number past int()'s 4,300-digit limit and a non-decimal digit such
     as a superscript are parse errors; the power table's field cap on
     y^10000 is a usage error.  So are a rational past that limit and a
-    spec whose numbers are not exact, while a spec file that is not JSON,
-    not UTF-8 or holds an int past that limit is a parse error, the last
-    with valmon's own message."""
+    spec whose numbers are not exact, a JSON bool or float among them,
+    with valmon's own message, while a spec file that is not JSON, not
+    UTF-8 or holds an int past that limit is a parse error, the last with
+    valmon's own message."""
     rng = random.Random(20)
     depth = rng.randrange(101, 10_001)
     parse_error, usage, ok = cli.EXIT_PARSE, cli.EXIT_USAGE, cli.EXIT_OK
@@ -181,6 +182,9 @@ def test_hostile_input_never_escapes_main(capsys, tmp_path):
         ((spec % ("1", geometric % "2.0")).encode(), usage),
         ((spec % ("1", geometric % '"1e1"')).encode(), usage),
         ((spec % ("1", geometric % '"2"')).encode(), ok),
+        ((spec % ("true", none)).encode(), usage),
+        ((spec % ("false", none)).encode(), usage),
+        ((spec % ("2.5", none)).encode(), usage),
     ]
     path = tmp_path / "spec.json"
     for data, expected in spec_files:
@@ -191,6 +195,9 @@ def test_hostile_input_never_escapes_main(capsys, tmp_path):
         assert "sys." not in err, data[-40:]
         if nines.encode() in data and code == parse_error:
             assert "more than 4300 digits in an int" in err
+        if any(v in data for v in (b"true", b"false", b"2.5")):
+            assert "not an exact rational" in err, data[-40:]
+            assert "invalid literal" not in err, data[-40:]
 
 
 def test_precision_error_exit_code(capsys):

@@ -33,6 +33,17 @@ def test_rat_digit_cap_holds_for_p_and_q_apart():
             rat(text)
 
 
+@pytest.mark.parametrize("value,kind", [(True, "bool"), (False, "bool"),
+                                        (2.5, "float"), (2.0, "float")])
+def test_rat_refuses_bools_and_floats(value, kind):
+    # a bool is an int to Python and a float is a binary fraction; neither
+    # is read as the number it looks like, and the float's message is
+    # exactnum's own, not int()'s "invalid literal"
+    with pytest.raises(ValueError,
+                       match=f"^{value!r} is a {kind}, not an exact rational$"):
+        rat(value)
+
+
 def test_rat_str():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5"

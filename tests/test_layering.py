@@ -2,7 +2,11 @@
 the images behind the leading data belong to bipoly.  This pins the
 boundary: gbengine imports no private name from bipoly, touches no
 context memo, which bipoly and valmonoid own, and forms, holds, hands on
-or publishes no image."""
+or publishes no image.
+
+Numbers from outside pass one gate, exactnum: it alone defines the
+no-float, no-bool reader _exact and the capped int reader _int, and alone
+names the digit cap, so no other module reads a number by its own rule."""
 
 import ast
 import inspect
@@ -10,7 +14,47 @@ from pathlib import Path
 
 from valmon import gbengine
 
-GBENGINE = Path(__file__).resolve().parent.parent / "src/valmon/gbengine.py"
+SRC = Path(__file__).resolve().parent.parent / "src/valmon"
+GBENGINE = SRC / "gbengine.py"
+
+
+def _names(tree):
+    """Every name a module defines, reads, imports or reads an attribute
+    by."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def _from_series(tree):
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "series" and node.level == 1
+            for alias in node.names}
+
+
+def test_exactnum_is_the_one_gate_for_numbers():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    assert len(trees) > 5
+    defining = {name for name, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("_exact", "_int")}
+    assert defining == {"exactnum.py"}
+    assert {name for name, tree in trees.items()
+            if "_DIGITS_CAP" in _names(tree)} == {"exactnum.py"}
+    assert _from_series(trees["valmonoid.py"]) == set()
+    assert not _from_series(trees["bipoly.py"]) & {"truncate", "_exact"}
+    assert "_json_int" not in _names(trees["cli.py"])
 
 
 def test_gbengine_imports_no_private_bipoly_name():

@@ -131,6 +131,17 @@ def test_float_in_spec_prefix_raises():
         SimpleSeriesSpec([(0.5, F(1, 2))])
 
 
+@pytest.mark.parametrize("term", [(True, F(1, 2)), (1, True), (False, 1)],
+                         ids=["c", "e", "zero-c"])
+def test_bool_in_spec_prefix_raises(term):
+    # True would be read as 1 and False as 0
+    with pytest.raises(InvalidSpec, match="is a bool, not an exact rational"):
+        SimpleSeriesSpec([term])
+    c, e = term
+    with pytest.raises(InvalidSpec, match="^malformed spec JSON: .* bool"):
+        SimpleSeriesSpec.from_json({"prefix": [{"c": c, "e": e}]})
+
+
 def test_spec_json_round_trip():
     spec = dyadic_spec()
     data = spec.to_json()
@@ -250,3 +261,11 @@ def test_float_exponent_in_series_raises():
         with pytest.raises(ValueError, match="float"):
             make()
     assert NoetherianSeries([("1/10", 1)]).terms == ((F(1, 10), 1),)
+
+
+def test_bool_exponent_in_series_raises():
+    for make in (lambda: NoetherianSeries([(True, 1)]),
+                 lambda: NoetherianSeries.monomial(1, False),
+                 lambda: FinitePuiseux([(True, 1)])):
+        with pytest.raises((ValueError, InvalidSpec), match="bool"):
+            make()

@@ -97,12 +97,15 @@ def test_canonical_min(ctx):
     lambda ctx: base_digits(F(3), ctx),
     lambda ctx: rep_value(MonoidRep(1.5, (1,)), ctx),
     lambda ctx: rep_value(MonoidRep(0, (1.0, 1)), ctx),
+    lambda ctx: decompose(True, ctx),
+    lambda ctx: divides(False, F(1), ctx),
 ], ids=["decompose", "decompose-tenth", "divides", "divides-mf",
         "canonical_min", "preimage", "lambda_d", "base_digits",
-        "base_digits-fraction", "rep_value-n", "rep_value-digit"])
+        "base_digits-fraction", "rep_value-n", "rep_value-digit",
+        "decompose-bool", "divides-bool"])
 def test_floats_and_non_ints_are_refused(ctx, call):
-    # a float is never read as the binary fraction it holds, and n and the
-    # digits of a representation are ints
+    # a float is never read as the binary fraction it holds, nor a bool as
+    # 0 or 1, and n and the digits of a representation are ints
     with pytest.raises(ValueError):
         call(ctx)
 
