@@ -26,25 +26,27 @@ carries (Image, inside Remainder) and the floored images of basis elements
 and preimages (_image_down_to, preimage_image) all use it, so a band is
 located by index arithmetic and nothing is sorted.
 
-Packed ints whose fields are coefficients (Kronecker substitution) build
-the powers, large polynomial products (_accumulate) and products of images
-cut to a band (_product_band, preimage_image).  Every other product of
+Packed ints whose fields are coefficients (Kronecker substitution) hold
+the powers, which stay packed, and sum each scan window, of which only the
+window's fields are decoded; they also form large polynomial products
+(_accumulate) and products of images cut to a band (_product_band,
+preimage_image).  Every other product of
 images is one reduction step (n/d) * x^n * g * p, subtracted in place from
 an image above its floor (Image.subtract); an S-polynomial is two such
 steps from a zero image (syzygy_image), so buchberger never scans one.
 """
 
+import sys
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from operator import add
 from struct import iter_unpack
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
-from .exactnum import _exact, _int, rat_str
+from .exactnum import _exact, _int, _is_int, rat_str
 from .seqderive import _pull_terms
 from .series import FinitePuiseux
 from .valmonoid import MonoidRep, decompose
@@ -55,8 +57,9 @@ _NESTING_CAP = 100  # checked at each "(", so parsing recursion is bounded
 # bit length of any parsed product or power, checked before it is computed
 _DENSE_CAP = 10 ** 5
 _COEFF_BITS_CAP = 10 ** 6
-# cap on the int fields of one scan window (_scan) or of the new powers of
-# one power-table extension (_ZPow.pow), checked before they are allocated
+# cap on the int fields of one scan window (_scan) or of the powers one
+# power-table extension packs (_ZPow.rows; a rebuild packs every power),
+# checked before they are allocated
 _FIELDS_CAP = 10 ** 7
 
 
@@ -79,10 +82,10 @@ class BivarPoly:
 
     The constructor takes a dict or (key, coeff) pairs with non-negative
     int exponents and int, Fraction or "p/q" coefficients; any other
-    exponent, or a float or bool coefficient (exactnum._exact), raises
-    ValueError.  coeffs and monomials() return Fractions.  Monomials
-    iterate and print in (y-degree, x-degree) lexicographic order, purely
-    for determinism.
+    exponent, a bool included, or a float, bool or decimal-string
+    coefficient (exactnum._exact), raises ValueError.  coeffs and
+    monomials() return Fractions.  Monomials iterate and print in
+    (y-degree, x-degree) lexicographic order, purely for determinism.
     """
 
     __slots__ = ("_num", "_den", "_hash", "_degy")
@@ -91,8 +94,7 @@ class BivarPoly:
         fr = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for (a, b), v in items:
-            if not (isinstance(a, int) and isinstance(b, int)
-                    and a >= 0 and b >= 0):
+            if not (_is_int(a) and _is_int(b) and a >= 0 and b >= 0):
                 raise ValueError(
                     f"exponents must be non-negative ints, got {(a, b)!r}")
             fr[a, b] = fr.get((a, b), 0) + _exact(v, ValueError)
@@ -495,34 +497,38 @@ class _ZPow:
     coefficients by the lcm d of theirs (den), so every table entry is an
     int.
 
-    With lead and low the greatest and least scaled exponents of z_N,
-    pow(b) is one tuple of b*(lead - low) + 1 ints: entry i is the
-    coefficient of (d*z_N)^b at scaled exponent b*low + i, zeros included.
-    The first and last entries, the b-th powers of the lowest and leading
-    coefficients, are nonzero, so the top term is last.
+    With lead and low the greatest and least scaled exponents of z_N, the
+    power b has b*(lead - low) + 1 entries: entry i is the coefficient of
+    (d*z_N)^b at scaled exponent b*low + i, zeros included.  The first and
+    last entries, the b-th powers of the lowest and leading coefficients,
+    are nonzero, so the top term is last.
 
-    New powers are built on one packed int (Kronecker substitution;
-    Harvey, JSC 44, 2009) whose W-bit fields, in two's complement, are
-    exactly those entries: P = sum a_i * 2^(W*i).  Multiplying by d*z_N is
-    then sum c * (P << W*(e - low)) over the terms (e, c), a few shifts and
-    adds inside CPython's big-int code.  That identity holds between ints
-    whatever W is; W only has to make the fields of each power decodable,
-    which they are when every |a_i| < 2^(W-1) (_unpack).
+    Each power stays packed (Kronecker substitution; Harvey, JSC 44, 2009)
+    as the int P = sum a_i * 2^(W*i) whose W-bit fields, W = 8*width, are
+    its entries a_i.  Multiplying by d*z_N is then
+    sum c * (P << W*(e - low)) over the terms (e, c), a few shifts and
+    adds inside CPython's big-int code.  A power is kept as the
+    little-endian two's-complement bytes of its P, so that a band of
+    entries is a slice (_scan), and no field is decoded here.
 
     Width.  Let |g|_1 be the sum of the absolute values of g's
     coefficients.  The triangle inequality gives |gh|_1 <= |g|_1 |h|_1, so
     every coefficient of (d*z_N)^k has absolute value at most
-    |(d*z_N)^k|_1 <= |d*z_N|_1^k, which for k <= b is at most
-    L = |d*z_N|_1^b.  An extension up to power b takes
-    W = bit_length(L) + 2 rounded up to whole bytes, so every
-    |a_i| <= L < 2^(W-2).
+    |d*z_N|_1^k.  A scan adds the entries of powers up to b weighted by
+    its monomials, at the table's width, so its sums are bounded by
+    weight * |d*z_N|_1^b for weight the sum of its absolute weights
+    (_prepare).  One width serves them all: 2^(W-2) exceeds the bound of
+    the top power and of every request (rows), so the table is as wide as
+    the widest scan asked.  A request within the width only adds powers,
+    each from the last by the shifted adds.  A wider one builds the table
+    anew at the least width (_width), and when that means rebuilding
+    powers already built, with 64 bits to spare above 8 bytes, so that
+    rebuilding is rare.
 
-    An extension packs the last built power (_pack), shifts and adds up to
-    power b, and reads every field of each new power once (_unpack).  No
-    packed state is kept between extensions, so a later, higher b re-packs
-    at its own width.  Powers are built under a lock and published as a
-    new tuple of tuples, so a published power never changes and is read
-    lock-free.
+    table is the one tuple (width, rows), rows[b] the bytes of power b.
+    Extensions are built under a lock and published as a new tuple, so a
+    published table never changes and is read lock-free, and a table only
+    gains powers and width.
     """
 
     def __init__(self, terms):
@@ -534,32 +540,41 @@ class _ZPow:
              c.numerator * (self.den // c.denominator)) for c, e in terms)
         self.lead = self.zterms[0][0]
         self.low = self.zterms[-1][0]
-        self.pows = ((1,),)
+        self.norm = sum(abs(c) for _, c in self.zterms)
+        self.table = (1, (b"\x01",))
         self._lock = threading.Lock()
 
-    def pow(self, b):
-        """The coefficients of (d*z_N)^b from scaled exponent b*low up."""
-        pows = self.pows
-        if b < len(pows):
-            return pows[b]
+    def rows(self, b, weight=1):
+        """The table (width, rows), holding the powers 0..b at least, with
+        weight * |d*z_N|_1^b < 2^(W-2)."""
+        table = self.table
+        if (len(table[1]) > b
+                and not weight * self.norm ** b >> 8 * table[0] - 2):
+            return table
         with self._lock:
-            ext = list(self.pows)
-            k = len(ext) - 1
-            if k < b:
-                span = self.lead - self.low
-                _check_fields(b - k + span * (b * (b + 1) - k * (k + 1)) // 2,
-                              f"power table of z_{self.depth} up to power {b}")
-                norm = sum(abs(c) for _, c in self.zterms)
-                width = ((norm ** b).bit_length() + 9) // 8
-                shifts = tuple((8 * width * (e - self.low), c)
-                               for e, c in self.zterms)
-                packed = _pack(ext[-1], width)
-                while k < b:
-                    packed = sum(c * (packed << s) for s, c in shifts)
-                    k += 1
-                    ext.append(_unpack(packed, k * span + 1, width))
-                self.pows = tuple(ext)
-        return ext[b]
+            width, rows = self.table
+            top = max(b, len(rows) - 1)
+            bound = max(weight * self.norm ** b, self.norm ** top)
+            if bound >> 8 * width - 2:
+                width = _width(bound)
+                width += 8 if width > 8 and len(rows) > 1 else 0
+                rows = ((1).to_bytes(width, "little"),)
+            rows, k = list(rows), len(rows) - 1
+            span = self.lead - self.low
+            _check_fields(
+                top - k + span * (top * (top + 1) - k * (k + 1)) // 2,
+                f"power table of z_{self.depth} up to power {top}")
+            shifts = tuple((8 * width * (e - self.low), c)
+                           for e, c in self.zterms)
+            packed = int.from_bytes(rows[-1], "little", signed=True)
+            while k < top:
+                packed = sum(packed << s if c == 1 else c * (packed << s)
+                             for s, c in shifts)
+                k += 1
+                rows.append(packed.to_bytes((k * span + 1) * width, "little",
+                                            signed=True))
+            self.table = table = (width, tuple(rows))
+        return table
 
 
 def _pack(coeffs, width):
@@ -573,22 +588,36 @@ def _pack(coeffs, width):
             - int.from_bytes(zero * len(coeffs), "little"))
 
 
+def _width(bound):
+    """Bytes per field for ints of absolute value at most bound: at least
+    bit_length(bound) + 2 bits, rounded up to 1, 2, 4 or 8 bytes when it
+    fits in 8, so that _unpack takes its cast path."""
+    width = (bound.bit_length() + 9) // 8
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+# memoryview formats of the field widths _unpack reads natively
+_CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+
+
 def _unpack(packed, n, width):
-    """The n fields of width bytes of a packed int, such as a power of
-    _ZPow or a product of _truncated_product, as a tuple of ints, for
-    fields a_i with |a_i| < 2^(W-1), W = 8*width.
+    """The n fields of width bytes of a packed int, such as a scan window
+    or a product of _truncated_product, as a list of ints, for fields a_i
+    with |a_i| < 2^(W-1), W = 8*width.
     Read as two's complement, a field of packed borrows 1 from the field
     above it whenever the fields below sum to a negative int.  Adding
-    2^(W-1) to every field, one big-int addition, carries all those
+    Z = sum 2^(W-1) * 2^(W*i), one big-int addition, carries all those
     borrows at once: as |a_i| < 2^(W-1), the sum has the base-2^W digits
-    a_i + 2^(W-1), each in [0, 2^W).  So a field is its bytes, read
-    unsigned, minus 2^(W-1)."""
-    zero = bytes(width - 1) + b"\x80"  # 2^(W-1), little-endian
-    half = 1 << (8 * width - 1)
-    data = (packed + int.from_bytes(zero * n, "little")).to_bytes(
-        n * width, "little")
-    return tuple([int.from_bytes(c, "little") - half
-                  for (c,) in iter_unpack(f"{width}s", data)])
+    a_i + 2^(W-1), each in [0, 2^W).  Flipping each digit's top bit (xor
+    Z) then leaves a_i mod 2^W, the field's own two's complement, read
+    signed: by one memoryview cast for 1-, 2-, 4- and 8-byte fields on a
+    little-endian machine, else field by field."""
+    zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    data = ((packed + zero) ^ zero).to_bytes(n * width, "little")
+    if width in _CAST:
+        return memoryview(data).cast(_CAST[width]).tolist()
+    return [int.from_bytes(c, "little", signed=True)
+            for (c,) in iter_unpack(f"{width}s", data)]
 
 
 def _truncated_product(a, b, skip, n=None):
@@ -621,7 +650,7 @@ def _truncated_product(a, b, skip, n=None):
     bound = sum(map(abs, a)) * sum(map(abs, b))
     if not bound:
         return (0,) * n
-    width = (bound.bit_length() + 9) // 8
+    width = _width(bound)
     packed = _pack(a, width) * _pack(b, width)
     if skip:
         shift = 8 * width * skip
@@ -629,7 +658,7 @@ def _truncated_product(a, b, skip, n=None):
     if n < full:
         shift = 8 * width * n
         packed -= (packed + (1 << (shift - 1))) >> shift << shift
-    return _unpack(packed, n, width)
+    return tuple(_unpack(packed, n, width))
 
 
 def _product_band(p, q, lo, hi):
@@ -657,13 +686,17 @@ def _prepare(f, zp, D):
     With d = zp.den, f(t, z_N) = sum num * t^a * z_N^b / den_f
     = sum num * d^(D-b) * t^a * (d*z_N)^b / (den_f * d^D), so each monomial
     weighs its numerator by d^(D-b) against the table of (d*z_N)^b.  The
-    table is extended to power D up front, so a scan extends it at most
-    once.
+    table is extended to power D, at a width for the sum of the absolute
+    weights, up front, so a scan reads it as it is (_scan).
     """
-    zp.pow(D)
-    d = zp.den
-    work = [(a * zp.scale, b, v * d ** (D - b))
-            for (a, b), v in f._num.items()]
+    d, scale = zp.den, zp.scale
+    work = []
+    weight = 0
+    for (a, b), v in f._num.items():
+        w = v * d ** (D - b)
+        work.append((a * scale, b, w))
+        weight += abs(w)
+    zp.rows(D, weight)
     return work, f._den * d ** D
 
 
@@ -674,24 +707,52 @@ def _monomial_top(work, zp):
 
 def _scan(work, zp, lo, hi):
     """The evaluation at scaled exponents in [lo, hi) as one list of int
-    numerators, entry i at exponent lo + i (empty when hi <= lo).
+    numerators, entry i at exponent lo + i (empty when hi <= lo), for a
+    work list from _prepare.
 
-    A monomial adds its weight times the power (d*z_N)^b, whose entry i
-    lies at exponent shift + b*low + i, so the window meets it in one
-    slice, located by index arithmetic and added as one slice of the list.
+    A monomial adds its weight w times the power (d*z_N)^b, whose entry k
+    lies at exponent shift + b*low + k, so the window meets it in one run
+    of entries i <= k < j, found by index arithmetic and read as one slice
+    of the power's bytes, the fields i..j-1, as a signed int X.
+
+    Proof that X plus one rounding bit is the run exactly.  With P the
+    packed power and s = W*i, the slice holds floor(P / 2^s) modulo
+    2^(W*(j-i)).  Every field has |a_k| < 2^(W-2) (_ZPow), so the fields
+    below i sum to some |lower| < 2^(s-2), and the run to some V with
+    |V| < 2^(W*(j-i)-2).  So floor(P / 2^s) is V - [lower < 0] modulo
+    2^(W*(j-i)), and both lie in the signed range of the slice, so
+    X = V - [lower < 0].  lower < 0 exactly when bit s-1 of P, the top bit
+    of the byte before the slice, is set; adding it rounds the shift.
+
+    A run that starts inside the window (i = 0) borrows nothing and is
+    shifted to its place; every other starts at the window's first entry,
+    so their bits, times w, add up to one small int there.  The window is
+    one packed sum, each field the sum of w * a_k over the monomials, of
+    absolute value at most sum |w| * |d*z_N|_1^D < 2^(W-2), the bound
+    _prepare asked the table's width for; only its n = hi - lo fields are
+    decoded (_unpack).
     """
     n = hi - lo
     _check_fields(n, "scan window")
-    acc = [0] * n
+    if n <= 0:
+        return []
+    width, rows = zp.table
+    low, end = zp.low, n * width
+    from_bytes = int.from_bytes
+    acc = borrows = 0
     for shift, b, coeff in work:
-        row = zp.pow(b)
-        at = shift + b * zp.low - lo
-        i = -at if at < 0 else 0
-        j = len(row) if at + len(row) < n else n - at
-        if i < j:
-            acc[at + i:at + j] = map(add, acc[at + i:at + j],
-                                     map(coeff.__mul__, row[i:j]))
-    return acc
+        row = rows[b]
+        at = (shift + b * low - lo) * width
+        if at < 0:
+            if at + len(row) > 0:
+                acc += coeff * from_bytes(row[-at:end - at], "little",
+                                          signed=True)
+                if row[-at - 1] > 127:
+                    borrows += coeff
+        elif at < end:
+            acc += coeff * from_bytes(row[:end - at], "little",
+                                      signed=True) << 8 * at
+    return _unpack(acc + borrows, n, width)
 
 
 def _strip(coeffs):
@@ -1130,7 +1191,7 @@ def preimage_image(digits, zp, ctx, lowest=0):
 
     Products are cached per context under (digits, N), bounded by the
     monoid and the depth.  An extension is published as a new tuple, the
-    way _ZPow.pow publishes its powers, so a reader never sees a partial
+    way _ZPow.rows publishes its table, so a reader never sees a partial
     entry and a published entry never changes."""
     if not digits:
         return 0, (1,), 1

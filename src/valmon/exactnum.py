@@ -4,8 +4,9 @@ Rationals are ``fractions.Fraction`` throughout the package: arbitrary
 precision, always in lowest terms, positive denominator.  This module adds
 the "p/q" string convention used by every file format, and owns the two
 rules every number from outside passes: a float or a bool is never read as
-a rational (_exact, rat), and no decimal string of more than _DIGITS_CAP
-digits reaches int() (_int, behind rat, the spec loader and the polynomial
+a rational (_exact, rat) nor a bool as an int (_is_int), and no decimal
+string of more than _DIGITS_CAP digits reaches int() (_int, behind rat,
+and so behind _exact for strings, the spec loader and the polynomial
 parser).
 """
 
@@ -19,10 +20,22 @@ _DIGITS_CAP = 4300  # int()'s default limit on a decimal string
 def _exact(v, error=InvalidSpec):
     """Fraction(v); a float, never the rational it was typed as, raises
     error, and so does a bool, which is an int to Python but no number in
-    any valmon input."""
+    any valmon input.  A str is read by rat, as an int or "p/q", so a
+    decimal such as "2.5" or "1e-1", or a p or q of more than _DIGITS_CAP
+    digits, raises error too."""
     if isinstance(v, (float, bool)):
         raise error(f"{v!r} is a {type(v).__name__}, not an exact rational")
+    if isinstance(v, str):
+        try:
+            return rat(v)
+        except ValueError as exc:
+            raise error(str(exc)) from None
     return Fraction(v)
+
+
+def _is_int(v):
+    """v is an int and not a bool (see _exact)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _int(text, what, error=ValueError):

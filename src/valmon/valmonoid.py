@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InsufficientPrecision, InternalError, NotInMonoid
-from .exactnum import _exact
+from .exactnum import _exact, _is_int
 from . import seqderive
 
 
@@ -77,11 +77,11 @@ def rep_value(rep, ctx):
         raise InsufficientPrecision(
             f"representation depth {len(rep.digits)} exceeds context depth "
             f"{seqs.depth}")
-    if not isinstance(rep.n, int) or rep.n < 0:
+    if not _is_int(rep.n) or rep.n < 0:
         raise ValueError(f"n = {rep.n!r} is not a natural number")
     total = Fraction(rep.n)
     for j, d in enumerate(rep.digits, start=1):
-        if not isinstance(d, int) or not 0 <= d < seqs.s(j):
+        if not _is_int(d) or not 0 <= d < seqs.s(j):
             raise ValueError(f"d_{j} = {d!r} not an int in [0, {seqs.s(j)})")
         if d:
             total += d * seqs.rho(j)
@@ -158,7 +158,7 @@ def _chain(k, ctx):
 def base_digits(d, ctx):
     """Mixed-radix digits of a natural d (an int) with place values
     r_l(j-1), digit j bounded by s_j."""
-    if not isinstance(d, int) or d < 0:
+    if not _is_int(d) or d < 0:
         raise ValueError(f"d = {d!r} is not a natural number")
     seqs = ctx.seqs
     digits = []

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cyclotomic import as_rational, conjugate
 from valmon import bipoly
 from valmon.bipoly import (BivarPoly, _exact_truncation, _product_band,
-                           _truncated_product, _ZPow, eval_leading,
+                           _truncated_product, _unpack, _ZPow, eval_leading,
                            min_poly_finite_puiseux, parse, preimage,
                            preimage_of_rep, preimage_product,
                            truncation_min_poly)
@@ -208,12 +209,14 @@ def test_poly_arithmetic_against_fraction_reference():
         assert (p - p) == BivarPoly.zero()
 
 
-@pytest.mark.parametrize("key", [(F(3, 2), 0), (2.7, 1), (-1, 0), (0, -1)],
+@pytest.mark.parametrize("key", [(F(3, 2), 0), (2.7, 1), (-1, 0), (0, -1),
+                                 (True, 0), (0, False)],
                          ids=["fraction", "float", "negative-x",
-                              "negative-y"])
+                              "negative-y", "bool-x", "bool-y"])
 def test_invalid_exponents_raise(key):
     # never truncated or wrapped: (3/2, 0) used to be x, (2.7, 1) x^2*y,
-    # (-1, 0) printed as 1, and (0, -1) failed inside eval_leading
+    # (-1, 0) printed as 1, (0, -1) failed inside eval_leading, and
+    # (True, 0) was x
     with pytest.raises(ValueError, match="non-negative ints"):
         BivarPoly({key: 1})
     with pytest.raises(ValueError, match="non-negative ints"):
@@ -234,6 +237,18 @@ def test_bool_coefficient_raises():
         BivarPoly({(0, 0): True})
     with pytest.raises(ValueError, match="is a bool, not an exact rational"):
         BivarPoly([((1, 0), 1), ((0, 1), False)])
+
+
+def test_string_coefficients_read_as_ints_or_p_over_q():
+    # a str coefficient is read by exactnum.rat, as an int or "p/q": never
+    # as a decimal, which Fraction would take ("2.5" as 5/2), and never
+    # with more digits than int() reads, which raise valmon's own message
+    assert BivarPoly({(0, 0): "3/4", (1, 0): " -2 "}) == parse("3/4 - 2*x")
+    for text in ("2.5", "1e-1", "0x10", "1/2/3"):
+        with pytest.raises(ValueError):
+            BivarPoly({(0, 0): text})
+    with pytest.raises(ValueError, match="^more than 4300 digits"):
+        BivarPoly({(0, 0): "7" * 5000})
 
 
 def test_float_scale_raises():
@@ -606,12 +621,27 @@ def _convolved_powers(zterms, b_max):
     return pows
 
 
+def _table_powers(zp):
+    """Every power the table holds, read back from its packed rows: each
+    row is the two's-complement bytes of one packed int of b*span + 1
+    fields."""
+    width, rows = zp.table
+    span = zp.lead - zp.low
+    out = []
+    for b, row in enumerate(rows):
+        assert len(row) == (b * span + 1) * width
+        packed = int.from_bytes(row, "little", signed=True)
+        out.append(tuple(_unpack(packed, b * span + 1, width)))
+    return out
+
+
 @pytest.mark.parametrize("name, b_max", [
     ("dyadic", 64), ("triadic", 80), ("harmonic", 59), ("rational", 63),
     ("mixed-denominators", 63), ("signed", 63), ("wide-gap", 29)])
 def test_packed_power_tables_match_convolution(name, b_max):
-    # each stage extends the table at a wider field than the last, since
-    # |d*z_N|_1^b grows with b; powers are read back from the top down
+    # each stage extends the table, rebuilding it wider when |d*z_N|_1^b
+    # outgrows its width; a scan of larger weight then rebuilds it wider
+    # still, with the same powers
     spec = _oracle_spec(name)[0]
     zp = _ZPow(_exact_truncation(spec, b_max))
     if name == "dyadic":
@@ -620,13 +650,82 @@ def test_packed_power_tables_match_convolution(name, b_max):
         assert zp.den == 6
     if name == "signed":
         assert any(c < 0 for _, c in zp.zterms)
-    if name == "wide-gap":
-        assert sum(map(bool, zp.pow(b_max))) == b_max + 1
+    widths = []
     for b in (3, 10, b_max):
-        zp.pow(b)
+        widths.append(zp.rows(b)[0])
+        assert len(zp.table[1]) == b + 1
     want = _convolved_powers(zp.zterms, b_max)
-    for b in range(b_max, -1, -1):
-        assert zp.pow(b) == want[b]
+    assert _table_powers(zp) == want
+    if name == "wide-gap":
+        assert sum(map(bool, want[b_max])) == b_max + 1
+    # a narrower request reads the table as it is
+    assert zp.rows(3, 2) is zp.table
+    weight = 1 << 8 * widths[-1]
+    zp.rows(10, weight)
+    width = zp.table[0]
+    assert widths == sorted(widths) and width > widths[-1]
+    assert weight * zp.norm ** 10 < 1 << 8 * width - 2
+    assert _table_powers(zp) == want
+
+
+def _oracle_window(work, zp, pows, lo, hi):
+    """Entries lo <= e < hi of sum w * x^shift * (d*z_N)^b over the work
+    list, placed from the convolved powers one entry at a time."""
+    out = [0] * max(hi - lo, 0)
+    for shift, b, w in work:
+        for k, c in enumerate(pows[b]):
+            if lo <= shift + b * zp.low + k < hi:
+                out[shift + b * zp.low + k - lo] += w * c
+    return out
+
+
+@pytest.mark.parametrize("name", ["signed", "mixed-denominators", "wide-gap"])
+def test_scan_windows_match_oracle_image(name):
+    # windows that cut a monomial's row at its start, at its end, inside
+    # it, around it, or miss it, on a table rebuilt wider between scans
+    rng = random.Random(29)
+    spec = _oracle_spec(name)[0]
+    zp = _ZPow(_exact_truncation(spec, 12))
+    pows = _convolved_powers(zp.zterms, 12)
+    terms = {(rng.randint(0, 3), rng.randint(0, 12)): rng.randint(-9, 9) or 1
+             for _ in range(12)}
+    small = BivarPoly({**terms, (0, 12): 1})
+    big = BivarPoly({k: v * (3 ** 200 + 1) for k, v in small.coeffs.items()})
+    widths = []
+    for f in (small, big, small):
+        work, _ = bipoly._prepare(f, zp, 12)
+        widths.append(zp.table[0])
+        windows = [(3, 3), (0, 1), (-1, 2)]
+        for shift, b, _ in work:
+            start = shift + b * zp.low
+            stop = start + len(pows[b])
+            windows += [(start - 1, start + 2), (start, start + 1),
+                        (stop - 2, stop + 1), (stop - 1, stop),
+                        (start + 1, stop - 1), (start - 3, stop + 3)]
+        windows += [(lo, lo + rng.randint(1, 40))
+                    for lo in rng.sample(range(12 * zp.lead), 20)]
+        for lo, hi in windows:
+            assert bipoly._scan(work, zp, lo, hi) == _oracle_window(
+                work, zp, pows, lo, hi), (lo, hi)
+    assert widths[0] < widths[1] == widths[2]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_unpack_cast_path_matches_from_bytes_path(width, monkeypatch):
+    # fields at the bound every packed sum keeps, 2^(W-2) - 1, of both
+    # signs, and at the extremes _unpack allows, 2^(W-1) - 1; the cast
+    # path is the one taken on a little-endian machine
+    assert (width in bipoly._CAST) == (sys.byteorder == "little")
+    rng = random.Random(width)
+    edge, top = (1 << 8 * width - 2) - 1, (1 << 8 * width - 1) - 1
+    fields = [edge, -edge, 0, 1, -1, edge, edge, -edge, -edge, top, -top]
+    fields += [rng.randint(-edge, edge) for _ in range(200)]
+    for n in (1, 2, len(fields)):
+        packed = bipoly._pack(fields[:n], width)
+        cast = _unpack(packed, n, width)
+        with monkeypatch.context() as m:
+            m.setattr(bipoly, "_CAST", {})
+            assert _unpack(packed, n, width) == cast == fields[:n]
 
 
 def _schoolbook(a, b):

@@ -354,7 +354,7 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
     assert res.iterations == 6 and len(spolys) > 30
     assert (outside, inside, calls) == (2, 103, 38)
     assert res.basis[-1].deg_y() == 64
-    assert len(ctx.cache[("zpow", 7)].pows) == 33
+    assert len(ctx.cache[("zpow", 7)].table[1]) == 33
 
 
 @pytest.mark.parametrize("f,gs", [

@@ -123,6 +123,17 @@ def test_spec_validation():
         SimpleSeriesSpec([(1, 1)], GeometricTail(1))
 
 
+def test_string_spec_terms_read_as_ints_or_p_over_q():
+    # a str is read as an int or "p/q" (exactnum.rat), never as a decimal
+    # such as "1e-1" or "0.5", which Fraction would read as 1/10 or 1/2
+    assert SimpleSeriesSpec([("2", "1/2")]).term(1) == (F(2), F(1, 2))
+    for term in (("1e-1", "1/2"), ("1", "0.5"), ("1", "9" * 5000)):
+        with pytest.raises(InvalidSpec):
+            SimpleSeriesSpec([term])
+    with pytest.raises(InvalidSpec, match="^more than 4300 digits"):
+        SimpleSeriesSpec([("1", "1/" + "9" * 5000)])
+
+
 def test_float_in_spec_prefix_raises():
     # Fraction(0.1) would give an exponent with denominator 2^55
     with pytest.raises(InvalidSpec, match="float"):

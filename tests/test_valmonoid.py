@@ -99,10 +99,15 @@ def test_canonical_min(ctx):
     lambda ctx: rep_value(MonoidRep(0, (1.0, 1)), ctx),
     lambda ctx: decompose(True, ctx),
     lambda ctx: divides(False, F(1), ctx),
+    lambda ctx: base_digits(True, ctx),
+    lambda ctx: rep_value(MonoidRep(True, ()), ctx),
+    lambda ctx: rep_value(MonoidRep(0, (True,)), ctx),
+    lambda ctx: decompose("0.75", ctx),
 ], ids=["decompose", "decompose-tenth", "divides", "divides-mf",
         "canonical_min", "preimage", "lambda_d", "base_digits",
         "base_digits-fraction", "rep_value-n", "rep_value-digit",
-        "decompose-bool", "divides-bool"])
+        "decompose-bool", "divides-bool", "base_digits-bool",
+        "rep_value-bool-n", "rep_value-bool-digit", "decompose-decimal"])
 def test_floats_and_non_ints_are_refused(ctx, call):
     # a float is never read as the binary fraction it holds, nor a bool as
     # 0 or 1, and n and the digits of a representation are ints
