@@ -61,6 +61,10 @@ _COEFF_BITS_CAP = 10 ** 6
 # power-table extension packs (_ZPow.rows; a rebuild packs every power),
 # checked before they are allocated
 _FIELDS_CAP = 10 ** 7
+# bits a monomial's weight may take over the powers it reads before a scan
+# cuts the weights into digits, one packed sum each, instead of widening
+# the power table (_prepare)
+_LIMB_BITS = 64
 
 
 def _check_fields(n, what):
@@ -514,21 +518,22 @@ class _ZPow:
     Width.  Let |g|_1 be the sum of the absolute values of g's
     coefficients.  The triangle inequality gives |gh|_1 <= |g|_1 |h|_1, so
     every coefficient of (d*z_N)^k has absolute value at most
-    |d*z_N|_1^k.  A scan adds the entries of powers up to b weighted by
-    its monomials, at the table's width, so its sums are bounded by
-    weight * |d*z_N|_1^b for weight the sum of its absolute weights
-    (_prepare).  One width serves them all: 2^(W-2) exceeds the bound of
-    the top power and of every request (rows), so the table is as wide as
-    the widest scan asked.  A request within the width only adds powers,
-    each from the last by the shifted adds.  A wider one builds the table
-    anew at the least width (_width), and when that means rebuilding
-    powers already built, with 64 bits to spare above 8 bytes, so that
-    rebuilding is rare.
+    |d*z_N|_1^k.  A packed sum of a scan adds the entries of powers up to
+    b weighted by its monomials, at the table's width, so its sums are
+    bounded by weight * |d*z_N|_1^b for weight the sum of its absolute
+    weights.  One
+    width serves them all: 2^(W-2) exceeds |d*z_N|_1^top for the top power
+    and the bound of every request (rows), which _prepare caps at
+    _LIMB_BITS bits a monomial over |d*z_N|_1^b, so the width follows the
+    powers and not the scans' weights.  A request within the width only
+    adds powers, each from the last by the shifted adds.  A wider one
+    builds the table anew at the least width (_width), rounded up to 1,
+    2, 4 or 8 bytes below 8, which a scan decodes by one cast (_unpack).
 
     table is the one tuple (width, rows), rows[b] the bytes of power b.
     Extensions are built under a lock and published as a new tuple, so a
-    published table never changes and is read lock-free, and a table only
-    gains powers and width.
+    published table never changes and is read lock-free (_prepare checks
+    it without the lock), and a table only gains powers and width.
     """
 
     def __init__(self, terms):
@@ -544,20 +549,19 @@ class _ZPow:
         self.table = (1, (b"\x01",))
         self._lock = threading.Lock()
 
-    def rows(self, b, weight=1):
-        """The table (width, rows), holding the powers 0..b at least, with
-        weight * |d*z_N|_1^b < 2^(W-2)."""
-        table = self.table
-        if (len(table[1]) > b
-                and not weight * self.norm ** b >> 8 * table[0] - 2):
-            return table
+    def rows(self, b, bound=1):
+        """Make the table hold the powers 0..b at least, at a width with
+        bound < 2^(W-2)."""
         with self._lock:
             width, rows = self.table
+            if len(rows) > b and not bound >> 8 * width - 2:
+                return
             top = max(b, len(rows) - 1)
-            bound = max(weight * self.norm ** b, self.norm ** top)
+            bound = max(bound, self.norm ** top)
             if bound >> 8 * width - 2:
                 width = _width(bound)
-                width += 8 if width > 8 and len(rows) > 1 else 0
+                if width < 8:  # scans decode these widths by one cast
+                    width = 1 << (width - 1).bit_length()
                 rows = ((1).to_bytes(width, "little"),)
             rows, k = list(rows), len(rows) - 1
             span = self.lead - self.low
@@ -573,8 +577,7 @@ class _ZPow:
                 k += 1
                 rows.append(packed.to_bytes((k * span + 1) * width, "little",
                                             signed=True))
-            self.table = table = (width, tuple(rows))
-        return table
+            self.table = (width, tuple(rows))
 
 
 def _pack(coeffs, width):
@@ -589,11 +592,9 @@ def _pack(coeffs, width):
 
 
 def _width(bound):
-    """Bytes per field for ints of absolute value at most bound: at least
-    bit_length(bound) + 2 bits, rounded up to 1, 2, 4 or 8 bytes when it
-    fits in 8, so that _unpack takes its cast path."""
-    width = (bound.bit_length() + 9) // 8
-    return width if width > 8 else 1 << (width - 1).bit_length()
+    """Bytes per field for ints of absolute value at most bound: the least
+    with bit_length(bound) + 2 bits."""
+    return (bound.bit_length() + 9) // 8
 
 
 # memoryview formats of the field widths _unpack reads natively
@@ -680,29 +681,58 @@ def _product_band(p, q, lo, hi):
 
 
 def _prepare(f, zp, D):
-    """Integer work list [(scaled x-shift, ydeg, weight)] for f(t, z_N), and
-    the denominator of the evaluation; D is deg_y f.
+    """Integer work list for f(t, z_N), and the denominator of the
+    evaluation; D is deg_y f.
 
     With d = zp.den, f(t, z_N) = sum num * t^a * z_N^b / den_f
     = sum num * d^(D-b) * t^a * (d*z_N)^b / (den_f * d^D), so each monomial
     weighs its numerator by d^(D-b) against the table of (d*z_N)^b.  The
-    table is extended to power D, at a width for the sum of the absolute
-    weights, up front, so a scan reads it as it is (_scan).
+    table is extended to power D up front, so a scan reads it as it is
+    (_scan).
+
+    The work list is (step, terms), terms a list of (scaled x-shift, ydeg,
+    weight).  A scan's packed sum needs S * |d*z_N|_1^D < 2^(W-2) for S the
+    sum of the absolute weights (_ZPow).  The table is asked for
+    min(S, m * 2^H) times |d*z_N|_1^D, for m monomials and H = _LIMB_BITS,
+    so large weights do not widen it.  When S fits, step is 0 and each
+    weight an int.  Otherwise m * |d*z_N|_1^D * 2^H < 2^(W-2), so
+    step = W - 2 - bit_length(m * |d*z_N|_1^D) >= H, and each weight is
+    the list of its base-2^step digits, least first, all of one length,
+    each with the weight's sign.  The k-th digits then have absolute
+    values summing to under m * 2^step, so their packed sum fits the
+    width, and the weights are the sums of their digits times 2^(k*step).
     """
     d, scale = zp.den, zp.scale
-    work = []
+    terms = []
     weight = 0
     for (a, b), v in f._num.items():
         w = v * d ** (D - b)
-        work.append((a * scale, b, w))
+        terms.append((a * scale, b, w))
         weight += abs(w)
-    zp.rows(D, weight)
-    return work, f._den * d ** D
+    norm = zp.norm ** D
+    need = weight * norm
+    den = f._den * d ** D
+    width, rows = zp.table
+    if len(rows) <= D or need >> 8 * width - 2:
+        zp.rows(D, min(weight, len(terms) << _LIMB_BITS) * norm)
+        bits = 8 * zp.table[0] - 2
+        if need >> bits:
+            step = bits - (len(terms) * norm).bit_length()
+            mask = (1 << step) - 1
+            lifts = range(0, max(abs(w) for *_, w in terms).bit_length(),
+                          step)
+            split = []
+            for shift, b, w in terms:
+                digits = [abs(w) >> lift & mask for lift in lifts]
+                split.append((shift, b, digits if w > 0 else
+                              [-c for c in digits]))
+            return (step, split), den
+    return (0, terms), den
 
 
 def _monomial_top(work, zp):
     """The highest scaled exponent any monomial of the work list reaches."""
-    return max(shift + b * zp.lead for shift, b, _ in work)
+    return max(shift + b * zp.lead for shift, b, _ in work[1])
 
 
 def _scan(work, zp, lo, hi):
@@ -725,34 +755,57 @@ def _scan(work, zp, lo, hi):
     of the byte before the slice, is set; adding it rounds the shift.
 
     A run that starts inside the window (i = 0) borrows nothing and is
-    shifted to its place; every other starts at the window's first entry,
-    so their bits, times w, add up to one small int there.  The window is
-    one packed sum, each field the sum of w * a_k over the monomials, of
-    absolute value at most sum |w| * |d*z_N|_1^D < 2^(W-2), the bound
-    _prepare asked the table's width for; only its n = hi - lo fields are
-    decoded (_unpack).
+    shifted to its place; every other starts at the window's first entry.
+    The window is one packed sum, each field the sum of w * a_k over the
+    monomials, of absolute value under 2^(W-2), the bound _prepare kept the
+    weights to, and only its n = hi - lo fields are decoded (_unpack).  For
+    int weights the rounding bits, times w, add up to one small int at the
+    window's first entry.  For weights cut into digits, each run is read
+    once and summed once per digit, and the decoded sums are added at
+    their shifts, k*step.
     """
     n = hi - lo
     _check_fields(n, "scan window")
     if n <= 0:
         return []
+    step, terms = work
     width, rows = zp.table
     low, end = zp.low, n * width
     from_bytes = int.from_bytes
-    acc = borrows = 0
-    for shift, b, coeff in work:
+    if not step:
+        acc = borrows = 0
+        for shift, b, coeff in terms:
+            row = rows[b]
+            at = (shift + b * low - lo) * width
+            if at < 0:
+                if at + len(row) > 0:
+                    acc += coeff * from_bytes(row[-at:end - at], "little",
+                                              signed=True)
+                    if row[-at - 1] > 127:
+                        borrows += coeff
+            elif at < end:
+                acc += coeff * from_bytes(row[:end - at], "little",
+                                          signed=True) << 8 * at
+        return _unpack(acc + borrows, n, width)
+    accs = [0] * len(terms[0][2])
+    for shift, b, digits in terms:
         row = rows[b]
         at = (shift + b * low - lo) * width
         if at < 0:
-            if at + len(row) > 0:
-                acc += coeff * from_bytes(row[-at:end - at], "little",
-                                          signed=True)
-                if row[-at - 1] > 127:
-                    borrows += coeff
+            if at + len(row) <= 0:
+                continue
+            run = (from_bytes(row[-at:end - at], "little", signed=True)
+                   + (row[-at - 1] > 127))
         elif at < end:
-            acc += coeff * from_bytes(row[:end - at], "little",
-                                      signed=True) << 8 * at
-    return _unpack(acc + borrows, n, width)
+            run = from_bytes(row[:end - at], "little", signed=True) << 8 * at
+        else:
+            continue
+        accs = [acc + c * run for acc, c in zip(accs, digits)]
+    out = _unpack(accs.pop(), n, width)
+    while accs:
+        out = [(u << step) + v
+               for u, v in zip(out, _unpack(accs.pop(), n, width))]
+    return out
 
 
 def _strip(coeffs):

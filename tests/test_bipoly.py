@@ -640,7 +640,7 @@ def _table_powers(zp):
     ("mixed-denominators", 63), ("signed", 63), ("wide-gap", 29)])
 def test_packed_power_tables_match_convolution(name, b_max):
     # each stage extends the table, rebuilding it wider when |d*z_N|_1^b
-    # outgrows its width; a scan of larger weight then rebuilds it wider
+    # outgrows its width; a request of larger bound then rebuilds it wider
     # still, with the same powers
     spec = _oracle_spec(name)[0]
     zp = _ZPow(_exact_truncation(spec, b_max))
@@ -652,27 +652,39 @@ def test_packed_power_tables_match_convolution(name, b_max):
         assert any(c < 0 for _, c in zp.zterms)
     widths = []
     for b in (3, 10, b_max):
-        widths.append(zp.rows(b)[0])
+        zp.rows(b)
+        widths.append(zp.table[0])
         assert len(zp.table[1]) == b + 1
+    # the width follows the powers: the least that holds the top one,
+    # or a cast width of at most 8 bytes
+    least = bipoly._width(zp.norm ** b_max)
+    assert least == widths[-1] or least < widths[-1] <= 8
+    assert zp.norm ** b_max < 1 << 8 * widths[-1] - 2
     want = _convolved_powers(zp.zterms, b_max)
     assert _table_powers(zp) == want
     if name == "wide-gap":
         assert sum(map(bool, want[b_max])) == b_max + 1
     # a narrower request reads the table as it is
-    assert zp.rows(3, 2) is zp.table
-    weight = 1 << 8 * widths[-1]
-    zp.rows(10, weight)
+    table = zp.table
+    zp.rows(3, 2)
+    assert zp.table is table
+    bound = 1 << 8 * widths[-1]
+    zp.rows(10, bound)
     width = zp.table[0]
     assert widths == sorted(widths) and width > widths[-1]
-    assert weight * zp.norm ** 10 < 1 << 8 * width - 2
+    assert bound < 1 << 8 * width - 2
     assert _table_powers(zp) == want
 
 
 def _oracle_window(work, zp, pows, lo, hi):
     """Entries lo <= e < hi of sum w * x^shift * (d*z_N)^b over the work
-    list, placed from the convolved powers one entry at a time."""
+    list, each weight summed from its digits when it is cut into them,
+    placed from the convolved powers one entry at a time."""
+    step, terms = work
     out = [0] * max(hi - lo, 0)
-    for shift, b, w in work:
+    for shift, b, w in terms:
+        if step:
+            w = sum(c << k * step for k, c in enumerate(w))
         for k, c in enumerate(pows[b]):
             if lo <= shift + b * zp.low + k < hi:
                 out[shift + b * zp.low + k - lo] += w * c
@@ -682,7 +694,9 @@ def _oracle_window(work, zp, pows, lo, hi):
 @pytest.mark.parametrize("name", ["signed", "mixed-denominators", "wide-gap"])
 def test_scan_windows_match_oracle_image(name):
     # windows that cut a monomial's row at its start, at its end, inside
-    # it, around it, or miss it, on a table rebuilt wider between scans
+    # it, around it, or miss it; weights too large for the table's width
+    # are cut into digits, and a table rebuilt wider between scans still
+    # serves a work list prepared before
     rng = random.Random(29)
     spec = _oracle_spec(name)[0]
     zp = _ZPow(_exact_truncation(spec, 12))
@@ -691,12 +705,10 @@ def test_scan_windows_match_oracle_image(name):
              for _ in range(12)}
     small = BivarPoly({**terms, (0, 12): 1})
     big = BivarPoly({k: v * (3 ** 200 + 1) for k, v in small.coeffs.items()})
-    widths = []
-    for f in (small, big, small):
-        work, _ = bipoly._prepare(f, zp, 12)
-        widths.append(zp.table[0])
+
+    def check_windows(work):
         windows = [(3, 3), (0, 1), (-1, 2)]
-        for shift, b, _ in work:
+        for shift, b, _ in work[1]:
             start = shift + b * zp.low
             stop = start + len(pows[b])
             windows += [(start - 1, start + 2), (start, start + 1),
@@ -707,7 +719,25 @@ def test_scan_windows_match_oracle_image(name):
         for lo, hi in windows:
             assert bipoly._scan(work, zp, lo, hi) == _oracle_window(
                 work, zp, pows, lo, hi), (lo, hi)
+
+    widths, steps = [], []
+    for f in (small, big, small):
+        work, _ = bipoly._prepare(f, zp, 12)
+        widths.append(zp.table[0])
+        steps.append(work[0])
+        check_windows(work)
+    big_work, _ = bipoly._prepare(big, zp, 12)
+    # big's weights are 2^64 times its monomial count and more, so it
+    # widens the table only that far, not to the width one pass would need
+    one_pass = sum(abs(w) for _, _, w in work[1]) * (3 ** 200 + 1)
     assert widths[0] < widths[1] == widths[2]
+    assert widths[1] < bipoly._width(one_pass * zp.norm ** 12)
+    assert steps[0] == steps[2] == 0 < steps[1]
+    assert all(len(digits) > 1 for _, _, digits in big_work[1])
+    zp.rows(12, 1 << 8 * widths[0])
+    assert zp.table[0] > widths[0]
+    check_windows(work)
+    check_windows(big_work)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
