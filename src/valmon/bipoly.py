@@ -521,14 +521,14 @@ class _ZPow:
     |d*z_N|_1^k.  A packed sum of a scan adds the entries of powers up to
     b weighted by its monomials, at the table's width, so its sums are
     bounded by weight * |d*z_N|_1^b for weight the sum of its absolute
-    weights.  One
-    width serves them all: 2^(W-2) exceeds |d*z_N|_1^top for the top power
-    and the bound of every request (rows), which _prepare caps at
-    _LIMB_BITS bits a monomial over |d*z_N|_1^b, so the width follows the
-    powers and not the scans' weights.  A request within the width only
-    adds powers, each from the last by the shifted adds.  A wider one
-    builds the table anew at the least width (_width), rounded up to 1,
-    2, 4 or 8 bytes below 8, which a scan decodes by one cast (_unpack).
+    weights.  One width serves them all: 2^(W-2) exceeds |d*z_N|_1^top for
+    the top power and the bound of every request (rows), which _prepare
+    caps at _LIMB_BITS bits a monomial over |d*z_N|_1^b, so the width
+    follows the powers and not the scans' weights.  A request within the
+    width only adds powers, each from the last by the shifted adds.  A
+    wider one builds the table anew at the least width (_width), rounded
+    up to 1, 2, 4 or 8 bytes below 8, which a scan decodes by one cast
+    (_unpack).
 
     table is the one tuple (width, rows), rows[b] the bytes of power b.
     Extensions are built under a lock and published as a new tuple, so a
@@ -695,7 +695,8 @@ def _prepare(f, zp, D):
     sum of the absolute weights (_ZPow).  The table is asked for
     min(S, m * 2^H) times |d*z_N|_1^D, for m monomials and H = _LIMB_BITS,
     so large weights do not widen it.  When S fits, step is 0 and each
-    weight an int.  Otherwise m * |d*z_N|_1^D * 2^H < 2^(W-2), so
+    weight an int.  Otherwise that min is m * 2^H, so
+    m * |d*z_N|_1^D * 2^H < 2^(W-2) and
     step = W - 2 - bit_length(m * |d*z_N|_1^D) >= H, and each weight is
     the list of its base-2^step digits, least first, all of one length,
     each with the weight's sign.  The k-th digits then have absolute
