@@ -28,12 +28,13 @@ located by index arithmetic and nothing is sorted.
 
 Packed ints whose fields are coefficients (Kronecker substitution) hold
 the powers, which stay packed, and sum each scan window, of which only the
-window's fields are decoded; they also form large polynomial products
-(_accumulate) and products of images cut to a band (_product_band,
-preimage_image).  Every other product of
-images is one reduction step (n/d) * x^n * g * p, subtracted in place from
-an image above its floor (Image.subtract); an S-polynomial is two such
-steps from a zero image (syzygy_image), so buchberger never scans one.
+window's fields are decoded.  One packed multiply (_product), decoded
+in full, forms large polynomial products (_accumulate) and the products
+of images behind each preimage (_product_band, preimage_image).  Every
+other product of images is one reduction step (n/d) * x^n * g * p,
+subtracted in place from an image above its floor (Image.subtract); an
+S-polynomial is two such steps from a zero image (syzygy_image), so
+buchberger never scans one.
 """
 
 import sys
@@ -226,8 +227,8 @@ class BivarPoly:
             self._den * d, n and self.deg_y())
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"polynomial power {n!r} is not an int >= 0")
         result = BivarPoly.one()
         base = self
         while n:
@@ -289,7 +290,7 @@ def _accumulate(acc, den, q, r, n, d=1, shift=0):
     the dense box X*Y of the product's exponents, by Kronecker substitution:
     each factor is a list in rows of the product's y range Y (_dense), so
     no row of the product spills into the next, and the product of the two
-    lists (_truncated_product) holds q*r in the same layout.
+    lists (_product) holds q*r in the same layout.
     """
     qr_den = q._den * r._den * d
     new = lcm(den, qr_den)
@@ -305,8 +306,8 @@ def _accumulate(acc, den, q, r, n, d=1, shift=0):
         ncols = max(qy) + max(ry) - y0 + 1
         nfields = (max(qx) + max(rx) - x0 + 1) * ncols
         if _PACK_DENSITY * nfields <= len(qn) * len(rn):
-            fields = _truncated_product(_dense(qn, qx, qy, ncols),
-                                        _dense(rn, rx, ry, ncols), 0)
+            fields = _product(_dense(qn, qx, qy, ncols),
+                              _dense(rn, rx, ry, ncols))
             for i in compress(range(len(fields)), fields):
                 a, b = divmod(i, ncols)
                 k = (x0 + a, y0 + b)
@@ -603,8 +604,8 @@ _CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 def _unpack(packed, n, width):
     """The n fields of width bytes of a packed int, such as a scan window
-    or a product of _truncated_product, as a list of ints, for fields a_i
-    with |a_i| < 2^(W-1), W = 8*width.
+    or a product of two packed lists (_product), as a list of ints, for
+    fields a_i with |a_i| < 2^(W-1), W = 8*width.
     Read as two's complement, a field of packed borrows 1 from the field
     above it whenever the fields below sum to a negative int.  Adding
     Z = sum 2^(W-1) * 2^(W*i), one big-int addition, carries all those
@@ -621,45 +622,26 @@ def _unpack(packed, n, width):
             for (c,) in iter_unpack(f"{width}s", data)]
 
 
-def _truncated_product(a, b, skip, n=None):
-    """The product of the coefficient lists a and b from entry skip up, n
-    entries of it when n is given: the tuple of
-    c_k = sum over i + j = k of a_i * b_j for skip <= k < skip + n and
-    k < len(a) + len(b) - 1, empty when a or b is.  With n given it is a
-    middle product (Hanrot-Quercia-Zimmermann, AAECC 14, 2004), whose
-    entries above skip + n are computed but not read.
+def _product(a, b):
+    """The product of the coefficient lists a and b: the list of
+    c_k = sum over i + j = k of a_i * b_j for k < len(a) + len(b) - 1,
+    empty when a or b is.
 
     One packed multiply, as in _ZPow: with L = |a|_1 |b|_1, every c_k and,
     when neither list is all zeros, every entry of either list has absolute
     value at most L by the triangle inequality, so fields of
     W = bit_length(L) + 2 bits, rounded up to whole bytes, hold them all
     with |c_k| <= L < 2^(W-2).  The product of the packed lists is
-    P = sum c_k * 2^(W*k).  Its low part, the sum over k < skip, has
-    absolute value below L * 2^(W*skip) / (2^W - 1) <= 2^(W*skip - 1), so
-    floor((P + 2^(W*skip - 1)) / 2^(W*skip)) is exactly
-    sum over k >= skip of c_k * 2^(W*(k - skip)).  The same bound on the
-    sum over skip <= k < skip + n lets that shifted P lose every field from
-    n up: with Q = floor((P' + 2^(W*n - 1)) / 2^(W*n)) for the shifted P',
-    P' - Q * 2^(W*n) is exactly that sum.  Only its fields are read back
-    (_unpack).
+    P = sum c_k * 2^(W*k), and _unpack reads its fields back.  When one
+    list is all zeros, L = 0 and so is every c_k, while the other list's
+    entries need not fit W bits, so nothing is packed.
     """
-    full = len(a) + len(b) - 1 - skip
-    if n is None or n > full:
-        n = full
-    if not a or not b or n <= 0:
-        return ()
+    n = len(a) + len(b) - 1 if a and b else 0
     bound = sum(map(abs, a)) * sum(map(abs, b))
     if not bound:
-        return (0,) * n
+        return [0] * n
     width = _width(bound)
-    packed = _pack(a, width) * _pack(b, width)
-    if skip:
-        shift = 8 * width * skip
-        packed = (packed + (1 << (shift - 1))) >> shift
-    if n < full:
-        shift = 8 * width * n
-        packed -= (packed + (1 << (shift - 1))) >> shift << shift
-    return tuple(_unpack(packed, n, width))
+    return _unpack(_pack(a, width) * _pack(b, width), n, width)
 
 
 def _product_band(p, q, lo, hi):
@@ -669,15 +651,16 @@ def _product_band(p, q, lo, hi):
     other's top.  A term of the product at e >= lo is a sum of products of
     terms of p and q at exponents e_p + e_q = e with e_p <= top(p) and
     e_q <= top(q), so e_p >= lo - top(q) and e_q >= lo - top(p): only those
-    terms are multiplied (_truncated_product), and entries below the two
-    floors' sum are zero.  The band holds hi - lo entries when
-    lo <= hi <= top(p) + top(q) + 1."""
+    terms are multiplied (_product), the band is sliced out of their
+    product, and entries below the two floors' sum are zero.  The band
+    holds hi - lo entries when lo <= hi <= top(p) + top(q) + 1."""
     (pf, pn), (qf, qn) = p[:2], q[:2]
     i = max(lo - qf - len(qn) + 1, pf)
     j = max(lo - pf - len(pn) + 1, qf)
     pad = min(max(i + j - lo, 0), hi - lo)
-    return (0,) * pad + _truncated_product(
-        pn[i - pf:], qn[j - qf:], max(lo - i - j, 0), hi - lo - pad)
+    skip = max(lo - i - j, 0)
+    return (0,) * pad + tuple(
+        _product(pn[i - pf:], qn[j - qf:])[skip:skip + hi - lo - pad])
 
 
 def _prepare(f, zp, D):
@@ -1221,9 +1204,8 @@ def preimage_image(digits, zp, ctx, lowest=0):
     product at or above lowest uses no term of either factor below
     lowest - (the other's top), so each factor is kept from there up and
     multiplied by one packed multiply (_product_band).  A cached product
-    asked for below its floor gains only the band from lowest up to its
-    old floor: a middle product of the two factors, each first extended to
-    its new cut.
+    asked for below its floor is formed again from lowest up to its top,
+    each factor first extended to its new cut.
 
     The tops are the scaled rho_j.  Every caller's table is exact for D,
     or is z itself on an exhausted finite spec, and then r_N >= r_l(w) > D
@@ -1244,9 +1226,9 @@ def preimage_image(digits, zp, ctx, lowest=0):
     product of the factors' denominators is p's times d^D.
 
     Products are cached per context under (digits, N), bounded by the
-    monoid and the depth.  An extension is published as a new tuple, the
-    way _ZPow.rows publishes its table, so a reader never sees a partial
-    entry and a published entry never changes."""
+    monoid and the depth.  A product formed again lower is published as a
+    new tuple, the way _ZPow.rows publishes its table, so a reader never
+    sees a partial entry and a published entry never changes."""
     if not digits:
         return 0, (1,), 1
     # down the prefixes to one cached low enough, or to a lone p_w
@@ -1265,17 +1247,16 @@ def preimage_image(digits, zp, ctx, lowest=0):
         if hit is not None and hit[0] <= lowest:
             image = hit
             break
-        chain.append((key, hit, p_w, ftop, lowest))
+        chain.append((key, p_w, ftop, lowest))
         digits = MonoidRep(0, digits[:-1] + (digits[-1] - 1,)).digits
         lowest -= ftop
     # and back up, one product of a prefix's image and a p_w's per step
-    for key, hit, p_w, ftop, lowest in reversed(chain):
+    for key, p_w, ftop, lowest in reversed(chain):
         htop = image[0] + len(image[1]) - 1
         lowest = min(lowest, htop + ftop)
         tail = _image_down_to(p_w, zp, ctx, lowest - htop, ftop)
-        floor, num = (htop + ftop + 1, ()) if hit is None else hit[:2]
         image = ctx.cache[key] = (
-            lowest, _product_band(image, tail, lowest, floor) + num,
+            lowest, _product_band(image, tail, lowest, htop + ftop + 1),
             image[2] * tail[2])
     return image
 

@@ -18,6 +18,7 @@ from .bipoly import (BivarPoly, Remainder, eval_leading, preimage_of_rep,
                      preimage_product)
 from .errors import (IncompleteBasis, InternalError, StepLimitExceeded,
                      ZeroPolynomial)
+from .exactnum import _is_int
 from .valmonoid import (apery_set, decompose, decompose_point, lattice_point,
                         min_eta)
 
@@ -131,6 +132,8 @@ def reduce(f, basis, ctx, step_limit=DEFAULT_STEP_LIMIT, *, _syzygy=None):
     publishes a nonzero remainder, is buchberger's and not part of the
     public interface.
     """
+    if not _is_int(step_limit):
+        raise ValueError(f"step limit {step_limit!r} is not an int")
     if any(g.is_zero() for g in basis):
         raise ZeroPolynomial("basis elements must be nonzero")
     lead_basis = [eval_leading(g, ctx) for g in basis]
@@ -245,6 +248,9 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     image, like every basis image, is the context's, extended from its
     floor when a later step needs more of it.
     """
+    if not (_is_int(max_rounds) and _is_int(step_limit)):
+        raise ValueError(f"max_rounds {max_rounds!r} and step limit "
+                         f"{step_limit!r} must be ints")
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")

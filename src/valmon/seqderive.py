@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import IdentityViolation, InsufficientPrecision
-from .exactnum import rat_str
+from .exactnum import _is_int, rat_str
 
 # A spec whose tail stops ramifying would loop forever in derive; cut the
 # search well past any reasonable jump gap instead.
@@ -138,8 +138,8 @@ def _pull_terms(spec):
 
 def derive(spec, depth):
     """Populate all sequences of a spec down to `depth` rho terms."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not _is_int(depth) or depth < 1:
+        raise ValueError(f"depth must be an int >= 1, not {depth!r}")
     e = []
     r = [1]
     jumps = [0]  # l(0) = 0

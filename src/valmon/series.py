@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InsufficientPrecision, InvalidSpec, ValmonError
-from .exactnum import _exact, rat, rat_str
+from .exactnum import _exact, _is_int, rat, rat_str
 
 
 class NoetherianSeries:
@@ -273,6 +273,8 @@ BUILTIN_SPECS = {"dyadic": dyadic_spec}
 
 def truncate(spec, n):
     """The series of the first n terms of the spec."""
+    if not _is_int(n):
+        raise ValueError(f"term count {n!r} is not an int")
     terms = []
     for i in range(1, n + 1):
         t = spec.term(i)

@@ -203,6 +203,8 @@ def enumerate_omega(i, ctx, n_max):
     Pure brute-force enumeration; this is the independent membership oracle
     the congruence-based decompose is tested against.
     """
+    if not (_is_int(i) and _is_int(n_max)):
+        raise ValueError(f"omega index {i!r} and n_max {n_max!r} must be ints")
     seqs = ctx.seqs
     if i > seqs.depth:
         raise InsufficientPrecision(f"omega index {i} exceeds depth {seqs.depth}")

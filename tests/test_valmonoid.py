@@ -8,8 +8,9 @@ import pytest
 from shared_inputs import criterion_9_poly
 from valmon.bipoly import eval_leading, parse, preimage, truncation_min_poly
 from valmon.errors import InsufficientPrecision, NotInMonoid
-from valmon.gbengine import syzygy_values
-from valmon.series import dyadic_spec
+from valmon.gbengine import buchberger, reduce, syzygy_values
+from valmon.seqderive import derive
+from valmon.series import dyadic_spec, truncate
 from valmon.valmonoid import (MonoidContext, MonoidRep, apery_set,
                               base_digits, canonical_min, decompose, divides,
                               enumerate_omega, lambda_d, min_eta, rep_value)
@@ -103,14 +104,29 @@ def test_canonical_min(ctx):
     lambda ctx: rep_value(MonoidRep(True, ()), ctx),
     lambda ctx: rep_value(MonoidRep(0, (True,)), ctx),
     lambda ctx: decompose("0.75", ctx),
+    lambda ctx: MonoidContext(dyadic_spec(), True),
+    lambda ctx: derive(dyadic_spec(), 2.5),
+    lambda ctx: truncate(dyadic_spec(), True),
+    lambda ctx: enumerate_omega(True, ctx, 2),
+    lambda ctx: enumerate_omega(1, ctx, 2.0),
+    lambda ctx: buchberger([parse("x"), parse("y")], ctx, max_rounds=True),
+    lambda ctx: buchberger([parse("x"), parse("y")], ctx, step_limit=9.0),
+    lambda ctx: reduce(parse("x^2"), [parse("x")], ctx, 0.5),
+    lambda ctx: parse("x+y") ** True,
+    lambda ctx: parse("x+y") ** 2.0,
 ], ids=["decompose", "decompose-tenth", "divides", "divides-mf",
         "canonical_min", "preimage", "lambda_d", "base_digits",
         "base_digits-fraction", "rep_value-n", "rep_value-digit",
         "decompose-bool", "divides-bool", "base_digits-bool",
-        "rep_value-bool-n", "rep_value-bool-digit", "decompose-decimal"])
+        "rep_value-bool-n", "rep_value-bool-digit", "decompose-decimal",
+        "context-bool-depth", "derive-float-depth", "truncate-bool",
+        "enumerate_omega-bool-i", "enumerate_omega-float-n",
+        "buchberger-bool-rounds", "buchberger-float-steps",
+        "reduce-float-steps", "pow-bool", "pow-float"])
 def test_floats_and_non_ints_are_refused(ctx, call):
     # a float is never read as the binary fraction it holds, nor a bool as
-    # 0 or 1, and n and the digits of a representation are ints
+    # 0 or 1; n and the digits of a representation are ints, and so are
+    # depths, term counts, round and step caps and powers
     with pytest.raises(ValueError):
         call(ctx)
 
