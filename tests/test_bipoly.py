@@ -788,7 +788,7 @@ def _product_cases():
     yield [7], [-11]
     yield [0], [4, 0, -4]
     yield [0, 0], [0]
-    yield [0], [2 ** 70]  # a zero product beside entries of 72 bits
+    yield [0], [2 ** 70]  # a zero product beside an entry of 71 bits
     yield [-1], [2 ** 70, -3, 0]
 
 
