@@ -290,7 +290,8 @@ def _accumulate(acc, den, q, r, n, d=1, shift=0):
     the dense box X*Y of the product's exponents, by Kronecker substitution:
     each factor is a list in rows of the product's y range Y (_dense), so
     no row of the product spills into the next, and the product of the two
-    lists (_product) holds q*r in the same layout.
+    lists (_product) holds q*r in the same layout.  A square, r is q, is
+    one list multiplied by itself.
     """
     qr_den = q._den * r._den * d
     new = lcm(den, qr_den)
@@ -306,8 +307,8 @@ def _accumulate(acc, den, q, r, n, d=1, shift=0):
         ncols = max(qy) + max(ry) - y0 + 1
         nfields = (max(qx) + max(rx) - x0 + 1) * ncols
         if _PACK_DENSITY * nfields <= len(qn) * len(rn):
-            fields = _product(_dense(qn, qx, qy, ncols),
-                              _dense(rn, rx, ry, ncols))
+            dq = _dense(qn, qx, qy, ncols)
+            fields = _product(dq, dq if r is q else _dense(rn, rx, ry, ncols))
             for i in compress(range(len(fields)), fields):
                 a, b = divmod(i, ncols)
                 k = (x0 + a, y0 + b)
@@ -634,14 +635,19 @@ def _product(a, b):
     with |c_k| <= L < 2^(W-2).  The product of the packed lists is
     P = sum c_k * 2^(W*k), and _unpack reads its fields back.  When one
     list is all zeros, L = 0 and so is every c_k, while the other list's
-    entries need not fit W bits, so nothing is packed.
+    entries need not fit W bits, so nothing is packed.  A square, b is a,
+    packs once and multiplies the int by itself, which CPython squares
+    faster than a product of two equal ints.
     """
     n = len(a) + len(b) - 1 if a and b else 0
-    bound = sum(map(abs, a)) * sum(map(abs, b))
+    norm = sum(map(abs, a))
+    bound = norm * (norm if b is a else sum(map(abs, b)))
     if not bound:
         return [0] * n
     width = _width(bound)
-    return _unpack(_pack(a, width) * _pack(b, width), n, width)
+    packed = _pack(a, width)
+    return _unpack(packed * (packed if b is a else _pack(b, width)), n,
+                   width)
 
 
 def _product_band(p, q, lo, hi):
@@ -1049,8 +1055,13 @@ def _norm_tower(terms, R):
     F(v, y) F(-v, y) = E^2 - v^2 O^2, two products of ordinary polynomials
     in v^2 (_square_norm_step).  That is an identity in Z[v^2, y], so its
     result is rational with integral exponents by construction and needs no
-    certificate.  An odd p computes in the group ring Z[C_p] instead
-    (_cyclic_norm_step), where the certificates are checked.
+    certificate.  An odd p takes three phases of ordinary products
+    (_cyclic_norm_step): the adjugate G = prod F(zeta_p^i v, y) over
+    0 < i < p, formed in the group ring Z[C_p], where its rationality is
+    the one certificate checked; then, splitting F and G by v-exponent
+    mod p into classes A_r and C_s in w = v^p, the norm
+    F G = A_0 C_0 + w * sum A_r C_{p-r}, its only nonzero classes, by the
+    same identity argument as for p = 2 (proof at _cyclic_norm_step).
 
     A failed certificate or a result of y-degree other than R is a bug,
     hence InternalError.
@@ -1079,13 +1090,10 @@ def _square_norm_step(poly):
     """F(v, y) F(-v, y) = E^2 - v^2 O^2 for F = E(v^2, y) + v * O(v^2, y),
     F given as {(v-exponent, y-degree): int} and the result in the same
     form over v^2.  E and O are BivarPolys in (v^2, y) over the denominator
-    1, and both squares accumulate into one dict (_accumulate), the second
-    shifted by one power of v^2, so a large dense square is one packed
-    multiply."""
-    even, odd = {}, {}
-    for (k, d), c in poly.items():
-        (odd if k & 1 else even)[k >> 1, d] = c
-    e, o = BivarPoly._make(even, 1), BivarPoly._make(odd, 1)
+    1 (_residue_classes), and both squares accumulate into one dict
+    (_accumulate), the second shifted by one power of v^2, so a large dense
+    square is one packed multiply."""
+    e, o = _residue_classes(poly, 2)
     acc = {}
     _accumulate(acc, 1, e, e, 1)
     _accumulate(acc, 1, o, o, -1, 1, 1)
@@ -1094,38 +1102,76 @@ def _square_norm_step(poly):
 
 def _cyclic_norm_step(poly, p):
     """prod F(zeta_p^i v, y) over 0 <= i < p for F given as
-    {(v-exponent, y-degree): int}, the result in the same form over v^p.
+    {(v-exponent, y-degree): int}, the result in the same form over
+    w = v^p, as three phases of ordinary products (_accumulate), so that a
+    large dense one is one packed multiply.  Any prime p is accepted,
+    2 included.
 
-    The power of zeta_p is carried as a residue mod p, so the product is
-    taken term by term in the group ring Z[C_p], where multiplying by
-    zeta_p is a rotation.  Mapping back to Q(zeta_p), a coefficient
-    (a_0, ..., a_{p-1}) is rational exactly when a_1 = ... = a_{p-1}, with
-    value a_0 - a_1, and a nonzero one must sit at a v-exponent divisible
-    by p; either certificate failing raises InternalError.  Any prime p is
-    accepted, 2 included, where it is the reference for
-    _square_norm_step."""
-    prod = {(k, d, 0): c for (k, d), c in poly.items()}
+    1. H = prod F(zeta_p^i v, y) over 1 <= i < p, in the group ring Z[C_p],
+       where multiplying by zeta_p is a rotation.  Each conjugate is a
+       BivarPoly whose first exponent encodes v^k zeta_p^g, g = i*k mod p,
+       as k*(2p - 1) + g.  A product of two factors with g < p has
+       g < 2p - 1, so no g carries into k, and each product is folded
+       mod p (g -> g - p for g >= p) before the next.
+    2. Mapping back to Q(zeta_p), where 1 + zeta_p + ... + zeta_p^(p-1) = 0,
+       a coefficient (h_0, ..., h_{p-1}) of H is rational exactly when
+       h_1 = ... = h_{p-1}, with value h_0 - h_1.  The ring automorphisms
+       zeta_p^g -> zeta_p^(j*g) of Z[C_p], j prime to p, permute the
+       conjugates of F, hence fix H, and move coordinate g to j*g, acting
+       transitively on g != 0: a coefficient failing this certificate is a
+       bug, and raises InternalError.  Otherwise H is the adjugate
+       G(v, y) = h_0 - h_1 in Z[v, y].
+    3. N = F G is the product of all p conjugates, which v -> zeta_p v
+       permutes, so N(zeta_p v, y) = N(v, y): its coefficient c_k at v^k
+       equals zeta_p^k c_k, which is zero unless p | k, and N lies in
+       Z[w, y].  Writing F = sum v^r A_r(w, y) and G = sum v^s C_s(w, y)
+       over the classes 0 <= r, s < p of the v-exponents mod p, the pairs
+       with r + s = 0 or p therefore give all of N:
+       N = A_0 C_0 + w * sum A_r C_{p-r} over 1 <= r < p.  The other pairs
+       sum to zero and are never formed, so, as for _square_norm_step,
+       this phase needs no certificate.
+
+    At p = 2 phase 1 is the one conjugate F(-v, y) and phase 2 checks
+    nothing; _norm_tower takes _square_norm_step there, which this step
+    is tested against."""
+    m = 2 * p - 1
+    h = _ONE
     for i in range(1, p):
-        conj = [(k, d, i * k % p, c) for (k, d), c in poly.items()]
-        nxt = {}
-        for (k1, d1, g1), c1 in prod.items():
-            for k2, d2, g2, c2 in conj:
-                key = (k1 + k2, d1 + d2, (g1 + g2) % p)
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        prod = {key: c for key, c in nxt.items() if c}
+        conj = BivarPoly._make(
+            {(k * m + i * k % p, d): c for (k, d), c in poly.items()}, 1)
+        acc = {}
+        _accumulate(acc, 1, h, conj, 1)
+        folded = {}
+        for (e, d), c in acc.items():
+            key = (e - p if e % m >= p else e, d)
+            folded[key] = folded.get(key, 0) + c
+        h = BivarPoly._make(folded, 1)
     coords = {}
-    for (k, d, g), c in prod.items():
+    for (e, d), c in h._num.items():
+        k, g = divmod(e, m)
         coords.setdefault((k, d), [0] * p)[g] = c
-    out = {}
-    for (k, d), a in coords.items():
+    adj = {}
+    for key, a in coords.items():
         if any(x != a[1] for x in a[2:]):
             raise InternalError("norm coefficient not rational")
-        if a[0] != a[1]:
-            if k % p:
-                raise InternalError(
-                    f"norm left v-exponent {k} off the multiples of {p}")
-            out[(k // p, d)] = a[0] - a[1]
-    return out
+        adj[key] = a[0] - a[1]
+    a, c = _residue_classes(poly, p), _residue_classes(adj, p)
+    acc = {}
+    _accumulate(acc, 1, a[0], c[0], 1)
+    for r in range(1, p):
+        _accumulate(acc, 1, a[r], c[p - r], 1, 1, 1)
+    return {k: c for k, c in acc.items() if c}
+
+
+def _residue_classes(num, p):
+    """The BivarPolys A_r(w, y), 0 <= r < p, over the denominator 1 with
+    num = sum v^r A_r(v^p, y), for num given as
+    {(v-exponent, y-degree): int}."""
+    classes = [{} for _ in range(p)]
+    for (k, d), c in num.items():
+        q, r = divmod(k, p)
+        classes[r][q, d] = c
+    return [BivarPoly._make(c, 1) for c in classes]
 
 
 def truncation_min_poly(ctx, j):

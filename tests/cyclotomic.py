@@ -1,4 +1,4 @@
-"""The Q(zeta_n) reference for the norm tower of minimal polynomials.
+"""The Q(zeta_n) references for the norm tower of minimal polynomials.
 
 An element of the cyclotomic field Q(zeta_n) is its remainder modulo
 Phi_n, and one polynomial division both builds Phi_n and takes that
@@ -6,11 +6,19 @@ remainder.  ``conjugate`` maps a finite Puiseux series to its conjugates
 over Q(zeta_R); the product of y - w_j over all of them is the minimal
 polynomial that ``bipoly.min_poly_finite_puiseux`` builds as a tower of
 prime-degree norms, so the tests multiply conjugates here and compare.
-No production path of valmon multiplies in Q(zeta_n).
+
+``group_ring_norm_step`` is the reference for one step of that tower: the
+product of all p conjugates of F(v, y), taken term by term in Z[C_p] and
+checked coordinate by coordinate.  The production step
+(``bipoly._cyclic_norm_step``) forms only p - 1 of them there and reads
+the norm off the v^p classes of F times their product, so the tests
+compare the two on seeded inputs.  No production path of valmon
+multiplies in Q(zeta_n).
 """
 
 from fractions import Fraction
 
+from valmon.errors import InternalError
 from valmon.series import NoetherianSeries
 
 
@@ -230,3 +238,38 @@ def conjugate(w, j):
         q = coeff.as_rational()
         out.append((e, q if q is not None else coeff))
     return NoetherianSeries(out)
+
+
+def group_ring_norm_step(poly, p):
+    """prod F(zeta_p^i v, y) over 0 <= i < p for F given as
+    {(v-exponent, y-degree): int}, the result in the same form over v^p.
+
+    The power of zeta_p is carried as a residue mod p, so the product is
+    taken term by term in the group ring Z[C_p], where multiplying by
+    zeta_p is a rotation.  Mapping back to Q(zeta_p), a coefficient
+    (a_0, ..., a_{p-1}) is rational exactly when a_1 = ... = a_{p-1}, with
+    value a_0 - a_1, and a nonzero one must sit at a v-exponent divisible
+    by p; either certificate failing raises InternalError.  Any prime p is
+    accepted, 2 included."""
+    prod = {(k, d, 0): c for (k, d), c in poly.items()}
+    for i in range(1, p):
+        conj = [(k, d, i * k % p, c) for (k, d), c in poly.items()]
+        nxt = {}
+        for (k1, d1, g1), c1 in prod.items():
+            for k2, d2, g2, c2 in conj:
+                key = (k1 + k2, d1 + d2, (g1 + g2) % p)
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        prod = {key: c for key, c in nxt.items() if c}
+    coords = {}
+    for (k, d, g), c in prod.items():
+        coords.setdefault((k, d), [0] * p)[g] = c
+    out = {}
+    for (k, d), a in coords.items():
+        if any(x != a[1] for x in a[2:]):
+            raise InternalError("norm coefficient not rational")
+        if a[0] != a[1]:
+            if k % p:
+                raise InternalError(
+                    f"norm left v-exponent {k} off the multiples of {p}")
+            out[(k // p, d)] = a[0] - a[1]
+    return out

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from cyclotomic import as_rational, conjugate
+from cyclotomic import as_rational, conjugate, group_ring_norm_step
 from valmon import bipoly
 from valmon.bipoly import (BivarPoly, _exact_truncation, _product,
                            _product_band, _unpack, _ZPow, eval_leading,
                            min_poly_finite_puiseux, parse, preimage,
                            preimage_of_rep, preimage_product,
                            truncation_min_poly)
-from valmon.errors import (InsufficientPrecision, NotInMonoid, PolyParseError,
-                           ZeroPolynomial)
+from valmon.errors import (InsufficientPrecision, InternalError, NotInMonoid,
+                           PolyParseError, ZeroPolynomial)
 from valmon.exactnum import _DIGITS_CAP
 from valmon.series import (FinitePuiseux, NoetherianSeries, SimpleSeriesSpec,
                            dyadic_spec, leading_data, series_mul, truncate)
@@ -539,6 +539,73 @@ def test_square_norm_step_matches_cyclic_step(monkeypatch):
         (20, (5, 2, 2)), (36, (3, 3, 2, 2))]
 
 
+def _step_input(rng, terms, ks, ds, bits):
+    """{(v-exponent, y-degree): int} with up to `terms` terms at exponents
+    drawn from ks and ds, nonzero coefficients of either sign up to
+    2^bits."""
+    return {(rng.choice(ks), rng.choice(ds)):
+            rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+            for _ in range(terms)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_cyclic_norm_step_matches_the_group_ring_reference(p):
+    # seeded inputs against the term-by-term product of all p conjugates
+    # in Z[C_p]: single terms, inputs with empty classes of v-exponents
+    # mod p, and coefficients past 2^64 of either sign
+    rng = random.Random(1000 + p)
+    cases = [{(rng.randint(0, 3 * p), rng.randint(0, 3)): c}
+             for c in (1, -1, 7, -(2 ** 70) - 3)]
+    for _ in range(12):
+        ks = range(rng.randint(1, 2 * p))
+        cases.append(_step_input(rng, rng.randint(1, 6), ks, range(4),
+                                 rng.choice((3, 40, 90))))
+    for r in sorted({0, 1, p // 2, p - 1}):
+        # only the classes 0 and r, or only class r, hold v-exponents
+        cases.append(_step_input(rng, 6, [0, p, 2 * p, r, p + r], range(3),
+                                 70))
+        cases.append(_step_input(rng, 4, [r, p + r, 3 * p + r], range(3),
+                                 70))
+    for poly in cases:
+        assert bipoly._cyclic_norm_step(poly, p) == group_ring_norm_step(
+            poly, p), (p, poly)
+
+
+@pytest.mark.parametrize("p, terms, ks", [(3, 80, 24), (5, 60, 20)])
+def test_cyclic_norm_step_packs_a_large_dense_input(monkeypatch, p, terms,
+                                                    ks):
+    # a dense F whose products, in the group ring and of the classes, take
+    # _accumulate's packed branch
+    packed = []
+    product = bipoly._product
+
+    def spy(a, b):
+        packed.append(len(a) * len(b))
+        return product(a, b)
+
+    monkeypatch.setattr(bipoly, "_product", spy)
+    rng = random.Random(77 + p)
+    poly = _step_input(rng, terms, range(ks), range(4), 70)
+    assert bipoly._cyclic_norm_step(poly, p) == group_ring_norm_step(poly, p)
+    assert packed
+
+
+def test_cyclic_norm_step_certificate(monkeypatch):
+    # a stray zeta_3 term in the first group-ring product breaks h_1 = h_2
+    accumulate, calls = bipoly._accumulate, []
+
+    def stray(acc, *args):
+        den = accumulate(acc, *args)
+        if not calls:
+            acc[1, 0] = acc.get((1, 0), 0) + 1  # v^0 zeta_3 y^0
+        calls.append(args)
+        return den
+
+    monkeypatch.setattr(bipoly, "_accumulate", stray)
+    with pytest.raises(InternalError, match="not rational"):
+        bipoly._cyclic_norm_step({(0, 1): 1, (1, 0): -1}, 3)
+
+
 def test_dyadic_p7(ctx):
     p7 = truncation_min_poly(ctx, 7)
     assert p7.deg_y() == 64
@@ -795,6 +862,12 @@ def _product_cases():
 def test_product_matches_schoolbook():
     for a, b in _product_cases():
         assert _product(a, b) == _schoolbook(a, b)
+
+
+def test_product_square_matches_schoolbook():
+    # b is a: one packed list, multiplied by itself
+    for a, _ in _product_cases():
+        assert _product(a, a) == _schoolbook(a, a)
 
 
 def test_product_band_matches_schoolbook():

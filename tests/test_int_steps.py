@@ -154,6 +154,34 @@ def test_packed_accumulation_matches_the_dict_loop(monkeypatch):
     assert taken[::3] == [True] * 10 + [False] * 15
 
 
+def test_packed_square_packs_one_operand(monkeypatch):
+    """A square, q is r, packs one dense list and multiplies it by itself,
+    with the result of the product of two equal copies, on the packing
+    box_poly cases; q*q and q**n take it."""
+    calls = []
+    product = bipoly._product
+
+    def spy(a, b):
+        calls.append(a is b)
+        return product(a, b)
+
+    monkeypatch.setattr(bipoly, "_product", spy)
+    rng = random.Random(17)
+    box = (range(3, 9), range(2, 10))
+    for q in (box_poly(rng, 40, *box, 8),
+              box_poly(rng, 40, *box, 200, (1, 3, 10**30))):
+        copy = BivarPoly._make(dict(q._num), q._den)
+        want = reference_product_sum(BivarPoly.zero(), 1, q, copy)
+        del calls[:]
+        assert_same(q * copy, want)
+        assert calls == [False]
+        del calls[:]
+        assert_same(q * q, want)
+        assert calls == [True]
+        assert_same(q ** 3, reference_product_sum(BivarPoly.zero(), 1,
+                                                  want, copy))
+
+
 def reference_step(p, n, d, shift, q, r):
     """p + (n/d) * x^shift * q*r, term by term over Fractions."""
     acc = p.coeffs
