@@ -20,6 +20,7 @@ def test_medians_quartiles_and_wins():
     assert (s["parent"], s["iqr"], s["change"], s["rel"], s["won"]) == (
         3.0, 2.0, 3.0, 0.0, 3)
     assert s["verdict"] == "unresolved"  # IQR 2/3 of the median > 20%
+    assert s["change_iqr"] == 1.5  # quartiles 2.0 and 3.5
 
 
 @pytest.mark.parametrize("change, bound, rel, verdict", [
@@ -38,7 +39,7 @@ def test_verdict_against_bound(change, bound, rel, verdict):
 
 def test_one_pair_and_zero_median():
     s = ab.summarise([2.0], [1.0], 0.2)
-    assert (s["iqr"], s["rel"], s["won"], s["verdict"]) == (
-        0.0, -0.5, 1, "within")
+    assert (s["iqr"], s["change_iqr"], s["rel"], s["won"], s["verdict"]) == (
+        0.0, 0.0, -0.5, 1, "within")
     s = ab.summarise([0.0, 0.0], [0.0, 1.0], 0.2)
     assert math.isnan(s["rel"]) and s["verdict"] == "unresolved"

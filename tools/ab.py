@@ -15,9 +15,9 @@ and left out of the summary, with the other run of its pair.
 
 For each workload (default: every one in BENCHMARK.json) and each
 end-to-end metric of BENCHMARK.json, the summary gives the parent's median
-and interquartile range, the change's median and its change relative to
-the parent's median, and the pairs the change won: lower wins, and a tie
-counts for neither side.  The verdict reads "worse" when the change's
+and interquartile range, the change's median, interquartile range and
+change relative to the parent's median, and the pairs the change won:
+lower wins, and a tie counts for neither side.  The verdict reads "worse" when the change's
 median is worse than the parent's by more than the metric's bound,
 "unresolved" when the parent's interquartile range is wider than the
 bound (relative to its median), and "within" otherwise.
@@ -40,15 +40,11 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 def summarise(parent, change, bound):
     """The figures of one metric over paired runs, parent[i] and change[i]
     being pair i's values and lower better: a dict of the parent's median
-    and interquartile range, the change's median, the relative change of
-    the medians, the pairs the change won, and the verdict against bound,
-    a relative bound."""
+    and interquartile range, the change's median and interquartile range,
+    the relative change of the medians, the pairs the change won, and the
+    verdict against bound, a relative bound."""
     pm, cm = median(parent), median(change)
-    if len(parent) > 1:
-        q1, _, q3 = quantiles(parent, n=4, method="inclusive")
-    else:
-        q1 = q3 = pm
-    iqr = q3 - q1
+    iqr = _iqr(parent)
     rel = (cm - pm) / pm if pm else math.nan
     if rel > bound:
         verdict = "worse"
@@ -56,9 +52,18 @@ def summarise(parent, change, bound):
         verdict = "unresolved"
     else:
         verdict = "within"
-    return {"parent": pm, "iqr": iqr, "change": cm, "rel": rel,
+    return {"parent": pm, "iqr": iqr, "change": cm,
+            "change_iqr": _iqr(change), "rel": rel,
             "won": sum(c < p for p, c in zip(parent, change)),
             "verdict": verdict}
+
+
+def _iqr(values):
+    """The interquartile range of values, 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 def run(checkout, workload, seed, seconds):
@@ -117,13 +122,14 @@ def main(argv=None):
         if not pairs:
             continue
         print(f"  {'metric':13} {'parent':>10} {'IQR':>10} {'change':>10} "
-              f"{'rel':>7} {'won':>5} {'bound':>6}  verdict")
+              f"{'IQR':>10} {'rel':>7} {'won':>5} {'bound':>6}  verdict")
         for name, unit, bound in metrics:
             value = [[r["metrics"][name]["value"] for r in pair]
                      for pair in pairs]
             s = summarise(*zip(*value), bound)
             print(f"  {name:13} {s['parent']:10.4g} {s['iqr']:10.4g} "
-                  f"{s['change']:10.4g} {s['rel']:+7.1%} "
+                  f"{s['change']:10.4g} {s['change_iqr']:10.4g} "
+                  f"{s['rel']:+7.1%} "
                   f"{s['won']:>2}/{len(pairs):<2} {bound:6.0%}  "
                   f"{s['verdict']} ({unit})")
     return 0
