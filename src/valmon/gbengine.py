@@ -305,7 +305,9 @@ def _family(f, g, ctx):
 
 
 def is_member(f, gb, ctx, step_limit=DEFAULT_STEP_LIMIT):
-    """Ideal membership via reduction to zero; needs a complete basis."""
+    """Ideal membership via reduction to zero; needs a complete basis.
+    Only principal ideals complete (README, "Finite and infinite bases"),
+    so membership is decided for principal ideals only."""
     if not gb.complete:
         raise IncompleteBasis("membership needs a complete basis")
     if f.is_zero():

@@ -12,6 +12,15 @@ and rho_i = u_{l(i)-1} + e_{l(i)}, s_i = r_{l(i)}/r_{l(i-1)},
 c_i = rho_i * r_{l(i)}.  The depth w counts rho terms; raw sequences are
 computed out to index K = l(w) and callers use the accessors rather than
 raw lists, because raw-vs-reduced index mixups are the chief hazard here.
+Each of the seven accessors is one bounds check (_reader) on a stored
+tuple, given the index of its first entry; an index outside raises
+IndexError naming the entry, as in "l(9) out of range".
+
+derive forms each u_i from u_{i-1} exactly, with no 1/r_i: u_i = r_i S_i
+with S_i = sum_{j<i} (1/r_j - 1/r_{j+1}) e_{j+1}, and
+S_i = S_{i-1} + (1/r_{i-1} - 1/r_i) e_i, so with the int q = r_i / r_{i-1}
+
+    u_i = q u_{i-1} + (q - 1) e_i.
 """
 
 from fractions import Fraction
@@ -23,6 +32,18 @@ from .exactnum import _is_int, rat_str
 # A spec whose tail stops ramifying would loop forever in derive; cut the
 # search well past any reasonable jump gap instead.
 _MAX_PULL_GAP = 1024
+
+
+def _reader(field, first, label):
+    """The accessor of the stored tuple `field`, whose entries are indexed
+    from `first`: entry i for first <= i < first + len, else IndexError
+    naming label.format(i)."""
+    def read(self, i):
+        seq = getattr(self, field)
+        if not first <= i < first + len(seq):
+            raise IndexError(f"{label.format(i)} out of range")
+        return seq[i - first]
+    return read
 
 
 class DerivedSequences:
@@ -43,40 +64,13 @@ class DerivedSequences:
         """K = l(depth)."""
         return len(self._e)
 
-    def e(self, i):
-        if not 1 <= i <= len(self._e):
-            raise IndexError(f"e_{i} out of range")
-        return self._e[i - 1]
-
-    def r(self, i):
-        if not 0 <= i <= len(self._e):
-            raise IndexError(f"r_{i} out of range")
-        return self._r[i]
-
-    def l(self, i):
-        if not 0 <= i <= self.depth:
-            raise IndexError(f"l({i}) out of range")
-        return self._l[i]
-
-    def u(self, i):
-        if not 0 <= i <= len(self._e):
-            raise IndexError(f"u_{i} out of range")
-        return self._u[i]
-
-    def rho(self, i):
-        if not 1 <= i <= self.depth:
-            raise IndexError(f"rho_{i} out of range")
-        return self._rho[i - 1]
-
-    def s(self, i):
-        if not 1 <= i <= self.depth:
-            raise IndexError(f"s_{i} out of range")
-        return self._s[i - 1]
-
-    def c(self, i):
-        if not 1 <= i <= self.depth:
-            raise IndexError(f"c_{i} out of range")
-        return self._c[i - 1]
+    e = _reader("_e", 1, "e_{}")
+    r = _reader("_r", 0, "r_{}")
+    l = _reader("_l", 0, "l({})")
+    u = _reader("_u", 0, "u_{}")
+    rho = _reader("_rho", 1, "rho_{}")
+    s = _reader("_s", 1, "s_{}")
+    c = _reader("_c", 1, "c_{}")
 
     @property
     def r_list(self):
@@ -103,16 +97,11 @@ class DerivedSequences:
         return self._c
 
     def to_json(self):
-        return {
-            "depth": self.depth,
-            "e": [rat_str(x) for x in self._e],
-            "r": [str(x) for x in self._r],
-            "l": [str(x) for x in self._l],
-            "u": [rat_str(x) for x in self._u],
-            "rho": [rat_str(x) for x in self._rho],
-            "s": [str(x) for x in self._s],
-            "c": [str(x) for x in self._c],
-        }
+        """The depth and each sequence, ints and rationals as rat_str
+        writes them."""
+        return {"depth": self.depth,
+                **{name: [rat_str(x) for x in getattr(self, "_" + name)]
+                   for name in ("e", "r", "l", "u", "rho", "s", "c")}}
 
 
 def _pull_terms(spec):
@@ -137,7 +126,8 @@ def _pull_terms(spec):
 
 
 def derive(spec, depth):
-    """Populate all sequences of a spec down to `depth` rho terms."""
+    """Populate all sequences of a spec down to `depth` rho terms; the
+    loop pulls terms up to e_K, K = l(depth), and no further."""
     if not _is_int(depth) or depth < 1:
         raise ValueError(f"depth must be an int >= 1, not {depth!r}")
     e = []
@@ -154,17 +144,11 @@ def derive(spec, depth):
         r.append(ri)
         if r[-1] > r[-2]:
             jumps.append(len(e))
-    K = jumps[depth]
-    e = e[:K]
-    r = r[:K + 1]
 
-    # u_i = r_i * S_i with the running sum
-    # S_i = sum_{j<i} (1/r_j - 1/r_{j+1}) e_{j+1}
-    u = [Fraction(0)]
-    acc = Fraction(0)
-    for idx in range(1, K + 1):
-        acc += (Fraction(1, r[idx - 1]) - Fraction(1, r[idx])) * e[idx - 1]
-        u.append(r[idx] * acc)
+    u = [Fraction(0)]  # u_i = q u_{i-1} + (q - 1) e_i (module docstring)
+    for ri, r_prev, ei in zip(r[1:], r, e):
+        q = ri // r_prev
+        u.append(q * u[-1] + (q - 1) * ei)
 
     rho, s, c = [], [], []
     for idx in range(1, depth + 1):

@@ -1,5 +1,5 @@
 """Inputs that several test modules share: criterion 9's pair generator
-and the harmonic and mixed-denominator specs.
+and the harmonic, triadic and mixed-denominator specs.
 
 tests/test_acceptance.py keeps its own copies, so that the acceptance
 criteria stand alone.
@@ -30,6 +30,11 @@ def harmonic_spec():
     """Exponents 1/2, 1/3, 1/4, 1/5, ..."""
     return SimpleSeriesSpec([(1, F(1, 2))],
                             CallbackTail(lambda i: (1, F(1, i + 2))))
+
+
+def triadic_spec():
+    """z = t^(1/3) + t^(1/9) + t^(1/27) + ..."""
+    return SimpleSeriesSpec([(1, F(1, 3))], GeometricTail(3))
 
 
 def mixed_spec():

@@ -5,8 +5,9 @@ from hashlib import sha256
 from pathlib import Path
 
 import pytest
+import sympy
 
-from shared_inputs import criterion_9_poly
+from shared_inputs import criterion_9_poly, harmonic_spec
 from valmon import bipoly, gbengine
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
                            preimage_of_rep)
@@ -15,7 +16,8 @@ from valmon.errors import (IncompleteBasis, InsufficientPrecision,
 from valmon.gbengine import (approx_quotient, buchberger, is_member, reduce,
                              syzygy_family, syzygy_values)
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
-from valmon.valmonoid import MonoidContext, MonoidRep, decompose
+from valmon.valmonoid import (MonoidContext, MonoidRep, decompose,
+                              enumerate_omega)
 
 F = Fraction
 
@@ -395,6 +397,52 @@ def test_non_principal_inputs_grow_one_rho_per_round(gens):
                 ctx.seqs.rho(k + 2)]
     assert [ctx.seqs.rho(j) for j in (4, 5, 6)] == [
         F(43, 16), F(171, 32), F(683, 64)]
+
+
+def codimension(gens):
+    """d = dim Q[x, y]/I for a zero-dimensional I: the standard monomials of
+    sympy's grevlex Groebner basis, the monomials no leading monomial
+    divides."""
+    x, y = sympy.symbols("x y")
+    gb = sympy.groebner([sympy.sympify(g.replace("^", "**")) for g in gens],
+                        x, y, order="grevlex")
+    leads = [p.monoms(order="grevlex")[0] for p in gb.polys]
+    top_a = min(a for a, b in leads if b == 0)
+    top_b = min(b for a, b in leads if a == 0)
+    return sum(not any(a >= la and b >= lb for la, lb in leads)
+               for a in range(top_a) for b in range(top_b))
+
+
+@pytest.mark.parametrize("make,depth,j,gens,d,caps", [
+    (dyadic_spec, 8, 5, ("x", "y"), 1, (3, 4)),
+    (dyadic_spec, 8, 5, ("x^2", "y^3"), 6, (3, 4)),
+    (dyadic_spec, 8, 5, ("y^2 - x - x*y", "x^2"), 4, (3, 4)),
+    (dyadic_spec, 8, 5, ("y^2", "x"), 2, (3, 4)),
+    (dyadic_spec, 8, 5, ("x^3 - y^2", "x*y^2"), 8, (3, 4)),
+    (harmonic_spec, 6, 4, ("x^2", "y^3"), 6, (2, 3)),
+    (harmonic_spec, 6, 4, ("y^2 - x - x*y", "x^2"), 4, (2, 3)),
+], ids=["dyadic-x,y", "dyadic-x2,y3", "dyadic-node", "dyadic-y2,x",
+        "dyadic-cusp", "harmonic-x2,y3", "harmonic-node"])
+def test_round_capped_bases_leave_at_least_the_gap_count(make, depth, j, gens,
+                                                         d, caps):
+    # an ideal I of codimension d leaves exactly d points of Gamma outside
+    # nu(I) (README, "Finite and infinite bases", (b)); the values of a
+    # round-capped basis generate a Gamma-ideal inside nu(I), so below a
+    # bound B = rho_j above every gap its complement keeps at least d
+    # members.  Fewer would mean an element outside I was adjoined; more,
+    # that a value below B is still missing, which a round cap allows
+    # (every count is d, but the harmonic node's 7 at cap 2)
+    assert codimension(gens) == d
+    ctx = MonoidContext(make(), depth)
+    bound = ctx.seqs.rho(j)
+    members = [m for m, _ in enumerate_omega(j - 1, ctx, int(bound))
+               if m < bound]
+    for cap in caps:
+        res = buchberger([parse(g) for g in gens], ctx, max_rounds=cap)
+        values = {eval_leading(g, ctx).le for g in res.basis}
+        outside = [m for m in members
+                   if all(decompose(m - v, ctx) is None for v in values)]
+        assert len(outside) >= d, (cap, outside)
 
 
 def test_x_y_six_rounds_cache_no_x_shifted_preimage():

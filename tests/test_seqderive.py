@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from shared_inputs import harmonic_spec
+from shared_inputs import harmonic_spec, triadic_spec
 from valmon.errors import IdentityViolation, InsufficientPrecision
 from valmon.seqderive import (CHECKED_IDENTITIES, DerivedSequences, derive,
                               self_check)
@@ -219,3 +219,46 @@ def test_self_check_catches_e_and_rho(make):
             with pytest.raises(IdentityViolation) as exc:
                 self_check(_corrupted(seqs, name, pos))
             assert exc.value.identity == "rho-recurrence"
+
+
+# accessor, first index, last index (K = raw_length or w = depth), label
+_ACCESSORS = (("e", 1, "K", "e_{}"), ("r", 0, "K", "r_{}"),
+              ("l", 0, "w", "l({})"), ("u", 0, "K", "u_{}"),
+              ("rho", 1, "w", "rho_{}"), ("s", 1, "w", "s_{}"),
+              ("c", 1, "w", "c_{}"))
+
+
+@pytest.mark.parametrize("make,depth", [(dyadic_spec, 8), (harmonic_spec, 6),
+                                        (seven_exponent_spec, 5)])
+def test_accessors_read_both_ends_and_refuse_one_past(make, depth):
+    spec = make()
+    seqs = derive(spec, depth)
+    top = {"K": seqs.raw_length, "w": depth}
+    stored = {"e": [spec.term(i)[1] for i in range(1, seqs.raw_length + 1)],
+              "r": seqs.r_list, "l": seqs.l_list, "u": seqs.u_list,
+              "rho": seqs.rho_list, "s": seqs.s_list, "c": seqs.c_list}
+    for name, first, last, label in _ACCESSORS:
+        read, seq, last = getattr(seqs, name), stored[name], top[last]
+        assert len(seq) == last - first + 1, name
+        assert (read(first), read(last)) == (seq[0], seq[-1]), name
+        for i in (first - 1, last + 1):
+            with pytest.raises(IndexError) as exc:
+                read(i)
+            assert str(exc.value) == f"{label.format(i)} out of range"
+
+
+@pytest.mark.parametrize("make,depth", [(dyadic_spec, 9), (triadic_spec, 6),
+                                        (harmonic_spec, 10),
+                                        (seven_exponent_spec, 5)])
+def test_u_matches_the_running_sum(make, depth):
+    # the definition u_i = r_i * S_i, S_i = sum_{j<i} (1/r_j - 1/r_{j+1})
+    # e_{j+1}, summed as it runs, in Fractions throughout
+    seqs = derive(make(), depth)
+    r = seqs.r_list
+    want = [F(0)]
+    acc = F(0)
+    for i in range(1, seqs.raw_length + 1):
+        acc += (F(1, r[i - 1]) - F(1, r[i])) * seqs.e(i)
+        want.append(r[i] * acc)
+    assert seqs.u_list == tuple(want)
+    assert all(type(u) is F for u in seqs.u_list)
