@@ -1,5 +1,6 @@
-"""Inputs that several test modules share: criterion 9's pair generator
-and the harmonic, triadic and mixed-denominator specs.
+"""Inputs that several test modules share: criterion 9's pair generator,
+the harmonic, triadic and mixed-denominator specs, and evaluation modulo
+the prime P = 2^127 - 1.
 
 tests/test_acceptance.py keeps its own copies, so that the acceptance
 criteria stand alone.
@@ -41,3 +42,25 @@ def mixed_spec():
     """Coefficient denominators 3 and 2: z_N is tabulated as (6*z_N)^b."""
     return SimpleSeriesSpec([(F(2, 3), F(1, 2)), (F(1, 2), F(1, 4))],
                             GeometricTail(2))
+
+
+# evaluation at a point modulo P is a ring map that shares no code with
+# the dict or packed products
+P = 2 ** 127 - 1
+
+
+def mod_p(q):
+    """A rational q as a residue mod P."""
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+def residue(p, x, y):
+    """p(x, y) mod P, by power tables of x and y."""
+    xs, ys = [1], [1]
+    for (a, b), v in p._num.items():
+        while len(xs) <= a:
+            xs.append(xs[-1] * x % P)
+        while len(ys) <= b:
+            ys.append(ys[-1] * y % P)
+    total = sum(v * xs[a] % P * ys[b] for (a, b), v in p._num.items())
+    return total * pow(p._den, -1, P) % P

@@ -28,13 +28,12 @@ from pathlib import Path
 
 import pytest
 
-from shared_inputs import harmonic_spec, triadic_spec
+from shared_inputs import P, harmonic_spec, mod_p, residue, triadic_spec
 from valmon.bipoly import BivarPoly, truncation_min_poly
 from valmon.series import dyadic_spec
 from valmon.valmonoid import MonoidContext
 
 DIGESTS = Path(__file__).resolve().parent / "minpoly_digests.json"
-P = 2 ** 127 - 1
 
 # name: (spec, context depth, top j)
 TOWERS = {"dyadic": (dyadic_spec, 9, 8),
@@ -71,23 +70,6 @@ def test_truncation_min_polys_are_pinned(tower):
     assert not changed, f"p_j changed for j in {changed}"
 
 
-def _mod(q):
-    """A rational q as a residue mod P."""
-    return q.numerator * pow(q.denominator, -1, P) % P
-
-
-def residue(p, x, y):
-    """p(x, y) mod P, by power tables of x and y."""
-    xs, ys = [1], [1]
-    for (a, b), v in p._num.items():
-        while len(xs) <= a:
-            xs.append(xs[-1] * x % P)
-        while len(ys) <= b:
-            ys.append(ys[-1] * y % P)
-    total = sum(v * xs[a] % P * ys[b] for (a, b), v in p._num.items())
-    return total * pow(p._den, -1, P) % P
-
-
 def test_truncation_min_polys_vanish_at_their_root(tower):
     name, ctx, polys = tower
     seqs = ctx.seqs
@@ -99,7 +81,7 @@ def test_truncation_min_polys_vanish_at_their_root(tower):
         for i in range(1, k + 1):
             coeff, exp = ctx.spec.term(i)
             assert (exp * R).denominator == 1
-            w += _mod(coeff) * pow(u, (exp * R).numerator, P)
+            w += mod_p(coeff) * pow(u, (exp * R).numerator, P)
         x, y = pow(u, R, P), w % P
         assert residue(p, x, y) == 0, (name, j)
         assert residue(p + BivarPoly.one(), x, y) != 0, (name, j)
