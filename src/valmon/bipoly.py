@@ -37,13 +37,14 @@ S-polynomial is two such steps from a zero image (syzygy_image), so
 buchberger never scans one.
 """
 
+import struct
 import sys
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from struct import iter_unpack
+from operator import add, lshift, sub
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
@@ -583,14 +584,28 @@ class _ZPow:
 
 
 def _pack(coeffs, width):
-    """sum a_i * 2^(W*i) over the coefficients a_i, W = 8*width: each field
-    is written as a_i + 2^(W-1) into one byte string, and the offsets are
-    subtracted once, as an int."""
-    zero = bytes(width - 1) + b"\x80"  # 2^(W-1), little-endian
-    half = 1 << (8 * width - 1)
-    data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return (int.from_bytes(data, "little")
-            - int.from_bytes(zero * len(coeffs), "little"))
+    """sum a_i * 2^(W*i) over the coefficients a_i, W = 8*width, for
+    |a_i| < 2^(W-1): each field is written as a_i + 2^(W-1), which is its
+    two's complement with the top bit flipped, into one byte string read
+    as one int, and the offsets Z = sum 2^(W-1) * 2^(W*i) are subtracted
+    once.  Up to 8 bytes on a little-endian machine, the bytes come at C
+    level: struct writes every a_i as an 8-byte two's complement, strided
+    copies keep each field's low width bytes, and one translate flips the
+    top bytes.  Wider fields, and every field on a big-endian machine, are
+    written one by one."""
+    n = len(coeffs)
+    zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    if _CAST and width <= 8:
+        src = struct.pack(f"<{n}q", *coeffs)
+        data = bytearray(n * width)
+        for j in range(width):
+            data[j::width] = src[j::8]
+        data[width - 1::width] = data[width - 1::width].translate(_FLIP)
+    else:
+        half = 1 << (8 * width - 1)
+        data = b"".join([(c + half).to_bytes(width, "little")
+                         for c in coeffs])
+    return int.from_bytes(data, "little") - zero
 
 
 def _width(bound):
@@ -599,8 +614,13 @@ def _width(bound):
     return (bound.bit_length() + 9) // 8
 
 
-# memoryview formats of the field widths _unpack reads natively
+# memoryview formats of the field widths _unpack reads natively, empty on a
+# big-endian machine, where _pack and _unpack go field by field
 _CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+# translate tables: a byte with its top bit flipped, and the sign byte
+# (0x00 or 0xff) that extends a two's-complement top byte
+_FLIP = bytes(range(128, 256)) + bytes(range(128))
+_SIGN = bytes(128) + b"\xff" * 128
 
 
 def _unpack(packed, n, width):
@@ -611,16 +631,53 @@ def _unpack(packed, n, width):
     above it whenever the fields below sum to a negative int.  Adding
     Z = sum 2^(W-1) * 2^(W*i), one big-int addition, carries all those
     borrows at once: as |a_i| < 2^(W-1), the sum has the base-2^W digits
-    a_i + 2^(W-1), each in [0, 2^W).  Flipping each digit's top bit (xor
-    Z) then leaves a_i mod 2^W, the field's own two's complement, read
-    signed: by one memoryview cast for 1-, 2-, 4- and 8-byte fields on a
-    little-endian machine, else field by field."""
+    a_i + 2^(W-1), each in [0, 2^W).  Flipping each digit's top bit (one
+    translate of the top bytes) then leaves a_i mod 2^W, the field's own
+    two's complement, read signed.
+
+    On a little-endian machine, fields of up to 16 bytes are read at C
+    level.  A field of 1, 2, 4 or 8 bytes is read by one memoryview cast.
+    Any other is spread by strided copies into 8-byte slots: its bytes
+    from 8 up (from 0 when it has 8 or fewer), then copies of the sign
+    byte of its top byte, cast as signed; a field of 9 to 16 bytes adds
+    its low 8 bytes, cast as unsigned, to that high part times 2^64.
+    Wider fields, and every field on a big-endian machine, are read one
+    by one."""
     zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    data = ((packed + zero) ^ zero).to_bytes(n * width, "little")
+    data = bytearray((packed + zero).to_bytes(n * width, "little"))
+    top = data[width - 1::width].translate(_FLIP)
+    data[width - 1::width] = top
     if width in _CAST:
         return memoryview(data).cast(_CAST[width]).tolist()
-    return [int.from_bytes(c, "little", signed=True)
-            for (c,) in iter_unpack(f"{width}s", data)]
+    if not _CAST or width > 16:
+        return [int.from_bytes(c, "little", signed=True)
+                for (c,) in struct.iter_unpack(f"{width}s", data)]
+    base = 8 if width > 8 else 0
+    sign = top.translate(_SIGN)
+    high = bytearray(8 * n)
+    for j in range(8):
+        high[j::8] = data[base + j::width] if base + j < width else sign
+    if not base:
+        return memoryview(high).cast("q").tolist()
+    low = bytearray(8 * n)
+    for j in range(8):
+        low[j::8] = data[j::width]
+    return list(map(add, map(lshift, memoryview(high).cast("q"), repeat(64)),
+                    memoryview(low).cast("Q")))
+
+
+# a product whose larger operand packs into at least this many bits is
+# multiplied in decimal (_product)
+_DECIMAL_BITS = 1 << 18
+
+
+def _field_digits(bound):
+    """The least k with 10^k > 10 * bound, for an int bound > 0, counted up
+    from a lower bound, as log10(2) > 0.30102."""
+    k = (bound.bit_length() - 1) * 30102 // 100000 + 2
+    while 10 ** k <= 10 * bound:
+        k += 1
+    return k
 
 
 def _product(a, b):
@@ -636,8 +693,37 @@ def _product(a, b):
     P = sum c_k * 2^(W*k), and _unpack reads its fields back.  When one
     list is all zeros, L = 0 and so is every c_k, while the other list's
     entries need not fit W bits, so nothing is packed.  A square, b is a,
-    packs once and multiplies the int by itself, which CPython squares
-    faster than a product of two equal ints.
+    packs once and multiplies the number by itself, which CPython and
+    libmpdec square faster than a product of two equal numbers.
+
+    Large products, whose larger list packs into _DECIMAL_BITS or more,
+    are packed the same way in base 10 and multiplied by the standard
+    library's decimal module, whose C implementation (libmpdec)
+    multiplies large operands by number-theoretic transform (Pollard,
+    Math. Comp. 25, 1971) where CPython's ints use Karatsuba.  Fields have
+    k digits, k the least with 10^k > 10 L (_field_digits), so with
+    h = 5 * 10^(k-1) every entry and every c_k lies in (-h/5, h/5).  A
+    list is read as the digit string of its entries plus h, k digits each,
+    top entry first, less the string of as many h's: the int
+    sum a_i * 10^(k*i).  The product of two such ints plus the h's of its
+    n = len(a) + len(b) - 1 fields has the k-digit digits c_k + h, each in
+    (4 * 10^(k-1), 6 * 10^(k-1)), so it has exactly n*k digits, and each
+    c_k is its k-digit slice less h.
+
+    Exactness.  Every Decimal formed here holds an int of at most n*k
+    digits: the digit strings by construction, the packed lists as
+    |sum a_i * 10^(k*i)| < 10^(k*len(a)), their product as
+    |sum c_k * 10^(k*i)| < 10^(n*k) by |c_k| < 10^(k-1), and the sum with
+    the h's by the digits above.  The arithmetic runs in a local context
+    of precision n*k and exponent limit MAX_EMAX, so none of these ints is
+    rounded, and the context traps Inexact, Rounded and InvalidOperation,
+    so a result that did not fit would raise, never round.  No Decimal
+    leaves this function, whose result is ints read off the digits, and no
+    float is formed.  The context is passed to each operation and never
+    installed, so threads share nothing.  The int route is taken instead
+    where a field has more digits than int() reads
+    (sys.get_int_max_str_digits), or where the C module _decimal is
+    missing, as the pure-Python one is slower than ints.
     """
     n = len(a) + len(b) - 1 if a and b else 0
     norm = sum(map(abs, a))
@@ -645,6 +731,32 @@ def _product(a, b):
     if not bound:
         return [0] * n
     width = _width(bound)
+    if 8 * width * max(len(a), len(b)) >= _DECIMAL_BITS:
+        try:
+            import _decimal as decimal
+        except ImportError:
+            decimal = None
+        k, cap = _field_digits(bound), sys.get_int_max_str_digits()
+        if decimal is not None and (not cap or k <= cap):
+            context = decimal.Context(
+                prec=n * k, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                traps=[decimal.Inexact, decimal.Rounded,
+                       decimal.InvalidOperation])
+            half, halves = 5 * 10 ** (k - 1), "5" + "0" * (k - 1)
+            field = f"{{:0{k}d}}".format
+
+            def as_decimal(c):
+                return context.subtract(
+                    context.create_decimal(
+                        "".join(map(field, map(half.__add__, reversed(c))))),
+                    context.create_decimal(halves * len(c)))
+
+            x = as_decimal(a)
+            digits = context.to_sci_string(context.add(
+                context.multiply(x, x if b is a else as_decimal(b)),
+                context.create_decimal(halves * n)))
+            return [int(digits[i:i + k]) - half
+                    for i in range(n * k - k, -1, -k)]
     packed = _pack(a, width)
     return _unpack(packed * (packed if b is a else _pack(b, width)), n,
                    width)
@@ -1052,7 +1164,7 @@ def _norm_tower(terms, R):
 
     For p = 2, zeta_2 = -1 is rational.  Splitting F(v, y) by the parity of
     its v-exponents into E(v^2, y) + v * O(v^2, y), the step is
-    F(v, y) F(-v, y) = E^2 - v^2 O^2, two products of ordinary polynomials
+    F(v, y) F(-v, y) = E^2 - v^2 O^2, two squares of ordinary polynomials
     in v^2 (_square_norm_step).  That is an identity in Z[v^2, y], so its
     result is rational with integral exponents by construction and needs no
     certificate.  An odd p takes three phases of ordinary products
@@ -1062,6 +1174,11 @@ def _norm_tower(terms, R):
     mod p into classes A_r and C_s in w = v^p, the norm
     F G = A_0 C_0 + w * sum A_r C_{p-r}, its only nonzero classes, by the
     same identity argument as for p = 2 (proof at _cyclic_norm_step).
+
+    The odd steps run on dicts.  The p = 2 steps, which come last, run on
+    one dense grid: F is laid out once as a list of v-rows of its
+    y-coefficients, each step maps that grid to the next, and the last
+    grid is read back into a dict once (_grid_dict).
 
     A failed certificate or a result of y-degree other than R is a bug,
     hence InternalError.
@@ -1077,27 +1194,54 @@ def _norm_tower(terms, R):
             primes.append(p)
             n //= p
         p += 1
-    for p in reversed(primes):
-        poly = (_square_norm_step(poly) if p == 2
-                else _cyclic_norm_step(poly, p))
+    twos = primes.count(2)
+    for p in reversed(primes[twos:]):
+        poly = _cyclic_norm_step(poly, p)
+    if twos:
+        ny = max(d for _, d in poly) + 1
+        grid = [0] * ((max(k for k, _ in poly) + 1) * ny)
+        for (k, d), c in poly.items():
+            grid[k * ny + d] = c
+        for _ in range(twos):
+            grid, ny = _square_norm_step(grid, ny)
+        poly = _grid_dict(grid, ny)
     out = BivarPoly._make(poly, den ** R)
     if out.deg_y() != R:
         raise InternalError(f"norm of y-degree {out.deg_y()}, expected {R}")
     return out
 
 
-def _square_norm_step(poly):
+def _square_norm_step(grid, ny):
     """F(v, y) F(-v, y) = E^2 - v^2 O^2 for F = E(v^2, y) + v * O(v^2, y),
-    F given as {(v-exponent, y-degree): int} and the result in the same
-    form over v^2.  E and O are BivarPolys in (v^2, y) over the denominator
-    1 (_residue_classes), and both squares accumulate into one dict
-    (_accumulate), the second shifted by one power of v^2, so a large dense
-    square is one packed multiply."""
-    e, o = _residue_classes(poly, 2)
-    acc = {}
-    _accumulate(acc, 1, e, e, 1)
-    _accumulate(acc, 1, o, o, -1, 1, 1)
-    return {k: c for k, c in acc.items() if c}
+    on dense grids: F is given as (grid, ny), the list whose entry
+    k*ny + d is the coefficient of v^k y^d, and the result is returned the
+    same way over w = v^2, with s = 2*ny - 1 columns.
+
+    E and O are F's even and odd v-rows, each row padded to s entries but
+    the last, so a square of either is one product of lists (_product)
+    whose entry i*s + d is its coefficient of w^i y^d: the y-degree of a
+    square stays below s, so no row spills into the next.  With E of e
+    rows, E^2 has exactly (2e - 1)*s entries, and so has O^2 for O of e
+    rows; N = E^2 - w O^2 is one list subtraction, O^2 one row up."""
+    s = 2 * ny - 1
+    rows = len(grid) // ny
+    halves = ([0] * ((rows + 1) // 2 * s - ny + 1),
+              [0] * (rows // 2 * s - ny + 1 if rows > 1 else 0))
+    for k in range(rows):
+        at = k // 2 * s
+        halves[k % 2][at:at + ny] = grid[k * ny:(k + 1) * ny]
+    e, o = halves
+    out = _product(e, e)
+    odd = _product(o, o)
+    out += [0] * (s + len(odd) - len(out))
+    out[s:s + len(odd)] = map(sub, out[s:s + len(odd)], odd)
+    return out, s
+
+
+def _grid_dict(grid, ny):
+    """A dense grid of _square_norm_step as {(v-exponent, y-degree): int},
+    its nonzero entries."""
+    return {divmod(i, ny): grid[i] for i in compress(range(len(grid)), grid)}
 
 
 def _cyclic_norm_step(poly, p):
@@ -1132,8 +1276,8 @@ def _cyclic_norm_step(poly, p):
        this phase needs no certificate.
 
     At p = 2 phase 1 is the one conjugate F(-v, y) and phase 2 checks
-    nothing; _norm_tower takes _square_norm_step there, which this step
-    is tested against."""
+    nothing; _norm_tower takes the grid step _square_norm_step there,
+    which this step is tested against."""
     m = 2 * p - 1
     h = _ONE
     for i in range(1, p):

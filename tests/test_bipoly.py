@@ -505,16 +505,18 @@ def test_min_poly_matches_conjugate_product(terms):
 
 
 def test_square_norm_step_matches_cyclic_step(monkeypatch):
-    # every p = 2 step of the tower, E^2 - v^2 O^2, against the Z[C_2]
-    # product of F(v) and F(-v) on the same input: the dyadic truncations
-    # up to R = 64, whose squares are packed from R = 32 on, and R = 20 and
-    # R = 36, where p = 2 steps follow the odd steps on their output
+    # every p = 2 step of the tower, E^2 - v^2 O^2 on the dense grid, read
+    # through the grid's dict view, against the Z[C_2] product of F(v) and
+    # F(-v) on the same input: the dyadic truncations up to R = 64, and
+    # R = 20 and R = 36, where p = 2 steps follow the odd steps on their
+    # output
     square, cyclic = bipoly._square_norm_step, bipoly._cyclic_norm_step
+    view = bipoly._grid_dict
     primes = []
 
-    def checked_square(poly):
-        out = square(poly)
-        assert out == cyclic(poly, 2)
+    def checked_square(grid, ny):
+        out = square(grid, ny)
+        assert view(*out) == cyclic(view(grid, ny), 2)
         primes.append(2)
         return out
 
@@ -807,21 +809,26 @@ def test_scan_windows_match_oracle_image(name):
     check_windows(big_work)
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, 8])
+@pytest.mark.parametrize("width", range(1, 18))
 def test_unpack_cast_path_matches_from_bytes_path(width, monkeypatch):
-    # fields at the bound every packed sum keeps, 2^(W-2) - 1, of both
-    # signs, and at the extremes _unpack allows, 2^(W-1) - 1; the cast
-    # path is the one taken on a little-endian machine
-    assert (width in bipoly._CAST) == (sys.byteorder == "little")
+    # _pack and _unpack at every field width up to one past the C-level
+    # paths (8 bytes for _pack, 16 for _unpack), against the field-by-field
+    # paths that run with _CAST empty, as on a big-endian machine: fields
+    # at the bound every packed sum keeps, 2^(W-2) - 1, and at the extremes
+    # _unpack allows, 2^(W-1) - 1, of both signs
+    assert (width in bipoly._CAST) == (sys.byteorder == "little"
+                                       and width in (1, 2, 4, 8))
     rng = random.Random(width)
     edge, top = (1 << 8 * width - 2) - 1, (1 << 8 * width - 1) - 1
     fields = [edge, -edge, 0, 1, -1, edge, edge, -edge, -edge, top, -top]
     fields += [rng.randint(-edge, edge) for _ in range(200)]
     for n in (1, 2, len(fields)):
+        want = sum(c << 8 * width * i for i, c in enumerate(fields[:n]))
         packed = bipoly._pack(fields[:n], width)
         cast = _unpack(packed, n, width)
         with monkeypatch.context() as m:
             m.setattr(bipoly, "_CAST", {})
+            assert bipoly._pack(fields[:n], width) == packed == want
             assert _unpack(packed, n, width) == cast == fields[:n]
 
 
@@ -868,6 +875,107 @@ def test_product_square_matches_schoolbook():
     # b is a: one packed list, multiplied by itself
     for a, _ in _product_cases():
         assert _product(a, a) == _schoolbook(a, a)
+
+
+def _width_cases(width, rng):
+    """Pairs of lists, squares among them, whose product _product packs
+    at exactly width bytes a field."""
+    cases = []
+    while len(cases) < 12:
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        bits = rng.randint(1, 8 * width)
+        a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
+        b = a if len(cases) % 3 == 0 else [
+            rng.randint(-2 ** bits, 2 ** bits) for _ in range(m)]
+        bound = sum(map(abs, a)) * sum(map(abs, b))
+        if bound and bipoly._width(bound) == width:
+            cases.append((a, b))
+    return cases
+
+
+@pytest.mark.parametrize("width", [3, 5, 6, 7, *range(9, 17)])
+def test_product_matches_schoolbook_at_every_slot_width(width):
+    # the widths that _unpack spreads into 8-byte slots, and those whose
+    # low and high halves it reads apart
+    for a, b in _width_cases(width, random.Random(100 + width)):
+        assert _product(a, b) == _schoolbook(a, b), (width, a, b)
+
+
+def _spy_contexts(monkeypatch):
+    """The precisions of the decimal contexts _product makes from now on;
+    the C module, when it is missing, skips the test."""
+    decimal = pytest.importorskip("_decimal")
+    made, context = [], decimal.Context
+
+    def spy(*args, **kwargs):
+        made.append(kwargs["prec"])
+        return context(*args, **kwargs)
+
+    monkeypatch.setattr(decimal, "Context", spy)
+    return made
+
+
+def _large_pair(rng, bits, n, m):
+    return ([rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)],
+            [rng.randint(-2 ** bits, 2 ** bits) for _ in range(m)])
+
+
+def test_decimal_product_matches_the_int_product(monkeypatch):
+    # above the threshold, products and squares of either sign pattern,
+    # with zero runs, against the int route of the same multiply
+    made = _spy_contexts(monkeypatch)
+    rng = random.Random(61)
+    a, b = _large_pair(rng, 60, 4000, 1700)
+    a[100:400] = [0] * 300
+    b[-1] = 0
+    c = _large_pair(rng, 500, 700, 0)[0]
+    pairs = [(a, b), (b, a), (a, a), ([abs(v) for v in a], [-1, 0, 2]),
+             (c, c)]
+    got = [_product(x, y) for x, y in pairs]
+    assert len(made) == len(pairs)
+    monkeypatch.setattr(bipoly, "_DECIMAL_BITS", 1 << 62)
+    assert got == [_product(x, y) for x, y in pairs]
+    assert len(made) == len(pairs)
+    # one-byte fields: one below the threshold the int route runs
+    monkeypatch.undo()
+    made = _spy_contexts(monkeypatch)
+    short = [7] + [0] * (bipoly._DECIMAL_BITS // 8 - 2)
+    negated = [-7] + short[1:]
+    assert _product(short, [-1]) == negated and made == []
+    assert _product(short + [0], [-1]) == negated + [0] and len(made) == 1
+
+
+def test_decimal_product_traps_a_field_that_does_not_fit(monkeypatch):
+    # with k one digit short, c + h overflows the top field of the sum,
+    # which then needs one digit more than the context's precision
+    decimal = pytest.importorskip("_decimal")
+    n = bipoly._DECIMAL_BITS // 8
+    a = [0] * (n - 1) + [99999]
+    assert _product(a, a)[-1] == 99999 ** 2
+    digits = bipoly._field_digits
+    monkeypatch.setattr(bipoly, "_field_digits", lambda b: digits(b) - 1)
+    with pytest.raises(decimal.Rounded):
+        _product(a, a)
+
+
+def test_decimal_route_falls_back_to_ints(monkeypatch):
+    # a field past the digits int() reads, and a missing C module, take
+    # the int route above the threshold
+    made = _spy_contexts(monkeypatch)
+    rng = random.Random(67)
+    wide = _large_pair(rng, 7200, 20, 20)
+    bound = sum(map(abs, wide[0])) * sum(map(abs, wide[1]))
+    assert bipoly._field_digits(bound) > sys.get_int_max_str_digits() > 0
+    assert 8 * bipoly._width(bound) * 20 >= bipoly._DECIMAL_BITS
+    assert _product(*wide) == _schoolbook(*wide)
+    assert made == []
+    narrow = _large_pair(rng, 60, 2000, 30)
+    want = _schoolbook(*narrow)
+    decimal = sys.modules["_decimal"]
+    monkeypatch.setitem(sys.modules, "_decimal", None)
+    assert _product(*narrow) == want and made == []
+    monkeypatch.setitem(sys.modules, "_decimal", decimal)
+    assert _product(*narrow) == want and len(made) == 1
 
 
 def test_product_band_matches_schoolbook():

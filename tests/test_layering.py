@@ -6,7 +6,11 @@ or publishes no image.
 
 Numbers from outside pass one gate, exactnum: it alone defines the
 no-float, no-bool reader _exact and the capped int reader _int, and alone
-names the digit cap, so no other module reads a number by its own rule."""
+names the digit cap, so no other module reads a number by its own rule.
+
+No floating point anywhere: the decimal module, whose Decimals are
+floating point, is named only inside bipoly._product, which multiplies
+large packed ints with it exactly (the proof is in its docstring)."""
 
 import ast
 import inspect
@@ -106,3 +110,33 @@ def test_gbengine_holds_no_images():
     assert not {name for name in names if name and "images" in name}
     params = inspect.signature(gbengine.reduce).parameters
     assert [name for name in params if name.startswith("_")] == ["_syzygy"]
+
+
+DECIMAL_NAMES = {"decimal", "_decimal", "_pydecimal", "Decimal"}
+
+
+def _decimal_names(tree):
+    """The names of the decimal module, or of its Decimal type, that a
+    tree defines, reads, imports or reads an attribute by, import
+    statements included."""
+    names = _names(tree) & DECIMAL_NAMES
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names} & DECIMAL_NAMES
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module} & DECIMAL_NAMES
+    return names
+
+
+def test_decimal_is_named_only_inside_the_packed_product():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    assert {name for name, tree in trees.items()
+            if _decimal_names(tree)} == {"bipoly.py"}
+    bipoly = trees["bipoly.py"]
+    product = [node for node in bipoly.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_product"]
+    assert len(product) == 1 and _decimal_names(product[0])
+    bipoly.body.remove(product[0])
+    assert _decimal_names(bipoly) == set()

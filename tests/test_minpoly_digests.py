@@ -9,7 +9,8 @@ the dyadic (j <= 8, depth 9), triadic (j <= 5, depth 6) and harmonic
 denominator, all in hexadecimal, so any change to any coefficient of any
 p_j changes its digest.
 
-The digests were written by the code they pin.  The root check shares no
+The digests were written by the code they pin.  Dyadic p_8 is large
+enough that its last squares take _product's decimal route.  The root check shares no
 code with it: p_j is the norm of y - w, with w the truncation z_k,
 k = l(j) - 1, and R = r_k, so p_j(u^R, w(u)) = 0 for every u, and it holds
 modulo P = 2^127 - 1 at a seeded u, with denominators inverted mod P.
@@ -68,6 +69,23 @@ def test_truncation_min_polys_are_pinned(tower):
     assert len(pinned) == TOWERS[name][2]
     changed = [j for j, (a, b) in enumerate(zip(got, pinned), 1) if a != b]
     assert not changed, f"p_j changed for j in {changed}"
+
+
+def test_dyadic_digests_pin_the_decimal_route(monkeypatch):
+    # the p = 2 squares of dyadic p_8 are large enough for _product's
+    # decimal route, so the digests and root checks guard it too
+    decimal = pytest.importorskip("_decimal")
+    made, context = [], decimal.Context
+
+    def spy(*args, **kwargs):
+        made.append(kwargs["prec"])
+        return context(*args, **kwargs)
+
+    monkeypatch.setattr(decimal, "Context", spy)
+    polys = build_tower("dyadic")[1]
+    assert made
+    assert poly_digest(polys[-1]) == json.loads(
+        DIGESTS.read_text())["dyadic"][-1]
 
 
 def test_truncation_min_polys_vanish_at_their_root(tower):
