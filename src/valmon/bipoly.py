@@ -29,8 +29,10 @@ located by index arithmetic and nothing is sorted.
 Packed ints whose fields are coefficients (Kronecker substitution) hold
 the powers, which stay packed, and sum each scan window, of which only the
 window's fields are decoded.  One packed multiply (_product), decoded
-in full, forms large polynomial products (_accumulate) and the products
-of images behind each preimage (_product_band, preimage_image).  Every
+in full, forms large polynomial products (_accumulate), the squares of
+the p = 2 norm steps, and the products of images behind each preimage
+(_product_band, preimage_image); it packs and reads fields at C level,
+and multiplies the largest exactly in decimal.  Every
 other product of images is one reduction step (n/d) * x^n * g * p,
 subtracted in place from an image above its floor (Image.subtract); an
 S-polynomial is two such steps from a zero image (syzygy_image), so
@@ -588,18 +590,19 @@ def _pack(coeffs, width):
     |a_i| < 2^(W-1): each field is written as a_i + 2^(W-1), which is its
     two's complement with the top bit flipped, into one byte string read
     as one int, and the offsets Z = sum 2^(W-1) * 2^(W*i) are subtracted
-    once.  Up to 8 bytes on a little-endian machine, the bytes come at C
-    level: struct writes every a_i as an 8-byte two's complement, strided
-    copies keep each field's low width bytes, and one translate flips the
-    top bytes.  Wider fields, and every field on a big-endian machine, are
-    written one by one."""
+    once.  For _STRIDED_FIELDS fields or more of up to 8 bytes on a
+    little-endian machine, the bytes come at C level: struct writes every
+    a_i as an 8-byte two's complement, strided copies keep each field's
+    low width bytes, and one translate flips the top bytes.  Otherwise
+    the fields are written one by one."""
     n = len(coeffs)
     zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    if _CAST and width <= 8:
-        src = struct.pack(f"<{n}q", *coeffs)
-        data = bytearray(n * width)
-        for j in range(width):
-            data[j::width] = src[j::8]
+    if _CAST and width <= 8 and n >= _STRIDED_FIELDS:
+        data = bytearray(struct.pack(f"<{n}q", *coeffs))
+        if width < 8:
+            src, data = data, bytearray(n * width)
+            for j in range(width):
+                data[j::width] = src[j::8]
         data[width - 1::width] = data[width - 1::width].translate(_FLIP)
     else:
         half = 1 << (8 * width - 1)
@@ -617,6 +620,10 @@ def _width(bound):
 # memoryview formats of the field widths _unpack reads natively, empty on a
 # big-endian machine, where _pack and _unpack go field by field
 _CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+# fields from which _pack and _unpack copy bytes in strides rather than
+# field by field, whose fixed cost is the smaller below it; a field of 9 to
+# 16 bytes, read as two halves, needs four times as many
+_STRIDED_FIELDS = 32
 # translate tables: a byte with its top bit flipped, and the sign byte
 # (0x00 or 0xff) that extends a two's-complement top byte
 _FLIP = bytes(range(128, 256)) + bytes(range(128))
@@ -631,29 +638,27 @@ def _unpack(packed, n, width):
     above it whenever the fields below sum to a negative int.  Adding
     Z = sum 2^(W-1) * 2^(W*i), one big-int addition, carries all those
     borrows at once: as |a_i| < 2^(W-1), the sum has the base-2^W digits
-    a_i + 2^(W-1), each in [0, 2^W).  Flipping each digit's top bit (one
-    translate of the top bytes) then leaves a_i mod 2^W, the field's own
-    two's complement, read signed.
+    a_i + 2^(W-1), each in [0, 2^W).  Flipping each digit's top bit (xor
+    Z) then leaves a_i mod 2^W, the field's own two's complement, read
+    signed.
 
-    On a little-endian machine, fields of up to 16 bytes are read at C
-    level.  A field of 1, 2, 4 or 8 bytes is read by one memoryview cast.
-    Any other is spread by strided copies into 8-byte slots: its bytes
-    from 8 up (from 0 when it has 8 or fewer), then copies of the sign
-    byte of its top byte, cast as signed; a field of 9 to 16 bytes adds
-    its low 8 bytes, cast as unsigned, to that high part times 2^64.
-    Wider fields, and every field on a big-endian machine, are read one
-    by one."""
+    On a little-endian machine a field of 1, 2, 4 or 8 bytes is read by
+    one memoryview cast.  So are _STRIDED_FIELDS fields or more of any
+    other width up to 8 bytes, spread by strided copies into 8-byte slots
+    whose high bytes are copies of the field's sign byte (one translate
+    of its top bytes), and four times as many of 9 to 16 bytes: bytes 8
+    up go to slots read signed, bytes 0 to 7 to slots read unsigned, and
+    each field is the first times 2^64 plus the second.  Other fields are
+    read one by one."""
     zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    data = bytearray((packed + zero).to_bytes(n * width, "little"))
-    top = data[width - 1::width].translate(_FLIP)
-    data[width - 1::width] = top
+    data = ((packed + zero) ^ zero).to_bytes(n * width, "little")
     if width in _CAST:
         return memoryview(data).cast(_CAST[width]).tolist()
-    if not _CAST or width > 16:
+    if not _CAST or width > 16 or n < _STRIDED_FIELDS << 2 * (width > 8):
         return [int.from_bytes(c, "little", signed=True)
                 for (c,) in struct.iter_unpack(f"{width}s", data)]
     base = 8 if width > 8 else 0
-    sign = top.translate(_SIGN)
+    sign = data[width - 1::width].translate(_SIGN)
     high = bytearray(8 * n)
     for j in range(8):
         high[j::8] = data[base + j::width] if base + j < width else sign
@@ -1218,15 +1223,16 @@ def _square_norm_step(grid, ny):
     same way over w = v^2, with s = 2*ny - 1 columns.
 
     E and O are F's even and odd v-rows, each row padded to s entries but
-    the last, so a square of either is one product of lists (_product)
+    the last, so the square of either is one product of lists (_product)
     whose entry i*s + d is its coefficient of w^i y^d: the y-degree of a
-    square stays below s, so no row spills into the next.  With E of e
-    rows, E^2 has exactly (2e - 1)*s entries, and so has O^2 for O of e
-    rows; N = E^2 - w O^2 is one list subtraction, O^2 one row up."""
+    square stays below s, so no row spills into the next.  A half of h
+    rows has (h - 1)*s + ny entries and its square exactly (2h - 1)*s, so
+    N = E^2 - w O^2 is one list subtraction, with O^2 one row (s entries)
+    up, and the result is a grid of s columns."""
     s = 2 * ny - 1
     rows = len(grid) // ny
-    halves = ([0] * ((rows + 1) // 2 * s - ny + 1),
-              [0] * (rows // 2 * s - ny + 1 if rows > 1 else 0))
+    halves = [[0] * max(h * s - ny + 1, 0)
+              for h in ((rows + 1) // 2, rows // 2)]
     for k in range(rows):
         at = k // 2 * s
         halves[k % 2][at:at + ny] = grid[k * ny:(k + 1) * ny]

@@ -879,24 +879,29 @@ def test_product_square_matches_schoolbook():
 
 def _width_cases(width, rng):
     """Pairs of lists, squares among them, whose product _product packs
-    at exactly width bytes a field."""
+    at exactly width bytes a field: short ones, read field by field, and
+    long ones, whose products have enough fields for the strided paths."""
     cases = []
     while len(cases) < 12:
-        n, m = rng.randint(1, 9), rng.randint(1, 9)
-        bits = rng.randint(1, 8 * width)
+        n, m = (rng.randint(1, 9) if len(cases) % 2 else rng.randint(64, 80)
+                for _ in range(2))
+        bits = rng.randint(max(1, 4 * width - 14), 4 * width)
         a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
         b = a if len(cases) % 3 == 0 else [
             rng.randint(-2 ** bits, 2 ** bits) for _ in range(m)]
         bound = sum(map(abs, a)) * sum(map(abs, b))
         if bound and bipoly._width(bound) == width:
             cases.append((a, b))
+    assert max(len(a) + len(b) - 1 for a, b in cases) >= (
+        bipoly._STRIDED_FIELDS * 4)
     return cases
 
 
 @pytest.mark.parametrize("width", [3, 5, 6, 7, *range(9, 17)])
 def test_product_matches_schoolbook_at_every_slot_width(width):
     # the widths that _unpack spreads into 8-byte slots, and those whose
-    # low and high halves it reads apart
+    # low and high halves it reads apart, by strided copies where the
+    # product has enough fields and field by field where it has few
     for a, b in _width_cases(width, random.Random(100 + width)):
         assert _product(a, b) == _schoolbook(a, b), (width, a, b)
 
