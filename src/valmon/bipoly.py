@@ -654,7 +654,8 @@ def _unpack(packed, n, width):
     data = ((packed + zero) ^ zero).to_bytes(n * width, "little")
     if width in _CAST:
         return memoryview(data).cast(_CAST[width]).tolist()
-    if not _CAST or width > 16 or n < _STRIDED_FIELDS << 2 * (width > 8):
+    if (not _CAST or width > 16
+            or n < (4 if width > 8 else 1) * _STRIDED_FIELDS):
         return [int.from_bytes(c, "little", signed=True)
                 for (c,) in struct.iter_unpack(f"{width}s", data)]
     base = 8 if width > 8 else 0
