@@ -10,10 +10,11 @@ denominator, all in hexadecimal, so any change to any coefficient of any
 p_j changes its digest.
 
 The digests were written by the code they pin.  Dyadic p_8 is large
-enough that its last squares take _product's decimal route.  The root check shares no
-code with it: p_j is the norm of y - w, with w the truncation z_k,
-k = l(j) - 1, and R = r_k, so p_j(u^R, w(u)) = 0 for every u, and it holds
-modulo P = 2^127 - 1 at a seeded u, with denominators inverted mod P.
+enough that its last squares take _product's decimal route.  The root
+check shares no code with it: p_j is the norm of y - w, with w the
+truncation z_k, k = l(j) - 1, and R = r_k, so p_j(u^R, w(u)) = 0 for every
+u, and it holds modulo P = 2^127 - 1 at a seeded u, with denominators
+inverted mod P.
 Evaluation is a ring map, so it reads p_j's coefficients without the
 packed or dict products that formed them.
 
