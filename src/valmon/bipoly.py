@@ -31,22 +31,22 @@ the powers, which stay packed, and sum each scan window, of which only the
 window's fields are decoded.  One packed multiply (_product), decoded
 in full, forms large polynomial products (_accumulate), the squares of
 the p = 2 norm steps, and the products of images behind each preimage
-(_product_band, preimage_image); it packs and reads fields at C level,
-and multiplies the largest exactly in decimal.  Every
+(_product_band, preimage_image), and multiplies the largest exactly in
+decimal.  Every
 other product of images is one reduction step (n/d) * x^n * g * p,
 subtracted in place from an image above its floor (Image.subtract); an
 S-polynomial is two such steps from a zero image (syzygy_image), so
 buchberger never scans one.
 """
 
-import struct
 import sys
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm
-from operator import add, lshift, sub
+from operator import sub
+from struct import iter_unpack
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
@@ -586,29 +586,14 @@ class _ZPow:
 
 
 def _pack(coeffs, width):
-    """sum a_i * 2^(W*i) over the coefficients a_i, W = 8*width, for
-    |a_i| < 2^(W-1): each field is written as a_i + 2^(W-1), which is its
-    two's complement with the top bit flipped, into one byte string read
-    as one int, and the offsets Z = sum 2^(W-1) * 2^(W*i) are subtracted
-    once.  For _STRIDED_FIELDS fields or more of up to 8 bytes on a
-    little-endian machine, the bytes come at C level: struct writes every
-    a_i as an 8-byte two's complement, strided copies keep each field's
-    low width bytes, and one translate flips the top bytes.  Otherwise
-    the fields are written one by one."""
-    n = len(coeffs)
-    zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    if _CAST and width <= 8 and n >= _STRIDED_FIELDS:
-        data = bytearray(struct.pack(f"<{n}q", *coeffs))
-        if width < 8:
-            src, data = data, bytearray(n * width)
-            for j in range(width):
-                data[j::width] = src[j::8]
-        data[width - 1::width] = data[width - 1::width].translate(_FLIP)
-    else:
-        half = 1 << (8 * width - 1)
-        data = b"".join([(c + half).to_bytes(width, "little")
-                         for c in coeffs])
-    return int.from_bytes(data, "little") - zero
+    """sum a_i * 2^(W*i) over the coefficients a_i, W = 8*width: each field
+    is written as a_i + 2^(W-1) into one byte string, and the offsets are
+    subtracted once, as an int."""
+    zero = bytes(width - 1) + b"\x80"  # 2^(W-1), little-endian
+    half = 1 << (8 * width - 1)
+    data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return (int.from_bytes(data, "little")
+            - int.from_bytes(zero * len(coeffs), "little"))
 
 
 def _width(bound):
@@ -617,17 +602,8 @@ def _width(bound):
     return (bound.bit_length() + 9) // 8
 
 
-# memoryview formats of the field widths _unpack reads natively, empty on a
-# big-endian machine, where _pack and _unpack go field by field
+# memoryview formats of the field widths _unpack reads natively
 _CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
-# fields from which _pack and _unpack copy bytes in strides rather than
-# field by field, whose fixed cost is the smaller below it; a field of 9 to
-# 16 bytes, read as two halves, needs four times as many
-_STRIDED_FIELDS = 32
-# translate tables: a byte with its top bit flipped, and the sign byte
-# (0x00 or 0xff) that extends a two's-complement top byte
-_FLIP = bytes(range(128, 256)) + bytes(range(128))
-_SIGN = bytes(128) + b"\xff" * 128
 
 
 def _unpack(packed, n, width):
@@ -640,36 +616,14 @@ def _unpack(packed, n, width):
     borrows at once: as |a_i| < 2^(W-1), the sum has the base-2^W digits
     a_i + 2^(W-1), each in [0, 2^W).  Flipping each digit's top bit (xor
     Z) then leaves a_i mod 2^W, the field's own two's complement, read
-    signed.
-
-    On a little-endian machine a field of 1, 2, 4 or 8 bytes is read by
-    one memoryview cast.  So are _STRIDED_FIELDS fields or more of any
-    other width up to 8 bytes, spread by strided copies into 8-byte slots
-    whose high bytes are copies of the field's sign byte (one translate
-    of its top bytes), and four times as many of 9 to 16 bytes: bytes 8
-    up go to slots read signed, bytes 0 to 7 to slots read unsigned, and
-    each field is the first times 2^64 plus the second.  Other fields are
-    read one by one."""
+    signed: by one memoryview cast for 1-, 2-, 4- and 8-byte fields on a
+    little-endian machine, else field by field."""
     zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
     data = ((packed + zero) ^ zero).to_bytes(n * width, "little")
     if width in _CAST:
         return memoryview(data).cast(_CAST[width]).tolist()
-    if (not _CAST or width > 16
-            or n < (4 if width > 8 else 1) * _STRIDED_FIELDS):
-        return [int.from_bytes(c, "little", signed=True)
-                for (c,) in struct.iter_unpack(f"{width}s", data)]
-    base = 8 if width > 8 else 0
-    sign = data[width - 1::width].translate(_SIGN)
-    high = bytearray(8 * n)
-    for j in range(8):
-        high[j::8] = data[base + j::width] if base + j < width else sign
-    if not base:
-        return memoryview(high).cast("q").tolist()
-    low = bytearray(8 * n)
-    for j in range(8):
-        low[j::8] = data[j::width]
-    return list(map(add, map(lshift, memoryview(high).cast("q"), repeat(64)),
-                    memoryview(low).cast("Q")))
+    return [int.from_bytes(c, "little", signed=True)
+            for (c,) in iter_unpack(f"{width}s", data)]
 
 
 # a product whose larger operand packs into at least this many bits is
@@ -728,8 +682,10 @@ def _product(a, b):
     float is formed.  The context is passed to each operation and never
     installed, so threads share nothing.  The int route is taken instead
     where a field has more digits than int() reads
-    (sys.get_int_max_str_digits), or where the C module _decimal is
-    missing, as the pure-Python one is slower than ints.
+    (sys.get_int_max_str_digits, from Python 3.10.7 and 3.11; before
+    them, as when the limit is set to 0, int() reads any length), or
+    where the C module _decimal is missing, as the pure-Python one is
+    slower than ints.
     """
     n = len(a) + len(b) - 1 if a and b else 0
     norm = sum(map(abs, a))
@@ -742,7 +698,8 @@ def _product(a, b):
             import _decimal as decimal
         except ImportError:
             decimal = None
-        k, cap = _field_digits(bound), sys.get_int_max_str_digits()
+        k = _field_digits(bound)
+        cap = getattr(sys, "get_int_max_str_digits", int)()
         if decimal is not None and (not cap or k <= cap):
             context = decimal.Context(
                 prec=n * k, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
