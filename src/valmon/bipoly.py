@@ -602,8 +602,16 @@ def _width(bound):
     return (bound.bit_length() + 9) // 8
 
 
-# memoryview formats of the field widths _unpack reads natively
+# memoryview formats of the field widths _unpack reads natively, empty on a
+# big-endian machine, where it reads field by field
 _CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+# fields from which _unpack copies the bytes of 3-, 5-, 6- and 7-byte
+# fields in strides rather than reading them one by one, whose fixed cost
+# is the smaller below it
+_STRIDED_FIELDS = 32
+# translate table: the sign byte (0x00 or 0xff) that extends a
+# two's-complement top byte
+_SIGN = bytes(128) + b"\xff" * 128
 
 
 def _unpack(packed, n, width):
@@ -616,14 +624,25 @@ def _unpack(packed, n, width):
     borrows at once: as |a_i| < 2^(W-1), the sum has the base-2^W digits
     a_i + 2^(W-1), each in [0, 2^W).  Flipping each digit's top bit (xor
     Z) then leaves a_i mod 2^W, the field's own two's complement, read
-    signed: by one memoryview cast for 1-, 2-, 4- and 8-byte fields on a
-    little-endian machine, else field by field."""
+    signed.
+
+    On a little-endian machine a field of 1, 2, 4 or 8 bytes is read by
+    one memoryview cast.  So are _STRIDED_FIELDS fields or more of 3, 5, 6
+    or 7 bytes, spread by strided copies into 8-byte slots whose high
+    bytes are copies of the field's sign byte (one translate of its top
+    bytes).  Other fields are read one by one."""
     zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
     data = ((packed + zero) ^ zero).to_bytes(n * width, "little")
     if width in _CAST:
         return memoryview(data).cast(_CAST[width]).tolist()
-    return [int.from_bytes(c, "little", signed=True)
-            for (c,) in iter_unpack(f"{width}s", data)]
+    if not _CAST or width > 8 or n < _STRIDED_FIELDS:
+        return [int.from_bytes(c, "little", signed=True)
+                for (c,) in iter_unpack(f"{width}s", data)]
+    sign = data[width - 1::width].translate(_SIGN)
+    slots = bytearray(8 * n)
+    for j in range(8):
+        slots[j::8] = data[j::width] if j < width else sign
+    return memoryview(slots).cast("q").tolist()
 
 
 # a product whose larger operand packs into at least this many bits is

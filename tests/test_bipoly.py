@@ -813,9 +813,10 @@ def test_scan_windows_match_oracle_image(name):
 def test_unpack_cast_path_matches_from_bytes_path(width, monkeypatch):
     # _pack and _unpack at every field width from 1 to 17 bytes, against
     # sum a_i * 2^(W*i) and against the field-by-field read that runs with
-    # _CAST empty, as on a big-endian machine: fields at the bound every
-    # packed sum keeps, 2^(W-2) - 1, and at the extremes _unpack allows,
-    # 2^(W-1) - 1, of both signs
+    # _CAST empty, as on a big-endian machine, for few fields and for more
+    # than _STRIDED_FIELDS: fields at the bound every packed sum keeps,
+    # 2^(W-2) - 1, and at the extremes _unpack allows, 2^(W-1) - 1, of both
+    # signs
     assert (width in bipoly._CAST) == (sys.byteorder == "little"
                                        and width in (1, 2, 4, 8))
     rng = random.Random(width)
@@ -879,7 +880,8 @@ def test_product_square_matches_schoolbook():
 
 def _width_cases(width, rng):
     """Pairs of lists, squares among them, whose product _product packs
-    at exactly width bytes a field, short and long."""
+    at exactly width bytes a field: short ones, read field by field, and
+    long ones, whose products have enough fields for the strided read."""
     cases = []
     while len(cases) < 12:
         n, m = (rng.randint(1, 9) if len(cases) % 2 else rng.randint(64, 80)
@@ -891,13 +893,17 @@ def _width_cases(width, rng):
         bound = sum(map(abs, a)) * sum(map(abs, b))
         if bound and bipoly._width(bound) == width:
             cases.append((a, b))
+    assert max(len(a) + len(b) - 1 for a, b in cases) >= (
+        bipoly._STRIDED_FIELDS)
     return cases
 
 
 @pytest.mark.parametrize("width", [3, 5, 6, 7, *range(9, 17)])
 def test_product_matches_schoolbook_at_every_slot_width(width):
-    # the widths up to 16 bytes that _unpack reads field by field, as no
-    # memoryview format has them
+    # the widths up to 16 bytes that no memoryview format reads: 3, 5, 6
+    # and 7 bytes, spread into 8-byte slots where the product has enough
+    # fields and read field by field where it has few, and 9 to 16 bytes,
+    # read field by field
     for a, b in _width_cases(width, random.Random(100 + width)):
         assert _product(a, b) == _schoolbook(a, b), (width, a, b)
 
