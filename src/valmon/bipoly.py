@@ -1151,11 +1151,13 @@ def _norm_tower(terms, R):
     result is rational with integral exponents by construction and needs no
     certificate.  An odd p takes three phases of ordinary products
     (_cyclic_norm_step): the adjugate G = prod F(zeta_p^i v, y) over
-    0 < i < p, formed in the group ring Z[C_p], where its rationality is
-    the one certificate checked; then, splitting F and G by v-exponent
-    mod p into classes A_r and C_s in w = v^p, the norm
+    0 < i < p in the group ring Z[C_p], kept as its p zeta_p-coordinates,
+    each an ordinary polynomial in v and y, and built by p - 2 rounds of a
+    twist v -> zeta_p^-1 v and a product of each coordinate by F; then
+    G's rationality, the one certificate checked; then, splitting F and G
+    by v-exponent mod p into classes A_r and C_s in w = v^p, the norm
     F G = A_0 C_0 + w * sum A_r C_{p-r}, its only nonzero classes, by the
-    same identity argument as for p = 2 (proof at _cyclic_norm_step).
+    same identity argument as for p = 2 (proofs at _cyclic_norm_step).
 
     The odd steps run on dicts.  The p = 2 steps, which come last, run on
     one dense grid: F is laid out once as a list of v-rows of its
@@ -1235,11 +1237,14 @@ def _cyclic_norm_step(poly, p):
     2 included.
 
     1. H = prod F(zeta_p^i v, y) over 1 <= i < p, in the group ring Z[C_p],
-       where multiplying by zeta_p is a rotation.  Each conjugate is a
-       BivarPoly whose first exponent encodes v^k zeta_p^g, g = i*k mod p,
-       as k*(2p - 1) + g.  A product of two factors with g < p has
-       g < 2p - 1, so no g carries into k, and each product is folded
-       mod p (g -> g - p for g >= p) before the next.
+       kept as its p zeta-coordinates: H = sum zeta_p^g h_g(v, y), each h_g
+       an ordinary polynomial.  With T_1 = F and
+       T_m(v) = F(v) T_{m-1}(zeta_p^-1 v), induction gives
+       T_m(v) = prod F(zeta_p^(i-m) v) over 1 <= i <= m, so
+       H = T_{p-1}(zeta_p^-1 v).  The twist v -> zeta_p^-1 v only moves the
+       coefficient of zeta_p^g v^k to coordinate g - k mod p (_twist), and F
+       has no zeta_p, so each product by F is p ordinary products, one per
+       coordinate.
     2. Mapping back to Q(zeta_p), where 1 + zeta_p + ... + zeta_p^(p-1) = 0,
        a coefficient (h_0, ..., h_{p-1}) of H is rational exactly when
        h_1 = ... = h_{p-1}, with value h_0 - h_1.  The ring automorphisms
@@ -1258,27 +1263,19 @@ def _cyclic_norm_step(poly, p):
        sum to zero and are never formed, so, as for _square_norm_step,
        this phase needs no certificate.
 
-    At p = 2 phase 1 is the one conjugate F(-v, y) and phase 2 checks
+    At p = 2 phase 1 is the one twist F(-v, y) and phase 2 checks
     nothing; _norm_tower takes the grid step _square_norm_step there,
     which this step is tested against."""
-    m = 2 * p - 1
-    h = _ONE
-    for i in range(1, p):
-        conj = BivarPoly._make(
-            {(k * m + i * k % p, d): c for (k, d), c in poly.items()}, 1)
-        acc = {}
-        _accumulate(acc, 1, h, conj, 1)
-        folded = {}
-        for (e, d), c in acc.items():
-            key = (e - p if e % m >= p else e, d)
-            folded[key] = folded.get(key, 0) + c
-        h = BivarPoly._make(folded, 1)
-    coords = {}
-    for (e, d), c in h._num.items():
-        k, g = divmod(e, m)
-        coords.setdefault((k, d), [0] * p)[g] = c
+    f = BivarPoly._make(poly, 1)
+    h = _twist([poly], p)
+    for _ in range(p - 2):
+        products = [{} for _ in h]
+        for coord, acc in zip(h, products):
+            _accumulate(acc, 1, BivarPoly._make(coord, 1), f, 1)
+        h = _twist(products, p)
     adj = {}
-    for key, a in coords.items():
+    for key in set().union(*h):
+        a = [coord.get(key, 0) for coord in h]
         if any(x != a[1] for x in a[2:]):
             raise InternalError("norm coefficient not rational")
         adj[key] = a[0] - a[1]
@@ -1288,6 +1285,18 @@ def _cyclic_norm_step(poly, p):
     for r in range(1, p):
         _accumulate(acc, 1, a[r], c[p - r], 1, 1, 1)
     return {k: c for k, c in acc.items() if c}
+
+
+def _twist(coords, p):
+    """The p zeta_p-coordinates of H(zeta_p^-1 v, y), for
+    H = sum zeta_p^g h_g(v, y) given by its first coordinates h_g as
+    {(v-exponent, y-degree): int} (zeros allowed), the rest zero: the
+    coefficient of zeta_p^g v^k moves to coordinate g - k mod p."""
+    out = [{} for _ in range(p)]
+    for g, coord in enumerate(coords):
+        for (k, d), c in coord.items():
+            out[(g - k) % p][k, d] = c
+    return out
 
 
 def _residue_classes(num, p):

@@ -10,9 +10,11 @@ prime-degree norms, so the tests multiply conjugates here and compare.
 ``group_ring_norm_step`` is the reference for one step of that tower: the
 product of all p conjugates of F(v, y), taken term by term in Z[C_p] and
 checked coordinate by coordinate.  The production step
-(``bipoly._cyclic_norm_step``) forms only p - 1 of them there and reads
-the norm off the v^p classes of F times their product, so the tests
-compare the two on seeded inputs.  No production path of valmon
+(``bipoly._cyclic_norm_step``) forms only the product of p - 1 of them,
+kept as its p zeta_p-coordinates, by twists v -> zeta_p^-1 v, which move
+coefficients between coordinates, and products of each coordinate by F.
+It reads the norm off the v^p classes of F times that product, so the
+tests compare the two on seeded inputs.  No production path of valmon
 multiplies in Q(zeta_n).
 """
 

@@ -43,3 +43,35 @@ def test_one_pair_and_zero_median():
         0.0, 0.0, -0.5, 1, "within")
     s = ab.summarise([0.0, 0.0], [0.0, 1.0], 0.2)
     assert math.isnan(s["rel"]) and s["verdict"] == "unresolved"
+
+
+
+@pytest.mark.parametrize("change, gain", [
+    ([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 21.0], True),
+    ([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 21.0, 22.0], False),
+    ([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 19.0, 21.0], False),
+    ([10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0], False),
+], ids=["nine-tenths", "eight-tenths", "tie", "inside-iqr"])
+def test_gain_needs_nine_tenths_and_more_than_the_iqr(change, gain):
+    # parent 11..20: median 15.5, IQR 4.5.  The first three changes sit
+    # 6.0 below at the median and win 9, 8 and 8 pairs (the third ties one,
+    # which counts for neither side); the last wins all 10 pairs but sits
+    # only 1.0 below, inside the parent's IQR
+    s = ab.summarise([11.0 + i for i in range(10)], change, 0.5)
+    assert s["iqr"] == 4.5
+    assert s["gain"] is gain
+
+
+@pytest.mark.parametrize("change, verdict, gain", [
+    ([1.0, 2.0, 3.0, 4.0], "within", True),
+    ([9.0, 15.0, 25.0, 35.0], "unresolved", False),
+], ids=["every-run-better", "every-pair-won"])
+def test_spread_parent_resolved_only_when_every_change_run_is_better(
+        change, verdict, gain):
+    # the parent's IQR is 60% of its median, past the 20% bound; the
+    # second change wins every pair but its slowest run is slower than the
+    # parent's fastest
+    s = ab.summarise([10.0, 20.0, 30.0, 40.0], change, 0.2)
+    assert s["iqr"] / s["parent"] == pytest.approx(0.6)
+    assert s["won"] == 4
+    assert (s["verdict"], s["gain"]) == (verdict, gain)

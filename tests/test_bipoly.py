@@ -576,13 +576,17 @@ def test_cyclic_norm_step_matches_the_group_ring_reference(p):
 @pytest.mark.parametrize("p, terms, ks", [(3, 80, 24), (5, 60, 20)])
 def test_cyclic_norm_step_packs_a_large_dense_input(monkeypatch, p, terms,
                                                     ks):
-    # a dense F whose products, in the group ring and of the classes, take
-    # _accumulate's packed branch
+    # a dense F whose products, of the zeta-coordinates and of the classes,
+    # take _accumulate's packed branch, every packed operand at least 10%
+    # nonzero
     packed = []
     product = bipoly._product
 
     def spy(a, b):
         packed.append(len(a) * len(b))
+        for operand in (a, b):
+            assert 10 * sum(map(bool, operand)) >= len(operand), (
+                p, len(operand))
         return product(a, b)
 
     monkeypatch.setattr(bipoly, "_product", spy)
@@ -593,13 +597,14 @@ def test_cyclic_norm_step_packs_a_large_dense_input(monkeypatch, p, terms,
 
 
 def test_cyclic_norm_step_certificate(monkeypatch):
-    # a stray zeta_3 term in the first group-ring product breaks h_1 = h_2
+    # a stray v term in the first coordinate product, which the last twist
+    # moves to coordinate 2, breaks h_1 = h_2
     accumulate, calls = bipoly._accumulate, []
 
     def stray(acc, *args):
         den = accumulate(acc, *args)
         if not calls:
-            acc[1, 0] = acc.get((1, 0), 0) + 1  # v^0 zeta_3 y^0
+            acc[1, 0] = acc.get((1, 0), 0) + 1  # v^1 y^0
         calls.append(args)
         return den
 

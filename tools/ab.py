@@ -17,10 +17,14 @@ For each workload (default: every one in BENCHMARK.json) and each
 end-to-end metric of BENCHMARK.json, the summary gives the parent's median
 and interquartile range, the change's median, interquartile range and
 change relative to the parent's median, and the pairs the change won:
-lower wins, and a tie counts for neither side.  The verdict reads "worse" when the change's
-median is worse than the parent's by more than the metric's bound,
-"unresolved" when the parent's interquartile range is wider than the
-bound (relative to its median), and "within" otherwise.
+lower wins, and a tie counts for neither side.  The verdict reads "worse"
+when the change's median is worse than the parent's by more than the
+metric's bound, "unresolved" when the parent's interquartile range is
+wider than the bound (relative to its median) unless every run of the
+change is better than every run of the parent, and "within" otherwise.
+"gain" reads "yes" when the change won at least nine tenths of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range, the rule a claimed gain must meet.
 
 The runs write only what run.py writes, under perfbench/out/ of each
 checkout.
@@ -41,21 +45,23 @@ def summarise(parent, change, bound):
     """The figures of one metric over paired runs, parent[i] and change[i]
     being pair i's values and lower better: a dict of the parent's median
     and interquartile range, the change's median and interquartile range,
-    the relative change of the medians, the pairs the change won, and the
-    verdict against bound, a relative bound."""
+    the relative change of the medians, the pairs the change won, the
+    verdict against bound, a relative bound, and whether the figures meet
+    the rule for claiming a gain."""
     pm, cm = median(parent), median(change)
     iqr = _iqr(parent)
     rel = (cm - pm) / pm if pm else math.nan
+    won = sum(c < p for p, c in zip(parent, change))
     if rel > bound:
         verdict = "worse"
-    elif not pm or iqr / pm > bound:
+    elif (not pm or iqr / pm > bound) and max(change) >= min(parent):
         verdict = "unresolved"
     else:
         verdict = "within"
     return {"parent": pm, "iqr": iqr, "change": cm,
-            "change_iqr": _iqr(change), "rel": rel,
-            "won": sum(c < p for p, c in zip(parent, change)),
-            "verdict": verdict}
+            "change_iqr": _iqr(change), "rel": rel, "won": won,
+            "verdict": verdict,
+            "gain": 10 * won >= 9 * len(parent) and pm - cm > iqr}
 
 
 def _iqr(values):
@@ -122,7 +128,8 @@ def main(argv=None):
         if not pairs:
             continue
         print(f"  {'metric':13} {'parent':>10} {'IQR':>10} {'change':>10} "
-              f"{'IQR':>10} {'rel':>7} {'won':>5} {'bound':>6}  verdict")
+              f"{'IQR':>10} {'rel':>7} {'won':>5} {'gain':>4} {'bound':>6}  "
+              f"verdict")
         for name, unit, bound in metrics:
             value = [[r["metrics"][name]["value"] for r in pair]
                      for pair in pairs]
@@ -130,7 +137,8 @@ def main(argv=None):
             print(f"  {name:13} {s['parent']:10.4g} {s['iqr']:10.4g} "
                   f"{s['change']:10.4g} {s['change_iqr']:10.4g} "
                   f"{s['rel']:+7.1%} "
-                  f"{s['won']:>2}/{len(pairs):<2} {bound:6.0%}  "
+                  f"{s['won']:>2}/{len(pairs):<2} "
+                  f"{'yes' if s['gain'] else 'no':>4} {bound:6.0%}  "
                   f"{s['verdict']} ({unit})")
     return 0
 
