@@ -733,10 +733,14 @@ def _product(a, b):
                         "".join(map(field, map(half.__add__, reversed(c))))),
                     context.create_decimal(halves * len(c)))
 
+            # each Decimal is dropped once the next is formed, so the
+            # operands are gone before the h's are added, and only the
+            # digit string is held while the ints are read off it
             x = as_decimal(a)
-            digits = context.to_sci_string(context.add(
-                context.multiply(x, x if b is a else as_decimal(b)),
-                context.create_decimal(halves * n)))
+            x = context.multiply(x, x if b is a else as_decimal(b))
+            x = context.add(x, context.create_decimal(halves * n))
+            digits = context.to_sci_string(x)
+            del x
             return [int(digits[i:i + k]) - half
                     for i in range(n * k - k, -1, -k)]
     packed = _pack(a, width)
@@ -1333,22 +1337,44 @@ def preimage_product(digits, ctx):
     the top entry of p_j's image on its own exact table, from its top
     rho_j * r_N up (_image_down_to, the memo entry preimage_image extends),
     which is the entry a scan of p_j would read, so p_j itself is never
-    scanned."""
+    scanned.
+
+    p is p' * p_w^(d_w), d_w the last digit and p' the product of the
+    digits before it, factors multiplied in from j = 1 up.  A factor whose
+    own record the memo already holds, p' under its trimmed digits or
+    p_w^(d_w) under (0, ..., 0, d_w), is read from it; one it does not
+    hold is formed factor by factor and cached nowhere, so the memo gains
+    only this digit vector's record."""
     key = ("preimage", digits)
     hit = ctx.cache.get(key)
     if hit is None:
-        poly, lc = _ONE, Fraction(1)
-        for j, d in enumerate(digits, start=1):
-            if d:
-                p_j = truncation_min_poly(ctx, j)
-                poly = poly * p_j ** d
-                zp = _power_table(ctx, p_j.deg_y())
-                rho = ctx.seqs.rho(j)
-                top = rho.numerator * zp.scale // rho.denominator
-                _, num, den = _image_down_to(p_j, zp, ctx, top, top)
-                lc *= Fraction(num[-1], den) ** d
+        head = digits[:-1]
+        while head and not head[-1]:
+            head = head[:-1]
+        poly, lc = (ctx.cache.get(("preimage", head))
+                    or _multiplied_out(_ONE, Fraction(1), head, ctx))
+        if digits:
+            last = (0,) * (len(digits) - 1) + digits[-1:]
+            tail = ctx.cache.get(("preimage", last))
+            poly, lc = (_multiplied_out(poly, lc, last, ctx) if tail is None
+                        else (poly * tail[0], lc * tail[1]))
         hit = ctx.cache[key] = (poly, lc)
     return hit
+
+
+def _multiplied_out(poly, lc, digits, ctx):
+    """(poly * prod p_j^(d_j), lc * prod LC_z(p_j)^(d_j)), the factors
+    multiplied in from j = 1 up (preimage_product)."""
+    for j, d in enumerate(digits, start=1):
+        if d:
+            p_j = truncation_min_poly(ctx, j)
+            poly = poly * p_j ** d
+            zp = _power_table(ctx, p_j.deg_y())
+            rho = ctx.seqs.rho(j)
+            top = rho.numerator * zp.scale // rho.denominator
+            _, num, den = _image_down_to(p_j, zp, ctx, top, top)
+            lc *= Fraction(num[-1], den) ** d
+    return poly, lc
 
 
 def preimage_of_rep(rep, ctx):

@@ -202,25 +202,47 @@ def _syzygy_reps(value, lead_f, lead_g, ctx):
         la.denominator * lf.denominator * lb.numerator * lg.numerator)
 
 
-def _syzygy_element(value, f, g, lead_f, lead_g, ctx):
+def _syzygy_element(value, f, g, lead_f, lead_g, ctx, products=None):
     """The element of the pair at value (_syzygy_reps), with the
     S-polynomial a*f - b*g formed by one fused accumulation
     (_add_product).  Elements share a, a memoised preimage_of_rep; b is
-    scaled in one copy."""
+    scaled in one copy.
+
+    b = (n/d) * x^m * p with p the preimage_product of b's digit vector,
+    so b*g = (n/d) * x^m * (p*g).  products, when given, holds the
+    products p*g for this one g, keyed by digit vector: each p*g is
+    multiplied on its first use only, and the S-polynomial is the shared
+    product scaled by -n/d and shifted by x^m in one copy (_scaled), with
+    a*f accumulated into it.  The dict is valid for its one g only
+    (buchberger keeps one per new basis element and drops it after that
+    element's families)."""
     ra, rb, factor = _syzygy_reps(value, lead_f, lead_g, ctx)
     a = preimage_of_rep(ra, ctx)
-    b = preimage_product(rb.digits, ctx)[0]._scaled(*factor, rb.n)
-    return SyzygyElement(value, a, b, (a * f)._add_product(-1, b, g))
+    p = preimage_product(rb.digits, ctx)[0]
+    b = p._scaled(*factor, rb.n)
+    if products is None:
+        return SyzygyElement(value, a, b, (a * f)._add_product(-1, b, g))
+    pg = products.get(rb.digits)
+    if pg is None:
+        pg = products[rb.digits] = p * g
+    n, d = factor
+    return SyzygyElement(value, a, b,
+                         pg._scaled(-n, d, rb.n)._add_product(1, a, f))
 
 
-def syzygy_family(f, g, ctx, minimal=False):
+def syzygy_family(f, g, ctx, minimal=False, *, _products=None):
     """One SyzygyElement per generating value of the pair's intersection
     ideal: a and b have exact values value - LE_z(f) and value - LE_z(g),
-    with b scaled so the leading terms of a*f and b*g cancel."""
+    with b scaled so the leading terms of a*f and b*g cancel.  _products,
+    a dict of the products p*g by digit vector that buchberger shares
+    across the families of one new basis element g (_syzygy_element), is
+    not part of the public interface; without it every S-polynomial
+    forms its own b*g."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("syzygy family needs nonzero inputs")
     values, lead_f, lead_g = syzygy_values(f, g, ctx, minimal)
-    return [_syzygy_element(v, f, g, lead_f, lead_g, ctx) for v in values]
+    return [_syzygy_element(v, f, g, lead_f, lead_g, ctx, _products)
+            for v in values]
 
 
 def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
@@ -237,6 +259,14 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
     families carry only a minimal generating value set, and remainders
     adjoined earlier in a round serve as divisors for the elements reduced
     after them (pending elements are taken in ascending value order).
+
+    Every S-polynomial of a pair (basis[j], g), j < k, for a new element
+    g = basis[k] holds b*g = (n/d) * x^m * (p*g), p a preimage_product,
+    and the same p*g recurs across those pairs with only n/d and m
+    changing.  The families of one new element therefore share one dict
+    of the products p*g by digit vector (_syzygy_element), so each is
+    multiplied once; the dict is dropped after that element's families.
+    Round zero's generator pairs form each b*g on their own.
 
     No S-polynomial s = a*f - b*g is scanned: reduce gets its
     representations, from which its Remainder forms its image out of the
@@ -294,14 +324,18 @@ def buchberger(gens, ctx, max_rounds=DEFAULT_MAX_ROUNDS,
             break
         pending = []
         for k in range(first_new, len(basis)):
+            products = {}
             for j in range(k):
-                pending += _family(basis[j], basis[k], ctx)
+                pending += _family(basis[j], basis[k], ctx, products)
+            del products
     return GbResult(tuple(basis), complete, rounds)
 
 
-def _family(f, g, ctx):
-    """The pair's minimal syzygy family, each element with f and g."""
-    return [(elt, f, g) for elt in syzygy_family(f, g, ctx, minimal=True)]
+def _family(f, g, ctx, products=None):
+    """The pair's minimal syzygy family, each element with f and g;
+    products is syzygy_family's _products."""
+    return [(elt, f, g) for elt in
+            syzygy_family(f, g, ctx, minimal=True, _products=products)]
 
 
 def is_member(f, gb, ctx, step_limit=DEFAULT_STEP_LIMIT):

@@ -343,8 +343,8 @@ def test_x_y_six_rounds_scan_no_s_polynomial(monkeypatch):
         finally:
             reducing.pop()
 
-    def recording(f, g, ctx, minimal=False):
-        family = syzygy_family(f, g, ctx, minimal)
+    def recording(f, g, ctx, minimal=False, **kwargs):
+        family = syzygy_family(f, g, ctx, minimal, **kwargs)
         spolys.update(elt.spoly for elt in family)
         return family
 

@@ -45,8 +45,8 @@ def recorded(request):
         calls.append((f, list(basis), trace))
         return trace
 
-    def recording_family(f, g, ctx):
-        out = family(f, g, ctx)
+    def recording_family(f, g, ctx, *args):
+        out = family(f, g, ctx, *args)
         elements.extend(out)
         return out
 

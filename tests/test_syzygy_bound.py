@@ -63,8 +63,8 @@ def recorded_syzygies(monkeypatch, gens, ctx, max_rounds):
     for the pair (f, g) it belongs to."""
     syzygies = []
 
-    def recording(f, g, ctx, minimal=False):
-        family = syzygy_family(f, g, ctx, minimal)
+    def recording(f, g, ctx, minimal=False, **kwargs):
+        family = syzygy_family(f, g, ctx, minimal, **kwargs)
         syzygies.extend((elt, f, g) for elt in family)
         return family
 
