@@ -50,7 +50,7 @@ from struct import iter_unpack
 
 from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
                      PolyParseError, ZeroPolynomial)
-from .exactnum import _exact, _int, _is_int, rat_str
+from .exactnum import _exact, _int, _is_int
 from .seqderive import _pull_terms
 from .series import FinitePuiseux
 from .valmonoid import MonoidRep, decompose
@@ -242,11 +242,14 @@ class BivarPoly:
         return result
 
     def to_string(self):
-        monos = self.monomials()
-        if not monos:
+        """Terms in monomials() order, each coefficient v/den written from
+        the int numerator v, reduced by gcd(|v|, den), 1 left out."""
+        num, den = self._num, self._den
+        if not num:
             return "0"
         bits = []
-        for a, b, v in monos:
+        for a, b in sorted(num, key=lambda k: (k[1], k[0]), reverse=True):
+            v = num[a, b]
             mono = []
             if a == 1:
                 mono.append("x")
@@ -257,8 +260,10 @@ class BivarPoly:
             elif b > 1:
                 mono.append(f"y^{b}")
             mag = abs(v)
-            if not mono or mag != 1:
-                mono.insert(0, rat_str(mag))
+            if not mono or mag != den:
+                g = gcd(mag, den)
+                mono.insert(0, f"{mag // g}" if g == den
+                            else f"{mag // g}/{den // g}")
             text = "*".join(mono)
             if not bits:
                 bits.append(text if v > 0 else "-" + text)

@@ -16,11 +16,16 @@ Each of the seven accessors is one bounds check (_reader) on a stored
 tuple, given the index of its first entry; an index outside raises
 IndexError naming the entry, as in "l(9) out of range".
 
-derive forms each u_i from u_{i-1} exactly, with no 1/r_i: u_i = r_i S_i
-with S_i = sum_{j<i} (1/r_j - 1/r_{j+1}) e_{j+1}, and
-S_i = S_{i-1} + (1/r_{i-1} - 1/r_i) e_i, so with the int q = r_i / r_{i-1}
+derive works on the lattice (1/R)Z, R = r_K, carrying each value v as
+the int v*R.  With the int q = r_i / r_{i-1},
 
-    u_i = q u_{i-1} + (q - 1) e_i.
+    u_i = q u_{i-1} + (q - 1) e_i,
+
+since u_i = r_i S_i for S_i = sum_{j<i} (1/r_j - 1/r_{j+1}) e_{j+1} and
+S_i = S_{i-1} + (1/r_{i-1} - 1/r_i) e_i.  Every u_i and rho_i lies on the
+lattice: den e_i divides r_i, which divides R, so e_i*R is an int, and by
+induction from u_0 = 0 so is every u_i*R, q being an int; rho_i*R is a sum
+of two of these.  Only the public u_i and rho_i are Fractions.
 """
 
 from fractions import Fraction
@@ -145,49 +150,53 @@ def derive(spec, depth):
         if r[-1] > r[-2]:
             jumps.append(len(e))
 
-    u = [Fraction(0)]  # u_i = q u_{i-1} + (q - 1) e_i (module docstring)
-    for ri, r_prev, ei in zip(r[1:], r, e):
+    R = r[-1]  # each value v below is the int v*R (module docstring)
+    E = [ei.numerator * (R // ei.denominator) for ei in e]
+    U = [0]
+    for ri, r_prev, Ei in zip(r[1:], r, E):
         q = ri // r_prev
-        u.append(q * u[-1] + (q - 1) * ei)
+        U.append(q * U[-1] + (q - 1) * Ei)
 
-    rho, s, c = [], [], []
+    P, s, c = [], [], []  # P_i = rho_i*R
     for idx in range(1, depth + 1):
         li = jumps[idx]
-        rho_i = u[li - 1] + e[li - 1]
-        rho.append(rho_i)
+        Pi = U[li - 1] + E[li - 1]
+        P.append(Pi)
         num, den = r[li], r[jumps[idx - 1]]
         if num % den:
             raise IdentityViolation("ramification-divisibility", idx,
                                     f"{den} does not divide {num}")
         s.append(num // den)
-        ci = rho_i * r[li]
-        if ci.denominator != 1:
-            raise IdentityViolation("rho-denominator", idx,
-                                    f"rho_{idx}*r_l({idx}) = {ci} not integral")
-        c.append(ci.numerator)
+        ci, rest = divmod(Pi * num, R)
+        if rest:
+            raise IdentityViolation(
+                "rho-denominator", idx,
+                f"rho_{idx}*r_l({idx}) = {Fraction(Pi * num, R)} not integral")
+        c.append(ci)
 
-    seqs = DerivedSequences(depth, e, r, jumps, u, rho, s, c)
-    _validate(seqs)
-    return seqs
+    _validate(r, jumps, s, c, P)
+    return DerivedSequences(depth, e, r, jumps, [Fraction(x, R) for x in U],
+                            [Fraction(x, R) for x in P], s, c)
 
 
-def _validate(seqs):
-    """Cheap structural invariants asserted on every derivation."""
-    w = seqs.depth
-    for i in range(1, seqs.raw_length + 1):
-        if seqs.r(i) % seqs.r(i - 1):
+def _validate(r, l, s, c, P):
+    """Cheap structural invariants asserted on every derivation, on its
+    ints: r, l, s and c as stored, and P[i-1] = rho_i*R, R = r_K."""
+    for i in range(1, len(r)):
+        if r[i] % r[i - 1]:
             raise IdentityViolation("r-divisibility-chain", i)
-    for i in range(1, w + 1):
-        if seqs.s(i) < 2:
-            raise IdentityViolation("s-lower-bound", i, f"s_{i} = {seqs.s(i)}")
-        if gcd(seqs.c(i), seqs.s(i)) != 1:
+    R = r[-1]
+    for i, (si, ci, Pi) in enumerate(zip(s, c, P), start=1):
+        if si < 2:
+            raise IdentityViolation("s-lower-bound", i, f"s_{i} = {si}")
+        if gcd(ci, si) != 1:
             raise IdentityViolation("c-s-coprime", i)
-        # rho_i lies in (1/r_l(i))Z but not (1/r_l(i-1))Z
-        if (seqs.rho(i) * seqs.r(seqs.l(i))).denominator != 1:
+        # rho_i lies in (1/r_l(i))Z but not (1/r_l(i-1))Z, and r_l(i) | R
+        if Pi % (R // r[l[i]]):
             raise IdentityViolation("rho-residue", i)
-        if (seqs.rho(i) * seqs.r(seqs.l(i - 1))).denominator == 1:
+        if not Pi % (R // r[l[i - 1]]):
             raise IdentityViolation("rho-new-residue", i)
-        if i >= 2 and seqs.rho(i) <= seqs.rho(i - 1):
+        if i >= 2 and Pi <= P[i - 2]:
             raise IdentityViolation("rho-increasing", i)
 
 

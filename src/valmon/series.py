@@ -14,6 +14,8 @@ from math import lcm
 from .errors import InsufficientPrecision, InvalidSpec, ValmonError
 from .exactnum import _exact, _is_int, rat, rat_str
 
+_ONE = Fraction(1)
+
 
 class NoetherianSeries:
     """Finite-support series, terms strictly descending, no zero coefficients.
@@ -152,7 +154,8 @@ class GeometricTail(TailRule):
         self.base = base
 
     def next_term(self, prev_coeff, prev_exp, index):
-        return (Fraction(1), prev_exp / self.base)
+        return (_ONE, Fraction(prev_exp.numerator,
+                               prev_exp.denominator * self.base))
 
     def to_json(self):
         return {"kind": "geometric", "base": self.base}
@@ -207,12 +210,16 @@ class SimpleSeriesSpec:
         self._lock = threading.Lock()
 
     def term(self, i):
-        """The i-th term (c_i, e_i), 1-based, or None when the spec is spent.
+        """The i-th term (c_i, e_i), 1-based, or None when the spec is spent;
+        an i that is not an int >= 1 raises ValueError.  Tail terms are
+        checked on their numerators and denominators.
 
         Safe to call from several threads: tail terms are generated under a
         lock into a private list, then published as a new tuple, so readers
         of already generated terms never wait and never see a partial list.
         """
+        if not _is_int(i) or i < 1:
+            raise ValueError(f"term index must be an int >= 1, not {i!r}")
         terms = self._terms
         if i <= len(terms):
             return terms[i - 1]
@@ -225,7 +232,9 @@ class SimpleSeriesSpec:
                 if nxt is None:
                     break
                 c, e = nxt
-                if c == 0 or e <= 0 or e >= e_prev:
+                n, d = e.numerator, e.denominator
+                if (not c.numerator or n <= 0
+                        or n * e_prev.denominator >= e_prev.numerator * d):
                     raise InvalidSpec(f"tail produced invalid term ({c}, {e})")
                 ext.append((c, e))
             self._terms = tuple(ext)

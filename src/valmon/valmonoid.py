@@ -61,12 +61,13 @@ class MonoidContext:
         self.spec = spec
         self.seqs = seqs = seqderive.derive(spec, depth)
         self.depth = depth
-        self.lattice_den = R = seqs.r(seqs.l(depth))
+        r, l = seqs.r_list, seqs.l_list
+        self.lattice_den = R = r[-1]
         rows = []
-        for j in range(depth, 0, -1):
-            step, s = R // seqs.r(seqs.l(j)), seqs.s(j)
-            rows.append((step, s, pow(seqs.c(j), -1, s), seqs.c(j) * step))
-        self.chain = tuple(rows)
+        for lj, s, c in zip(l[1:], seqs.s_list, seqs.c_list):
+            step = R // r[lj]
+            rows.append((step, s, pow(c, -1, s), c * step))
+        self.chain = tuple(reversed(rows))
         self.cache = {}
 
 

@@ -1,10 +1,10 @@
 """Integer step arithmetic against the Fraction arithmetic it replaced.
 
 BivarPoly forms p - q*r with one fused accumulation (_add_product),
-subtracts without negating first, and scales by an int or a Fraction's
-numerator and denominator directly.  Its kernel multiplies large dense
-products packed into big ints and the rest term by term; both must give
-the term-by-term result.  gbengine forms its step factors from
+subtracts without negating first, scales by an int or a Fraction's
+numerator and denominator directly, and writes its text from its int
+numerators.  Its kernel multiplies large dense products packed into big
+ints and the rest term by term; both must give the term-by-term result.  gbengine forms its step factors from
 the int numerators and denominators of the leading coefficients, and its
 value differences as lattice ints.  The references below are copies of
 the Fraction code these replaced; results must be identical,
@@ -24,6 +24,7 @@ from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
                            preimage_of_rep, preimage_product,
                            truncation_min_poly)
 from valmon.errors import InsufficientPrecision
+from valmon.exactnum import rat_str
 from valmon.gbengine import (ReductionStep, ReductionTrace, SyzygyElement,
                              approx_quotient, reduce, syzygy_family,
                              syzygy_values)
@@ -255,6 +256,56 @@ def test_scale_matches_the_reference():
         # _scaled takes ints n, d > 0 that need not be coprime
         n, d = rng.randint(-30, 30), rng.randint(1, 30)
         assert_same(p._scaled(n, d), reference_scale(p, F(n, d)))
+
+
+def reference_to_string(p):
+    """BivarPoly.to_string before the change: one Fraction per term, from
+    monomials(), written by rat_str."""
+    monos = p.monomials()
+    if not monos:
+        return "0"
+    bits = []
+    for a, b, v in monos:
+        mono = []
+        if a == 1:
+            mono.append("x")
+        elif a > 1:
+            mono.append(f"x^{a}")
+        if b == 1:
+            mono.append("y")
+        elif b > 1:
+            mono.append(f"y^{b}")
+        mag = abs(v)
+        if not mono or mag != 1:
+            mono.insert(0, rat_str(mag))
+        text = "*".join(mono)
+        if not bits:
+            bits.append(text if v > 0 else "-" + text)
+        else:
+            bits.append(("+ " if v > 0 else "- ") + text)
+    return " ".join(bits)
+
+
+def test_to_string_matches_the_reference():
+    rng = random.Random(12)
+    polys = [BivarPoly.zero(), BivarPoly.one(), -BivarPoly.one(),
+             BivarPoly.constant(F(-3, 4)), BivarPoly.x(), -BivarPoly.y(),
+             parse("x - y + 1"), parse("-1/2*x^3*y^2 + 3*y - 4/6")]
+    for _ in range(600):
+        # unit coefficients +-1 among the rest, over one denominator or
+        # mixed ones, so terms reduce by different gcds
+        den = rng.choice((1, 2, 3, 4, 6, 12, 35))
+        polys.append(BivarPoly(
+            {(rng.randint(0, 12), rng.randint(0, 3)):
+             F(rng.choice((1, -1, rng.randint(-40, 40))),
+               rng.choice((1, den)))
+             for _ in range(rng.randint(0, 7))}))
+    seen = set()
+    for p in polys:
+        got = p.to_string()
+        assert got == reference_to_string(p) == str(p)
+        seen.update(ch for ch in "-+/0" if ch in got)
+    assert seen == set("-+/0")
 
 
 # --- off-lattice leading exponents ------------------------------------------

@@ -1,13 +1,13 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from shared_inputs import harmonic_spec, triadic_spec
 from valmon.errors import IdentityViolation, InsufficientPrecision
-from valmon.seqderive import (CHECKED_IDENTITIES, DerivedSequences, derive,
-                              self_check)
+from valmon.seqderive import (CHECKED_IDENTITIES, DerivedSequences, _validate,
+                              derive, self_check)
 from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
 
 F = Fraction
@@ -262,3 +262,108 @@ def test_u_matches_the_running_sum(make, depth):
         want.append(r[i] * acc)
     assert seqs.u_list == tuple(want)
     assert all(type(u) is F for u in seqs.u_list)
+
+
+# --- the lattice derivation against the definition --------------------------
+
+def reference_derive(spec, depth):
+    """The definitional derivation over Fractions: e, r and l pulled term by
+    term, each u_i = sum_{j<i} (r_i/r_j - r_i/r_{j+1}) e_{j+1} summed anew,
+    then rho_i = u_{l(i)-1} + e_{l(i)}, s_i = r_l(i)/r_l(i-1) and
+    c_i = rho_i*r_l(i)."""
+    e, r, l = [], [1], [0]
+    while len(l) <= depth:
+        e.append(spec.term(len(e) + 1)[1])
+        r.append(lcm(r[-1], e[-1].denominator))
+        if r[-1] > r[-2]:
+            l.append(len(e))
+    u = [sum(((F(r[i], r[j]) - F(r[i], r[j + 1])) * e[j] for j in range(i)),
+             F(0)) for i in range(len(r))]
+    rho = [u[l[i] - 1] + e[l[i] - 1] for i in range(1, depth + 1)]
+    s = [r[l[i]] // r[l[i - 1]] for i in range(1, depth + 1)]
+    c = [rho[i - 1] * r[l[i]] for i in range(1, depth + 1)]
+    assert all(ci.denominator == 1 for ci in c)
+    return DerivedSequences(depth, e, r, l, u, rho, s,
+                            [ci.numerator for ci in c])
+
+
+_TYPES = {"_e": F, "_u": F, "_rho": F, "_r": int, "_l": int, "_s": int,
+          "_c": int}
+
+
+@pytest.mark.parametrize("make,depths", [
+    (dyadic_spec, range(1, 11)), (triadic_spec, range(1, 11)),
+    (harmonic_spec, range(1, 11)), (seven_exponent_spec, range(1, 6))])
+def test_lattice_derive_matches_the_definition(make, depths):
+    for depth in depths:
+        got, want = derive(make(), depth), reference_derive(make(), depth)
+        assert vars(got) == vars(want)
+        for name, kind in _TYPES.items():
+            assert all(type(x) is kind for x in vars(got)[name]), name
+        assert got.to_json() == want.to_json()
+
+
+# --- the structural invariants on lattice ints ------------------------------
+
+def lattice_data(make, depth):
+    """The ints _validate reads off a derivation: r, l, s and c as stored,
+    and P[i-1] = rho_i*R, R = r_K."""
+    seqs = derive(make(), depth)
+    R = seqs.r_list[-1]
+    P = [x * R for x in seqs.rho_list]
+    assert all(x.denominator == 1 for x in P)
+    return {"r": list(seqs.r_list), "l": list(seqs.l_list),
+            "s": list(seqs.s_list), "c": list(seqs.c_list),
+            "P": [int(x) for x in P]}
+
+
+@pytest.mark.parametrize("make,depth", [
+    (dyadic_spec, 10), (triadic_spec, 8), (harmonic_spec, 10),
+    (seven_exponent_spec, 5)])
+def test_validate_passes_real_derivations(make, depth):
+    assert _validate(**lattice_data(make, depth)) is None
+
+
+def _crafted(data, i):
+    """For each invariant, lattice data on which it alone fires, at raw
+    index i for r-divisibility-chain and at index i for the rest, the
+    entries before i left as derived; None where no such data exists."""
+    r, l, s, c, P = (data[k] for k in "rlscP")
+    R = r[-1]
+    out = {}
+    if i < len(r):
+        # r_i + 1 is 1 modulo r_(i-1) >= 2; at i = 1 raise r_0 instead
+        out["r-divisibility-chain"] = (
+            ("r", 0, r[1] + 1) if i == 1 else ("r", i, r[i] + 1))
+    if i > len(s):
+        return out
+    out["s-lower-bound"] = ("s", i - 1, 1)
+    out["c-s-coprime"] = ("c", i - 1, c[i - 1] * s[i - 1])
+    step, old_step = R // r[l[i]], R // r[l[i - 1]]
+    if step > 1:
+        # at i = w the lattice is (1/r_l(w))Z itself, so no P is off it
+        out["rho-residue"] = ("P", i - 1, P[i - 1] + 1)
+    below = P[i - 2] if i >= 2 else -1
+    out["rho-new-residue"] = ("P", i - 1, (below // old_step + 1) * old_step)
+    if i >= 2:
+        # moved by multiples of R/r_l(i-1): both residues stay as derived
+        t = (P[i - 1] - P[i - 2]) // old_step + 1
+        out["rho-increasing"] = ("P", i - 1, P[i - 1] - t * old_step)
+    return out
+
+
+@pytest.mark.parametrize("make,depth", [(dyadic_spec, 6), (triadic_spec, 5),
+                                        (harmonic_spec, 6)])
+def test_each_invariant_fires_with_its_name_and_index(make, depth):
+    data = lattice_data(make, depth)
+    fired = set()
+    for i in range(1, len(data["r"])):
+        for identity, (name, pos, value) in _crafted(data, i).items():
+            bad = {k: list(v) for k, v in data.items()}
+            bad[name][pos] = value
+            with pytest.raises(IdentityViolation) as exc:
+                _validate(**bad)
+            assert (exc.value.identity, exc.value.index) == (identity, i)
+            fired.add(identity)
+    assert fired == {"r-divisibility-chain", "s-lower-bound", "c-s-coprime",
+                     "rho-residue", "rho-new-residue", "rho-increasing"}

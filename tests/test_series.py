@@ -255,6 +255,35 @@ def test_callback_tail_must_stay_valid():
         truncate(zeroes, 2)
 
 
+@pytest.mark.parametrize("e,valid", [
+    (F(1, 2), False), (F(500001, 1000000), False), (F(0), False),
+    (F(-1, 3), False), (F(499999, 1000000), True), (F(1, 3), True)])
+def test_tail_exponents_are_checked_exactly(e, valid):
+    # a tail term must fall strictly below the one before it and stay
+    # positive, compared exactly, on numerators and denominators
+    from valmon.series import CallbackTail
+    spec = SimpleSeriesSpec([(1, F(1, 2))], CallbackTail(lambda i: (1, e)))
+    if valid:
+        assert spec.term(2) == (1, e)
+    else:
+        with pytest.raises(InvalidSpec, match="tail produced invalid term"):
+            spec.term(2)
+
+
+@pytest.mark.parametrize("i", [0, -1, -5, True, False, 2.0, "1", None])
+def test_term_index_must_be_an_int_of_at_least_one(i):
+    # an index below 1 once read the generated tuple from its end
+    spec = dyadic_spec()
+    for fresh in (True, False):
+        with pytest.raises(ValueError, match="term index must be an int"):
+            spec.term(i)
+        if fresh:
+            assert spec.term(5) == (1, F(1, 32))
+    assert spec.term(1) == (1, F(1, 2))
+    assert [spec.term(k)[1] for k in range(1, 7)] == [
+        F(1, 2 ** k) for k in range(1, 7)]
+
+
 def test_float_in_callback_tail_raises():
     from valmon.series import CallbackTail
     for term in ((1, 1 / 4), (0.5, F(1, 4))):
