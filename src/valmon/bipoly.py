@@ -53,7 +53,7 @@ from .errors import (InsufficientPrecision, InternalError, NotInMonoid,
 from .exactnum import _exact, _int, _is_int
 from .seqderive import _pull_terms
 from .series import FinitePuiseux
-from .valmonoid import MonoidRep, decompose
+from .valmonoid import MonoidRep, decompose, lambda_point
 
 _EXPONENT_CAP = 10 ** 4
 _NESTING_CAP = 100  # checked at each "(", so parsing recursion is bounded
@@ -664,21 +664,23 @@ def _field_digits(bound):
     return k
 
 
-def _product(a, b):
-    """The product of the coefficient lists a and b: the list of
-    c_k = sum over i + j = k of a_i * b_j for k < len(a) + len(b) - 1,
-    empty when a or b is.
+def _product(a, b, skip=0):
+    """The product of the coefficient lists a and b from field skip up: the
+    list of c_k = sum over i + j = k of a_i * b_j for
+    skip <= k < len(a) + len(b) - 1, empty when a or b is.
 
     One packed multiply, as in _ZPow: with L = |a|_1 |b|_1, every c_k and,
     when neither list is all zeros, every entry of either list has absolute
     value at most L by the triangle inequality, so fields of
     W = bit_length(L) + 2 bits, rounded up to whole bytes, hold them all
     with |c_k| <= L < 2^(W-2).  The product of the packed lists is
-    P = sum c_k * 2^(W*k), and _unpack reads its fields back.  When one
-    list is all zeros, L = 0 and so is every c_k, while the other list's
-    entries need not fit W bits, so nothing is packed.  A square, b is a,
-    packs once and multiplies the number by itself, which CPython and
-    libmpdec square faster than a product of two equal numbers.
+    P = sum c_k * 2^(W*k), and _unpack reads its fields from skip up, off
+    floor(P / 2^(W*skip)) plus bit W*skip - 1 of P, the rounding bit of
+    _scan's proof.  When one list is all zeros, L = 0 and so is every c_k,
+    while the other list's entries need not fit W bits, so nothing is
+    packed.  A square, b is a, packs once and multiplies the number by
+    itself, which CPython and libmpdec square faster than a product of two
+    equal numbers.
 
     Large products, whose larger list packs into _DECIMAL_BITS or more,
     are packed the same way in base 10 and multiplied by the standard
@@ -692,7 +694,7 @@ def _product(a, b):
     sum a_i * 10^(k*i).  The product of two such ints plus the h's of its
     n = len(a) + len(b) - 1 fields has the k-digit digits c_k + h, each in
     (4 * 10^(k-1), 6 * 10^(k-1)), so it has exactly n*k digits, and each
-    c_k is its k-digit slice less h.
+    c_k is its k-digit slice less h, read from skip up.
 
     Exactness.  Every Decimal formed here holds an int of at most n*k
     digits: the digit strings by construction, the packed lists as
@@ -712,10 +714,12 @@ def _product(a, b):
     slower than ints.
     """
     n = len(a) + len(b) - 1 if a and b else 0
+    if skip >= n:
+        return []
     norm = sum(map(abs, a))
     bound = norm * (norm if b is a else sum(map(abs, b)))
     if not bound:
-        return [0] * n
+        return [0] * (n - skip)
     width = _width(bound)
     if 8 * width * max(len(a), len(b)) >= _DECIMAL_BITS:
         try:
@@ -747,10 +751,12 @@ def _product(a, b):
             digits = context.to_sci_string(x)
             del x
             return [int(digits[i:i + k]) - half
-                    for i in range(n * k - k, -1, -k)]
+                    for i in range((n - skip - 1) * k, -1, -k)]
     packed = _pack(a, width)
-    return _unpack(packed * (packed if b is a else _pack(b, width)), n,
-                   width)
+    packed *= packed if b is a else _pack(b, width)
+    if skip:  # floor(P / 2^cut) plus bit cut - 1 of P, by one shift
+        packed = ((packed >> 8 * width * skip - 1) + 1) >> 1
+    return _unpack(packed, n - skip, width)
 
 
 def _product_band(p, q, lo, hi):
@@ -760,16 +766,16 @@ def _product_band(p, q, lo, hi):
     other's top.  A term of the product at e >= lo is a sum of products of
     terms of p and q at exponents e_p + e_q = e with e_p <= top(p) and
     e_q <= top(q), so e_p >= lo - top(q) and e_q >= lo - top(p): only those
-    terms are multiplied (_product), the band is sliced out of their
-    product, and entries below the two floors' sum are zero.  The band
-    holds hi - lo entries when lo <= hi <= top(p) + top(q) + 1."""
+    terms are multiplied (_product), only the band's fields of their
+    product are decoded, and entries below the two floors' sum are zero.
+    The band holds hi - lo entries when lo <= hi <= top(p) + top(q) + 1."""
     (pf, pn), (qf, qn) = p[:2], q[:2]
     i = max(lo - qf - len(qn) + 1, pf)
     j = max(lo - pf - len(pn) + 1, qf)
     pad = min(max(i + j - lo, 0), hi - lo)
     skip = max(lo - i - j, 0)
     return (0,) * pad + tuple(
-        _product(pn[i - pf:], qn[j - qf:])[skip:skip + hi - lo - pad])
+        _product(pn[i - pf:], qn[j - qf:], skip)[:hi - lo - pad])
 
 
 def _prepare(f, zp, D):
@@ -909,7 +915,7 @@ def _strip(coeffs):
     return coeffs[:n]
 
 
-def _descend(top, zp, band):
+def _descend(top, zp, band, least=None):
     """(floor, coefficients): an image from floor up, given its entries
     at exponents [lo, hi) as the list band(lo, hi), whose trailing zeros
     may be left off, and known to have no term above top.  floor is the
@@ -921,14 +927,24 @@ def _descend(top, zp, band):
     doubles, and each band covers only the exponents below the last one,
     whose terms all cancelled, so cancellation near the top costs one pass
     over the cancelled range.
+
+    least, when given, is called once the first window has cancelled, for
+    a floor known to lie at or below the top term.  No window goes below
+    it and one that reaches it ends the descent; cancelling there raises
+    InternalError.
     """
     window = max(zp.scale, zp.lead)
-    hi = top + 1
+    hi, floor = top + 1, 0
     while True:
-        lo = max(top - window, 0)
+        lo = max(top - window, floor)
         got = band(lo, hi)
         if not lo or any(got):
             return lo, _strip(got)
+        if least is not None:
+            floor, least = least(), None
+        if lo <= floor:
+            raise InternalError(f"image at depth {zp.depth} has no term at "
+                                f"or above scaled exponent {floor}")
         hi = lo
         window *= 2
 
@@ -982,19 +998,27 @@ class Image:
         self.lattice_den = lattice_den
 
     @classmethod
-    def scan(cls, f, ctx, *, _below=None):
+    def scan(cls, f, ctx, *, _below=None, _least=False):
         """f's image at its exact depth, above the highest window that keeps
         a nonzero term: _descend from the monomial top, each band one
         _scan, or from below ceil(floor * r_N' / r_N) on this table of
-        scale r_N' for _below = (floor, r_N) (Remainder.lead)."""
+        scale r_N' for _below = (floor, r_N) (Remainder.lead).  With
+        _least, for a lead alone (eval_leading), no window reads below
+        ceil(lambda_D * r_N) for D = deg_y f < R, eval_leading's bound."""
         degy = f.deg_y()
         zp = _power_table(ctx, degy)
         work, den = _prepare(f, zp, degy)
         top = _monomial_top(work, zp)
         if _below is not None:
             top = min(top, -(-_below[0] * zp.scale // _below[1]) - 1)
-        floor, num = _descend(top, zp, lambda lo, hi: _scan(work, zp, lo, hi))
-        return cls(zp, floor, num, den, ctx.lattice_den)
+        R = ctx.lattice_den
+        least = None
+        if _least and degy < R:
+            def least():
+                return -(-lambda_point(degy, ctx)[0] * zp.scale // R)
+        floor, num = _descend(top, zp, lambda lo, hi: _scan(work, zp, lo, hi),
+                              least)
+        return cls(zp, floor, num, den, R)
 
     def _top(self):
         """(scaled exponent, numerator) of the top term.  A scan leaves no
@@ -1116,13 +1140,21 @@ def eval_leading(f, ctx):
     f(t, z_N) = 0 would make the minimal polynomial of z_N, of y-degree
     r_N > D, divide f; so the image vanishes only on an exhausted finite
     spec, which raises InsufficientPrecision.
+
+    Proof that LE_z(f) >= lambda_D, the scan's floor (Image.scan) for
+    D < R = r_l(depth), where D's digits lie within the depth and r_N > D.
+    In the expansion the p_j are monic with deg p_{j+1} = s_j deg p_j, so
+    only the digit vector of D (valmonoid.base_digits) reaches y-degree D:
+    some term with it has c != 0, of value n + lambda_D >= lambda_D, and
+    LE_z(f) is the largest of the terms' distinct values.  LE and LC are
+    still read off the image.
     """
     key = ("lead", f)
     hit = ctx.cache.get(key)
     if hit is None:
         if f.is_zero():
             raise ZeroPolynomial("the zero polynomial has no leading data")
-        hit = ctx.cache[key] = Image.scan(f, ctx).lead()
+        hit = ctx.cache[key] = Image.scan(f, ctx, _least=True).lead()
     return hit
 
 

@@ -22,7 +22,9 @@ def _exact(v, error=InvalidSpec):
     error, and so does a bool, which is an int to Python but no number in
     any valmon input.  A str is read by rat, as an int or "p/q", so a
     decimal such as "2.5" or "1e-1", or a p or q of more than _DIGITS_CAP
-    digits, raises error too."""
+    digits, raises error too.  A Fraction itself is returned as it is."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, (float, bool)):
         raise error(f"{v!r} is a {type(v).__name__}, not an exact rational")
     if isinstance(v, str):

@@ -204,7 +204,7 @@ class SimpleSeriesSpec:
             terms.append((c, e))
         if not terms:
             raise InvalidSpec("empty prefix")
-        self._terms = tuple(terms)
+        self._terms = terms
         self._prefix_len = len(terms)
         self.tail = tail
         self._lock = threading.Lock()
@@ -214,9 +214,10 @@ class SimpleSeriesSpec:
         an i that is not an int >= 1 raises ValueError.  Tail terms are
         checked on their numerators and denominators.
 
-        Safe to call from several threads: tail terms are generated under a
-        lock into a private list, then published as a new tuple, so readers
-        of already generated terms never wait and never see a partial list.
+        Safe to call from several threads: the terms are one list that
+        only grows, by appends under a lock, each term checked before it is
+        appended, so readers of already generated terms index it without
+        waiting.  Only the terms up to i are generated.
         """
         if not _is_int(i) or i < 1:
             raise ValueError(f"term index must be an int >= 1, not {i!r}")
@@ -224,21 +225,19 @@ class SimpleSeriesSpec:
         if i <= len(terms):
             return terms[i - 1]
         with self._lock:
-            ext = list(self._terms)
-            while len(ext) < i:
-                c_prev, e_prev = ext[-1]
+            while len(terms) < i:
+                c_prev, e_prev = terms[-1]
                 nxt = self.tail.next_term(
-                    c_prev, e_prev, len(ext) - self._prefix_len + 1)
+                    c_prev, e_prev, len(terms) - self._prefix_len + 1)
                 if nxt is None:
-                    break
+                    return None
                 c, e = nxt
                 n, d = e.numerator, e.denominator
                 if (not c.numerator or n <= 0
                         or n * e_prev.denominator >= e_prev.numerator * d):
                     raise InvalidSpec(f"tail produced invalid term ({c}, {e})")
-                ext.append((c, e))
-            self._terms = tuple(ext)
-        return ext[i - 1] if i <= len(ext) else None
+                terms.append((c, e))
+        return terms[i - 1]
 
     def to_json(self):
         return {

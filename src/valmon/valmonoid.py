@@ -175,12 +175,19 @@ def base_digits(d, ctx):
     return tuple(digits)
 
 
+def lambda_point(d, ctx):
+    """(lambda_d * R, base_digits(d)): lambda_d on the lattice as an int,
+    the sum of d_j times the chain rows' rho_j * R."""
+    digits = base_digits(d, ctx)
+    return sum(dj * row[3]
+               for dj, row in zip(digits, reversed(ctx.chain))), digits
+
+
 def lambda_d(d, ctx):
     """Minimal valuation among y-degree-d polynomials: sum of d_j rho_j over
     the mixed-radix digits of d.  Returns (value, representation)."""
-    digits = base_digits(d, ctx)
-    rep = MonoidRep(0, digits)
-    return rep_value(rep, ctx), rep
+    k, digits = lambda_point(d, ctx)
+    return Fraction(k, ctx.lattice_den), MonoidRep(0, digits)
 
 
 def divides(mg, mf, ctx):

@@ -1012,6 +1012,56 @@ def test_product_band_matches_schoolbook():
                 assert _product_band((pf, a), (qf, b), lo, hi) == want
 
 
+def test_product_from_a_skip_matches_the_full_product_slice():
+    # fields from skip up, decoded off the shifted product with its
+    # rounding bit, against every field decoded: every cut of the seeded
+    # cases, squares included, and cuts where the fields below sum to a
+    # negative int, so that the shifted product borrows across the cut
+    for a, b in _product_cases():
+        full = _product(a, b)
+        for skip in range(len(full) + 2):
+            assert _product(a, b, skip) == full[skip:], (a, b, skip)
+            assert _product(a, a, skip) == _product(a, a)[skip:]
+    for a, b in (([-1, 1], [1]), ([3, -5, 0, 7], [-2, 1]),
+                 ([-2 ** 60, 0, 1], [1, 1])):
+        full = _product(a, b)
+        assert full[0] < 0
+        for skip in range(1, len(full)):
+            assert _product(a, b, skip) == full[skip:]
+
+
+def test_product_band_matches_the_full_product_slice(monkeypatch):
+    # _product_band decodes only the band; the same band sliced out of
+    # the whole product, every field decoded, on seeded images with
+    # entries of both signs, cut at every lo, and on one pair whose
+    # product is formed in decimal
+    def full_band(p, q, lo, hi):
+        (pf, a), (qf, b) = p, q
+        full = _product(a, b)
+        return tuple(full[e - pf - qf] if pf + qf <= e < pf + qf + len(full)
+                     else 0 for e in range(lo, hi))
+
+    rng = random.Random(71)
+    for _ in range(40):
+        a, b = ([rng.randint(-2 ** 40, 2 ** 40) for _ in range(rng.randint(
+            1, 30))] + [rng.choice((-3, 5))] for _ in range(2))
+        p, q = (rng.randint(0, 9), a), (rng.randint(0, 9), b)
+        top = p[0] + q[0] + len(a) + len(b) - 2
+        for lo in range(-1, top + 2):
+            assert _product_band(p, q, lo, top + 1) == full_band(
+                p, q, lo, top + 1)
+    made = _spy_contexts(monkeypatch)
+    a, b = _large_pair(rng, 40, bipoly._DECIMAL_BITS // 64 + 1, 300)
+    p, q = (3, a), (5, b + [-1])
+    top = 8 + len(a) + len(b) - 1
+    for lo in (0, 9, 500, top - 10, top):
+        assert _product_band(p, q, lo, top + 1) == full_band(p, q, lo,
+                                                             top + 1)
+    # the five full products in decimal, and the bands at the three low
+    # cuts, whose cut factors are still long enough
+    assert len(made) == 8
+
+
 @pytest.mark.parametrize("spec, depth, top", [
     (dyadic_spec(), 8, 6), (_oracle_spec("harmonic")[0], 4, 4)],
     ids=["dyadic", "harmonic"])

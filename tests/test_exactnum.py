@@ -6,7 +6,8 @@ import pytest
 
 from cyclotomic import (CyclotomicElement, as_rational, cyclotomic_modulus,
                         euler_phi)
-from valmon.exactnum import rat, rat_str
+from valmon.errors import InvalidSpec
+from valmon.exactnum import _exact, rat, rat_str
 
 
 def test_rat_parsing():
@@ -42,6 +43,33 @@ def test_rat_refuses_bools_and_floats(value, kind):
     with pytest.raises(ValueError,
                        match=f"^{value!r} is a {kind}, not an exact rational$"):
         rat(value)
+
+
+def test_exact_returns_a_fraction_as_it_is():
+    # a Fraction passes unchanged, not rebuilt; a subclass, an int and a
+    # "p/q" string are read into a new plain Fraction
+    class Sub(Fraction):
+        pass
+
+    for q in (Fraction(3, 4), Fraction(-7), Fraction(0)):
+        assert _exact(q) is q and _exact(q, ValueError) is q
+    for v, want in ((Sub(1, 3), Fraction(1, 3)), (5, Fraction(5)),
+                    ("-2/6", Fraction(-1, 3))):
+        got = _exact(v)
+        assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("value,match", [
+    (True, "^True is a bool"), (False, "^False is a bool"),
+    (2.5, "^2.5 is a float"), (2.0, "^2.0 is a float"),
+    ("2.5", "invalid literal"), ("1e-1", "invalid literal"),
+    ("1/0", "^zero denominator$"), ("", "invalid literal"),
+    ("9" * 4301, "^more than 4300 digits"),
+    ("1/" + "9" * 4301, "^more than 4300 digits")])
+@pytest.mark.parametrize("error", [InvalidSpec, ValueError])
+def test_exact_refusals_raise_the_given_error(value, match, error):
+    with pytest.raises(error, match=match):
+        _exact(value, error)
 
 
 def test_rat_str():

@@ -559,9 +559,20 @@ def test_second_reduce_scans_no_basis_image(monkeypatch):
     assert prepared and not set(prepared) & set(basis)
 
 
-def test_pair_contract_pass_memo_size():
+def test_pair_contract_pass_memo_size(monkeypatch):
     # the pair-contracts benchmark pass: 8,000 criterion-9 pairs of total
-    # degree cycling through 4, 8 and 12 (seed 97) on one context
+    # degree cycling through 4, 8 and 12 (seed 97) on one context.  Its
+    # scans read as many fields as they did before eval_leading's floor
+    # (tests/test_lead_floor.py): the floor is summed only after a first
+    # window cancels, and never for a rescan or a syzygy image
+    fields = []
+    scan = bipoly._scan
+
+    def spy(work, zp, lo, hi):
+        fields.append(hi - lo)
+        return scan(work, zp, lo, hi)
+
+    monkeypatch.setattr(bipoly, "_scan", spy)
     degrees = (4, 8, 4, 4, 12, 4, 8, 4, 4, 8)
     rng = random.Random(97)
     ctx = MonoidContext(dyadic_spec(), 8)
@@ -578,6 +589,7 @@ def test_pair_contract_pass_memo_size():
         syzygy_family(f, g, ctx)
         reduce(f, [g], ctx)
     assert len(ctx.cache) == 13365
+    assert (len(fields), sum(fields)) == (20194, 150409)
 
 
 def test_vanishing_s_polynomial_image_raises(monkeypatch):

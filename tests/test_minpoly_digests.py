@@ -1,5 +1,6 @@
 """The truncation minimal polynomials p_j, pinned by digest and checked by
-their roots modulo a prime.
+their roots modulo a prime and by their leading exponents, lambda of their
+y-degrees.
 
 The conjugate-product oracle (tests/test_bipoly.py) reaches only R <= 16,
 and larger p_j are otherwise checked by degree and leading exponent
@@ -31,9 +32,9 @@ from pathlib import Path
 import pytest
 
 from shared_inputs import P, harmonic_spec, mod_p, residue, triadic_spec
-from valmon.bipoly import BivarPoly, truncation_min_poly
+from valmon.bipoly import BivarPoly, eval_leading, truncation_min_poly
 from valmon.series import dyadic_spec
-from valmon.valmonoid import MonoidContext
+from valmon.valmonoid import MonoidContext, lambda_d
 
 DIGESTS = Path(__file__).resolve().parent / "minpoly_digests.json"
 
@@ -104,6 +105,15 @@ def test_truncation_min_polys_vanish_at_their_root(tower):
         x, y = pow(u, R, P), w % P
         assert residue(p, x, y) == 0, (name, j)
         assert residue(p + BivarPoly.one(), x, y) != 0, (name, j)
+
+
+def test_truncation_min_polys_lead_at_lambda_of_their_degree(tower):
+    # LE(p_j) = rho_j = lambda_D, D = deg_y p_j, the least value of
+    # y-degree D, where eval_leading's descent stops (its floor)
+    name, ctx, polys = tower
+    for j, p in enumerate(polys, 1):
+        assert eval_leading(p, ctx).le == lambda_d(p.deg_y(), ctx)[0] == (
+            ctx.seqs.rho(j)), (name, j)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ shows up within a few trials.
 import sys
 import threading
 import time
+from fractions import Fraction
 
 from shared_inputs import harmonic_spec
 from valmon.bipoly import (_power_table, eval_leading, parse, preimage_image,
                            truncation_min_poly)
 from valmon.gbengine import buchberger, reduce
-from valmon.series import dyadic_spec
+from valmon.series import CallbackTail, SimpleSeriesSpec, dyadic_spec
 from valmon.valmonoid import MonoidContext
 
 THREADS = 6
@@ -56,6 +57,25 @@ def test_spec_terms_under_concurrent_extension():
         got = run_threads([lambda: spec.term(40)] * THREADS)
         assert got == [want[-1]] * THREADS
         assert [spec.term(i) for i in range(1, 41)] == want
+
+
+def test_spec_terms_pulled_one_at_a_time_across_threads():
+    # threads pulling terms one at a time extend one list in turns: every
+    # thread reads the sequential terms, and each tail term is generated
+    # once, none past the last one asked for
+    want = [harmonic_spec().term(i) for i in range(1, 61)]
+    for _ in range(10):
+        asked = []
+
+        def tail(i):
+            asked.append(i)
+            return 1, Fraction(1, i + 2)
+
+        spec = SimpleSeriesSpec([(1, Fraction(1, 2))], CallbackTail(tail))
+        got = run_threads([lambda: [spec.term(i) for i in range(1, 61)]]
+                          * THREADS)
+        assert got == [want] * THREADS
+        assert asked == list(range(1, 60))
 
 
 def test_shared_context_eval_leading_across_threads():

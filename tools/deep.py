@@ -7,6 +7,8 @@ CASE is one of
 
     harmonic-xy-5   buchberger on (x, y), 5 rounds, harmonic spec, depth 6
     harmonic-p6     truncation_min_poly p_6, harmonic spec, depth 7
+    dyadic-lead-p7  truncation_min_poly p_7 and its eval_leading, dyadic
+                    spec, depth 9
     dyadic-xy-7     buchberger on (x, y), 7 rounds, dyadic spec, depth 8
     cusp-6          buchberger on (x^3 - y^2, x*y^2), 6 rounds, dyadic
                     spec, depth 8
@@ -20,7 +22,8 @@ imports not), ru_maxrss of the process in MiB, and the SHA-256 of the
 output.  A polynomial is digested as its numerators sorted by
 exponent, then its denominator, in hexadecimal (as
 tests/minpoly_digests.json is written); a basis as one such text per
-element in order, then its completeness and round count.  Cases run for
+element in order, then its completeness and round count; a lead case as
+its polynomial's text, then its LE and LC.  Cases run for
 seconds to a minute, so run one at a time on a quiet machine, alternating
 checkouts, to compare them.
 """
@@ -70,10 +73,20 @@ def minpoly(make_spec, depth, j):
     return poly_text(truncation_min_poly(MonoidContext(make_spec(), depth), j))
 
 
+def minpoly_lead(make_spec, depth, j):
+    from valmon.bipoly import eval_leading, truncation_min_poly
+    from valmon.valmonoid import MonoidContext
+    ctx = MonoidContext(make_spec(), depth)
+    p = truncation_min_poly(ctx, j)
+    lead = eval_leading(p, ctx)
+    return f"{poly_text(p)}\n{lead.le} {lead.lc}"
+
+
 # name: (function, its arguments); a buchberger case's last is its rounds
 CASES = {
     "harmonic-xy-5": (basis, (harmonic_spec, 6, ("x", "y"), 5)),
     "harmonic-p6": (minpoly, (harmonic_spec, 7, 6)),
+    "dyadic-lead-p7": (minpoly_lead, (dyadic_spec, 9, 7)),
     "dyadic-xy-7": (basis, (dyadic_spec, 8, ("x", "y"), 7)),
     "cusp-6": (basis, (dyadic_spec, 8, ("x^3 - y^2", "x*y^2"), 6)),
 }
