@@ -28,15 +28,14 @@ located by index arithmetic and nothing is sorted.
 
 Packed ints whose fields are coefficients (Kronecker substitution) hold
 the powers, which stay packed, and sum each scan window, of which only the
-window's fields are decoded.  One packed multiply (_product), decoded
-in full, forms large polynomial products (_accumulate), the squares of
-the p = 2 norm steps, and the products of images behind each preimage
-(_product_band, preimage_image), and multiplies the largest exactly in
-decimal.  Every
-other product of images is one reduction step (n/d) * x^n * g * p,
-subtracted in place from an image above its floor (Image.subtract); an
-S-polynomial is two such steps from a zero image (syzygy_image), so
-buchberger never scans one.
+window's fields are decoded.  One packed multiply (_product) forms large
+polynomial products (_accumulate), the squares of the p = 2 norm steps,
+and the products of images behind each preimage, of which only a band's
+fields are decoded (_product_band, preimage_image), and multiplies the
+largest exactly in decimal.  Every other product of images is one
+reduction step (n/d) * x^n * g * p, subtracted in place from an image
+above its floor (Image.subtract); an S-polynomial is two such steps from
+a zero image (syzygy_image), so buchberger never scans one.
 """
 
 import sys
@@ -219,8 +218,7 @@ class BivarPoly:
         """q * self for any q Fraction takes but a float (ValueError)."""
         if isinstance(q, int):
             return self._scaled(q, 1)
-        if not isinstance(q, Fraction):
-            q = _exact(q, ValueError)
+        q = _exact(q, ValueError)
         return self._scaled(q.numerator, q.denominator)
 
     def _scaled(self, n, d, shift=0):
@@ -610,10 +608,6 @@ def _width(bound):
 # memoryview formats of the field widths _unpack reads natively, empty on a
 # big-endian machine, where it reads field by field
 _CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
-# fields from which _unpack copies the bytes of 3-, 5-, 6- and 7-byte
-# fields in strides rather than reading them one by one, whose fixed cost
-# is the smaller below it
-_STRIDED_FIELDS = 32
 # translate table: the sign byte (0x00 or 0xff) that extends a
 # two's-complement top byte
 _SIGN = bytes(128) + b"\xff" * 128
@@ -632,15 +626,16 @@ def _unpack(packed, n, width):
     signed.
 
     On a little-endian machine a field of 1, 2, 4 or 8 bytes is read by
-    one memoryview cast.  So are _STRIDED_FIELDS fields or more of 3, 5, 6
-    or 7 bytes, spread by strided copies into 8-byte slots whose high
-    bytes are copies of the field's sign byte (one translate of its top
-    bytes).  Other fields are read one by one."""
+    one memoryview cast.  So are fields of 3, 5, 6 or 7 bytes, however
+    many, spread by strided copies into 8-byte slots whose high bytes are
+    copies of the field's sign byte (one translate of its top bytes).
+    Fields of 9 bytes or more, and every field on a big-endian machine,
+    are read one by one."""
     zero = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
     data = ((packed + zero) ^ zero).to_bytes(n * width, "little")
     if width in _CAST:
         return memoryview(data).cast(_CAST[width]).tolist()
-    if not _CAST or width > 8 or n < _STRIDED_FIELDS:
+    if not _CAST or width > 8:
         return [int.from_bytes(c, "little", signed=True)
                 for (c,) in iter_unpack(f"{width}s", data)]
     sign = data[width - 1::width].translate(_SIGN)
@@ -1202,8 +1197,10 @@ def _norm_tower(terms, R):
 
     The odd steps run on dicts.  The p = 2 steps, which come last, run on
     one dense grid: F is laid out once as a list of v-rows of its
-    y-coefficients, each step maps that grid to the next, and the last
-    grid is read back into a dict once (_grid_dict).
+    y-coefficients (_dense, whose least exponents are both 0 here: F keeps
+    den*y at v^0 and a nonzero y^0 term through the odd steps), each step
+    maps that grid to the next, and the last grid is read back into a dict
+    once (_grid_dict).
 
     A failed certificate or a result of y-degree other than R is a bug,
     hence InternalError.
@@ -1223,10 +1220,9 @@ def _norm_tower(terms, R):
     for p in reversed(primes[twos:]):
         poly = _cyclic_norm_step(poly, p)
     if twos:
-        ny = max(d for _, d in poly) + 1
-        grid = [0] * ((max(k for k, _ in poly) + 1) * ny)
-        for (k, d), c in poly.items():
-            grid[k * ny + d] = c
+        ks, ds = zip(*poly)
+        ny = max(ds) + 1
+        grid = _dense(poly, ks, ds, ny)
         for _ in range(twos):
             grid, ny = _square_norm_step(grid, ny)
         poly = _grid_dict(grid, ny)
@@ -1385,9 +1381,7 @@ def preimage_product(digits, ctx):
     key = ("preimage", digits)
     hit = ctx.cache.get(key)
     if hit is None:
-        head = digits[:-1]
-        while head and not head[-1]:
-            head = head[:-1]
+        head = MonoidRep(0, digits[:-1]).digits
         poly, lc = (ctx.cache.get(("preimage", head))
                     or _multiplied_out(_ONE, Fraction(1), head, ctx))
         if digits:

@@ -132,7 +132,12 @@ def _pull_terms(spec):
 
 def derive(spec, depth):
     """Populate all sequences of a spec down to `depth` rho terms; the
-    loop pulls terms up to e_K, K = l(depth), and no further."""
+    loop pulls terms up to e_K, K = l(depth), and no further.
+
+    s_i and c_i are formed by floor division, and the invariants are
+    checked once, after, by _validate: r-divisibility-chain gives
+    r_l(i-1) | r_l(i), so s_i is exact, and rho-residue gives
+    (R/r_l(i)) | P_i, so c_i = P_i*r_l(i)/R is."""
     if not _is_int(depth) or depth < 1:
         raise ValueError(f"depth must be an int >= 1, not {depth!r}")
     e = []
@@ -157,22 +162,9 @@ def derive(spec, depth):
         q = ri // r_prev
         U.append(q * U[-1] + (q - 1) * Ei)
 
-    P, s, c = [], [], []  # P_i = rho_i*R
-    for idx in range(1, depth + 1):
-        li = jumps[idx]
-        Pi = U[li - 1] + E[li - 1]
-        P.append(Pi)
-        num, den = r[li], r[jumps[idx - 1]]
-        if num % den:
-            raise IdentityViolation("ramification-divisibility", idx,
-                                    f"{den} does not divide {num}")
-        s.append(num // den)
-        ci, rest = divmod(Pi * num, R)
-        if rest:
-            raise IdentityViolation(
-                "rho-denominator", idx,
-                f"rho_{idx}*r_l({idx}) = {Fraction(Pi * num, R)} not integral")
-        c.append(ci)
+    P = [U[li - 1] + E[li - 1] for li in jumps[1:]]  # P_i = rho_i*R
+    s = [r[li] // r[prev] for prev, li in zip(jumps, jumps[1:])]
+    c = [Pi * r[li] // R for Pi, li in zip(P, jumps[1:])]
 
     _validate(r, jumps, s, c, P)
     return DerivedSequences(depth, e, r, jumps, [Fraction(x, R) for x in U],
@@ -181,7 +173,9 @@ def derive(spec, depth):
 
 def _validate(r, l, s, c, P):
     """Cheap structural invariants asserted on every derivation, on its
-    ints: r, l, s and c as stored, and P[i-1] = rho_i*R, R = r_K."""
+    ints: r, l, s and c as stored, and P[i-1] = rho_i*R, R = r_K.
+    rho-residue is checked before c-s-coprime, since derive floors c_i,
+    so a rho_i off its lattice is reported under its own name."""
     for i in range(1, len(r)):
         if r[i] % r[i - 1]:
             raise IdentityViolation("r-divisibility-chain", i)
@@ -189,11 +183,11 @@ def _validate(r, l, s, c, P):
     for i, (si, ci, Pi) in enumerate(zip(s, c, P), start=1):
         if si < 2:
             raise IdentityViolation("s-lower-bound", i, f"s_{i} = {si}")
-        if gcd(ci, si) != 1:
-            raise IdentityViolation("c-s-coprime", i)
         # rho_i lies in (1/r_l(i))Z but not (1/r_l(i-1))Z, and r_l(i) | R
         if Pi % (R // r[l[i]]):
             raise IdentityViolation("rho-residue", i)
+        if gcd(ci, si) != 1:
+            raise IdentityViolation("c-s-coprime", i)
         if not Pi % (R // r[l[i - 1]]):
             raise IdentityViolation("rho-new-residue", i)
         if i >= 2 and Pi <= P[i - 2]:

@@ -51,7 +51,8 @@ class MonoidContext:
 
     The context is logically immutable; the cache dict only memoizes pure
     computations (decompositions, Apery sets, leading data, truncation
-    powers, minimal polynomials).
+    powers and their tables per y-degree, minimal polynomials, polynomial
+    images, product images and preimage records).
     lattice_den is R = r_l(depth), and chain holds one row of the
     congruence chain per index j, from depth down to 1:
     (R / r_l(j), s_j, c_j^-1 mod s_j, rho_j * R).
@@ -93,8 +94,7 @@ def decompose(m, ctx):
     """The canonical representation of m, or None for a non-member; a float
     or a bool raises ValueError (exactnum._exact).  Cached per context
     under m * R (decompose_point)."""
-    if not isinstance(m, Fraction):
-        m = _exact(m, ValueError)
+    m = _exact(m, ValueError)
     if m.numerator < 0:
         return None
     return decompose_point(_on_lattice(m, ctx), ctx)

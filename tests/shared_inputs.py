@@ -1,6 +1,7 @@
 """Inputs that several test modules share: criterion 9's pair generator,
-the harmonic, triadic and mixed-denominator specs, and evaluation modulo
-the prime P = 2^127 - 1.
+the harmonic, triadic and mixed-denominator specs, the generated specs and
+settings of the hypothesis properties, and evaluation modulo the prime
+P = 2^127 - 1.
 
 tests/test_acceptance.py keeps its own copies, so that the acceptance
 criteria stand alone.
@@ -8,10 +9,16 @@ criteria stand alone.
 
 from fractions import Fraction
 
+from hypothesis import settings
+from hypothesis import strategies as st
+
 from valmon.bipoly import BivarPoly
 from valmon.series import CallbackTail, GeometricTail, SimpleSeriesSpec
 
 F = Fraction
+# every property draws the same examples on every run
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=40)
 
 
 def criterion_9_poly(rng, max_total_deg=4):
@@ -42,6 +49,22 @@ def mixed_spec():
     """Coefficient denominators 3 and 2: z_N is tabulated as (6*z_N)^b."""
     return SimpleSeriesSpec([(F(2, 3), F(1, 2)), (F(1, 2), F(1, 4))],
                             GeometricTail(2))
+
+
+@st.composite
+def specs(draw, max_prefix=3, max_base=3, depths=(3, 5)):
+    """(spec, depth): one to max_prefix prefix terms with signed rational
+    coefficients at distinct positive exponents of denominators 1 to 6,
+    strictly decreasing, then a geometric tail of base 2 to max_base, and
+    a depth in the closed range depths."""
+    exps = draw(st.sets(st.builds(F, st.integers(1, 6), st.integers(1, 6)),
+                        min_size=1, max_size=max_prefix))
+    prefix = [(F(draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1))),
+                 draw(st.integers(1, 3))), e)
+              for e in sorted(exps, reverse=True)]
+    spec = SimpleSeriesSpec(prefix,
+                            GeometricTail(draw(st.integers(2, max_base))))
+    return spec, draw(st.integers(*depths))
 
 
 # evaluation at a point modulo P is a ring map that shares no code with

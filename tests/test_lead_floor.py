@@ -12,37 +12,20 @@ _scan on the benchmark's workloads.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from shared_inputs import harmonic_spec, triadic_spec
+from shared_inputs import SETTINGS, harmonic_spec, specs, triadic_spec
 from test_bipoly import _series_eval
 from valmon import bipoly
 from valmon.bipoly import (BivarPoly, Image, eval_leading, parse,
                            truncation_min_poly)
 from valmon.errors import InsufficientPrecision, InternalError
 from valmon.gbengine import buchberger
-from valmon.series import (GeometricTail, SimpleSeriesSpec, dyadic_spec,
-                           leading_data)
+from valmon.series import SimpleSeriesSpec, dyadic_spec, leading_data
 from valmon.valmonoid import MonoidContext, base_digits, lambda_d
 
 F = Fraction
-SETTINGS = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=40)
-
-
-@st.composite
-def specs(draw):
-    """(spec, depth): one to three prefix terms with signed rational
-    coefficients at distinct positive exponents of denominators 1 to 6,
-    strictly decreasing, then a geometric tail of base 2 or 3."""
-    exps = draw(st.sets(st.builds(F, st.integers(1, 6), st.integers(1, 6)),
-                        min_size=1, max_size=3))
-    prefix = [(F(draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1))),
-                 draw(st.integers(1, 3))), e)
-              for e in sorted(exps, reverse=True)]
-    spec = SimpleSeriesSpec(prefix, GeometricTail(draw(st.integers(2, 3))))
-    return spec, draw(st.integers(3, 5))
 
 
 @st.composite

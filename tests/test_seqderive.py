@@ -367,3 +367,25 @@ def test_each_invariant_fires_with_its_name_and_index(make, depth):
             fired.add(identity)
     assert fired == {"r-divisibility-chain", "s-lower-bound", "c-s-coprime",
                      "rho-residue", "rho-new-residue", "rho-increasing"}
+
+
+@pytest.mark.parametrize("make,depth", [(dyadic_spec, 6), (triadic_spec, 5),
+                                        (harmonic_spec, 6)])
+def test_a_rho_off_its_lattice_is_reported_as_such(make, depth):
+    # derive floors c_i = P_i*r_l(i)/R, so a P_i off (R/r_l(i))Z leaves a
+    # floored c_i that may share a factor with s_i; rho-residue, checked
+    # first, names the fault, not c-s-coprime
+    data = lattice_data(make, depth)
+    r, l, s, P = (data[k] for k in "rlsP")
+    R = r[-1]
+    for i in range(1, depth):
+        step = R // r[l[i]]
+        assert step > 1
+        moved = next(Pi for Pi in range(P[i - 1] + 1, P[i - 1] + R * s[i - 1])
+                     if Pi % step and gcd(Pi * r[l[i]] // R, s[i - 1]) > 1)
+        bad = {k: list(v) for k, v in data.items()}
+        bad["P"][i - 1] = moved
+        bad["c"][i - 1] = moved * r[l[i]] // R
+        with pytest.raises(IdentityViolation) as exc:
+            _validate(**bad)
+        assert (exc.value.identity, exc.value.index) == ("rho-residue", i)
