@@ -61,9 +61,9 @@ def test_decompose_matches_the_enumeration(case):
     for value, rep in members:
         assert decompose(value, ctx) == rep, (value, rep)
     den = seqs.r(seqs.l(i))
-    for k in range(_N * den + 1):
-        if F(k, den) not in values:
-            assert decompose(F(k, den), ctx) is None, F(k, den)
+    for q in (F(k, den) for k in range(_N * den + 1)):
+        if q not in values:
+            assert decompose(q, ctx) is None, q
 
 
 def _mixed(case):
